@@ -59,7 +59,10 @@ def _rounded(obj):
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(_rounded(payload), indent=2) + "\n"
+    try:
+        text = json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"refusing to print a non-finite number as JSON: {exc}") from None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -327,6 +330,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         star = inf.pi_star(params)
         c, d = star.c, star.d
+    trig = _parse_trigger(args.trigger) if args.trigger else None
     config = SimConfig(c=c, d=d, trials=args.trials, horizon=args.horizon,
                        seed=args.seed, start=args.start, max_wait=args.max_wait)
     stats = run_scheme(config, params)
@@ -350,8 +354,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             (stats.total_mean - total) / stats.total_se if stats.total_se else None
         ),
     }
-    if args.trigger:
-        trig = _parse_trigger(args.trigger)
+    if trig is not None:
         roll = deviation_rollout(config, trig, params)
         payload["rollout"] = {
             "trigger": {"prev_flow": trig.prev_flow, "tag": trig.tag, "rec": trig.rec},

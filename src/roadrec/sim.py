@@ -1,15 +1,28 @@
 """Monte Carlo simulator for the infinite-horizon recommendation schemes.
 
 Simulates the road-state chain, the coordinator's dispatch rules, compliant
-agents, and (for deviation rollouts) a single monitored agent who defects at
-the first visit to a chosen state and is punished forever after.
+agents, and (for deviation rollouts) a single monitored agent, agent 0, who
+defects at the first visit to a chosen state and is punished forever after.
 
 Determinism: every random draw comes from numpy generators seeded with the
-tuple (seed, trial, stream), stream 0 for the road chain, 1 for scheme
-dispatch (experimenter and recruit lotteries), 2 for punishment-regime
-recommendations. Results are therefore reproducible and trial-parallelisable,
-and a deviation rollout shares the chain and dispatch draws of its compliant
-twin until the moment of deviation (common random numbers).
+tuple (seed, trial, stream), stream 0 for the road chain and 1 for scheme
+dispatch (experimenter and recruit lotteries). Results are therefore
+reproducible and do not depend on how trials are grouped, and a deviation
+rollout shares the chain and dispatch draws of its compliant twin until the
+moment of deviation (common random numbers).
+
+Work is vectorised over trials. Trials run in blocks of about _BLOCK_STAGES
+trial-stages, which bounds the working memory whatever the trial count:
+each block fills one row per trial from that trial's stream 0 and steps all
+rows of the chain at once. Under a scheme the risky flow is a function of
+the chain alone (one experimenter at stage one and after a high stage, c
+after the first low stage, d after two or more), so the aggregate cost needs
+no dispatch lottery; only the first trial replays it, for its per-agent
+sample. A rollout replays from stream 1 only the draws that decide agent 0's
+role, which consume the stream exactly as the full lottery does. Its deviate
+arm needs no draws after the deviation: the gate forces s1 = 0, so once the
+deviant hides on the safe road it pays exactly s0 per stage, whatever the
+punishment regime recommends to the others.
 
 Horizons are finite, so every estimate carries an explicit truncation bound:
 discounting delta^T of the worst possible stage cost, summed to infinity.
@@ -25,15 +38,16 @@ from .model import (
     AssumptionError,
     GameParams,
     ParameterError,
-    belief_step,
     check_assumption_infinite,
-    expected_theta,
+    stage_cost,
 )
 from .infinite import InfiniteScheme
 
 _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
-_STREAM_PUNISH = 2
+
+# Trial-stages simulated at once: bounds the arrays of one block.
+_BLOCK_STAGES = 4096
 
 
 def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -121,16 +135,43 @@ class RunStats:
     total_* estimate the aggregate discounted cost (all agents, all stages),
     per_agent_* the per-agent average; tail_bound bounds what truncating the
     horizon can have cut off the aggregate estimate (divide by n for the
-    per-agent version). sample is the first trial's trajectory.
+    per-agent version). The standard errors are None for a single trial.
+    sample is the first trial's trajectory.
     """
 
     manifest: RunManifest
     total_mean: float
-    total_se: float
+    total_se: float | None
     per_agent_mean: float
-    per_agent_se: float
+    per_agent_se: float | None
     tail_bound: float
     sample: Trajectory
+
+
+def _blocks(trials: int, horizon: int) -> list[range]:
+    """Consecutive trial ranges of about _BLOCK_STAGES trial-stages each."""
+    rows = max(1, _BLOCK_STAGES // horizon)
+    return [range(first, min(first + rows, trials)) for first in range(0, trials, rows)]
+
+
+def _chains(
+    params: GameParams, horizon: int, seed: int, trials: range, start: str
+) -> np.ndarray:
+    """Road chains of the given trials, one row each; True = low.
+
+    Row k holds trial trials[k], drawn from its own stream 0, so a row does
+    not depend on which other trials share the call.
+    """
+    u = np.empty((len(trials), horizon))
+    for row, trial in zip(u, trials):
+        _rng(seed, trial, _STREAM_CHAIN).random(out=row)
+    lows = np.empty(u.shape, dtype=bool)
+    low = np.full(len(trials), start == "low")
+    stay_low, enter_low = 1.0 - params.gamma_l, params.gamma_h
+    for t in range(horizon):
+        low = np.where(low, u[:, t] < stay_low, u[:, t] < enter_low)
+        lows[:, t] = low
+    return lows
 
 
 def simulate_chain(
@@ -146,13 +187,42 @@ def simulate_chain(
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if start not in ("high", "low"):
         raise ParameterError(f"start must be 'high' or 'low', got {start!r}")
-    u = _rng(seed, trial, _STREAM_CHAIN).random(horizon)
-    lows = np.empty(horizon, dtype=bool)
-    low = start == "low"
-    for t in range(horizon):
-        low = u[t] < (1.0 - params.gamma_l) if low else u[t] < params.gamma_h
-        lows[t] = low
-    return lows
+    return _chains(params, horizon, seed, range(trial, trial + 1), start)[0]
+
+
+def _flows(lows: np.ndarray, c: int, d: int, start: str) -> np.ndarray:
+    """Risky flow of every stage of compliant play, from the chains alone.
+
+    One experimenter at stage one and after a high stage, c after the first
+    low stage, d after two or more; start pads the states before stage one.
+    """
+    padded = np.empty((lows.shape[0], lows.shape[1] + 2), dtype=bool)
+    padded[:, :2] = start == "low"
+    padded[:, 2:] = lows
+    prev, prev2 = padded[:, 1:-1], padded[:, :-2]
+    flows = np.where(prev, np.where(prev2, d, c), 1)
+    flows[:, 0] = 1
+    return flows
+
+
+def _cost_table(params: GameParams, c: int, d: int) -> np.ndarray:
+    """Aggregate stage cost by the scheme's risky flows (rows) and state.
+
+    Column 0 is the high state and column 1 the low one, so indexing with a
+    flow array and an integer view of a chain prices every stage at once.
+    """
+    table = np.zeros((params.n + 1, 2))
+    for x in {1, c, d}:
+        table[x] = stage_cost(x, params.h, params), stage_cost(x, params.l, params)
+    return table
+
+
+def _discounted(costs: np.ndarray, weights) -> np.ndarray:
+    """Row sums of weights[k] * costs[:, k], accumulated stage by stage."""
+    total = np.zeros(costs.shape[0])
+    for k, w in enumerate(weights):
+        total += w * costs[:, k]
+    return total
 
 
 def _stage_agent_costs(
@@ -160,7 +230,7 @@ def _stage_agent_costs(
 ) -> np.ndarray:
     coef = params.l if low else params.h
     x = int(risky.sum())
-    costs = np.full(params.n, params.s0 + params.s1 * (params.n - x))
+    costs = np.full(params.n, params.s0 + params.s1 * (params.n - x), dtype=float)
     costs[risky] = coef * x
     return costs
 
@@ -204,6 +274,36 @@ def _worst_stage_cost(params: GameParams) -> float:
     return max(params.h * params.n, params.s0 + params.s1 * params.n)
 
 
+def _se(values: np.ndarray) -> float | None:
+    """Standard error of the mean; None below two samples."""
+    m = len(values)
+    return float(values.std(ddof=1) / np.sqrt(m)) if m > 1 else None
+
+
+def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
+    """Trial 0 played agent by agent through the dispatch lottery."""
+    n, delta = params.n, params.delta
+    rng = _rng(config.seed, 0, _STREAM_DISPATCH)
+    agent_totals = np.zeros(n)
+    risky = None
+    flows = []
+    start_low = config.start == "low"
+    disc = 1.0
+    for t in range(1, config.horizon + 1):
+        prev_low = lows[t - 2] if t >= 2 else start_low
+        prev2_low = lows[t - 3] if t >= 3 else start_low
+        risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, rng, n)
+        agent_totals += disc * _stage_agent_costs(risky, bool(lows[t - 1]), params)
+        flows.append(int(risky.sum()))
+        disc *= delta
+    return Trajectory(
+        thetas=tuple("L" if low else "H" for low in lows),
+        flows=tuple(flows),
+        total=float(agent_totals.sum()),
+        agent_totals=tuple(float(v) for v in agent_totals),
+    )
+
+
 def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """Estimate the discounted cost of compliant play under scheme (c, d).
 
@@ -213,40 +313,27 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
+    # delta^t as the stage-by-stage product that the per-agent sample uses
+    disc = np.cumprod(np.r_[1.0, np.full(config.horizon - 1, delta)])
+    table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
     sample: Trajectory | None = None
-    for trial in range(config.trials):
-        lows = simulate_chain(params, config.horizon, config.seed, trial, config.start)
-        rng = _rng(config.seed, trial, _STREAM_DISPATCH)
-        agent_totals = np.zeros(n)
-        risky = None
-        flows = []
-        start_low = config.start == "low"
-        disc = 1.0
-        for t in range(1, config.horizon + 1):
-            prev_low = lows[t - 2] if t >= 2 else start_low
-            prev2_low = lows[t - 3] if t >= 3 else start_low
-            risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, rng, n)
-            agent_totals += disc * _stage_agent_costs(risky, bool(lows[t - 1]), params)
-            flows.append(int(risky.sum()))
-            disc *= delta
-        totals[trial] = agent_totals.sum()
+    for block in _blocks(config.trials, config.horizon):
+        lows = _chains(params, config.horizon, config.seed, block, config.start)
+        flows = _flows(lows, config.c, config.d, config.start)
+        costs = table[flows, lows.view(np.uint8)]
+        totals[block.start:block.stop] = _discounted(costs, disc)
         if sample is None:
-            sample = Trajectory(
-                thetas=tuple("L" if low else "H" for low in lows),
-                flows=tuple(flows),
-                total=float(agent_totals.sum()),
-                agent_totals=tuple(float(v) for v in agent_totals),
-            )
+            sample = _sample(config, params, lows[0])
     tail = delta**config.horizon * n * _worst_stage_cost(params) / (1.0 - delta)
-    total_se = float(totals.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else float("nan")
+    total_se = _se(totals)
     return RunStats(
         manifest=RunManifest(config.c, config.d, config.trials, config.horizon,
                              config.seed, config.start),
         total_mean=float(totals.mean()),
         total_se=total_se,
         per_agent_mean=float(totals.mean() / n),
-        per_agent_se=total_se / n,
+        per_agent_se=None if total_se is None else total_se / n,
         tail_bound=float(tail),
         sample=sample,
     )
@@ -264,7 +351,8 @@ class RolloutStats:
     random numbers), so obedience at the state means diff is nonnegative up
     to sampling noise and the truncation tail. Trials whose chain never
     produces the trigger within max_wait stages are skipped; if all are, the
-    state was unreachable and the means are None.
+    state was unreachable and the means are None. The standard errors are
+    None when a single trial reached the trigger.
     """
 
     trigger: AgentState
@@ -302,82 +390,100 @@ def _match(
     return rec_risky == (trigger.rec == "risky")
 
 
+def _agent0_roles(
+    trigger: AgentState,
+    lows: list[bool],
+    flows: list[int],
+    n: int,
+    max_wait: int,
+    horizon: int,
+    rng: np.random.Generator,
+) -> tuple[int | None, list[bool]]:
+    """Replay agent 0's recommendations until its valuation window closes.
+
+    Returns the 0-indexed trigger stage (None if not reached by stage
+    max_wait) and agent 0's recommendation at each replayed stage, True =
+    risky. The draws are those of _dispatch: after a high stage the
+    experimenter is rng.integers(n); during the ramp the recruits are drawn
+    from the safe agents in index order, where agent 0, when safe, comes
+    first, so drawing positions among n - flow safe slots consumes the
+    stream exactly as drawing the agents does.
+    """
+    roles: list[bool] = []
+    t_star = None
+    end = max_wait
+    t = 0
+    while t < end:
+        if t == 0 or not lows[t - 1]:
+            risky = int(rng.integers(n)) == 0
+        else:
+            need = flows[t] - flows[t - 1]
+            risky = roles[t - 1]
+            if need:
+                drawn = rng.choice(n - flows[t - 1], size=need, replace=False)
+                risky = risky or 0 in drawn.tolist()
+        roles.append(risky)
+        if t_star is None and t >= 1 and _match(
+                trigger, flows[t - 1], roles[t - 1], lows[t - 1], risky):
+            t_star = t
+            end = t + horizon
+        t += 1
+    return t_star, roles
+
+
 def deviation_rollout(
     config: SimConfig, trigger: AgentState, params: GameParams
 ) -> RolloutStats:
-    """Value one agent's first deviation opportunity at a trigger state.
+    """Value agent 0's first deviation opportunity at a trigger state.
 
-    Each trial simulates compliant play until agent 0 first finds itself in
-    the trigger state (within max_wait stages). The follow arm keeps
-    everybody compliant; the deviate arm flips agent 0's action at that
-    stage, after which the coordinator switches to the punishment regime:
-    independent recommendations priced so a compliant agent expects the safe
-    cost s0 each stage (probability s0 / (n * expected coefficient), capped
-    at one), while the deviant stays safe for good. Both arms share the
-    chain and all dispatch draws up to the deviation.
+    Each trial plays compliantly until agent 0 first finds itself in the
+    trigger state (at a stage from 2 to max_wait) and then values the next
+    `horizon` stages both ways. The follow arm keeps everybody compliant,
+    so it needs only agent 0's role, which is replayed from stream 1 (see
+    _agent0_roles); a trial stops at the end of its window, or at max_wait
+    if the trigger never comes.
+
+    The deviate arm flips agent 0's action at the trigger stage; after that
+    the coordinator punishes with independent recommendations, and the
+    deviant stays on the safe road for good. The gate forces s1 = 0, so the
+    safe road costs s0 whatever the others do, and the deviant pays exactly
+    s0 at every later stage: its value is the flipped stage's cost plus a
+    discounted run of s0, whatever the punishment draws would be. Both arms
+    share the chain and all dispatch draws up to the deviation.
     """
     _require_sim_gate(config, params)
-    n, s0, delta = params.n, params.s0, params.delta
+    n, s0, s1, delta = params.n, params.s0, params.s1, params.delta
     length = config.max_wait + config.horizon
-    follow_vals: list[float] = []
-    deviate_vals: list[float] = []
+    weights = [delta**k for k in range(config.horizon)]
+
+    def cost(risky: bool, low: bool, flow: int) -> float:
+        """Agent 0's cost in a stage with this risky flow."""
+        return (params.l if low else params.h) * flow if risky else s0 + s1 * (n - flow)
+
+    follow_vals: list[np.ndarray] = []
+    deviate_vals: list[np.ndarray] = []
     skipped = 0
 
-    for trial in range(config.trials):
-        lows = simulate_chain(params, length, config.seed, trial, config.start)
-        rng = _rng(config.seed, trial, _STREAM_DISPATCH)
-        start_low = config.start == "low"
-
-        # Compliant pass, recording recommendations and flows so the deviate
-        # arm can replay the shared history exactly.
-        riskys: list[np.ndarray] = []
-        risky = None
-        t_star = None
-        for t in range(1, length + 1):
-            prev_low = lows[t - 2] if t >= 2 else start_low
-            prev2_low = lows[t - 3] if t >= 3 else start_low
-            prev_risky = risky
-            risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, rng, n)
-            riskys.append(risky)
-            if t_star is None and t >= 2 and t <= config.max_wait:
-                if _match(trigger, int(prev_risky.sum()), bool(prev_risky[0]),
-                          prev_low, bool(risky[0])):
-                    t_star = t
-        if t_star is None:
-            skipped += 1
-            continue
-
-        window = range(t_star, t_star + config.horizon)
-
-        follow = 0.0
-        for t in window:
-            costs = _stage_agent_costs(riskys[t - 1], bool(lows[t - 1]), params)
-            follow += delta ** (t - t_star) * float(costs[0])
-        follow_vals.append(follow)
-
-        # Deviate arm: flip agent 0 at t_star, punish ever after.
-        deviate = 0.0
-        flipped = riskys[t_star - 1].copy()
-        flipped[0] = not flipped[0]
-        costs = _stage_agent_costs(flipped, bool(lows[t_star - 1]), params)
-        deviate += float(costs[0])
-        prng = _rng(config.seed, trial, _STREAM_PUNISH)
-        # Coordinator's belief that the last stage was low.
-        flow = int(flipped.sum())
-        belief = float(lows[t_star - 1]) if flow >= 1 else belief_step(
-            float(lows[t_star - 2]) if t_star >= 2 else float(start_low), params
-        )
-        for t in range(t_star + 1, t_star + config.horizon):
-            mu_ahead = expected_theta(belief_step(belief, params), params)
-            p = min(1.0, s0 / (n * mu_ahead))
-            recs = prng.random(n) < p
-            recs[0] = False  # the deviant hides on the safe road
-            low = bool(lows[t - 1])
-            costs = _stage_agent_costs(recs, low, params)
-            deviate += delta ** (t - t_star) * float(costs[0])
-            flow = int(recs.sum())
-            belief = float(low) if flow >= 1 else belief_step(belief, params)
-        deviate_vals.append(deviate)
+    for block in _blocks(config.trials, length):
+        lows = _chains(params, length, config.seed, block, config.start)
+        flows = _flows(lows, config.c, config.d, config.start)
+        follow_costs: list[list[float]] = []
+        deviate_costs: list[list[float]] = []
+        for trial, low, flow in zip(block, lows.tolist(), flows.tolist()):
+            rng = _rng(config.seed, trial, _STREAM_DISPATCH)
+            t_star, roles = _agent0_roles(trigger, low, flow, n, config.max_wait,
+                                          config.horizon, rng)
+            if t_star is None:
+                skipped += 1
+                continue
+            window = range(t_star, t_star + config.horizon)
+            follow_costs.append([cost(roles[t], low[t], flow[t]) for t in window])
+            flipped = not roles[t_star]
+            first = cost(flipped, low[t_star], flow[t_star] + (1 if flipped else -1))
+            deviate_costs.append([first] + [s0] * (config.horizon - 1))
+        if follow_costs:
+            follow_vals.append(_discounted(np.array(follow_costs, dtype=float), weights))
+            deviate_vals.append(_discounted(np.array(deviate_costs, dtype=float), weights))
 
     tail = delta**config.horizon * _worst_stage_cost(params) / (1.0 - delta)
     if not follow_vals:
@@ -392,24 +498,19 @@ def deviation_rollout(
             horizon=config.horizon,
             note=f"trigger state never reached within {config.max_wait} stages",
         )
-    fol = np.asarray(follow_vals)
-    dev = np.asarray(deviate_vals)
+    fol = np.concatenate(follow_vals)
+    dev = np.concatenate(deviate_vals)
     diff = dev - fol
-    m = len(fol)
-
-    def se(a: np.ndarray) -> float:
-        return float(a.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
-
     return RolloutStats(
         trigger=trigger,
-        n_triggered=m,
+        n_triggered=len(fol),
         n_skipped=skipped,
         follow_mean=float(fol.mean()),
-        follow_se=se(fol),
+        follow_se=_se(fol),
         deviate_mean=float(dev.mean()),
-        deviate_se=se(dev),
+        deviate_se=_se(dev),
         diff_mean=float(diff.mean()),
-        diff_se=se(diff),
+        diff_se=_se(diff),
         tail_bound=float(tail),
         horizon=config.horizon,
     )

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from roadrec import cli
 from roadrec.cli import main, parse_grid
 from roadrec.model import ParameterError
 
@@ -27,10 +28,19 @@ def example1_file(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,43 @@ def test_simulate_rejects_bad_trigger(capsys, reference_file):
                  "--trigger", "x:pooled:safe"]) == 2
     assert main(["simulate", "--params", reference_file,
                  "--scheme", "1,3"]) == 2
+
+
+def test_simulate_validates_trigger_before_simulating(capsys, reference_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before validating the trigger")
+
+    monkeypatch.setattr(cli, "run_scheme", refuse)
+    monkeypatch.setattr(cli, "deviation_rollout", refuse)
+    for bad in ("3:pooled", "x:pooled:safe", "3:pooled:maybe", "3:sideways:safe"):
+        assert main(["simulate", "--params", reference_file, "--trigger", bad]) == 2
+        assert capsys.readouterr().err.startswith("roadrec: parameter error")
+
+
+def test_simulate_single_trial_is_strict_json(capsys, reference_file):
+    code, data = run_json(capsys, [
+        "simulate", "--params", reference_file, "--trials", "1", "--seed", "1",
+        "--horizon", "8", "--max-wait", "60", "--scheme", "2,3",
+        "--trigger", "3:pooled:safe",
+    ])
+    assert code == 0
+    mc, roll = data["mc"], data["rollout"]
+    assert mc["total_mean"] > 0.0 and mc["tail_bound"] > 0.0
+    assert mc["total_se"] is None and mc["per_agent_se"] is None
+    assert data["z_total"] is None
+    assert roll["n_triggered"] == 1
+    assert roll["follow_mean"] > 0.0 and roll["diff_mean"] is not None
+    assert roll["follow_se"] is None and roll["deviate_se"] is None
+    assert roll["diff_se"] is None
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    args = cli.build_parser().parse_args(["infinite", "--params", "unused.json"])
+    with pytest.raises(RuntimeError, match="non-finite"):
+        cli._emit({"value": float("nan")}, args)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        cli._emit({"rows": [{"ratio": float("inf")}]}, args)
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_infinite(capsys, reference_file):

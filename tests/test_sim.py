@@ -3,6 +3,7 @@ import pytest
 
 from roadrec.model import AssumptionError, GameParams, ParameterError
 from roadrec.infinite import check_ic, scheme_cost, v_bar
+from roadrec import sim
 from roadrec.sim import (
     AgentState,
     SimConfig,
@@ -67,6 +68,20 @@ def test_frozen_chain_run_is_exact():
     assert stats.total_se == 0.0
     assert stats.sample.flows == tuple([1] * 40)
     assert stats.sample.thetas == tuple(["H"] * 40)
+
+
+def test_integer_safe_costs_keep_fractional_risky_costs():
+    # the chain stays low: one experimenter at stage one, then d = 3 users
+    # paying 1.5 * 3 each while seven pay s0 = 10; integer s0 and s1 must
+    # not round the risky costs down
+    params = GameParams(n=10, s0=10, s1=0, l=1.5, h=10,
+                        gamma_l=0.0, gamma_h=0.0, delta=0.5)
+    stats = run_scheme(SimConfig(c=2, d=3, trials=2, horizon=20, start="low"), params)
+    expected = 91.5 + 83.5 * (1.0 - 0.5**19)
+    assert stats.total_mean == pytest.approx(expected, abs=1e-12)
+    assert stats.sample.total == pytest.approx(expected, abs=1e-12)
+    assert min(stats.sample.agent_totals) == pytest.approx(
+        1.5 + 4.5 * (1.0 - 0.5**19), abs=1e-12)
 
 
 def test_run_scheme_gate(example1):
@@ -164,3 +179,100 @@ def test_rollout_is_paired(reference):
     assert a.follow_mean == b.follow_mean
     assert a.deviate_mean == b.deviate_mean
     assert a.n_triggered == b.n_triggered
+
+
+# ---------------------------------------------------------------------------
+# golden values: the numbers of the per-trial, per-agent simulator, pinned
+# exactly (the reference game's costs are small integers and delta = 1/2,
+# so every sum is exact and any change to the draws or the pricing shows)
+
+def test_run_scheme_golden_values(reference):
+    stats = run_scheme(SimConfig(2, 3, trials=10000, horizon=16, seed=42), reference)
+    assert stats.total_mean == 195.85658346862792
+    assert stats.total_se == 0.17779862982173256
+    stats = run_scheme(SimConfig(2, 3, trials=500, horizon=12, seed=3, start="low"),
+                       reference)
+    assert stats.total_mean == 187.582880859375
+    assert stats.total_se == 1.2030331214774639
+    assert stats.sample.flows == (1,) + (3,) * 11
+
+
+@pytest.mark.parametrize("trigger, triggered, follow, deviate", [
+    (AgentState(3, "pooled", "safe"), 299, 19.867063388377925, 23.906890154682273),
+    (AgentState(None, "high", "risky"), 70, 17.76456473214286, 19.98046875),
+    (AgentState(3, "low", "risky"), 263, 16.63961501901141, 19.98046875),
+])
+def test_rollout_golden_values(reference, trigger, triggered, follow, deviate):
+    cfg = SimConfig(2, 3, trials=300, horizon=10, seed=17, max_wait=80)
+    stats = deviation_rollout(cfg, trigger, reference)
+    assert stats.n_triggered == triggered
+    assert stats.n_skipped == 300 - triggered
+    assert stats.follow_mean == follow
+    assert stats.deviate_mean == deviate
+
+
+# ---------------------------------------------------------------------------
+# the vectorised paths against the per-agent ones
+
+@pytest.mark.parametrize("start", ["high", "low"])
+def test_dispatch_flows_match_chain_flows(infinite_draws, start):
+    for k, params in enumerate(infinite_draws[:6]):
+        c, d = 2, params.n - k % 2
+        cfg = SimConfig(c, d, trials=2, horizon=40, seed=k, start=start)
+        stats = run_scheme(cfg, params)
+        lows = sim._chains(params, 40, k, range(1), start)
+        flows = sim._flows(lows, c, d, start)
+        assert stats.sample.flows == tuple(flows[0].tolist())
+        # aggregate stage costs price what the agents pay one by one
+        disc = params.delta ** np.arange(40)
+        costs = sim._cost_table(params, c, d)[flows, lows.view(np.uint8)]
+        total = sim._discounted(costs, disc)[0]
+        assert total == pytest.approx(stats.sample.total, rel=1e-12)
+
+
+def test_chain_rows_match_single_chains(reference, monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_STAGES", 20)
+    horizon, trials = 7, 11
+    blocks = sim._blocks(trials, horizon)
+    assert [len(b) for b in blocks] == [2] * 5 + [1]
+    assert [t for b in blocks for t in b] == list(range(trials))
+    for start in ("high", "low"):
+        rows = np.concatenate([sim._chains(reference, horizon, 5, b, start) for b in blocks])
+        spanning = sim._chains(reference, horizon, 5, range(1, 6), start)
+        for k in range(trials):
+            single = simulate_chain(reference, horizon, seed=5, trial=k, start=start)
+            assert np.array_equal(rows[k], single)
+            if 1 <= k < 6:
+                assert np.array_equal(spanning[k - 1], single)
+
+
+def test_results_do_not_depend_on_block_size(reference, monkeypatch):
+    cfg = SimConfig(2, 3, trials=37, horizon=9, seed=8, max_wait=30)
+    trigger = AgentState(None, "pooled", "safe")
+    run, roll = run_scheme(cfg, reference), deviation_rollout(cfg, trigger, reference)
+    monkeypatch.setattr(sim, "_BLOCK_STAGES", 50)
+    assert run_scheme(cfg, reference) == run
+    assert deviation_rollout(cfg, trigger, reference) == roll
+
+
+@pytest.mark.parametrize("n", [5, 10, 40, 100])
+def test_agent0_replay_matches_full_dispatch(n):
+    params = GameParams(n=n, s0=10, s1=0.0, l=1.0, h=19.0,
+                        gamma_l=0.3, gamma_h=0.5, delta=0.5)
+    c, d, stages = 2, n - 1, 60
+    never = AgentState(prev_flow=n + 1, tag="pooled", rec="safe")
+    for trial in range(5):
+        lows = sim._chains(params, stages, 3, range(trial, trial + 1), "high")
+        flows = sim._flows(lows, c, d, "high")[0].tolist()
+        t_star, roles = sim._agent0_roles(never, lows[0].tolist(), flows, n, stages, 1,
+                                          sim._rng(3, trial, sim._STREAM_DISPATCH))
+        assert t_star is None
+        rng = sim._rng(3, trial, sim._STREAM_DISPATCH)
+        risky = None
+        for t in range(stages):
+            prev_low = bool(lows[0, t - 1]) if t >= 1 else False
+            prev2_low = bool(lows[0, t - 2]) if t >= 2 else False
+            risky = sim._dispatch(risky, prev_low, prev2_low, c, d, rng, n)
+            assert int(risky.sum()) == flows[t]
+            assert bool(risky[0]) == roles[t], (trial, t)
+
