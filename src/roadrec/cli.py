@@ -13,7 +13,8 @@ Subcommands:
               two-stage game, linear-solve state costs for the infinite one)
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
-fail or an oracle disagrees, 2 on malformed input. Numbers are printed with
+fail or an oracle disagrees, 2 on malformed input, 3 when an identity the
+closed forms guarantee breaks (a bug in the program). Numbers are printed with
 twelve significant digits, JSON by default; two-stage and sweep can emit CSV.
 """
 
@@ -24,16 +25,20 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .model import (
     AssumptionError,
     GameParams,
+    InternalError,
     ParameterError,
-    check_assumption_infinite,
     check_assumption_two_stage,
     load_params,
+    mu_high,
     mu_low,
     myopic_eq_flow,
     myopic_so_flow,
@@ -62,7 +67,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     try:
         text = json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise RuntimeError(f"refusing to print a non-finite number as JSON: {exc}") from None
+        raise InternalError(f"refusing to print a non-finite number as JSON: {exc}") from None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -99,6 +104,10 @@ def _require_json_format(args: argparse.Namespace, command: str) -> None:
         raise ParameterError(f"csv output is not available for {command}; use json")
 
 
+# Most points a start:stop:step grid may have.
+_MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(text: str) -> list[float]:
     """Parse '0.1,0.2,0.3' or 'start:stop:step' (inclusive of stop)."""
     try:
@@ -107,10 +116,16 @@ def parse_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ParameterError(f"grid must be start:stop:step, got {text!r}")
             start, stop, step = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise ParameterError(f"grid start, stop and step must be finite, got {text!r}")
             if step <= 0:
                 raise ParameterError(f"grid step must be positive, got {step}")
             if stop < start:
                 raise ParameterError(f"grid stop {stop} is below start {start}")
+            if (stop + 1e-12 - start) / step >= _MAX_GRID_POINTS:
+                raise ParameterError(
+                    f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
+                )
             values = []
             k = 0
             while (v := start + k * step) <= stop + 1e-12:
@@ -228,9 +243,7 @@ def _ic_dict(report: inf.ICReport) -> dict:
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
     params, _ = _load(args)
-    gate = check_assumption_infinite(params)
-    if not gate.passed:
-        raise AssumptionError("infinite-horizon gate fails: " + "; ".join(gate.failures()))
+    inf.require_gate(params)
     ml = mu_low(params)
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
@@ -241,7 +254,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     payload = {
         "params": _params_dict(params),
         "mu_low": ml,
-        "mu_high": gate.mu_high,
+        "mu_high": mu_high(params),
         "x_so": x_so,
         "x_eq": x_eq,
         "x_ll_bar": x_ll_bar,
@@ -322,9 +335,7 @@ def _parse_trigger(text: str) -> AgentState:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_json_format(args, "simulate")
     params, _ = _load(args)
-    gate = check_assumption_infinite(params)
-    if not gate.passed:
-        raise AssumptionError("infinite-horizon gate fails: " + "; ".join(gate.failures()))
+    inf.require_gate(params)
     if args.scheme:
         c, d = _parse_scheme(args.scheme, params)
     else:
@@ -399,32 +410,26 @@ def _oracle_two_stage(params: GameParams, betas: list[float]) -> list[dict]:
 
 
 def _oracle_infinite(params: GameParams) -> list[dict]:
-    gate = check_assumption_infinite(params)
-    if not gate.passed:
-        raise AssumptionError("infinite-horizon gate fails: " + "; ".join(gate.failures()))
+    inf.require_gate(params)
+    c, d = inf.scheme_pairs(params.n)
+    table = inf.state_costs(c, d, params)
+    slack = inf.steady_slack(c, d, params)
+    decomp = inf.fc_gd_decomposition(c, d, params)
+    worst_fg = float(np.max(np.abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + np.abs(slack))))
+    names = [field.name for field in dataclasses.fields(table)]
+    closed = np.column_stack([getattr(table, name) for name in names])
+    linear = np.empty_like(closed)
+    for k, (ck, dk) in enumerate(zip(c.tolist(), d.tolist())):
+        solved = inf.state_costs_linear(ck, dk, params)
+        linear[k] = [getattr(solved, name) for name in names]  # None -> NaN
+    worst_state = float(np.fmax.reduce(  # fmax skips NaN
+        np.abs(closed - linear) / (1.0 + np.abs(closed)), axis=None, initial=0.0
+    ))
+    if not np.array_equal(np.isnan(closed), np.isnan(linear)):
+        worst_state = float("inf")
     checks = []
-    n = params.n
-    worst_state = 0.0
-    worst_fg = 0.0
-    pairs = 0
-    for c in range(2, n + 1):
-        for d in range(c, n + 1):
-            pairs += 1
-            table = inf.state_costs(c, d, params)
-            linear = inf.state_costs_linear(c, d, params)
-            for field in dataclasses.fields(inf.StateCostTable):
-                a = getattr(table, field.name)
-                b = getattr(linear, field.name)
-                if a is None or b is None:
-                    if a is not b:
-                        worst_state = float("inf")
-                    continue
-                worst_state = max(worst_state, abs(a - b) / (1.0 + abs(a)))
-            decomp = inf.fc_gd_decomposition(c, d, params)
-            slack = inf.steady_slack(c, d, params)
-            worst_fg = max(worst_fg, abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + abs(slack)))
     checks.append({
-        "name": f"state costs, closed form vs linear solve ({pairs} schemes)",
+        "name": f"state costs, closed form vs linear solve ({len(c)} schemes)",
         "passed": worst_state <= 1e-9,
         "detail": f"worst relative gap {worst_state:.3g}",
     })
@@ -508,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"roadrec: parameter error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"roadrec: internal error: {exc}", file=sys.stderr)
+        return 3
     except (AssumptionError, RuntimeError) as exc:
         print(f"roadrec: {exc}", file=sys.stderr)
         return 1

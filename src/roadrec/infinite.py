@@ -16,6 +16,12 @@ form and, as an independent oracle, a plain linear solve), the obedience
 (incentive-compatibility) report, the cheapest obedient scheme, and the
 delta sweep showing when the relaxed social optimum itself becomes obedient.
 
+Each closed form is written once and takes c and d as ints or as integer
+arrays that broadcast together; the search and the x_ll scan evaluate them
+over all candidate flows at once (a state that cannot occur reads NaN). Two
+ints are the 0-d case of the same code and give Python numbers (None for a
+state that cannot occur). check_ic, which builds a report, takes ints only.
+
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
 it was on the risky road, else "pooled" uncertainty) and the recommendation
@@ -25,14 +31,18 @@ it just received.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .model import (
     AssumptionError,
     GameParams,
+    InternalError,
     ParameterError,
+    _all,
+    _div,
+    _integral,
     _require_belief,
     belief_step,
     check_assumption_infinite,
@@ -47,7 +57,8 @@ from .model import (
 _BOUNDARY = 1e-12
 
 
-def _require_gate(params: GameParams) -> None:
+def require_gate(params: GameParams) -> None:
+    """Raise AssumptionError naming every failed infinite-horizon assumption."""
     gate = check_assumption_infinite(params)
     if not gate.passed:
         raise AssumptionError(
@@ -55,14 +66,35 @@ def _require_gate(params: GameParams) -> None:
         )
 
 
-def _require_cd(c: int, d: int, params: GameParams) -> None:
+def _require_cd(c, d, params: GameParams) -> None:
     for name, value in (("c", c), ("d", d)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _integral(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if not 1 < c <= d <= params.n:
+    if not _all((1 < c) & (c <= d) & (d <= params.n)):
         raise ParameterError(
             f"scheme flows must satisfy 1 < c <= d <= n={params.n}, got c={c}, d={d}"
         )
+
+
+def scheme_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every scheme 1 < c <= d <= n as two integer arrays, in (c, d) order."""
+    c, d = np.triu_indices(n - 1)
+    return c + 2, d + 2
+
+
+def _python(value):
+    """A scalar as a Python number, None for NaN (a state that cannot occur);
+    arrays pass through."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        if value.ndim:
+            return value
+        value = value.item()
+    return None if value != value else value  # only NaN is unequal to itself
+
+
+def _to_python(record):
+    """The record with every field passed through _python."""
+    return type(record)(**{name: _python(value) for name, value in vars(record).items()})
 
 
 @dataclass(frozen=True)
@@ -105,87 +137,67 @@ class Posteriors:
     low_given_1_risky: float
 
 
-def _ratio(num: float, den: float, limit: float) -> float:
-    return limit if den == 0.0 else num / den
-
-
 def posteriors(c: int, d: int, params: GameParams) -> Posteriors:
     """Bayesian posteriors of an uninformed safe agent under scheme (c, d)."""
     _require_cd(c, d, params)
     n, gl, gh = params.n, params.gamma_l, params.gamma_h
+
+    def posterior(low, high, limit=0.0):
+        # Bayes from the likelihoods of what the agent saw, by last state.
+        return _div(low, low + high, limit)
+
     # Likelihood of receiving r_S (or r_R) by last state, given last flow.
     # Low keeps incumbents and recruits uniformly; high redraws one
     # experimenter among everyone, so a given agent draws r_R with chance 1/n.
-    p_ds = _ratio(1.0 - gl, (1.0 - gl) + gl * (n - 1) / n, limit=1.0)
-    p_cs = _ratio(
-        (1.0 - gl) * (n - d) / (n - c),
-        (1.0 - gl) * (n - d) / (n - c) + gl * (n - 1) / n,
-        limit=0.0,
-    ) if c < n else 0.0
-    p_1s = _ratio(
-        gh * (n - c) / (n - 1),
-        gh * (n - c) / (n - 1) + (1.0 - gh) * (n - 1) / n,
-        limit=0.0,
-    )
-    p_cr = _ratio(
-        (1.0 - gl) * (d - c) / (n - c),
-        (1.0 - gl) * (d - c) / (n - c) + gl / n,
-        limit=0.0,
-    ) if c < n else 0.0
-    p_1r = _ratio(
-        gh * (c - 1) / (n - 1),
-        gh * (c - 1) / (n - 1) + (1.0 - gh) / n,
-        limit=0.0,
-    )
-    return Posteriors(
-        low_given_d_safe=p_ds,
-        low_given_c_safe=p_cs,
-        low_given_1_safe=p_1s,
-        low_given_c_risky=p_cr,
-        low_given_1_risky=p_1r,
+    # c = n leaves nobody to recruit: both c-flow likelihoods, and with them
+    # their posteriors, are 0.
+    return _to_python(Posteriors(
+        low_given_d_safe=posterior(1.0 - gl, gl * (n - 1) / n, limit=1.0),
+        low_given_c_safe=posterior(_div((1.0 - gl) * (n - d), n - c, 0.0), gl * (n - 1) / n),
+        low_given_1_safe=posterior(gh * (n - c) / (n - 1), (1.0 - gh) * (n - 1) / n),
+        low_given_c_risky=posterior(_div((1.0 - gl) * (d - c), n - c, 0.0), gl / n),
+        low_given_1_risky=posterior(gh * (c - 1) / (n - 1), (1.0 - gh) / n),
+    ))
+
+
+def _discounting(params: GameParams) -> tuple[float, float]:
+    """stay_low = 1 - delta*(1 - gamma_l) and the reset value's cycle weight tau_tilde."""
+    dl, gl, gh = params.delta, params.gamma_l, params.gamma_h
+    stay_low = 1.0 - dl * (1.0 - gl)
+    return stay_low, stay_low / ((1.0 - dl) * (1.0 - dl * (1.0 - gh - gl)))
+
+
+def scheme_cost(c: int, d: int, params: GameParams) -> float:
+    """Aggregate expected discounted cost of scheme (c, d) from a high start.
+
+    The chain's costs decompose into excursions that start whenever the
+    coordinator learns the road turned high; tau_tilde weighs one
+    excursion's cost. The first stage after the reset is undiscounted.
+    """
+    _require_cd(c, d, params)
+    require_gate(params)
+    dl, gl, gh = params.delta, params.gamma_l, params.gamma_h
+    ml, mh = mu_low(params), mu_high(params)
+    stay_low, tau_tilde = _discounting(params)
+    return tau_tilde * (
+        stage_cost(1, mh, params)
+        + dl * gh * stage_cost(c, ml, params)
+        + dl * dl * (1.0 - gl) / stay_low * gh * stage_cost(d, ml, params)
     )
 
 
 def v_bar(c: int, d: int, params: GameParams) -> float:
     """Per-agent expected discounted cost right after a high observation.
 
-    This is the natural "reset" value of the scheme: the chain's costs
-    decompose into excursions that start whenever the coordinator learns the
-    road turned high. The first stage after the reset is undiscounted.
+    This is the natural "reset" value of the scheme: the aggregate cost
+    shared by the n agents.
     """
-    _require_cd(c, d, params)
-    _require_gate(params)
-    n, dl, gl, gh = params.n, params.delta, params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
-    stay_low = 1.0 - dl * (1.0 - gl)
-    tau_tilde = stay_low / ((1.0 - dl) * (1.0 - dl * (1.0 - gh - gl)))
-    per_cycle = (
-        stage_cost(1, mh, params)
-        + dl * gh * stage_cost(c, ml, params)
-        + dl * dl * (1.0 - gl) / stay_low * gh * stage_cost(d, ml, params)
-    )
-    return tau_tilde * per_cycle / n
+    return scheme_cost(c, d, params) / params.n
 
 
-def scheme_cost(c: int, d: int, params: GameParams) -> float:
-    """Aggregate expected discounted cost of scheme (c, d) from a high start."""
-    _require_cd(c, d, params)
-    _require_gate(params)
-    n, dl, gl, gh = params.n, params.delta, params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
-    stay_low = 1.0 - dl * (1.0 - gl)
-    tau_tilde = stay_low / ((1.0 - dl) * (1.0 - dl * (1.0 - gh - gl)))
-    total = tau_tilde * (
-        stage_cost(1, mh, params)
-        + dl * gh * stage_cost(c, ml, params)
-        + dl * dl * (1.0 - gl) / stay_low * gh * stage_cost(d, ml, params)
-    )
-    per_agent = v_bar(c, d, params)
-    if abs(total - n * per_agent) > 1e-9 * max(1.0, abs(total)):
-        raise RuntimeError(
-            f"aggregate/per-agent cost identity broke: {total} vs n*{per_agent}"
-        )
-    return total
+def _mix(p, low, high):
+    """Expected value of a state that is low with probability p."""
+    return p * low + (1.0 - p) * high
 
 
 @dataclass(frozen=True)
@@ -199,8 +211,8 @@ class StateCostTable:
     on the safe road and only knows the flow (costs there are probability
     mixtures via the posteriors). avg_at_* are pre-recommendation averages
     over the recruitment lottery faced by a safe agent at a low transition.
-    Fields are None when the state cannot occur (c = n leaves nobody on the
-    safe road to recruit later).
+    Fields are None (NaN in an array call) when the state cannot occur
+    (c = n leaves nobody on the safe road to recruit later).
     """
 
     post_high_avg: float
@@ -228,12 +240,12 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
     is checked to 1e-9; failure means a formula regression, not bad input.
     """
     _require_cd(c, d, params)
-    _require_gate(params)
+    require_gate(params)
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
+    stay_low, _ = _discounting(params)
     vb = v_bar(c, d, params)
-    stay_low = 1.0 - dl * (1.0 - gl)
 
     risky_at_d_low = (ml * d + dl * gl * vb) / stay_low
     safe_at_d_low = (s0 + dl * gl * vb) / stay_low
@@ -242,40 +254,25 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
     risky_at_c_low = ml * d + dl * ((1.0 - gl) * risky_at_d_low + gl * vb)
     safe_at_c_low = s0 + dl * ((1.0 - gl) * safe_at_d_low + gl * vb)
     risky_at_1_low = ml * c + dl * ((1.0 - gl) * risky_at_c_low + gl * vb)
-    if c < n:
-        avg_at_c_low = ((d - c) * risky_at_c_low + (n - d) * safe_at_c_low) / (n - c)
-        safe_at_1_low = s0 + dl * ((1.0 - gl) * avg_at_c_low + gl * vb)
-        avg_at_1_low = ((c - 1) * risky_at_1_low + (n - c) * safe_at_1_low) / (n - 1)
-    else:
-        avg_at_c_low = None
-        safe_at_1_low = None
-        avg_at_1_low = risky_at_1_low
+    # c = n leaves no safe agent after a low report: those states read NaN.
+    avg_at_c_low = _div((d - c) * risky_at_c_low + (n - d) * safe_at_c_low, n - c)
+    safe_at_1_low = s0 + dl * ((1.0 - gl) * avg_at_c_low + gl * vb)
+    avg_at_1_low = np.where(
+        c < n,
+        ((c - 1) * risky_at_1_low + (n - c) * safe_at_1_low) / (n - 1),
+        risky_at_1_low,
+    )
     safe_after_high = s0 + dl * (gh * avg_at_1_low + (1.0 - gh) * vb)
     risky_after_high = mh + dl * (gh * risky_at_1_low + (1.0 - gh) * vb)
 
-    recomposed = risky_after_high / n + safe_after_high * (n - 1) / n
-    if abs(recomposed - vb) > 1e-9 * max(1.0, abs(vb)):
-        raise RuntimeError(
-            f"state-cost consistency identity broke: {recomposed} vs {vb}"
+    gap = np.abs(risky_after_high / n + safe_after_high * (n - 1) / n - vb)
+    if (gap > 1e-9 * np.maximum(1.0, np.abs(vb))).any():
+        raise InternalError(
+            f"state-cost consistency identity broke: gap {np.max(gap):.6g} from the reset value"
         )
 
     post = posteriors(c, d, params)
-    safe_at_d_pooled = (
-        post.low_given_d_safe * safe_at_d_low
-        + (1.0 - post.low_given_d_safe) * safe_after_high
-    )
-    safe_at_c_pooled = (
-        post.low_given_c_safe * safe_at_c_low
-        + (1.0 - post.low_given_c_safe) * safe_after_high
-    )
-    p1 = post.low_given_1_safe
-    if safe_at_1_low is None:
-        # c = n: p1 is 0, the low branch never sends a safe recommendation.
-        safe_at_1_pooled = safe_after_high
-    else:
-        safe_at_1_pooled = p1 * safe_at_1_low + (1.0 - p1) * safe_after_high
-
-    return StateCostTable(
+    return _to_python(StateCostTable(
         post_high_avg=vb,
         risky_at_d_low=risky_at_d_low,
         safe_at_d_low=safe_at_d_low,
@@ -287,10 +284,13 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
         avg_at_c_low=avg_at_c_low,
         risky_after_high=risky_after_high,
         safe_after_high=safe_after_high,
-        safe_at_d_pooled=safe_at_d_pooled,
-        safe_at_c_pooled=safe_at_c_pooled,
-        safe_at_1_pooled=safe_at_1_pooled,
-    )
+        safe_at_d_pooled=_mix(post.low_given_d_safe, safe_at_d_low, safe_after_high),
+        safe_at_c_pooled=_mix(post.low_given_c_safe, safe_at_c_low, safe_after_high),
+        # c = n: the low branch never sends a safe recommendation.
+        safe_at_1_pooled=np.where(
+            c < n, _mix(post.low_given_1_safe, safe_at_1_low, safe_after_high), safe_after_high
+        ),
+    ))
 
 
 def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
@@ -302,7 +302,7 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     Shares no arithmetic with the closed forms beyond the stage costs.
     """
     _require_cd(c, d, params)
-    _require_gate(params)
+    require_gate(params)
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
@@ -437,75 +437,71 @@ def _entry(state: str, follow: float, deviate: float, vacuous: bool = False) -> 
     return ICEntry(state, follow, deviate, slack, boundary=-_BOUNDARY < slack < 0.0)
 
 
+def _ic_terms(c, d, params: GameParams, table: StateCostTable) -> Iterator[tuple]:
+    """Yield (state, follow, deviate, vacuous) for the 11 obedience constraints.
+
+    table is state_costs(c, d, params). States that cannot occur (d = n
+    leaves no safe agent to observe a d flow, similarly c = n) are vacuous.
+    """
+    n, s0, dl = params.n, params.s0, params.delta
+    ml, mh = mu_low(params), mu_high(params)
+    post = posteriors(c, d, params)
+    punish = s0 / (1.0 - dl)
+    punish_tail = dl * s0 / (1.0 - dl)
+
+    def jump(p, flow):
+        # A pooled agent told to stay safe joins the risky road instead.
+        return p * ml * (flow + 1) + (1.0 - p) * 2.0 * mh + punish_tail
+
+    yield "risky_at_d_low", table.risky_at_d_low, punish, False
+    yield "risky_at_c_low", table.risky_at_c_low, punish, False
+    yield "risky_at_1_low", table.risky_at_1_low, punish, False
+    yield "safe_after_high", table.safe_after_high, 2.0 * mh + punish_tail, False
+    yield "risky_after_high", table.risky_after_high, punish, False
+    yield ("safe_at_d_pooled", table.safe_at_d_pooled,
+           jump(post.low_given_d_safe, d), d == n)
+    yield ("safe_at_c_pooled", table.safe_at_c_pooled,
+           jump(post.low_given_c_safe, d), c == n)
+    yield ("safe_at_1_pooled", table.safe_at_1_pooled,
+           jump(post.low_given_1_safe, c), False)
+    # Pooled agents told to go risky. After a d flow only the high reset
+    # hands a safe agent r_R, so the posterior there is pure high.
+    yield "risky_at_d_pooled", table.risky_after_high, punish, d == n
+    yield ("risky_at_c_pooled",
+           _mix(post.low_given_c_risky, table.risky_at_c_low, table.risky_after_high),
+           punish, c == n)
+    yield ("risky_at_1_pooled",
+           _mix(post.low_given_1_risky, table.risky_at_1_low, table.risky_after_high),
+           punish, False)
+
+
+def _preconditions(c, d, params: GameParams):
+    """Flows between the planner's and the equilibrium low-state flow, and a
+    first-low-stage cost no worse than the two-user one."""
+    ml = mu_low(params)
+    flow_range = (myopic_so_flow(ml, params) <= c) & (d <= myopic_eq_flow(ml, params))
+    ramp_cheaper = stage_cost(c, ml, params) <= stage_cost(2, ml, params)
+    return flow_range, ramp_cheaper
+
+
 def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     """Evaluate every obedience constraint of scheme (c, d).
 
     The verdict also requires the two structural preconditions of the
     constructive obedience argument: flows between the planner's low-state
     optimum and the low-state equilibrium flow, and a first-low-stage cost
-    no worse than the two-user one. States that cannot occur (d = n leaves
-    no safe agent to observe a d flow, similarly c = n) are vacuous.
+    no worse than the two-user one.
     """
     _require_cd(c, d, params)
-    _require_gate(params)
-    n, s0, dl = params.n, params.s0, params.delta
-    ml, mh = mu_low(params), mu_high(params)
+    require_gate(params)
+    s0, dl = params.s0, params.delta
+    ml = mu_low(params)
     table = state_costs(c, d, params)
-    post = posteriors(c, d, params)
-    punish = s0 / (1.0 - dl)
-    punish_tail = dl * s0 / (1.0 - dl)
-
     entries = [
-        _entry("risky_at_d_low", table.risky_at_d_low, punish),
-        _entry("risky_at_c_low", table.risky_at_c_low, punish),
-        _entry("risky_at_1_low", table.risky_at_1_low, punish),
-        _entry("safe_after_high", table.safe_after_high, 2.0 * mh + punish_tail),
-        _entry("risky_after_high", table.risky_after_high, punish),
-        _entry(
-            "safe_at_d_pooled",
-            table.safe_at_d_pooled,
-            post.low_given_d_safe * ml * (d + 1)
-            + (1.0 - post.low_given_d_safe) * 2.0 * mh
-            + punish_tail,
-            vacuous=d == n,
-        ),
-        _entry(
-            "safe_at_c_pooled",
-            table.safe_at_c_pooled,
-            post.low_given_c_safe * ml * (d + 1)
-            + (1.0 - post.low_given_c_safe) * 2.0 * mh
-            + punish_tail,
-            vacuous=c == n,
-        ),
-        _entry(
-            "safe_at_1_pooled",
-            table.safe_at_1_pooled,
-            post.low_given_1_safe * ml * (c + 1)
-            + (1.0 - post.low_given_1_safe) * 2.0 * mh
-            + punish_tail,
-        ),
-        # Pooled agents told to go risky. After a d flow only the high reset
-        # hands a safe agent r_R, so the posterior there is pure high.
-        _entry("risky_at_d_pooled", table.risky_after_high, punish, vacuous=d == n),
-        _entry(
-            "risky_at_c_pooled",
-            post.low_given_c_risky * table.risky_at_c_low
-            + (1.0 - post.low_given_c_risky) * table.risky_after_high,
-            punish,
-            vacuous=c == n,
-        ),
-        _entry(
-            "risky_at_1_pooled",
-            post.low_given_1_risky * table.risky_at_1_low
-            + (1.0 - post.low_given_1_risky) * table.risky_after_high,
-            punish,
-        ),
+        _entry(state, float(follow), float(deviate), vacuous=bool(vacuous))
+        for state, follow, deviate, vacuous in _ic_terms(c, d, params, table)
     ]
-
-    x_so = myopic_so_flow(ml, params)
-    x_eq = myopic_eq_flow(ml, params)
-    pre_flow_range = x_so <= c <= d <= x_eq
-    pre_ramp_cheaper = stage_cost(c, ml, params) <= stage_cost(2, ml, params)
+    pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
 
@@ -518,6 +514,7 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     if verdict:
         # Sanity identities the punishment argument relies on. A violation
         # here points at a formula regression, so surface it loudly.
+        punish = s0 / (1.0 - dl)
         tol = 1e-9 * max(1.0, punish)
         checks = [
             ((1.0 - dl) * table.post_high_avg <= s0 + tol, "reset value exceeds s0 per stage"),
@@ -549,16 +546,14 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
 
 
 def steady_slack(c: int, d: int, params: GameParams) -> float:
-    """Slack of the pooled safe agent at a steady d flow (the binding constraint)."""
-    table = state_costs(c, d, params)
-    post = posteriors(c, d, params)
-    ml, mh = mu_low(params), mu_high(params)
-    deviate = (
-        post.low_given_d_safe * ml * (d + 1)
-        + (1.0 - post.low_given_d_safe) * 2.0 * mh
-        + params.delta * params.s0 / (1.0 - params.delta)
-    )
-    return deviate - table.safe_at_d_pooled
+    """Slack of the pooled safe agent at a steady d flow (the binding constraint).
+
+    This is check_ic's safe_at_d_pooled slack, also at d = n, where the
+    constraint itself is vacuous.
+    """
+    terms = _ic_terms(c, d, params, state_costs(c, d, params))
+    follow, deviate = next((f, v) for state, f, v, _ in terms if state == "safe_at_d_pooled")
+    return _python(deviate - follow)
 
 
 def compute_x_ll(params: GameParams) -> tuple[int, int]:
@@ -571,17 +566,19 @@ def compute_x_ll(params: GameParams) -> tuple[int, int]:
     obedient (it leaves no safe agent to tempt), which is what caps the scan
     when the equilibrium flow hits the population size.
     """
-    _require_gate(params)
+    require_gate(params)
     ml = mu_low(params)
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
-    for d in range(x_so, x_eq + 1):
-        if d == params.n or steady_slack(x_so, d, params) >= -_BOUNDARY:
-            return d, max(x_so, d)
-    raise AssumptionError(
-        f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
-        "the regime the construction is proved for"
-    )
+    d = np.arange(x_so, x_eq + 1)
+    obedient = (d == params.n) | (steady_slack(x_so, d, params) >= -_BOUNDARY)
+    if not obedient.any():
+        raise AssumptionError(
+            f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
+            "the regime the construction is proved for"
+        )
+    first = int(d[np.argmax(obedient)])
+    return first, max(x_so, first)
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
@@ -598,12 +595,10 @@ def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
     None whenever that would need c > d, i.e. when the obedient steady flow
     is already within one of the planner's flow.
     """
-    ml = mu_low(params)
-    x_so = myopic_so_flow(ml, params)
-    _, x_ll = compute_x_ll(params)
-    if x_so + 1 > x_ll - 1:
+    star = pi_star(params)
+    if star.c + 1 > star.d - 1:
         return None
-    return InfiniteScheme(c=x_so + 1, d=x_ll - 1).validate(params)
+    return InfiniteScheme(c=star.c + 1, d=star.d - 1).validate(params)
 
 
 @dataclass(frozen=True)
@@ -633,16 +628,15 @@ class FGDecomposition:
 def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
     """Evaluate the f/g split of the steady-flow obedience constraint."""
     _require_cd(c, d, params)
-    _require_gate(params)
+    require_gate(params)
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
-    stay_low = 1.0 - dl * (1.0 - gl)
+    stay_low, tau_tilde = _discounting(params)
     p = posteriors(c, d, params).low_given_d_safe  # does not depend on c, d
     tau = p * dl * gl / stay_low + (1.0 - p) * dl * (
         (1.0 - gh) + gh * dl * gl / stay_low
     )
-    tau_tilde = stay_low / ((1.0 - dl) * (1.0 - dl * (1.0 - gh - gl)))
     tt = tau * tau_tilde / n
     k_const = (
         p * s0 / stay_low
@@ -662,8 +656,8 @@ def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
         * ((d - 1) * ml * d + (n - d) * s0) / (n - 1)
         - tt * dl * dl * ((1.0 - gl) / stay_low) * gh * stage_cost(d, ml, params)
     )
-    return FGDecomposition(c=c, d=d, f_c=f_c, g_d=g_d, tau=tau,
-                           tau_tilde=tau_tilde, k_const=k_const)
+    return _to_python(FGDecomposition(c=c, d=d, f_c=f_c, g_d=g_d, tau=tau,
+                                      tau_tilde=tau_tilde, k_const=k_const))
 
 
 # ---------------------------------------------------------------------------
@@ -692,26 +686,27 @@ class SearchResult:
 def optimal_scheme_search(params: GameParams) -> SearchResult:
     """Cheapest scheme (by aggregate cost) among all obedient (c, d) pairs.
 
-    Enumerates 1 < c <= d <= n, keeps pairs whose obedience report passes,
-    and breaks cost ties toward the lexicographically smallest pair. For
+    Evaluates every pair 1 < c <= d <= n at once, keeps pairs whose
+    obedience verdict (check_ic's) passes, and returns the first of them in
+    (c, d) order whose cost is within a relative 1e-12 of the cheapest. For
     delta above one half the result is best within this recommendation
     family; global optimality across all schemes is only established up to
     one half, hence the warning.
     """
-    _require_gate(params)
-    candidates = []
-    best: tuple[int, int] | None = None
-    best_cost = float("inf")
-    for c in range(2, params.n + 1):
-        for d in range(c, params.n + 1):
-            report = check_ic(c, d, params)
-            cost = scheme_cost(c, d, params)
-            candidates.append(SearchCandidate(c, d, report.verdict, cost))
-            if report.verdict and cost < best_cost - 1e-12 * max(1.0, abs(cost)):
-                best, best_cost = (c, d), cost
-    if best is None:
-        raise AssumptionError("no obedient scheme found; gate passed, so this "
-                              "indicates a formula regression")
+    require_gate(params)
+    c, d = scheme_pairs(params.n)
+    flow_range, ramp_cheaper = _preconditions(c, d, params)
+    feasible = flow_range & ramp_cheaper
+    for _, follow, deviate, vacuous in _ic_terms(c, d, params, state_costs(c, d, params)):
+        feasible &= vacuous | (deviate - follow >= -_BOUNDARY)
+    if not feasible.any():
+        raise InternalError("no obedient scheme found; gate passed, so this "
+                            "indicates a formula regression")
+    cost = scheme_cost(c, d, params)
+    cheapest = cost[feasible].min()
+    ties = feasible & (cost <= cheapest + 1e-12 * np.maximum(1.0, np.abs(cost)))
+    k = int(np.argmax(ties))
+    best = (int(c[k]), int(d[k]))
     star = pi_star(params)
     tilde = pi_tilde_star(params)
     warnings = []
@@ -722,10 +717,13 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
         )
     return SearchResult(
         winner=InfiniteScheme(c=best[0], d=best[1]),
-        winner_cost=best_cost,
+        winner_cost=float(cost[k]),
         matches_pi_star=(best == (star.c, star.d)),
         matches_pi_tilde_star=(tilde is not None and best == (tilde.c, tilde.d)),
-        candidates=tuple(candidates),
+        candidates=tuple(
+            SearchCandidate(*row)
+            for row in zip(c.tolist(), d.tolist(), feasible.tolist(), cost.tolist())
+        ),
         warnings=tuple(warnings),
     )
 
@@ -779,6 +777,6 @@ def social_opt_policy(beta: float, params: GameParams) -> int:
     coefficient. This is the relaxed benchmark the sweep compares against.
     """
     beta = _require_belief(beta)
-    _require_gate(params)
+    require_gate(params)
     ahead = expected_theta(belief_step(beta, params), params)
     return max(1, myopic_so_flow(ahead, params))

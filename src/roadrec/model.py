@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+import numpy as np
+
 
 class ParameterError(ValueError):
     """Raised for out-of-domain arguments or malformed parameter files."""
@@ -28,6 +30,10 @@ class ParameterError(ValueError):
 
 class AssumptionError(RuntimeError):
     """Raised when an operation requires an assumption gate that fails."""
+
+
+class InternalError(RuntimeError):
+    """Raised when an identity the closed forms guarantee breaks (a bug, not bad input)."""
 
 
 class RoadState(str, Enum):
@@ -96,20 +102,43 @@ def _require_belief(beta: float) -> float:
     return float(beta)
 
 
-def _require_flow(x: int, params: GameParams) -> int:
-    if not isinstance(x, (int,)) or isinstance(x, bool):
+def _integral(value) -> bool:
+    """True for an int (not a bool) or an array of integers."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iu"
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _all(mask) -> bool:
+    """mask.all() for an array; a scalar's own truth (cheaper than np.all)."""
+    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def _require_flow(x, params: GameParams):
+    if not _integral(x):
         raise ParameterError(f"flow must be an integer, got {x!r}")
-    if not 0 <= x <= params.n:
+    if not _all((0 <= x) & (x <= params.n)):
         raise ParameterError(f"flow must be in 0..{params.n}, got {x}")
     return x
 
 
-def stage_cost(x: int, coef: float, params: GameParams) -> float:
+def _div(num, den, fill: float = np.nan):
+    """Elementwise num / den, with fill wherever den is zero (and no warning).
+
+    Two scalars give a Python scalar, so 0-d calls stay in plain arithmetic.
+    """
+    if not isinstance(num, np.ndarray) and not isinstance(den, np.ndarray):
+        return fill if den == 0 else num / den
+    zero = np.equal(den, 0.0)
+    return np.where(zero, fill, np.divide(num, np.where(zero, 1.0, den)))
+
+
+def stage_cost(x, coef: float, params: GameParams):
     """Aggregate one-stage cost when x agents take the risky road.
 
     The x risky users each pay coef * x, the n - x safe users each pay
     s0 + s1 * (n - x). With x = 0 the value (s0 + s1*n)*n does not depend
-    on coef at all.
+    on coef at all. x may be an integer array; the cost then has its shape.
     """
     x = _require_flow(x, params)
     if coef <= 0:
@@ -141,18 +170,8 @@ def mu_high(params: GameParams) -> float:
 
 
 def myopic_so_flow(coef: float, params: GameParams) -> int:
-    """Risky flow minimising the one-stage aggregate cost; ties go to fewer users.
-
-    stage_cost is strictly convex in x (second difference 2*(coef + s1) > 0),
-    so a plain scan is exact and the first minimiser found is the smallest.
-    """
-    best_x = 0
-    best = stage_cost(0, coef, params)
-    for x in range(1, params.n + 1):
-        value = stage_cost(x, coef, params)
-        if value < best:
-            best, best_x = value, x
-    return best_x
+    """Risky flow minimising the one-stage aggregate cost; ties go to fewer users."""
+    return int(np.argmin(stage_cost(np.arange(params.n + 1), coef, params)))
 
 
 def myopic_eq_flow(coef: float, params: GameParams) -> int:
@@ -160,20 +179,16 @@ def myopic_eq_flow(coef: float, params: GameParams) -> int:
 
     Returns the largest x in 0..n such that a risky user does not prefer the
     safe road, coef*x <= s0 + s1*(n - x + 1), and (unless x = n) a safe user
-    does not strictly prefer joining, coef*(x + 1) >= s0 + s1*(n - x - 1).
-    x = 0 always satisfies the first condition, so the scan cannot come up
-    empty.
+    does not strictly prefer joining, coef*(x + 1) >= s0 + s1*(n - x - 1);
+    0 when no x qualifies.
     """
     if coef <= 0:
         raise ParameterError(f"congestion coefficient must be positive, got {coef}")
     n, s0, s1 = params.n, params.s0, params.s1
-    best = 0
-    for x in range(n + 1):
-        stay = coef * x <= s0 + s1 * (n - x + 1)
-        join = x == n or coef * (x + 1) >= s0 + s1 * (n - x - 1)
-        if stay and join:
-            best = x
-    return best
+    x = np.arange(n + 1)
+    stay = coef * x <= s0 + s1 * (n - x + 1)
+    join = (x == n) | (coef * (x + 1) >= s0 + s1 * (n - x - 1))
+    return int(np.flatnonzero(stay & join).max(initial=0))
 
 
 @dataclass(frozen=True)

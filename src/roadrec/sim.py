@@ -38,10 +38,9 @@ from .model import (
     AssumptionError,
     GameParams,
     ParameterError,
-    check_assumption_infinite,
     stage_cost,
 )
-from .infinite import InfiniteScheme
+from .infinite import InfiniteScheme, require_gate
 
 _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
@@ -167,9 +166,9 @@ def _chains(
         _rng(seed, trial, _STREAM_CHAIN).random(out=row)
     lows = np.empty(u.shape, dtype=bool)
     low = np.full(len(trials), start == "low")
-    stay_low, enter_low = 1.0 - params.gamma_l, params.gamma_h
+    keep_low, enter_low = 1.0 - params.gamma_l, params.gamma_h
     for t in range(horizon):
-        low = np.where(low, u[:, t] < stay_low, u[:, t] < enter_low)
+        low = np.where(low, u[:, t] < keep_low, u[:, t] < enter_low)
         lows[:, t] = low
     return lows
 
@@ -264,9 +263,7 @@ def _dispatch(
 
 def _require_sim_gate(config: SimConfig, params: GameParams) -> None:
     config.scheme().validate(params)
-    gate = check_assumption_infinite(params)
-    if not gate.passed:
-        raise AssumptionError("simulation gate fails: " + "; ".join(gate.failures()))
+    require_gate(params)
 
 
 def _worst_stage_cost(params: GameParams) -> float:

@@ -9,7 +9,8 @@ coordinator. The module computes
   (socially worthwhile / with private revelation / with public revelation),
 * expected two-round aggregate costs of the benchmark regimes,
 * the optimal incentive-compatible recommendation scheme with one
-  experimenter (exhaustive search over second-round recommendation counts),
+  experimenter (exhaustive search over second-round recommendation counts,
+  one pi2_low row at a time as a vector over pi2_high),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes.
 
@@ -23,11 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import Iterator
+
+import numpy as np
 
 from .model import (
     AssumptionError,
     GameParams,
+    InternalError,
     ParameterError,
+    _div,
     _require_belief,
     check_assumption_two_stage,
     expected_theta,
@@ -126,50 +132,48 @@ def region(beta: float, th: TwoStageThresholds) -> str:
     return "D"
 
 
-def _require_gate(beta: float, params: GameParams) -> None:
+def _require_gate(beta: float, params: GameParams) -> TwoStageThresholds:
+    """The thresholds, once beta is inside the two-stage gate."""
     gate = check_assumption_two_stage(beta, params)
     if not gate.passed:
         raise AssumptionError(
             "two-stage gate fails at beta=%g: %s" % (beta, "; ".join(gate.failures()))
         )
+    return thresholds(params)
+
+
+def _two_rounds(
+    beta: float, params: GameParams, experiment: bool, flow_low: int, flow_high: int
+) -> float:
+    """Expected two-round aggregate cost: everyone safe in both rounds, or one
+    experimenter and then flow_low / flow_high risky users by revealed state."""
+    if not experiment:
+        return 2.0 * stage_cost(0, params.l, params)
+    second = beta * stage_cost(flow_low, params.l, params) + (
+        1.0 - beta
+    ) * stage_cost(flow_high, params.h, params)
+    return stage_cost(1, expected_theta(beta, params), params) + second
 
 
 def cost_full(beta: float, params: GameParams) -> float:
     """Expected two-round aggregate cost of equilibrium under public revelation."""
     beta = _require_belief(beta)
-    _require_gate(beta, params)
-    th = thresholds(params)
-    g0 = stage_cost(0, params.l, params)
-    if beta < th.beta_f:
-        return 2.0 * g0
-    second = beta * stage_cost(th.eq_flow_low, params.l, params) + (1.0 - beta) * g0
-    return stage_cost(1, expected_theta(beta, params), params) + second
+    th = _require_gate(beta, params)
+    return _two_rounds(beta, params, beta >= th.beta_f, th.eq_flow_low, 0)
 
 
 def cost_private(beta: float, params: GameParams) -> float:
     """Expected cost under private revelation (only the experimenter learns)."""
     beta = _require_belief(beta)
-    _require_gate(beta, params)
-    th = thresholds(params)
-    g0 = stage_cost(0, params.l, params)
-    if beta < th.beta_p:
-        return 2.0 * g0
-    second = beta * stage_cost(1, params.l, params) + (1.0 - beta) * g0
-    return stage_cost(1, expected_theta(beta, params), params) + second
+    th = _require_gate(beta, params)
+    return _two_rounds(beta, params, beta >= th.beta_p, 1, 0)
 
 
 def cost_social_optimum(beta: float, params: GameParams) -> float:
     """Expected cost when a planner dictates both rounds (no incentives)."""
     beta = _require_belief(beta)
-    _require_gate(beta, params)
-    th = thresholds(params)
-    g0 = stage_cost(0, params.l, params)
-    if beta < th.beta_so:
-        return 2.0 * g0
-    second = beta * stage_cost(th.so_flow_low, params.l, params) + (
-        1.0 - beta
-    ) * stage_cost(th.so_flow_high, params.h, params)
-    return stage_cost(1, expected_theta(beta, params), params) + second
+    th = _require_gate(beta, params)
+    return _two_rounds(beta, params, beta >= th.beta_so, th.so_flow_low, th.so_flow_high)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def ic_constraints_eval(
     is pi2_high.
     """
     beta = _require_belief(beta)
-    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
+    n = params.n
     for name, value in (("pi2_low", pi2_low), ("pi2_high", pi2_high)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -216,45 +220,49 @@ def ic_constraints_eval(
             raise ParameterError(
                 f"{name} must be in 0..{n - 1} (only {n - 1} uninformed agents), got {value}"
             )
+    return [
+        ICSlack2(name, None, None, None, vacuous=True) if vacuous
+        else ICSlack2(name, float(follow), float(deviate), float(deviate - follow))
+        for name, follow, deviate, vacuous in _ic_terms(beta, pi2_low, pi2_high, params)
+    ]
+
+
+def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tuple]:
+    """Yield (constraint, follow, deviate, vacuous) for the three obedience constraints.
+
+    Elementwise in the recommendation counts; a vacuous constraint's follow
+    and deviate values read 0.
+    """
+    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
     x_l = pi2_low + 1
     x_h = pi2_high
-
-    out = []
 
     # Uninformed agent recommended the safe road. Among the n-1 uninformed,
     # n - x_l get r_S when the state is low, n - 1 - x_h when it is high.
     w_low = beta * (n - x_l)
     w_high = (1.0 - beta) * (n - 1 - x_h)
     denom = w_low + w_high
-    if denom <= 0.0:
-        out.append(ICSlack2("recommended_safe", None, None, None, vacuous=True))
-    else:
-        follow = s0 + s1 * (w_low * (n - x_l) + w_high * (n - x_h)) / denom
-        deviate = (w_low * l * (x_l + 1) + w_high * h * (x_h + 1)) / denom
-        out.append(ICSlack2("recommended_safe", follow, deviate, deviate - follow))
+    yield ("recommended_safe",
+           s0 + _div(s1 * (w_low * (n - x_l) + w_high * (n - x_h)), denom, 0.0),
+           _div(w_low * l * (x_l + 1) + w_high * h * (x_h + 1), denom, 0.0),
+           denom <= 0.0)
 
     # Uninformed agent recommended the risky road (x_l - 1 low slots beside
     # the experimenter, x_h high slots).
     w_low = beta * (x_l - 1)
     w_high = (1.0 - beta) * x_h
     denom = w_low + w_high
-    if denom <= 0.0:
-        out.append(ICSlack2("recommended_risky", None, None, None, vacuous=True))
-    else:
-        follow = (w_low * l * x_l + w_high * h * x_h) / denom
-        deviate = s0 + s1 * (w_low * (n - x_l + 1) + w_high * (n - x_h + 1)) / denom
-        out.append(ICSlack2("recommended_risky", follow, deviate, deviate - follow))
+    yield ("recommended_risky",
+           _div(w_low * l * x_l + w_high * h * x_h, denom, 0.0),
+           s0 + _div(s1 * (w_low * (n - x_l + 1) + w_high * (n - x_h + 1)), denom, 0.0),
+           denom <= 0.0)
 
     # The experimenter, weighing both rounds against refusing to experiment
     # (everyone stays safe both rounds if they refuse).
-    follow = (
-        expected_theta(beta, params)
-        + beta * l * x_l
-        + (1.0 - beta) * (s0 + s1 * (n - x_h))
-    )
-    deviate = 2.0 * (s0 + s1 * n)
-    out.append(ICSlack2("experimenter", follow, deviate, deviate - follow))
-    return out
+    yield ("experimenter",
+           expected_theta(beta, params) + beta * l * x_l + (1.0 - beta) * (s0 + s1 * (n - x_h)),
+           2.0 * (s0 + s1 * n),
+           False)
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,10 @@ class TwoStageScheme:
 def scheme_cost_two_stage(
     beta: float, pi2_low: int, pi2_high: int, params: GameParams
 ) -> float:
-    """Expected aggregate cost of a one-experimenter scheme (ignoring ICs)."""
+    """Expected aggregate cost of a one-experimenter scheme (ignoring ICs).
+
+    pi2_high may be an integer array; the cost then has its shape.
+    """
     beta = _require_belief(beta)
     return (
         stage_cost(1, expected_theta(beta, params), params)
@@ -292,39 +303,36 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
 
     Below beta_p no experimenter can be motivated and the no-experimentation
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search enumerates all (pi2_low, pi2_high) pairs, keeps those whose three
-    obedience constraints hold, and returns the cheapest; ties resolve to the
+    search evaluates all (pi2_low, pi2_high) pairs, one pi2_low row at a
+    time as a vector over pi2_high, keeps those whose three obedience
+    constraints hold, and returns the cheapest; ties resolve to the
     lexicographically smallest pair. The pair (0, 0) is always obedient at or
     above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
-    _require_gate(beta, params)
-    th = thresholds(params)
-    g0 = stage_cost(0, params.l, params)
+    th = _require_gate(beta, params)
     if beta < th.beta_p:
         return TwoStageScheme(
             experiment=False,
             pi2_low=None,
             pi2_high=None,
-            expected_cost=2.0 * g0,
+            expected_cost=_two_rounds(beta, params, False, 0, 0),
             slacks=(),
             n_feasible=0,
         )
-    best = None
-    best_cost = None
-    best_slacks = None
-    n_feasible = 0
+    pi_h = np.arange(params.n)
+    best, best_cost, n_feasible = None, np.inf, 0
     for pi_l in range(params.n):
-        for pi_h in range(params.n):
-            slacks = ic_constraints_eval(beta, pi_l, pi_h, params)
-            if not all(s.satisfied for s in slacks):
-                continue
-            n_feasible += 1
-            cost = scheme_cost_two_stage(beta, pi_l, pi_h, params)
-            if best_cost is None or cost < best_cost:
-                best, best_cost, best_slacks = (pi_l, pi_h), cost, slacks
+        obedient = np.ones(params.n, dtype=bool)
+        for _, follow, deviate, vacuous in _ic_terms(beta, pi_l, pi_h, params):
+            obedient &= vacuous | (deviate - follow >= 0.0)
+        n_feasible += int(np.count_nonzero(obedient))
+        cost = np.where(obedient, scheme_cost_two_stage(beta, pi_l, pi_h, params), np.inf)
+        k = int(np.argmin(cost))
+        if cost[k] < best_cost:
+            best, best_cost = (pi_l, k), float(cost[k])
     if best is None:
-        raise AssumptionError(
+        raise InternalError(
             f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
             "obedient for beta >= beta_p"
         )
@@ -333,7 +341,7 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
         pi2_low=best[0],
         pi2_high=best[1],
         expected_cost=best_cost,
-        slacks=tuple(best_slacks),
+        slacks=tuple(ic_constraints_eval(beta, best[0], best[1], params)),
         n_feasible=n_feasible,
     )
 

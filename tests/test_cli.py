@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from roadrec import cli
+from roadrec import infinite as inf
 from roadrec.cli import main, parse_grid
 from roadrec.model import ParameterError
 
@@ -48,11 +49,14 @@ def run_json(capsys, argv):
 
 def test_parse_grid_forms():
     assert parse_grid("0.1,0.2,0.5") == [0.1, 0.2, 0.5]
+    assert len(parse_grid("0:1:1e-3")) == 1001
     assert parse_grid("0:0.04:0.01") == [0.0, 0.01, 0.02, 0.03, 0.04]
     assert parse_grid("0.5") == [0.5]
 
 
-@pytest.mark.parametrize("bad", ["", "0.1:0.5", "0.5:0.1:0.1", "0.1:0.5:-0.1", "a,b"])
+@pytest.mark.parametrize("bad", ["", "0.1:0.5", "0.5:0.1:0.1", "0.1:0.5:-0.1", "a,b",
+                                 "0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.1",
+                                 "0:1:1e-12", "0:1:1e-4", "-1e308:1e308:1"])
 def test_parse_grid_rejects(bad):
     with pytest.raises(ParameterError):
         parse_grid(bad)
@@ -276,3 +280,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "roadrec" in proc.stdout
+
+
+def test_broken_identity_exits_3(capsys, reference_file, monkeypatch):
+    # a closed form that drifts from the others breaks the state-cost identity
+    true_v_bar = inf.v_bar
+    monkeypatch.setattr(inf, "v_bar", lambda c, d, params: 1.01 * true_v_bar(c, d, params))
+    assert main(["infinite", "--params", reference_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("roadrec: ")
+    assert "identity" in lines[0]

@@ -16,6 +16,7 @@ from roadrec.infinite import (
     pi_tilde_star,
     posteriors,
     scheme_cost,
+    scheme_pairs,
     social_opt_policy,
     state_costs,
     state_costs_linear,
@@ -252,3 +253,57 @@ def test_draw_sampler_produces_fresh_cases():
     a = draw_infinite_params(rng)
     b = draw_infinite_params(rng)
     assert a != b
+
+
+# WIDE: a game with x_so = 9 and x_eq = 17 at n = 100.
+WIDE = GameParams(n=100, s0=60.0, s1=0.0, l=1.0, h=120.0,
+                  gamma_l=0.02, gamma_h=0.5, delta=0.5)
+
+
+def test_search_wide_golden():
+    # frozen from the per-pair search this one replaced
+    result = optimal_scheme_search(WIDE)
+    assert (result.winner.c, result.winner.d) == (9, 17)
+    assert result.winner_cost == 11897.427368421051
+    assert sum(cand.feasible for cand in result.candidates) == 7
+    assert len(result.candidates) == 4950
+    assert result.matches_pi_star and not result.matches_pi_tilde_star
+
+
+def test_search_candidates_match_zero_d_calls(reference, infinite_draws):
+    # The search evaluates the closed forms over arrays of flows; every
+    # candidate must equal the 0-d calls exactly.
+    for params in [reference, FULL_ROAD] + infinite_draws:
+        for cand in optimal_scheme_search(params).candidates:
+            assert type(cand.c) is int and type(cand.feasible) is bool
+            assert type(cand.cost) is float
+            assert cand.feasible == check_ic(cand.c, cand.d, params).verdict
+            assert cand.cost == scheme_cost(cand.c, cand.d, params)
+
+
+def test_state_cost_arrays_match_zero_d_calls(reference, infinite_draws):
+    for params in [reference, FULL_ROAD] + infinite_draws[:25]:
+        c, d = scheme_pairs(params.n)
+        table = state_costs(c, d, params)
+        slack = steady_slack(c, d, params)
+        for k, (ck, dk) in enumerate(zip(c.tolist(), d.tolist())):
+            assert slack[k] == steady_slack(ck, dk, params)
+            scalar = state_costs(ck, dk, params)
+            for f in dataclasses.fields(StateCostTable):
+                value = getattr(scalar, f.name)
+                if value is None:
+                    assert np.isnan(getattr(table, f.name)[k])
+                else:
+                    assert getattr(table, f.name)[k] == value, (params, ck, dk, f.name)
+
+
+def test_closed_forms_accept_flow_arrays(reference):
+    c, d = scheme_pairs(reference.n)
+    assert len(c) == 45 and (c[0], d[0]) == (2, 2) and (c[-1], d[-1]) == (10, 10)
+    costs = scheme_cost(c, d, reference)
+    assert costs.shape == (45,)
+    assert costs[1] == scheme_cost(2, 3, reference)
+    with pytest.raises(ParameterError):
+        scheme_cost(np.array([3]), np.array([2]), reference)
+    with pytest.raises(ParameterError):
+        state_costs(np.array([2.0]), np.array([3.0]), reference)

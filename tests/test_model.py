@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -248,3 +249,17 @@ def test_load_params(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParameterError, match="not valid JSON"):
         load_params(str(bad))
+
+
+def test_stage_cost_over_flow_arrays(reference):
+    x = np.arange(reference.n + 1)
+    costs = stage_cost(x, reference.l, reference)
+    assert [float(v) for v in costs] == [stage_cost(k, reference.l, reference) for k in range(11)]
+    with pytest.raises(ParameterError):
+        stage_cost(np.array([0, reference.n + 1]), reference.l, reference)
+    with pytest.raises(ParameterError):
+        stage_cost(np.array([-1]), reference.l, reference)
+    with pytest.raises(ParameterError):
+        stage_cost(np.array([1.0]), reference.l, reference)
+    with pytest.raises(ParameterError):
+        stage_cost(np.int64(1), reference.l, reference)

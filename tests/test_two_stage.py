@@ -194,3 +194,42 @@ def test_brute_force_matches_prediction_random_cases():
             got = [(o.experimenters, o.flow_low, o.flow_high) for o in found]
             want = (predicted.experimenters, predicted.flow_low, predicted.flow_high)
             assert got == [want], (params, beta, regime, got, want)
+
+
+# A static game with n = 200: thresholds beta_p = 0.501 and limit 0.668.
+STATIC_200 = GameParams(n=200, s0=10.0, s1=1.0, l=0.9, h=630.0)
+
+
+@pytest.mark.parametrize("beta, pi2_low, pi2_high, cost, n_feasible", [
+    (0.53, 51, 1, 75414.775, 168),
+    (0.59, 107, 0, 70799.975, 382),
+    (0.65, 107, 0, 69435.125, 437),
+])
+def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasible):
+    # frozen from the per-pair search this one replaced
+    scheme = solve_optimal_scheme(beta, STATIC_200)
+    assert (scheme.pi2_low, scheme.pi2_high) == (pi2_low, pi2_high)
+    assert scheme.expected_cost == cost
+    assert scheme.n_feasible == n_feasible
+
+
+@pytest.mark.parametrize("beta", [0.51, 0.55, 0.6, 0.62])
+def test_row_wise_solve_matches_zero_d_calls(example1, beta):
+    # The solve evaluates one pi2_low row at a time as a vector; it must
+    # agree with the scalar constraints and cost on every pair, and pick the
+    # first strict minimum in (pi2_low, pi2_high) order.
+    n = example1.n
+    best, best_cost, n_feasible = None, None, 0
+    for pi_l in range(n):
+        for pi_h in range(n):
+            if all(s.satisfied for s in ic_constraints_eval(beta, pi_l, pi_h, example1)):
+                n_feasible += 1
+                cost = scheme_cost_two_stage(beta, pi_l, pi_h, example1)
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = (pi_l, pi_h), cost
+    scheme = solve_optimal_scheme(beta, example1)
+    assert (scheme.pi2_low, scheme.pi2_high) == best
+    assert scheme.expected_cost == best_cost
+    assert scheme.n_feasible == n_feasible
+    assert list(scheme.slacks) == ic_constraints_eval(beta, *best, example1)
+    assert type(scheme.pi2_low) is int and type(scheme.expected_cost) is float
