@@ -248,9 +248,8 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
     x_ll_bar, x_ll = inf.compute_x_ll(params)
-    star = inf.pi_star(params)
-    tilde = inf.pi_tilde_star(params)
-    search = inf.optimal_scheme_search(params)
+    star, tilde = inf._candidates(params, x_ll)
+    search = inf._search(params, star, tilde)
     payload = {
         "params": _params_dict(params),
         "mu_low": ml,

@@ -583,10 +583,7 @@ def compute_x_ll(params: GameParams) -> tuple[int, int]:
 
 def pi_star(params: GameParams) -> InfiniteScheme:
     """The candidate-optimal scheme: planner's ramp flow, smallest obedient d."""
-    ml = mu_low(params)
-    x_so = myopic_so_flow(ml, params)
-    _, x_ll = compute_x_ll(params)
-    return InfiniteScheme(c=x_so, d=x_ll).validate(params)
+    return _candidates(params, compute_x_ll(params)[1])[0]
 
 
 def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
@@ -595,10 +592,17 @@ def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
     None whenever that would need c > d, i.e. when the obedient steady flow
     is already within one of the planner's flow.
     """
-    star = pi_star(params)
+    return _candidates(params, compute_x_ll(params)[1])[1]
+
+
+def _candidates(
+    params: GameParams, x_ll: int
+) -> tuple[InfiniteScheme, InfiniteScheme | None]:
+    """pi_star and pi_tilde_star from an already computed steady flow x_ll."""
+    star = InfiniteScheme(c=myopic_so_flow(mu_low(params), params), d=x_ll).validate(params)
     if star.c + 1 > star.d - 1:
-        return None
-    return InfiniteScheme(c=star.c + 1, d=star.d - 1).validate(params)
+        return star, None
+    return star, InfiniteScheme(c=star.c + 1, d=star.d - 1).validate(params)
 
 
 @dataclass(frozen=True)
@@ -693,6 +697,13 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     family; global optimality across all schemes is only established up to
     one half, hence the warning.
     """
+    return _search(params, *_candidates(params, compute_x_ll(params)[1]))
+
+
+def _search(
+    params: GameParams, star: InfiniteScheme, tilde: InfiniteScheme | None
+) -> SearchResult:
+    """optimal_scheme_search, compared against already computed candidates."""
     require_gate(params)
     c, d = scheme_pairs(params.n)
     flow_range, ramp_cheaper = _preconditions(c, d, params)
@@ -707,8 +718,6 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     ties = feasible & (cost <= cheapest + 1e-12 * np.maximum(1.0, np.abs(cost)))
     k = int(np.argmax(ties))
     best = (int(c[k]), int(d[k]))
-    star = pi_star(params)
-    tilde = pi_tilde_star(params)
     warnings = []
     if params.delta > 0.5:
         warnings.append(

@@ -323,7 +323,7 @@ def params_from_dict(raw: dict[str, Any]) -> tuple[GameParams, float | None]:
         raise ParameterError(f"parameter file must hold a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_PARAM_KEYS) - {"beta"})
     if unknown:
-        raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
+        raise ParameterError(f"unknown parameter keys: {', '.join(map(repr, unknown))}")
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise ParameterError(f"missing parameter keys: {', '.join(missing)}")

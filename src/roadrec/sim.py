@@ -48,6 +48,13 @@ _STREAM_DISPATCH = 1
 # Trial-stages simulated at once: bounds the arrays of one block.
 _BLOCK_STAGES = 4096
 
+# Largest simulation a SimConfig accepts: 100 times the CLI's default trial
+# count (8 MB of per-trial totals), and horizons and trigger waits far past
+# any discount's truncation tail of interest.
+_MAX_TRIALS = 1_000_000
+_MAX_HORIZON = 10_000
+_MAX_WAIT = 10_000
+
 
 def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, trial, stream))
@@ -79,8 +86,14 @@ class SimConfig:
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
         if self.max_wait < 2:
             raise ParameterError(f"max_wait must be at least 2, got {self.max_wait}")
+        for name, cap in (("trials", _MAX_TRIALS), ("horizon", _MAX_HORIZON),
+                          ("max_wait", _MAX_WAIT)):
+            if getattr(self, name) > cap:
+                raise ParameterError(f"{name} must be at most {cap}, got {getattr(self, name)}")
         if self.start not in ("high", "low"):
             raise ParameterError(f"start must be 'high' or 'low', got {self.start!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
     def scheme(self) -> InfiniteScheme:
         return InfiniteScheme(c=self.c, d=self.d)
@@ -184,6 +197,8 @@ def simulate_chain(
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
+    if horizon > _MAX_HORIZON:
+        raise ParameterError(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
     if start not in ("high", "low"):
         raise ParameterError(f"start must be 'high' or 'low', got {start!r}")
     return _chains(params, horizon, seed, range(trial, trial + 1), start)[0]

@@ -12,7 +12,8 @@ coordinator. The module computes
   experimenter (exhaustive search over second-round recommendation counts,
   one pi2_low row at a time as a vector over pi2_high),
 * a brute-force equilibrium enumerator used as an independent oracle for the
-  benchmark regimes.
+  benchmark regimes (every strategy multiset at once, checked against one
+  table of the 16 strategies' costs over the other agents' totals).
 
 Everything here assumes a single experimenter in round one; sending two or
 more is dominated whenever experimentation is costly (gate condition 2),
@@ -23,7 +24,6 @@ cost of staying safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -389,6 +389,33 @@ def _strategy_bits(s: int) -> tuple[int, int, int, int]:
     return s & 1, (s >> 1) & 1, (s >> 2) & 1, (s >> 3) & 1
 
 
+def _strategy_columns() -> np.ndarray:
+    """The 16 strategies as a (16, 6) table of 0/1 columns: their four bits,
+    then their round-two action by state under private revelation (own
+    observation if experimenting, otherwise the no-information action)."""
+    rows = []
+    for s in range(16):
+        a1, fn, fl, fh = _strategy_bits(s)
+        rows.append((a1, fn, fl, fh, fl if a1 else fn, fh if a1 else fn))
+    return np.array(rows)
+
+
+def _strategy_counts(n: int) -> np.ndarray:
+    """Every multiset of n strategies, one row of a (C(n+15, n), 16) int8 count matrix.
+
+    Built strategy by strategy: each partial row splits into one row per
+    count the next strategy can take from the agents still unassigned.
+    """
+    counts = np.zeros((1, 0), dtype=np.int8)
+    left = np.array([n])
+    for _ in range(15):
+        reps = left + 1
+        take = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack((np.repeat(counts, reps, axis=0), take.astype(np.int8)))
+        left = np.repeat(left, reps) - take
+    return np.column_stack((counts, left.astype(np.int8)))
+
+
 def brute_force_equilibrium(
     params: GameParams, beta: float, regime: str = "full"
 ) -> list[EquilibriumOutcome]:
@@ -397,8 +424,13 @@ def brute_force_equilibrium(
     A strategy is a first-round road choice plus a second-round choice for
     each information condition (nothing observed / low observed / high
     observed); 16 per agent. Costs depend only on how many agents play each
-    strategy, so the search runs over strategy multisets and checks one
-    representative per distinct strategy against all 16 alternatives.
+    strategy, so the search runs over all strategy multisets at once, as an
+    integer count matrix. An agent's cost depends on the rest of the profile
+    only through the other agents' totals its regime reads (first-round
+    risky count and the second-round risky counts by information condition),
+    so the 16 strategies' costs are tabulated once over that grid. A
+    multiset is an equilibrium when no strategy it contains has an
+    alternative cheaper by more than a 1e-9 relative tolerance.
 
     In the full-revelation regime a profile must additionally be credible:
     the complete second-round action profile after a revealed state must be a
@@ -417,98 +449,63 @@ def brute_force_equilibrium(
         raise ParameterError(
             f"brute force enumerates 16^n strategy profiles; n={params.n} is too large (max 6)"
         )
-    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
-    bits = [_strategy_bits(s) for s in range(16)]
-    # Private-regime round-2 action by state: own observation if experimenting.
-    priv_low = [fl if a1 else fn for a1, fn, fl, fh in bits]
-    priv_high = [fh if a1 else fn for a1, fn, fl, fh in bits]
-
-    def agent_cost(s_dev: int, others: tuple[int, int, int, int, int, int]) -> float:
-        k_o, sn_o, sl_o, sh_o, pl_o, ph_o = others
-        a1, fn, fl, fh = bits[s_dev]
-        x1 = k_o + a1
-        if a1:
-            c1_low, c1_high = l * x1, h * x1
-        else:
-            c1_low = c1_high = s0 + s1 * (n - x1)
-        if regime == "full":
-            if x1 >= 1:
-                t_low, t_high = sl_o, sh_o
-                act_low, act_high = fl, fh
-            else:
-                t_low = t_high = sn_o
-                act_low = act_high = fn
-        else:
-            t_low, t_high = pl_o, ph_o
-            act_low = (fl if a1 else fn)
-            act_high = (fh if a1 else fn)
-        c2_low = l * (t_low + 1) if act_low else s0 + s1 * (n - t_low)
-        c2_high = h * (t_high + 1) if act_high else s0 + s1 * (n - t_high)
-        return beta * (c1_low + c2_low) + (1.0 - beta) * (c1_high + c2_high)
-
-    def one_shot_stable(coef: float, total: int, act: int) -> bool:
-        tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
-        if act:
-            return coef * total <= s0 + s1 * (n - total + 1) + tol
-        return s0 + s1 * (n - total) <= coef * (total + 1) + tol
-
-    outcomes: dict[tuple[int, int, int], int] = {}
-    for profile in combinations_with_replacement(range(16), n):
-        counts = [0] * 16
-        for s in profile:
-            counts[s] += 1
-        totals = (
-            sum(c * bits[s][0] for s, c in enumerate(counts) if c),
-            sum(c * bits[s][1] for s, c in enumerate(counts) if c),
-            sum(c * bits[s][2] for s, c in enumerate(counts) if c),
-            sum(c * bits[s][3] for s, c in enumerate(counts) if c),
-            sum(c * priv_low[s] for s, c in enumerate(counts) if c),
-            sum(c * priv_high[s] for s, c in enumerate(counts) if c),
+    n = params.n
+    # As floats, integer costs cannot wrap in int64 arrays; below 2**53 every
+    # sum and product is the exact value scalar arithmetic would give.
+    s0, s1, l, h = (float(v) for v in (params.s0, params.s1, params.l, params.h))
+    cols = _strategy_columns()
+    a1, fn, fl, fh, priv_low, priv_high = cols.T
+    # Others' totals each regime reads: (k, sn, sl, sh) or (k, pl, ph), each 0..n-1.
+    read = [0, 1, 2, 3] if regime == "full" else [0, 4, 5]
+    grid = np.indices((n,) * len(read)).reshape(len(read), -1, 1)
+    x1 = grid[0] + a1
+    if regime == "full":
+        informed = x1 >= 1
+        t_low, act_low = np.where(informed, grid[2], grid[1]), np.where(informed, fl, fn)
+        t_high, act_high = np.where(informed, grid[3], grid[1]), np.where(informed, fh, fn)
+    else:
+        t_low, t_high, act_low, act_high = grid[1], grid[2], priv_low, priv_high
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate silently
+        c1_safe = s0 + s1 * (n - x1)
+        cost = beta * (
+            np.where(a1, l * x1, c1_safe)
+            + np.where(act_low, l * (t_low + 1), s0 + s1 * (n - t_low))
+        ) + (1.0 - beta) * (
+            np.where(a1, h * x1, c1_safe)
+            + np.where(act_high, h * (t_high + 1), s0 + s1 * (n - t_high))
         )
-        k1, sn, sl, sh, pl, ph = totals
+        # fmin skips NaN as the strict test does; no strategy beats itself by
+        # more than its tolerance, so it can stay in its row's minimum.
+        beaten = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
+        # stable[state, act, total]: that round-two action is a one-shot best
+        # response when total agents in all take the risky road in that state.
+        coef, total = np.array([[l], [h]]), np.arange(n + 1)
+        tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+        stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
+                           coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
 
+    counts = _strategy_counts(n)
+    # np.dot, not @ or **: integer matmul and power would page in 128 kB more
+    # of numpy's code.
+    totals = np.dot(counts, cols.astype(np.int8))
+    strides = np.array([n**k for k in reversed(range(len(read)))])
+    flat = np.dot(totals[:, read], strides)
+    ok = np.ones(len(counts), dtype=bool)
+    for s in range(16):
+        rows = np.flatnonzero(counts[:, s])
+        keep = ~beaten[flat[rows] - np.dot(cols[s, read], strides), s]
         if regime == "full":
-            credible = True
-            for s, c in enumerate(counts):
-                if not c:
-                    continue
-                if not one_shot_stable(l, sl, bits[s][2]) or not one_shot_stable(
-                    h, sh, bits[s][3]
-                ):
-                    credible = False
-                    break
-            if not credible:
-                continue
+            keep &= stable[0, fl[s], totals[rows, 2]] & stable[1, fh[s], totals[rows, 3]]
+        ok[rows] &= keep
 
-        is_eq = True
-        support = [s for s, c in enumerate(counts) if c]
-        for s in support:
-            others = (
-                k1 - bits[s][0],
-                sn - bits[s][1],
-                sl - bits[s][2],
-                sh - bits[s][3],
-                pl - priv_low[s],
-                ph - priv_high[s],
-            )
-            base = agent_cost(s, others)
-            tol = 1e-9 * (1.0 + abs(base))
-            for s_alt in range(16):
-                if s_alt != s and agent_cost(s_alt, others) < base - tol:
-                    is_eq = False
-                    break
-            if not is_eq:
-                break
-        if not is_eq:
-            continue
-
-        if k1 >= 1:
-            key = (k1, sl, sh) if regime == "full" else (k1, pl, ph)
-        else:
-            key = (0, sn, sn)
-        outcomes[key] = outcomes.get(key, 0) + 1
-
-    return [
-        EquilibriumOutcome(k, fl, fh, profiles=c)
-        for (k, fl, fh), c in sorted(outcomes.items())
-    ]
+    k1, sn, sl, sh, pl, ph = totals[ok].T.astype(np.intp)
+    low, high = (sl, sh) if regime == "full" else (pl, ph)
+    # Count outcomes (k1, low, high) by their base-(n+1) number, which sorts them.
+    base = n + 1
+    found = np.bincount((k1 * base + np.where(k1 >= 1, low, sn)) * base
+                        + np.where(k1 >= 1, high, sn), minlength=base**3)
+    outcomes = []
+    for key in np.flatnonzero(found).tolist():
+        k, rest = divmod(key, base * base)
+        outcomes.append(EquilibriumOutcome(k, *divmod(rest, base), profiles=int(found[key])))
+    return outcomes

@@ -6,6 +6,7 @@ import pytest
 
 from roadrec import cli
 from roadrec import infinite as inf
+from roadrec import sim
 from roadrec.cli import main, parse_grid
 from roadrec.model import ParameterError
 
@@ -129,6 +130,21 @@ def test_infinite_record(capsys, reference_file):
     assert data["search"]["matches_pi_star"] is True
 
 
+def test_infinite_computes_x_ll_once(capsys, reference_file, monkeypatch):
+    # pi_star, pi_tilde_star and the search's comparison all reuse one x_ll
+    calls = []
+    true_compute_x_ll = inf.compute_x_ll
+
+    def counted(params):
+        calls.append(params)
+        return true_compute_x_ll(params)
+
+    monkeypatch.setattr(inf, "compute_x_ll", counted)
+    code, data = run_json(capsys, ["infinite", "--params", reference_file])
+    assert code == 0 and data["search"]["matches_pi_star"] is True
+    assert len(calls) == 1
+
+
 def test_infinite_rejects_csv(capsys, reference_file):
     assert main(["infinite", "--params", reference_file, "--format", "csv"]) == 2
 
@@ -197,6 +213,28 @@ def test_simulate_validates_trigger_before_simulating(capsys, reference_file, mo
     for bad in ("3:pooled", "x:pooled:safe", "3:pooled:maybe", "3:sideways:safe"):
         assert main(["simulate", "--params", reference_file, "--trigger", bad]) == 2
         assert capsys.readouterr().err.startswith("roadrec: parameter error")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", sim._MAX_TRIALS + 1, f"at most {sim._MAX_TRIALS}"),
+    ("--horizon", sim._MAX_HORIZON + 1, f"at most {sim._MAX_HORIZON}"),
+    ("--max-wait", sim._MAX_WAIT + 1, f"at most {sim._MAX_WAIT}"),
+    ("--seed", -1, "nonnegative"),
+])
+def test_simulate_rejects_bad_sizes_before_simulating(capsys, reference_file, monkeypatch,
+                                                      flag, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated an invalid configuration")
+
+    monkeypatch.setattr(cli, "run_scheme", refuse)
+    monkeypatch.setattr(cli, "deviation_rollout", refuse)
+    assert main(["simulate", "--params", reference_file, "--trigger", "3:pooled:safe",
+                 flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("roadrec: parameter error")
+    assert message in lines[0]
 
 
 def test_simulate_single_trial_is_strict_json(capsys, reference_file):

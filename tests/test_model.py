@@ -238,6 +238,14 @@ def test_params_from_dict_rejects(raw, fragment):
         params_from_dict(raw)
 
 
+def test_unknown_keys_print_on_one_line():
+    # keys come from the parameter file; control characters stay escaped
+    with pytest.raises(ParameterError) as err:
+        params_from_dict(dict(n=4, s0=2, s1=1, l=1, h=9, **{"a\nb": 1, "\x1e": 2}))
+    assert len(str(err.value).splitlines()) == 1
+    assert "'a\\nb'" in str(err.value)
+
+
 def test_load_params(tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"n": 4, "s0": 2, "s1": 1, "l": 1, "h": 9, "beta": 0.2}')

@@ -27,6 +27,21 @@ def test_config_validation():
         SimConfig(c=2, d=3, start="middling")
     with pytest.raises(ParameterError):
         SimConfig(c=2, d=3, max_wait=1)
+    with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        SimConfig(c=2, d=3, seed=-1)
+
+
+def test_config_upper_bounds():
+    # the caps themselves are accepted; one past each is refused, and so is
+    # a single chain longer than the horizon cap
+    SimConfig(c=2, d=3, trials=sim._MAX_TRIALS, horizon=sim._MAX_HORIZON,
+              max_wait=sim._MAX_WAIT)
+    for field, cap in (("trials", sim._MAX_TRIALS), ("horizon", sim._MAX_HORIZON),
+                       ("max_wait", sim._MAX_WAIT)):
+        with pytest.raises(ParameterError, match=f"{field} must be at most {cap}"):
+            SimConfig(c=2, d=3, **{field: cap + 1})
+    with pytest.raises(ParameterError, match="horizon must be at most"):
+        simulate_chain(FROZEN, sim._MAX_HORIZON + 1, seed=0)
 
 
 def test_trigger_validation():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,3 +235,118 @@ def test_row_wise_solve_matches_zero_d_calls(example1, beta):
     assert scheme.n_feasible == n_feasible
     assert list(scheme.slacks) == ic_constraints_eval(beta, *best, example1)
     assert type(scheme.pi2_low) is int and type(scheme.expected_cost) is float
+
+
+# Outcomes of the brute-force oracle frozen with their supporting-profile
+# counts, as the per-profile enumeration it replaced returned them.
+N4 = GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0)
+N6 = GameParams(n=6, s0=2.0, s1=1.0, l=1.0, h=25.0)
+TIES = GameParams(n=3, s0=2, s1=1, l=1, h=6)  # integer costs: exact ties
+
+
+@pytest.mark.parametrize("params, beta, regime, want", [
+    (N4, 0.10, "full", [(0, 0, 0, 1)]),
+    (N4, 0.10, "private", [(0, 0, 0, 35)]),
+    (N4, 0.25, "private", [(1, 1, 0, 40)]),
+    (N4, 0.25, "full", [(0, 0, 0, 1)]),
+    (N4, 0.30, "full", [(1, 3, 0, 4)]),
+    (N4, 0.37, "full", [(1, 3, 0, 10)]),
+    (N4, 0.37, "private", [(1, 1, 0, 40)]),
+    (N6, 0.65, "full", [(1, 4, 0, 12)]),
+    (N6, 0.65, "private", [(1, 1, 0, 112)]),
+    (TIES, 0.0, "full", [(0, 0, 0, 2)]),
+    (TIES, 0.5, "full", [(1, 2, 0, 14), (1, 3, 0, 6)]),
+    (TIES, 0.5, "private", [(1, 2, 1, 32)]),
+    (TIES, 1.0, "full", [(2, 2, 0, 14), (2, 3, 0, 6), (3, 2, 0, 6), (3, 3, 0, 4)]),
+    (TIES, 1.0, "private", [
+        (2, 2, 0, 12), (2, 2, 1, 32), (2, 2, 2, 44), (2, 2, 3, 16), (2, 3, 1, 12),
+        (2, 3, 2, 16), (2, 3, 3, 12), (3, 2, 0, 6), (3, 2, 1, 14), (3, 2, 2, 14),
+        (3, 2, 3, 6), (3, 3, 0, 4), (3, 3, 1, 6), (3, 3, 2, 6), (3, 3, 3, 4),
+    ]),
+])
+def test_brute_force_golden(params, beta, regime, want):
+    found = brute_force_equilibrium(params, beta, regime=regime)
+    assert [(o.experimenters, o.flow_low, o.flow_high, o.profiles) for o in found] == want
+    assert all(type(v) is int for o in found
+               for v in (o.experimenters, o.flow_low, o.flow_high, o.profiles))
+
+
+def _ordered_profile_equilibria(params, beta, regime):
+    """The oracle's answer from ordered profiles, one agent and deviation at a time.
+
+    Plays every one of the 16^n ordered profiles out road by road, tests each
+    agent's 16 strategies against its own, and counts each equilibrium once
+    per strategy multiset.
+    """
+    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
+    bits = [((s >> 0) & 1, (s >> 1) & 1, (s >> 2) & 1, (s >> 3) & 1) for s in range(16)]
+
+    def second_round(profile, coef):
+        """Each agent's round-two road (1 = risky) once the state is coef."""
+        experimented = sum(bits[s][0] for s in profile) >= 1
+        acts = []
+        for s in profile:
+            a1, fn, fl, fh = bits[s]
+            informed = experimented if regime == "full" else a1
+            acts.append((fl if coef == l else fh) if informed else fn)
+        return acts
+
+    def cost(profile, i):
+        total = 0.0
+        for coef, weight in ((l, beta), (h, 1.0 - beta)):
+            stage = 0.0
+            for acts in ([bits[s][0] for s in profile], second_round(profile, coef)):
+                x = sum(acts)
+                stage = stage + (coef * x if acts[i] else s0 + s1 * (n - x))
+            total = total + weight * stage
+        return total
+
+    def credible(profile):
+        for coef, pos in ((l, 2), (h, 3)):
+            acts = [bits[s][pos] for s in profile]
+            x = sum(acts)
+            tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+            for act in acts:
+                if act and not coef * x <= s0 + s1 * (n - x + 1) + tol:
+                    return False
+                if not act and not s0 + s1 * (n - x) <= coef * (x + 1) + tol:
+                    return False
+        return True
+
+    def stable(profile):
+        for i in range(n):
+            base = cost(profile, i)
+            tol = 1e-9 * (1.0 + abs(base))
+            for alt in range(16):
+                swapped = profile[:i] + (alt,) + profile[i + 1:]
+                if cost(swapped, i) < base - tol:
+                    return False
+        return True
+
+    multisets: dict[tuple, set] = {}
+    for profile in itertools.product(range(16), repeat=n):
+        if regime == "full" and not credible(profile):
+            continue
+        if not stable(profile):
+            continue
+        x1 = sum(bits[s][0] for s in profile)
+        if x1:
+            key = (x1, sum(second_round(profile, l)), sum(second_round(profile, h)))
+        else:
+            key = (0, sum(bits[s][1] for s in profile), sum(bits[s][1] for s in profile))
+        multisets.setdefault(key, set()).add(tuple(sorted(profile)))
+    return [(*key, len(found)) for key, found in sorted(multisets.items())]
+
+
+@pytest.mark.parametrize("params, beta", [
+    (GameParams(n=2, s0=1.0, s1=0.5, l=0.6, h=4.0), 0.3),
+    (GameParams(n=2, s0=1.0, s1=0.5, l=0.6, h=4.0), 0.8),
+    (GameParams(n=2, s0=2, s1=1, l=1, h=6), 1.0),
+    (GameParams(n=3, s0=2, s1=1, l=1, h=6), 0.5),
+    (GameParams(n=3, s0=0.8, s1=0.7, l=0.5, h=5.5), 0.45),
+])
+@pytest.mark.parametrize("regime", ["full", "private"])
+def test_brute_force_matches_ordered_profiles(params, beta, regime):
+    found = brute_force_equilibrium(params, beta, regime=regime)
+    got = [(o.experimenters, o.flow_low, o.flow_high, o.profiles) for o in found]
+    assert got == _ordered_profile_equilibria(params, beta, regime)
