@@ -560,7 +560,9 @@ def compute_x_ll(params: GameParams) -> tuple[int, int]:
     """Smallest steady low-run flow the scheme can sustain obediently.
 
     Scans d upward from the planner's low-state flow with c fixed there, and
-    returns (first obedient d, resulting steady flow). The scan cannot pass
+    returns (first obedient d, resulting steady flow). The scan starts at the
+    planner's flow, so the two are the same number; both are kept because the
+    `infinite` report prints them as x_ll_bar and x_ll. The scan cannot pass
     the low-state equilibrium flow: congestion there is already so high that
     a pooled safe agent has nothing to envy. A steady flow of n is always
     obedient (it leaves no safe agent to tempt), which is what caps the scan
@@ -578,7 +580,7 @@ def compute_x_ll(params: GameParams) -> tuple[int, int]:
             "the regime the construction is proved for"
         )
     first = int(d[np.argmax(obedient)])
-    return first, max(x_so, first)
+    return first, first
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:

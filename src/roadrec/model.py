@@ -36,6 +36,15 @@ class InternalError(RuntimeError):
     """Raised when an identity the closed forms guarantee breaks (a bug, not bad input)."""
 
 
+# Largest population a GameParams accepts: the (c, d) search is known to run
+# at n = 1000 (about 2 s and 216 MB), and flows are indexed by 0..n.
+_MAX_N = 1000
+
+# Largest integer magnitude a parameter may have: every integer up to 2**53
+# is a float, so integer and float arithmetic agree.
+_MAX_INT = 2**53
+
+
 class RoadState(str, Enum):
     """Realisation of the risky road's congestion coefficient."""
 
@@ -50,12 +59,14 @@ class RoadState(str, Enum):
 class GameParams:
     """Immutable game primitives shared by every module.
 
-    n        number of agents (atomic, >= 2)
+    n        number of agents (atomic, 2 <= n <= 1000)
     s0, s1   safe road cost intercept and slope (s0 > 0, s1 >= 0)
     l, h     low and high risky coefficients (0 < l < h)
     gamma_l  P(theta_{t+1} = H | theta_t = L)
     gamma_h  P(theta_{t+1} = L | theta_t = H)
     delta    discount factor in [0, 1)
+
+    A number given as an int may be at most 2**53 in magnitude.
     """
 
     n: int
@@ -72,10 +83,15 @@ class GameParams:
             raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ParameterError(f"need at least two agents, got n={self.n}")
+        if self.n > _MAX_N:
+            raise ParameterError(f"n must be at most {_MAX_N}, got n={self.n}")
         for name in ("s0", "s1", "l", "h", "gamma_l", "gamma_h", "delta"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > _MAX_INT:
+                raise ParameterError(f"integer {name} must be at most 2**53 in magnitude, "
+                                     f"got {value}")
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.s0 <= 0:
@@ -138,9 +154,13 @@ def stage_cost(x, coef: float, params: GameParams):
 
     The x risky users each pay coef * x, the n - x safe users each pay
     s0 + s1 * (n - x). With x = 0 the value (s0 + s1*n)*n does not depend
-    on coef at all. x may be an integer array; the cost then has its shape.
+    on coef at all. x may be an integer array; the cost then has its shape
+    and is computed in floating point, since integer costs up to 2**53 times
+    a squared flow can exceed int64.
     """
     x = _require_flow(x, params)
+    if isinstance(x, np.ndarray):
+        x = x.astype(float)
     if coef <= 0:
         raise ParameterError(f"congestion coefficient must be positive, got {coef}")
     safe_users = params.n - x

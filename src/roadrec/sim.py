@@ -4,25 +4,32 @@ Simulates the road-state chain, the coordinator's dispatch rules, compliant
 agents, and (for deviation rollouts) a single monitored agent, agent 0, who
 defects at the first visit to a chosen state and is punished forever after.
 
-Determinism: every random draw comes from numpy generators seeded with the
-tuple (seed, trial, stream), stream 0 for the road chain and 1 for scheme
-dispatch (experimenter and recruit lotteries). Results are therefore
-reproducible and do not depend on how trials are grouped, and a deviation
-rollout shares the chain and dispatch draws of its compliant twin until the
-moment of deviation (common random numbers).
+Determinism: each (seed, stream) pair seeds one numpy generator, stream 0
+for the road chain and 1 for agent 0's dispatch draws. A stream is read as
+a matrix of uniforms with one row per trial and one column per stage, so
+row k belongs to trial k and its width, hence its content, depends on the
+number of stages simulated (the horizon, or max_wait + horizon in a
+rollout). A block of trials reaches its first row by advancing the
+generator (one uniform is one 64-bit draw), so results do not depend on how
+trials are grouped, and a deviation rollout shares the chain and dispatch
+draws of its compliant twin until the moment of deviation (common random
+numbers).
 
 Work is vectorised over trials. Trials run in blocks of about _BLOCK_STAGES
-trial-stages, which bounds the working memory whatever the trial count:
-each block fills one row per trial from that trial's stream 0 and steps all
-rows of the chain at once. Under a scheme the risky flow is a function of
-the chain alone (one experimenter at stage one and after a high stage, c
-after the first low stage, d after two or more), so the aggregate cost needs
-no dispatch lottery; only the first trial replays it, for its per-agent
-sample. A rollout replays from stream 1 only the draws that decide agent 0's
-role, which consume the stream exactly as the full lottery does. Its deviate
-arm needs no draws after the deviation: the gate forces s1 = 0, so once the
-deviant hides on the safe road it pays exactly s0 per stage, whatever the
-punishment regime recommends to the others.
+trial-stages, which bounds the working memory whatever the trial count;
+each block steps all its road chains stage by stage. Under a scheme the
+risky flow is a function of the chain alone (one experimenter at stage one
+and after a high stage, c after the first low stage, d after two or more),
+so the aggregate cost needs no dispatch lottery; only the first trial plays
+it, for its per-agent sample. Agent 0's role is a small Markov chain driven by
+one stream-1 uniform per stage: in a fresh stage (stage one, or after a
+high stage) it is the experimenter when u < 1/n; during the ramp a risky
+agent stays risky and a safe one is recruited when u < need/(n - prev_flow).
+The per-agent lottery reads agent 0's role from the same uniform and draws
+the other recruits from stream 2. A rollout's deviate arm needs no draws
+after the deviation: the gate forces s1 = 0, so once the deviant hides on
+the safe road it pays exactly s0 per stage, whatever the punishment regime
+recommends to the others.
 
 Horizons are finite, so every estimate carries an explicit truncation bound:
 discounting delta^T of the worst possible stage cost, summed to infinity.
@@ -44,9 +51,11 @@ from .infinite import InfiniteScheme, require_gate
 
 _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
+_STREAM_RECRUITS = 2
 
-# Trial-stages simulated at once: bounds the arrays of one block.
-_BLOCK_STAGES = 4096
+# Trial-stages simulated at once: bounds the arrays of one block, and sets
+# how many rows each step of a stage loop covers.
+_BLOCK_STAGES = 16384
 
 # Largest simulation a SimConfig accepts: 100 times the CLI's default trial
 # count (8 MB of per-trial totals), and horizons and trigger waits far past
@@ -56,8 +65,11 @@ _MAX_HORIZON = 10_000
 _MAX_WAIT = 10_000
 
 
-def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng((seed, trial, stream))
+def _uniforms(seed: int, stream: int, trials: range, width: int) -> np.ndarray:
+    """Rows trials of the stream's uniform matrix with width columns."""
+    rng = np.random.default_rng((seed, stream))
+    rng.bit_generator.advance(trials.start * width)
+    return rng.random((len(trials), width))
 
 
 @dataclass(frozen=True)
@@ -171,17 +183,16 @@ def _chains(
 ) -> np.ndarray:
     """Road chains of the given trials, one row each; True = low.
 
-    Row k holds trial trials[k], drawn from its own stream 0, so a row does
-    not depend on which other trials share the call.
+    Row k holds trial trials[k], drawn from row trials[k] of stream 0, so a
+    row does not depend on which other trials share the call.
     """
-    u = np.empty((len(trials), horizon))
-    for row, trial in zip(u, trials):
-        _rng(seed, trial, _STREAM_CHAIN).random(out=row)
+    u = _uniforms(seed, _STREAM_CHAIN, trials, horizon)
+    # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
+    stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
     lows = np.empty(u.shape, dtype=bool)
     low = np.full(len(trials), start == "low")
-    keep_low, enter_low = 1.0 - params.gamma_l, params.gamma_h
     for t in range(horizon):
-        low = np.where(low, u[:, t] < keep_low, u[:, t] < enter_low)
+        low = np.where(low, stay[:, t], enter[:, t])
         lows[:, t] = low
     return lows
 
@@ -195,6 +206,8 @@ def simulate_chain(
     latent pre-stage state given by start, so the first entry is already a
     transition draw (from high, it is low with probability gamma_h).
     """
+    if trial < 0:
+        raise ParameterError(f"trial must be nonnegative, got {trial}")
     if horizon < 1:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if horizon > _MAX_HORIZON:
@@ -255,25 +268,50 @@ def _dispatch(
     prev2_low: bool,
     c: int,
     d: int,
+    u: float,
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
-    """Recommendations for one stage of compliant play (True = risky)."""
-    risky = np.zeros(n, dtype=bool)
-    if risky_prev is None or not prev_low:
-        risky[int(rng.integers(n))] = True
-        return risky
-    target = c if not prev2_low else d
-    risky |= risky_prev
-    need = target - int(risky.sum())
+    """Recommendations for one stage of compliant play (True = risky).
+
+    A fresh stage (the first, or one after a high stage) recruits one
+    experimenter; the ramp tops the incumbents up to c, then d. Whether a
+    safe agent 0 is recruited depends on u alone, as in _roles; rng draws
+    the other recruits.
+    """
+    fresh = risky_prev is None or not prev_low
+    risky = np.zeros(n, dtype=bool) if fresh else risky_prev.copy()
+    held = int(risky.sum())
+    need = (1 if fresh else d if prev2_low else c) - held
     if need < 0:
         raise AssumptionError(
             "dispatch would need to evict risky incumbents; scheme flows are invalid"
         )
+    if not risky[0] and u * (n - held) < need:
+        risky[0] = True
+        need -= 1
     if need:
-        pool = np.flatnonzero(~risky)
-        risky[rng.choice(pool, size=need, replace=False)] = True
+        others = np.flatnonzero(~risky[1:]) + 1
+        risky[rng.choice(others, size=need, replace=False)] = True
     return risky
+
+
+def _roles(u: np.ndarray, lows: np.ndarray, flows: np.ndarray, n: int) -> np.ndarray:
+    """Agent 0's role in each stage, True = risky: _dispatch's rule over
+    (trials x stages) arrays. Agent 0 is risky when it has joined since the
+    last fresh stage; a safe agent 0 joins when u * (n - held) < flow - held,
+    that is u < need / pool written so that a full road needs no division.
+    """
+    ramp = np.zeros(lows.shape, dtype=bool)
+    ramp[:, 1:] = lows[:, :-1]
+    held = np.zeros_like(flows)
+    held[:, 1:] = flows[:, :-1]
+    held[~ramp] = 0
+    joins = u * (n - held) < flows - held
+    stage = np.arange(lows.shape[1])
+    last_join = np.maximum.accumulate(np.where(joins, stage, -1), axis=1)
+    last_fresh = np.maximum.accumulate(np.where(ramp, 0, stage), axis=1)
+    return last_join >= last_fresh
 
 
 def _require_sim_gate(config: SimConfig, params: GameParams) -> None:
@@ -286,6 +324,11 @@ def _worst_stage_cost(params: GameParams) -> float:
     return max(params.h * params.n, params.s0 + params.s1 * params.n)
 
 
+def _mean(values: np.ndarray) -> float | None:
+    """Sample mean; None without samples."""
+    return float(values.mean()) if len(values) else None
+
+
 def _se(values: np.ndarray) -> float | None:
     """Standard error of the mean; None below two samples."""
     m = len(values)
@@ -295,7 +338,8 @@ def _se(values: np.ndarray) -> float | None:
 def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
     """Trial 0 played agent by agent through the dispatch lottery."""
     n, delta = params.n, params.delta
-    rng = _rng(config.seed, 0, _STREAM_DISPATCH)
+    u = _uniforms(config.seed, _STREAM_DISPATCH, range(1), config.horizon)[0]
+    rng = np.random.default_rng((config.seed, _STREAM_RECRUITS))
     agent_totals = np.zeros(n)
     risky = None
     flows = []
@@ -304,7 +348,7 @@ def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajecto
     for t in range(1, config.horizon + 1):
         prev_low = lows[t - 2] if t >= 2 else start_low
         prev2_low = lows[t - 3] if t >= 3 else start_low
-        risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, rng, n)
+        risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, u[t - 1], rng, n)
         agent_totals += disc * _stage_agent_costs(risky, bool(lows[t - 1]), params)
         flows.append(int(risky.sum()))
         disc *= delta
@@ -381,66 +425,29 @@ class RolloutStats:
     note: str = ""
 
 
-def _match(
+def _triggered(
     trigger: AgentState,
-    prev_flow: int,
-    was_risky: bool,
-    prev_low: bool,
-    rec_risky: bool,
-) -> bool:
-    if trigger.prev_flow is not None and prev_flow != trigger.prev_flow:
-        return False
-    if trigger.tag == "pooled":
-        if was_risky:
-            return False
-    elif trigger.tag == "low":
-        if not (was_risky and prev_low):
-            return False
-    else:
-        if not (was_risky and not prev_low):
-            return False
-    return rec_risky == (trigger.rec == "risky")
-
-
-def _agent0_roles(
-    trigger: AgentState,
-    lows: list[bool],
-    flows: list[int],
-    n: int,
+    lows: np.ndarray,
+    flows: np.ndarray,
+    roles: np.ndarray,
     max_wait: int,
-    horizon: int,
-    rng: np.random.Generator,
-) -> tuple[int | None, list[bool]]:
-    """Replay agent 0's recommendations until its valuation window closes.
+) -> np.ndarray:
+    """Where agent 0 is in the trigger state; column j is stage j + 1.
 
-    Returns the 0-indexed trigger stage (None if not reached by stage
-    max_wait) and agent 0's recommendation at each replayed stage, True =
-    risky. The draws are those of _dispatch: after a high stage the
-    experimenter is rng.integers(n); during the ramp the recruits are drawn
-    from the safe agents in index order, where agent 0, when safe, comes
-    first, so drawing positions among n - flow safe slots consumes the
-    stream exactly as drawing the agents does.
+    Covers stages 1 to max_wait - 1 (0-indexed): the previous stage sets
+    the observed flow and tag, the stage itself the recommendation.
     """
-    roles: list[bool] = []
-    t_star = None
-    end = max_wait
-    t = 0
-    while t < end:
-        if t == 0 or not lows[t - 1]:
-            risky = int(rng.integers(n)) == 0
-        else:
-            need = flows[t] - flows[t - 1]
-            risky = roles[t - 1]
-            if need:
-                drawn = rng.choice(n - flows[t - 1], size=need, replace=False)
-                risky = risky or 0 in drawn.tolist()
-        roles.append(risky)
-        if t_star is None and t >= 1 and _match(
-                trigger, flows[t - 1], roles[t - 1], lows[t - 1], risky):
-            t_star = t
-            end = t + horizon
-        t += 1
-    return t_star, roles
+    was, low, flow = roles[:, :max_wait - 1], lows[:, :max_wait - 1], flows[:, :max_wait - 1]
+    if trigger.tag == "pooled":
+        hit = ~was
+    elif trigger.tag == "low":
+        hit = was & low
+    else:
+        hit = was & ~low
+    if trigger.prev_flow is not None:
+        hit &= flow == trigger.prev_flow
+    hit &= roles[:, 1:max_wait] == (trigger.rec == "risky")
+    return hit
 
 
 def deviation_rollout(
@@ -452,8 +459,8 @@ def deviation_rollout(
     trigger state (at a stage from 2 to max_wait) and then values the next
     `horizon` stages both ways. The follow arm keeps everybody compliant,
     so it needs only agent 0's role, which is replayed from stream 1 (see
-    _agent0_roles); a trial stops at the end of its window, or at max_wait
-    if the trigger never comes.
+    _roles) over all max_wait + horizon stages of a block; a trial whose
+    trigger never comes within max_wait stages is skipped.
 
     The deviate arm flips agent 0's action at the trigger stage; after that
     the coordinator punishes with independent recommendations, and the
@@ -467,10 +474,11 @@ def deviation_rollout(
     n, s0, s1, delta = params.n, params.s0, params.s1, params.delta
     length = config.max_wait + config.horizon
     weights = [delta**k for k in range(config.horizon)]
+    s0_run = s0 * sum(weights[1:])
 
-    def cost(risky: bool, low: bool, flow: int) -> float:
-        """Agent 0's cost in a stage with this risky flow."""
-        return (params.l if low else params.h) * flow if risky else s0 + s1 * (n - flow)
+    def cost(risky: np.ndarray, low: np.ndarray, flow: np.ndarray) -> np.ndarray:
+        """Agent 0's cost in stages with these risky flows."""
+        return np.where(risky, np.where(low, params.l, params.h) * flow, s0 + s1 * (n - flow))
 
     follow_vals: list[np.ndarray] = []
     deviate_vals: list[np.ndarray] = []
@@ -479,50 +487,33 @@ def deviation_rollout(
     for block in _blocks(config.trials, length):
         lows = _chains(params, length, config.seed, block, config.start)
         flows = _flows(lows, config.c, config.d, config.start)
-        follow_costs: list[list[float]] = []
-        deviate_costs: list[list[float]] = []
-        for trial, low, flow in zip(block, lows.tolist(), flows.tolist()):
-            rng = _rng(config.seed, trial, _STREAM_DISPATCH)
-            t_star, roles = _agent0_roles(trigger, low, flow, n, config.max_wait,
-                                          config.horizon, rng)
-            if t_star is None:
-                skipped += 1
-                continue
-            window = range(t_star, t_star + config.horizon)
-            follow_costs.append([cost(roles[t], low[t], flow[t]) for t in window])
-            flipped = not roles[t_star]
-            first = cost(flipped, low[t_star], flow[t_star] + (1 if flipped else -1))
-            deviate_costs.append([first] + [s0] * (config.horizon - 1))
-        if follow_costs:
-            follow_vals.append(_discounted(np.array(follow_costs, dtype=float), weights))
-            deviate_vals.append(_discounted(np.array(deviate_costs, dtype=float), weights))
+        roles = _roles(_uniforms(config.seed, _STREAM_DISPATCH, block, length),
+                       lows, flows, n)
+        hit = _triggered(trigger, lows, flows, roles, config.max_wait)
+        found = hit.any(axis=1)
+        skipped += len(block) - int(found.sum())
+        rows = np.flatnonzero(found)[:, None]
+        window = hit[found].argmax(axis=1)[:, None] + 1 + np.arange(config.horizon)
+        low, flow, role = lows[rows, window], flows[rows, window], roles[rows, window]
+        follow_vals.append(_discounted(cost(role, low, flow), weights))
+        flipped = ~role[:, 0]
+        first = cost(flipped, low[:, 0], flow[:, 0] + np.where(flipped, 1, -1))
+        deviate_vals.append(first + s0_run)
 
     tail = delta**config.horizon * _worst_stage_cost(params) / (1.0 - delta)
-    if not follow_vals:
-        return RolloutStats(
-            trigger=trigger,
-            n_triggered=0,
-            n_skipped=skipped,
-            follow_mean=None, follow_se=None,
-            deviate_mean=None, deviate_se=None,
-            diff_mean=None, diff_se=None,
-            tail_bound=float(tail),
-            horizon=config.horizon,
-            note=f"trigger state never reached within {config.max_wait} stages",
-        )
-    fol = np.concatenate(follow_vals)
-    dev = np.concatenate(deviate_vals)
+    fol, dev = np.concatenate(follow_vals), np.concatenate(deviate_vals)
     diff = dev - fol
     return RolloutStats(
         trigger=trigger,
         n_triggered=len(fol),
         n_skipped=skipped,
-        follow_mean=float(fol.mean()),
+        follow_mean=_mean(fol),
         follow_se=_se(fol),
-        deviate_mean=float(dev.mean()),
+        deviate_mean=_mean(dev),
         deviate_se=_se(dev),
-        diff_mean=float(diff.mean()),
+        diff_mean=_mean(diff),
         diff_se=_se(diff),
         tail_bound=float(tail),
         horizon=config.horizon,
+        note="" if len(fol) else f"trigger state never reached within {config.max_wait} stages",
     )

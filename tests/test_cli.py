@@ -237,6 +237,39 @@ def test_simulate_rejects_bad_sizes_before_simulating(capsys, reference_file, mo
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("command", [["two-stage"], ["oracle", "--target", "two-stage"],
+                                     ["infinite"]])
+@pytest.mark.parametrize("raw, message", [
+    ({"n": 4, "s0": 10**23, "s1": 0, "l": 1, "h": 9, "beta": 0.2}, "integer s0 must be at most"),
+    ({"n": 10**12, "s0": 2, "s1": 0, "l": 1, "h": 9, "beta": 0.2}, "n must be at most"),
+    (dict(REFERENCE_RAW, n=1001), "n must be at most 1000"),
+])
+def test_oversized_parameters_exit_2(capsys, tmp_path, command, raw, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    assert main([command[0], "--params", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("roadrec: parameter error")
+    assert message in lines[0]
+
+
+def test_oversized_integer_cost_prints_no_traceback(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 4, "s0": 100000000000000000000000, "s1": 0, "l": 1, "h": 9,'
+                    ' "beta": 0.2}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "roadrec.cli", "two-stage", "--params", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("roadrec: parameter error")
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_single_trial_is_strict_json(capsys, reference_file):
     code, data = run_json(capsys, [
         "simulate", "--params", reference_file, "--trials", "1", "--seed", "1",

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roadrec.model import (
+    _MAX_INT,
+    _MAX_N,
     GameParams,
     ParameterError,
     RoadState,
@@ -51,6 +53,30 @@ def test_params_validation_rejects(bad):
     base.update(bad)
     with pytest.raises(ParameterError):
         GameParams(**base)
+
+
+def test_params_size_caps():
+    # n and integer parameters at the caps are accepted, one past them refused
+    base = dict(n=5, s0=2.0, s1=0.5, l=1.0, h=8.0)
+    GameParams(**dict(base, n=_MAX_N))
+    GameParams(**dict(base, s0=_MAX_INT, h=_MAX_INT))
+    GameParams(**dict(base, s0=1e23, h=1e24))  # floats are not capped
+    with pytest.raises(ParameterError, match=f"n must be at most {_MAX_N}"):
+        GameParams(**dict(base, n=_MAX_N + 1))
+    for name in ("s0", "h"):
+        with pytest.raises(ParameterError, match=f"integer {name} must be at most 2"):
+            GameParams(**dict(base, **{name: _MAX_INT + 1}))
+    with pytest.raises(ParameterError, match="integer s1 must be at most 2"):
+        GameParams(**dict(base, s1=-_MAX_INT - 1))
+
+
+def test_integer_costs_do_not_wrap_over_flow_arrays():
+    # h * x * x passes 2**63 for x >= 33; the planner's high-state flow is 0
+    params = GameParams(n=_MAX_N, s0=10, s1=0, l=1, h=_MAX_INT)
+    assert myopic_so_flow(params.h, params) == 0
+    costs = stage_cost(np.array([0, 33, _MAX_N]), params.h, params)
+    assert costs.tolist() == [10.0 * _MAX_N, 2.0**53 * 33 * 33 + 10.0 * 967,
+                              2.0**53 * _MAX_N * _MAX_N]
 
 
 def test_road_state_coefficients():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from roadrec.model import AssumptionError, GameParams, ParameterError
-from roadrec.infinite import check_ic, scheme_cost, v_bar
+from roadrec.infinite import check_ic, pi_star, scheme_cost, v_bar
 from roadrec import sim
 from roadrec.sim import (
     AgentState,
@@ -57,6 +59,14 @@ def test_chain_is_reproducible(reference):
     assert np.array_equal(a, b)
     c = simulate_chain(reference, 50, seed=3, trial=8)
     assert not np.array_equal(a, c)
+
+
+def test_stream_rows_are_consecutive_draws():
+    # row k of a stream's uniform matrix is trial k's slice of one generator
+    whole = np.random.default_rng((6, sim._STREAM_DISPATCH)).random((9, 13))
+    assert np.array_equal(sim._uniforms(6, sim._STREAM_DISPATCH, range(3, 7), 13), whole[3:7])
+    with pytest.raises(ParameterError, match="trial must be nonnegative"):
+        simulate_chain(FROZEN, 10, seed=0, trial=-1)
 
 
 def test_chain_respects_switch_rates():
@@ -175,6 +185,86 @@ def test_rollout_matches_ic_table(reference):
         assert stats.diff_mean > 0.0
 
 
+def _ic_triggers(c: int, d: int) -> dict[str, AgentState]:
+    """The trigger state of each of the 11 check_ic entries."""
+    triggers = {"safe_after_high": AgentState(None, "high", "safe"),
+                "risky_after_high": AgentState(None, "high", "risky")}
+    for name, flow in (("d", d), ("c", c), ("1", 1)):
+        triggers[f"risky_at_{name}_low"] = AgentState(flow, "low", "risky")
+        for rec in ("safe", "risky"):
+            triggers[f"{rec}_at_{name}_pooled"] = AgentState(flow, "pooled", rec)
+    return triggers
+
+
+@pytest.mark.parametrize("game", ["reference", "draw 4"])
+def test_rollouts_cover_every_ic_entry(game, reference, infinite_draws):
+    # every obedience entry's follow value against the rollout that plays it,
+    # at a horizon whose truncation tail is small next to the standard errors
+    params = reference if game == "reference" else infinite_draws[4]
+    star = pi_star(params)
+    report = check_ic(star.c, star.d, params)
+    triggers = _ic_triggers(star.c, star.d)
+    assert sorted(triggers) == sorted(e.state for e in report.entries)
+    horizon = math.ceil(math.log(1e-5) / math.log(params.delta))
+    cfg = SimConfig(star.c, star.d, trials=4000, horizon=horizon, seed=11, max_wait=120)
+    for entry in report.entries:
+        assert not entry.vacuous, entry.state
+        stats = deviation_rollout(cfg, triggers[entry.state], params)
+        assert stats.n_triggered > cfg.trials // 10, entry.state
+        budget = 4.0 * stats.follow_se + stats.tail_bound
+        assert abs(stats.follow_mean - entry.follow) <= budget, entry.state
+
+
+def test_rollout_matches_agent_by_agent_play(reference):
+    # the loop the vectorised rollout replaces: each trial plays the full
+    # dispatch lottery stage by stage, finds agent 0's first visit to the
+    # trigger and values both arms from there
+    cfg = SimConfig(2, 3, trials=40, horizon=8, seed=4, start="low", max_wait=40)
+    n, length = reference.n, cfg.max_wait + cfg.horizon
+    weights = [reference.delta**k for k in range(cfg.horizon)]
+    lows = sim._chains(reference, length, cfg.seed, range(cfg.trials), cfg.start)
+    u = sim._uniforms(cfg.seed, sim._STREAM_DISPATCH, range(cfg.trials), length)
+    start_low = cfg.start == "low"
+    plays = []
+    for k in range(cfg.trials):
+        rng = np.random.default_rng((cfg.seed, k))
+        risky, roles, flows = None, [], []
+        for t in range(length):
+            prev_low = bool(lows[k, t - 1]) if t >= 1 else start_low
+            prev2_low = bool(lows[k, t - 2]) if t >= 2 else start_low
+            risky = sim._dispatch(risky, prev_low, prev2_low, cfg.c, cfg.d, u[k, t], rng, n)
+            roles.append(bool(risky[0]))
+            flows.append(int(risky.sum()))
+        plays.append((lows[k].tolist(), roles, flows))
+
+    def cost(risky, low, flow):
+        return (reference.l if low else reference.h) * flow if risky else reference.s0
+
+    for trigger in _ic_triggers(cfg.c, cfg.d).values():
+        follow, deviate = [], []
+        for low, roles, flows in plays:
+            for t in range(1, cfg.max_wait):
+                was, rec = roles[t - 1], roles[t]
+                tag = "pooled" if not was else "low" if low[t - 1] else "high"
+                if (trigger.prev_flow in (None, flows[t - 1]) and tag == trigger.tag
+                        and rec == (trigger.rec == "risky")):
+                    break
+            else:
+                continue
+            total = 0.0
+            for j, w in enumerate(weights):
+                total += w * cost(roles[t + j], low[t + j], flows[t + j])
+            follow.append(total)
+            first = cost(not rec, low[t], flows[t] + (-1 if rec else 1))
+            deviate.append(first + reference.s0 * sum(weights[1:]))
+        stats = deviation_rollout(cfg, trigger, reference)
+        assert stats.n_triggered == len(follow), trigger
+        assert stats.n_skipped == cfg.trials - len(follow)
+        if follow:
+            assert stats.follow_mean == pytest.approx(np.mean(follow), rel=1e-12)
+            assert stats.deviate_mean == pytest.approx(np.mean(deviate), rel=1e-12)
+
+
 def test_rollout_reports_unreachable_trigger(reference):
     cfg = SimConfig(c=2, d=3, trials=10, horizon=6, seed=3, max_wait=40)
     stats = deviation_rollout(
@@ -197,26 +287,26 @@ def test_rollout_is_paired(reference):
 
 
 # ---------------------------------------------------------------------------
-# golden values: the numbers of the per-trial, per-agent simulator, pinned
+# golden values: the numbers of one generator per (seed, stream), pinned
 # exactly (the reference game's costs are small integers and delta = 1/2,
 # so every sum is exact and any change to the draws or the pricing shows)
 
 def test_run_scheme_golden_values(reference):
     stats = run_scheme(SimConfig(2, 3, trials=10000, horizon=16, seed=42), reference)
-    assert stats.total_mean == 195.85658346862792
-    assert stats.total_se == 0.17779862982173256
+    assert stats.total_mean == 195.48032736816407
+    assert stats.total_se == 0.17819466158122485
     stats = run_scheme(SimConfig(2, 3, trials=500, horizon=12, seed=3, start="low"),
                        reference)
-    assert stats.total_mean == 187.582880859375
-    assert stats.total_se == 1.2030331214774639
+    assert stats.total_mean == 186.39303125
+    assert stats.total_se == 1.166863436545607
     assert stats.sample.flows == (1,) + (3,) * 11
 
 
 @pytest.mark.parametrize("trigger, triggered, follow, deviate", [
-    (AgentState(3, "pooled", "safe"), 299, 19.867063388377925, 23.906890154682273),
-    (AgentState(None, "high", "risky"), 70, 17.76456473214286, 19.98046875),
-    (AgentState(3, "low", "risky"), 263, 16.63961501901141, 19.98046875),
-])
+    (AgentState(3, "pooled", "safe"), 300, 19.969850260416667, 21.827135416666668),
+    (AgentState(None, "high", "risky"), 62, 18.033014112903224, 19.98046875),
+    (AgentState(3, "low", "risky"), 244, 17.371822169569672, 19.98046875),
+], ids=["3:pooled:safe", "any:high:risky", "3:low:risky"])
 def test_rollout_golden_values(reference, trigger, triggered, follow, deviate):
     cfg = SimConfig(2, 3, trials=300, horizon=10, seed=17, max_wait=80)
     stats = deviation_rollout(cfg, trigger, reference)
@@ -274,20 +364,19 @@ def test_results_do_not_depend_on_block_size(reference, monkeypatch):
 def test_agent0_replay_matches_full_dispatch(n):
     params = GameParams(n=n, s0=10, s1=0.0, l=1.0, h=19.0,
                         gamma_l=0.3, gamma_h=0.5, delta=0.5)
-    c, d, stages = 2, n - 1, 60
-    never = AgentState(prev_flow=n + 1, tag="pooled", rec="safe")
-    for trial in range(5):
-        lows = sim._chains(params, stages, 3, range(trial, trial + 1), "high")
-        flows = sim._flows(lows, c, d, "high")[0].tolist()
-        t_star, roles = sim._agent0_roles(never, lows[0].tolist(), flows, n, stages, 1,
-                                          sim._rng(3, trial, sim._STREAM_DISPATCH))
-        assert t_star is None
-        rng = sim._rng(3, trial, sim._STREAM_DISPATCH)
+    c, d, stages, trials = 2, n - 1, 60, range(5)
+    lows = sim._chains(params, stages, 3, trials, "high")
+    flows = sim._flows(lows, c, d, "high")
+    u = sim._uniforms(3, sim._STREAM_DISPATCH, trials, stages)
+    roles = sim._roles(u, lows, flows, n)
+    assert roles.any() and not roles.all()
+    for trial in trials:
+        rng = np.random.default_rng((3, trial))
         risky = None
         for t in range(stages):
-            prev_low = bool(lows[0, t - 1]) if t >= 1 else False
-            prev2_low = bool(lows[0, t - 2]) if t >= 2 else False
-            risky = sim._dispatch(risky, prev_low, prev2_low, c, d, rng, n)
-            assert int(risky.sum()) == flows[t]
-            assert bool(risky[0]) == roles[t], (trial, t)
+            prev_low = bool(lows[trial, t - 1]) if t >= 1 else False
+            prev2_low = bool(lows[trial, t - 2]) if t >= 2 else False
+            risky = sim._dispatch(risky, prev_low, prev2_low, c, d, u[trial, t], rng, n)
+            assert int(risky.sum()) == flows[trial, t]
+            assert bool(risky[0]) == roles[trial, t], (trial, t)
 
