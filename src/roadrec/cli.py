@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -171,15 +172,17 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
             n_gated += 1
             rows.append({"beta": beta, "gated": True, "note": "; ".join(gate.failures())})
             continue
-        scheme = ts.solve_optimal_scheme(beta, params)
+        # beta is a float inside the gate, which is all the public cost
+        # functions check before they would compute the thresholds again.
+        scheme = ts._solve_optimal_scheme(beta, params, th)
         rows.append({
             "beta": beta,
             "gated": False,
             "region": ts.region(beta, th),
-            "v_full": ts.cost_full(beta, params),
-            "v_private": ts.cost_private(beta, params),
+            "v_full": ts._cost_full(beta, params, th),
+            "v_private": ts._cost_private(beta, params, th),
             "v_partial": scheme.expected_cost,
-            "v_so": ts.cost_social_optimum(beta, params),
+            "v_so": ts._cost_social_optimum(beta, params, th),
             "experiment": scheme.experiment,
             "pi2_low": scheme.pi2_low,
             "pi2_high": scheme.pi2_high,
@@ -412,20 +415,18 @@ def _oracle_infinite(params: GameParams) -> list[dict]:
     inf.require_gate(params)
     c, d = inf.scheme_pairs(params.n)
     table = inf.state_costs(c, d, params)
-    slack = inf.steady_slack(c, d, params)
+    slack = inf._steady_slack(c, d, params, table)
     decomp = inf.fc_gd_decomposition(c, d, params)
     worst_fg = float(np.max(np.abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + np.abs(slack))))
-    names = [field.name for field in dataclasses.fields(table)]
-    closed = np.column_stack([getattr(table, name) for name in names])
-    linear = np.empty_like(closed)
-    for k, (ck, dk) in enumerate(zip(c.tolist(), d.tolist())):
-        solved = inf.state_costs_linear(ck, dk, params)
-        linear[k] = [getattr(solved, name) for name in names]  # None -> NaN
-    worst_state = float(np.fmax.reduce(  # fmax skips NaN
-        np.abs(closed - linear) / (1.0 + np.abs(closed)), axis=None, initial=0.0
-    ))
-    if not np.array_equal(np.isnan(closed), np.isnan(linear)):
-        worst_state = float("inf")
+    linear = inf.state_costs_linear(c, d, params)
+    worst_state = 0.0
+    for field in dataclasses.fields(table):
+        closed, solved = getattr(table, field.name), getattr(linear, field.name)
+        if not np.array_equal(np.isnan(closed), np.isnan(solved)):
+            worst_state = float("inf")
+        worst_state = max(worst_state, float(np.fmax.reduce(  # fmax skips NaN
+            np.abs(closed - solved) / (1.0 + np.abs(closed)), initial=0.0
+        )))
     checks = []
     checks.append({
         "name": f"state costs, closed form vs linear solve ({len(c)} schemes)",
@@ -504,9 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on its first call and kept for the process.
+
+    Parsing leaves no state in the parser: every call gets a fresh namespace
+    filled from the declared defaults.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -20,7 +20,9 @@ Each closed form is written once and takes c and d as ints or as integer
 arrays that broadcast together; the search and the x_ll scan evaluate them
 over all candidate flows at once (a state that cannot occur reads NaN). Two
 ints are the 0-d case of the same code and give Python numbers (None for a
-state that cannot occur). check_ic, which builds a report, takes ints only.
+state that cannot occur). The linear-solve oracle takes the same arguments
+and solves one stacked system per chunk of schemes. check_ic, which builds a
+report, takes ints only.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -293,48 +295,51 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
     ))
 
 
-def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
-    """Compliance values via a direct linear solve (oracle for state_costs).
+# Schemes per stacked solve in state_costs_linear. One (11, 11) system is
+# 968 bytes, so a chunk's matrices take about 250 kB whatever n is. Larger
+# chunks save little time (n = 1000: 1.6 s at 4,096 against 1.9 s at 256),
+# but raise the peak RSS of a call at small n by up to 1 MB.
+_BLOCK_PAIRS = 256
 
-    Builds the one-step expectation equations with every state kept as an
-    unknown (the c-flow states are not folded into the d-flow states, the
-    reset value is not expanded into a closed form) and solves with numpy.
-    Shares no arithmetic with the closed forms beyond the stage costs.
-    """
-    _require_cd(c, d, params)
-    require_gate(params)
+# The linear oracle's unknowns, in column order. c = n drops l1_rs and avgc:
+# nobody is left on the safe road to recruit.
+_LINEAR_UNKNOWNS = (
+    "vbar", "h_rr", "h_rs", "l1_rr", "l1_rs",
+    "lc_rr", "lc_rs", "ld_rr", "ld_rs", "avg1", "avgc",
+)
+
+
+def _linear_solve(c: np.ndarray, d: np.ndarray, params: GameParams) -> dict[str, np.ndarray]:
+    """The linear oracle's unknowns, by name, for 1-D flow arrays whose
+    schemes all have c < n or all have c = n (one system size)."""
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
+    recruits = bool(c[0] < n)
 
-    names = [
-        "vbar", "h_rr", "h_rs", "l1_rr", "l1_rs",
-        "lc_rr", "lc_rs", "ld_rr", "ld_rs", "avg1", "avgc",
-    ]
-    if c == n:
-        names = [x for x in names if x not in ("l1_rs", "avgc")]
+    names = [x for x in _LINEAR_UNKNOWNS if recruits or x not in ("l1_rs", "avgc")]
     idx = {name: i for i, name in enumerate(names)}
     m = len(names)
-    a = np.zeros((m, m))
-    b = np.zeros(m)
+    a = np.zeros((len(c), m, m))
+    b = np.zeros((len(c), m, 1))
 
-    def eq(row: int, rhs: float, terms: dict[str, float]) -> None:
+    def eq(row: int, rhs, terms: dict) -> None:
         for name, coef in terms.items():
-            a[row, idx[name]] += coef
-        b[row] = rhs
+            a[:, row, idx[name]] += coef
+        b[:, row, 0] = rhs
 
     row = iter(range(m))
     eq(next(row), 0.0, {"vbar": 1.0, "h_rr": -1.0 / n, "h_rs": -(n - 1) / n})
     eq(next(row), mh, {"h_rr": 1.0, "l1_rr": -dl * gh, "vbar": -dl * (1 - gh)})
     eq(next(row), s0, {"h_rs": 1.0, "avg1": -dl * gh, "vbar": -dl * (1 - gh)})
     eq(next(row), ml * c, {"l1_rr": 1.0, "lc_rr": -dl * (1 - gl), "vbar": -dl * gl})
-    if c < n:
+    if recruits:
         eq(next(row), s0, {"l1_rs": 1.0, "avgc": -dl * (1 - gl), "vbar": -dl * gl})
     eq(next(row), ml * d, {"lc_rr": 1.0, "ld_rr": -dl * (1 - gl), "vbar": -dl * gl})
     eq(next(row), s0, {"lc_rs": 1.0, "ld_rs": -dl * (1 - gl), "vbar": -dl * gl})
     eq(next(row), ml * d, {"ld_rr": 1.0 - dl * (1 - gl), "vbar": -dl * gl})
     eq(next(row), s0, {"ld_rs": 1.0 - dl * (1 - gl), "vbar": -dl * gl})
-    if c < n:
+    if recruits:
         eq(next(row), 0.0, {
             "avg1": 1.0,
             "l1_rr": -(c - 1) / (n - 1),
@@ -348,27 +353,55 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     else:
         eq(next(row), 0.0, {"avg1": 1.0, "l1_rr": -1.0})
 
-    x = np.linalg.solve(a, b)
-    val = {name: float(x[i]) for name, i in idx.items()}
+    x = np.linalg.solve(a, b)[:, :, 0]
+    return {name: x[:, i] for name, i in idx.items()}
+
+
+def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
+    """Compliance values via a direct linear solve (oracle for state_costs).
+
+    Builds the one-step expectation equations with every state kept as an
+    unknown (the c-flow states are not folded into the d-flow states, the
+    reset value is not expanded into a closed form) and solves with numpy.
+    Shares no arithmetic with the closed forms beyond the posteriors and the
+    stage inputs.
+
+    c and d are ints or integer arrays that broadcast together, like
+    state_costs. The systems of all schemes are stacked and solved together,
+    _BLOCK_PAIRS schemes at a time so that the stacked matrices take the same
+    memory whatever n is; schemes with c = n have two unknowns fewer and are
+    solved as a stack of their own. LAPACK still factors each system on its
+    own, so a scheme's values do not depend on what else is in the call. Two
+    ints give Python numbers (None for a state that cannot occur, NaN in an
+    array call).
+    """
+    _require_cd(c, d, params)
+    require_gate(params)
+    n = params.n
+    c, d = np.broadcast_arrays(c, d)
+    shape = c.shape
+    c, d = c.ravel(), d.ravel()
+
+    val = {name: np.full(c.shape, np.nan) for name in _LINEAR_UNKNOWNS}
+    for same_size in (c < n, c == n):
+        pick = np.flatnonzero(same_size)
+        for start in range(0, len(pick), _BLOCK_PAIRS):
+            rows = pick[start:start + _BLOCK_PAIRS]
+            for name, column in _linear_solve(c[rows], d[rows], params).items():
+                val[name][rows] = column
 
     post = posteriors(c, d, params)
     p1 = post.low_given_1_safe
-    safe_at_1_low = val.get("l1_rs")
-    safe_at_1_pooled = (
-        val["h_rs"]
-        if safe_at_1_low is None
-        else p1 * safe_at_1_low + (1.0 - p1) * val["h_rs"]
-    )
-    return StateCostTable(
+    fields = dict(
         post_high_avg=val["vbar"],
         risky_at_d_low=val["ld_rr"],
         safe_at_d_low=val["ld_rs"],
         risky_at_c_low=val["lc_rr"],
         safe_at_c_low=val["lc_rs"],
         risky_at_1_low=val["l1_rr"],
-        safe_at_1_low=safe_at_1_low,
+        safe_at_1_low=val["l1_rs"],
         avg_at_1_low=val["avg1"],
-        avg_at_c_low=val.get("avgc"),
+        avg_at_c_low=val["avgc"],
         risky_after_high=val["h_rr"],
         safe_after_high=val["h_rs"],
         safe_at_d_pooled=(
@@ -379,8 +412,13 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
             post.low_given_c_safe * val["lc_rs"]
             + (1.0 - post.low_given_c_safe) * val["h_rs"]
         ),
-        safe_at_1_pooled=safe_at_1_pooled,
+        safe_at_1_pooled=np.where(
+            c < n, p1 * val["l1_rs"] + (1.0 - p1) * val["h_rs"], val["h_rs"]
+        ),
     )
+    return _to_python(StateCostTable(
+        **{name: value.reshape(shape) for name, value in fields.items()}
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +589,14 @@ def steady_slack(c: int, d: int, params: GameParams) -> float:
     This is check_ic's safe_at_d_pooled slack, also at d = n, where the
     constraint itself is vacuous.
     """
-    terms = _ic_terms(c, d, params, state_costs(c, d, params))
-    follow, deviate = next((f, v) for state, f, v, _ in terms if state == "safe_at_d_pooled")
-    return _python(deviate - follow)
+    return _python(_steady_slack(c, d, params, state_costs(c, d, params)))
+
+
+def _steady_slack(c, d, params: GameParams, table: StateCostTable):
+    """steady_slack read from an already computed state_costs(c, d, params)."""
+    terms = _ic_terms(c, d, params, table)
+    return next(deviate - follow for state, follow, deviate, _ in terms
+                if state == "safe_at_d_pooled")
 
 
 def compute_x_ll(params: GameParams) -> tuple[int, int]:
@@ -569,18 +612,28 @@ def compute_x_ll(params: GameParams) -> tuple[int, int]:
     when the equilibrium flow hits the population size.
     """
     require_gate(params)
+    first = _first_obedient(*_steady_range(params), params)
+    return first, first
+
+
+def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
+    """The planner's and the equilibrium low-state flows x_so and x_eq, and
+    the steady flows x_so..x_eq that the x_ll scan tries; none depends on delta."""
     ml = mu_low(params)
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
-    d = np.arange(x_so, x_eq + 1)
+    return x_so, x_eq, np.arange(x_so, x_eq + 1)
+
+
+def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams) -> int:
+    """The first steady flow in d = x_so..x_eq that is obedient with ramp flow x_so."""
     obedient = (d == params.n) | (steady_slack(x_so, d, params) >= -_BOUNDARY)
     if not obedient.any():
         raise AssumptionError(
             f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
             "the regime the construction is proved for"
         )
-    first = int(d[np.argmax(obedient)])
-    return first, first
+    return int(d[np.argmax(obedient)])
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
@@ -763,6 +816,7 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     """
     if params.gamma_l <= 0.0 or params.gamma_h <= 0.0:
         raise ParameterError("delta_sweep needs strictly positive switch rates")
+    x_so, x_eq, d = _steady_range(params)
     out = []
     for delta in deltas:
         trial = replace(params, delta=float(delta))
@@ -771,11 +825,8 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
             out.append(SweepPoint(trial.delta, False, None, None, None, None,
                                   notes=tuple(gate.failures())))
             continue
-        ml = mu_low(trial)
-        x_so = myopic_so_flow(ml, trial)
-        _, x_ll = compute_x_ll(trial)
-        v_star = scheme_cost(x_so, x_ll, trial)
-        v_so = scheme_cost(x_so, x_so, trial)
+        x_ll = _first_obedient(x_so, x_eq, d, trial)
+        v_star, v_so = scheme_cost(x_so, np.array([x_ll, x_so]), trial).tolist()
         out.append(SweepPoint(trial.delta, True, x_ll, v_star, v_so, v_star / v_so))
     return out
 

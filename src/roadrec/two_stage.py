@@ -158,21 +158,34 @@ def _two_rounds(
 def cost_full(beta: float, params: GameParams) -> float:
     """Expected two-round aggregate cost of equilibrium under public revelation."""
     beta = _require_belief(beta)
-    th = _require_gate(beta, params)
-    return _two_rounds(beta, params, beta >= th.beta_f, th.eq_flow_low, 0)
+    return _cost_full(beta, params, _require_gate(beta, params))
 
 
 def cost_private(beta: float, params: GameParams) -> float:
     """Expected cost under private revelation (only the experimenter learns)."""
     beta = _require_belief(beta)
-    th = _require_gate(beta, params)
-    return _two_rounds(beta, params, beta >= th.beta_p, 1, 0)
+    return _cost_private(beta, params, _require_gate(beta, params))
 
 
 def cost_social_optimum(beta: float, params: GameParams) -> float:
     """Expected cost when a planner dictates both rounds (no incentives)."""
     beta = _require_belief(beta)
-    th = _require_gate(beta, params)
+    return _cost_social_optimum(beta, params, _require_gate(beta, params))
+
+
+# The _cost_* and _solve_optimal_scheme bodies take an in-gate float belief
+# and the game's thresholds, so a caller that loops over beliefs computes
+# the thresholds once.
+
+def _cost_full(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
+    return _two_rounds(beta, params, beta >= th.beta_f, th.eq_flow_low, 0)
+
+
+def _cost_private(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
+    return _two_rounds(beta, params, beta >= th.beta_p, 1, 0)
+
+
+def _cost_social_optimum(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
     return _two_rounds(beta, params, beta >= th.beta_so, th.so_flow_low, th.so_flow_high)
 
 
@@ -310,7 +323,12 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
     above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
-    th = _require_gate(beta, params)
+    return _solve_optimal_scheme(beta, params, _require_gate(beta, params))
+
+
+def _solve_optimal_scheme(
+    beta: float, params: GameParams, th: TwoStageThresholds
+) -> TwoStageScheme:
     if beta < th.beta_p:
         return TwoStageScheme(
             experiment=False,

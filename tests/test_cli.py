@@ -363,3 +363,45 @@ def test_broken_identity_exits_3(capsys, reference_file, monkeypatch):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("roadrec: ")
     assert "identity" in lines[0]
+
+
+def test_two_stage_computes_thresholds_once(capsys, example1_file, monkeypatch):
+    calls = []
+    true_thresholds = cli.ts.thresholds
+
+    def counted(params):
+        calls.append(params)
+        return true_thresholds(params)
+
+    monkeypatch.setattr(cli.ts, "thresholds", counted)
+    code, data = run_json(capsys, ["two-stage", "--params", example1_file,
+                                   "--beta-grid", "0.3,0.55,0.6"])
+    assert code == 0 and len(data["rows"]) == 3
+    assert len(calls) == 1
+
+
+def test_reused_parser_keeps_no_state(capsys, reference_file, example1_file):
+    # main() builds its parser once per process; a call with an optional
+    # flag must not leak that flag into the next call of the same subcommand.
+    sim_args = ["simulate", "--params", reference_file, "--trials", "60",
+                "--horizon", "6", "--max-wait", "30", "--seed", "2"]
+    calls = [
+        sim_args + ["--trigger", "3:pooled:safe"], sim_args,
+        ["two-stage", "--params", example1_file, "--format", "csv"],
+        ["two-stage", "--params", example1_file],
+        ["two-stage", "--params", example1_file, "--beta-grid", "0.3,0.6"],
+        ["two-stage", "--params", example1_file],
+    ]
+    parser = cli._parser()
+    reused = [(main(argv), capsys.readouterr()) for argv in calls]
+    assert cli._parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert reused == fresh
+    assert "rollout" in reused[0][1].out and "rollout" not in reused[1][1].out
+    assert reused[2][1].out.startswith("beta,") and reused[3][1].out.startswith("{")
+    assert len(strict_loads(reused[4][1].out)["rows"]) == 2
+    assert len(strict_loads(reused[5][1].out)["rows"]) == 1
+    assert cli.build_parser() is not cli.build_parser()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from roadrec import infinite
 from roadrec.model import AssumptionError, GameParams, ParameterError, mu_low, myopic_so_flow
 from roadrec.infinite import (
     InfiniteScheme,
@@ -210,6 +211,22 @@ def test_delta_sweep_reference(reference):
     assert points[8].ratio == 1.0
 
 
+def test_delta_sweep_matches_zero_d_calls(reference, infinite_draws):
+    # The sweep scans each delta's steady flows at once and prices both
+    # schemes in one call; every point must equal the 0-d calls exactly.
+    deltas = [round(0.05 * k, 10) for k in range(1, 20)]
+    for params in [reference] + infinite_draws[:25]:
+        x_so = myopic_so_flow(mu_low(params), params)
+        for point in delta_sweep(params, deltas):
+            if not point.feasible:
+                continue
+            trial = dataclasses.replace(params, delta=point.delta)
+            _, x_ll = compute_x_ll(trial)
+            assert point.x_ll == x_ll
+            assert point.v_pi_star == scheme_cost(x_so, x_ll, trial)
+            assert point.v_so == scheme_cost(x_so, x_so, trial)
+
+
 def test_delta_sweep_flags_infeasible_points():
     p = GameParams(n=10, s0=10, s1=0, l=1, h=19.2,
                    gamma_l=0.1, gamma_h=0.5, delta=0.5)
@@ -307,3 +324,45 @@ def test_closed_forms_accept_flow_arrays(reference):
         scheme_cost(np.array([3]), np.array([2]), reference)
     with pytest.raises(ParameterError):
         state_costs(np.array([2.0]), np.array([3.0]), reference)
+
+
+def _linear_tables(params):
+    c, d = scheme_pairs(params.n)
+    return c, d, state_costs_linear(c, d, params)
+
+
+@pytest.mark.parametrize("which", ["fixed", "draws"])
+def test_linear_solve_arrays_match_zero_d_calls(reference, infinite_draws, which):
+    # One stacked solve over all schemes must give each scheme's own solve
+    # bit for bit, with NaN where the 0-d call gives None (c = n).
+    games = [reference, FULL_ROAD, WIDE] if which == "fixed" else infinite_draws
+    names = [f.name for f in dataclasses.fields(StateCostTable)]
+    for params in games:
+        c, d, table = _linear_tables(params)
+        rows = np.column_stack([getattr(table, name) for name in names]).tolist()
+        for ck, dk, row in zip(c.tolist(), d.tolist(), rows):
+            scalar = state_costs_linear(ck, dk, params)
+            got = [getattr(scalar, name) for name in names]
+            assert got == [None if v != v else v for v in row], (params, ck, dk)
+            assert (None in got) == (ck == params.n)
+            assert all(type(v) is float for v in got if v is not None)
+
+
+def test_linear_solve_does_not_depend_on_block_size(monkeypatch):
+    want = [_linear_tables(params)[2] for params in (FULL_ROAD, WIDE)]
+    monkeypatch.setattr(infinite, "_BLOCK_PAIRS", 7)
+    for params, table in zip((FULL_ROAD, WIDE), want):
+        got = _linear_tables(params)[2]
+        for f in dataclasses.fields(StateCostTable):
+            assert np.array_equal(getattr(got, f.name), getattr(table, f.name),
+                                  equal_nan=True), (params, f.name)
+
+
+def test_linear_solve_broadcasts(reference):
+    table = state_costs_linear(np.array([[2], [3]]), np.array([3, 10]), reference)
+    assert table.post_high_avg.shape == (2, 2)
+    assert table.risky_at_c_low[1, 0] == state_costs_linear(3, 3, reference).risky_at_c_low
+    full_road = state_costs_linear(np.array([2, 10]), 10, reference)
+    assert not np.isnan(full_road.safe_at_1_low[0]) and np.isnan(full_road.safe_at_1_low[1])
+    with pytest.raises(ParameterError):
+        state_costs_linear(np.array([10]), np.array([3]), reference)
