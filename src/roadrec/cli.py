@@ -250,7 +250,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     ml = mu_low(params)
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
-    x_ll_bar, x_ll = inf.compute_x_ll(params)
+    x_ll = inf.compute_x_ll(params)
     star, tilde = inf._candidates(params, x_ll)
     search = inf._search(params, star, tilde)
     payload = {
@@ -259,7 +259,9 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "mu_high": mu_high(params),
         "x_so": x_so,
         "x_eq": x_eq,
-        "x_ll_bar": x_ll_bar,
+        # The scan starts at the planner's flow, so the first obedient
+        # steady flow and the steady flow it yields are one number.
+        "x_ll_bar": x_ll,
         "x_ll": x_ll,
         "pi_star": _scheme_dict(star),
         "pi_tilde_star": _scheme_dict(tilde),
@@ -275,7 +277,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
             "winner_cost": search.winner_cost,
             "matches_pi_star": search.matches_pi_star,
             "matches_pi_tilde_star": search.matches_pi_tilde_star,
-            "n_feasible": sum(1 for cand in search.candidates if cand.feasible),
+            "n_feasible": int(np.count_nonzero(search.candidates.feasible)),
             "warnings": list(search.warnings),
         },
     }

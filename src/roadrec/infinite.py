@@ -17,12 +17,12 @@ form and, as an independent oracle, a plain linear solve), the obedience
 delta sweep showing when the relaxed social optimum itself becomes obedient.
 
 Each closed form is written once and takes c and d as ints or as integer
-arrays that broadcast together; the search and the x_ll scan evaluate them
-over all candidate flows at once (a state that cannot occur reads NaN). Two
-ints are the 0-d case of the same code and give Python numbers (None for a
-state that cannot occur). The linear-solve oracle takes the same arguments
-and solves one stacked system per chunk of schemes. check_ic, which builds a
-report, takes ints only.
+arrays that broadcast together; the search (in blocks of pairs) and the x_ll
+scan evaluate them over arrays of candidate flows (a state that cannot occur
+reads NaN). Two ints, numpy integers included, are the 0-d case of the same
+code and give Python numbers (None for a state that cannot occur). The
+linear-solve oracle takes the same arguments and solves one stacked system
+per chunk of schemes. check_ic, which builds a report, takes ints only.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -45,6 +45,7 @@ from .model import (
     _all,
     _div,
     _integral,
+    _plain,
     _require_belief,
     belief_step,
     check_assumption_infinite,
@@ -68,7 +69,8 @@ def require_gate(params: GameParams) -> None:
         )
 
 
-def _require_cd(c, d, params: GameParams) -> None:
+def _require_cd(c, d, params: GameParams):
+    """c and d once checked, numpy integers as Python ints."""
     for name, value in (("c", c), ("d", d)):
         if not _integral(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -76,6 +78,7 @@ def _require_cd(c, d, params: GameParams) -> None:
         raise ParameterError(
             f"scheme flows must satisfy 1 < c <= d <= n={params.n}, got c={c}, d={d}"
         )
+    return _plain(c), _plain(d)
 
 
 def scheme_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +144,7 @@ class Posteriors:
 
 def posteriors(c: int, d: int, params: GameParams) -> Posteriors:
     """Bayesian posteriors of an uninformed safe agent under scheme (c, d)."""
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     n, gl, gh = params.n, params.gamma_l, params.gamma_h
 
     def posterior(low, high, limit=0.0):
@@ -176,7 +179,7 @@ def scheme_cost(c: int, d: int, params: GameParams) -> float:
     coordinator learns the road turned high; tau_tilde weighs one
     excursion's cost. The first stage after the reset is undiscounted.
     """
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     require_gate(params)
     dl, gl, gh = params.delta, params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
@@ -241,7 +244,7 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
     A consistency identity ties the high states back to the reset value and
     is checked to 1e-9; failure means a formula regression, not bad input.
     """
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     require_gate(params)
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
@@ -375,7 +378,7 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     ints give Python numbers (None for a state that cannot occur, NaN in an
     array call).
     """
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     require_gate(params)
     n = params.n
     c, d = np.broadcast_arrays(c, d)
@@ -530,7 +533,7 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     optimum and the low-state equilibrium flow, and a first-low-stage cost
     no worse than the two-user one.
     """
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     require_gate(params)
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
@@ -599,21 +602,18 @@ def _steady_slack(c, d, params: GameParams, table: StateCostTable):
                 if state == "safe_at_d_pooled")
 
 
-def compute_x_ll(params: GameParams) -> tuple[int, int]:
+def compute_x_ll(params: GameParams) -> int:
     """Smallest steady low-run flow the scheme can sustain obediently.
 
     Scans d upward from the planner's low-state flow with c fixed there, and
-    returns (first obedient d, resulting steady flow). The scan starts at the
-    planner's flow, so the two are the same number; both are kept because the
-    `infinite` report prints them as x_ll_bar and x_ll. The scan cannot pass
-    the low-state equilibrium flow: congestion there is already so high that
-    a pooled safe agent has nothing to envy. A steady flow of n is always
-    obedient (it leaves no safe agent to tempt), which is what caps the scan
-    when the equilibrium flow hits the population size.
+    returns the first obedient d. The scan cannot pass the low-state
+    equilibrium flow: congestion there is already so high that a pooled safe
+    agent has nothing to envy. A steady flow of n is always obedient (it
+    leaves no safe agent to tempt), which is what caps the scan when the
+    equilibrium flow hits the population size.
     """
     require_gate(params)
-    first = _first_obedient(*_steady_range(params), params)
-    return first, first
+    return _first_obedient(*_steady_range(params), params)
 
 
 def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
@@ -638,7 +638,7 @@ def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams) -> 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
     """The candidate-optimal scheme: planner's ramp flow, smallest obedient d."""
-    return _candidates(params, compute_x_ll(params)[1])[0]
+    return _candidates(params, compute_x_ll(params))[0]
 
 
 def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
@@ -647,7 +647,7 @@ def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
     None whenever that would need c > d, i.e. when the obedient steady flow
     is already within one of the planner's flow.
     """
-    return _candidates(params, compute_x_ll(params)[1])[1]
+    return _candidates(params, compute_x_ll(params))[1]
 
 
 def _candidates(
@@ -686,7 +686,7 @@ class FGDecomposition:
 
 def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
     """Evaluate the f/g split of the steady-flow obedience constraint."""
-    _require_cd(c, d, params)
+    c, d = _require_cd(c, d, params)
     require_gate(params)
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
@@ -722,12 +722,21 @@ def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
 # ---------------------------------------------------------------------------
 # search and sweep
 
+# Pairs per block of the (c, d) search. A block's thirty-odd intermediate
+# arrays then take about 2 MB, so beyond its four result arrays the search's
+# memory does not grow with n.
+_SEARCH_BLOCK_PAIRS = 8192
+
+
 @dataclass(frozen=True)
-class SearchCandidate:
-    c: int
-    d: int
-    feasible: bool
-    cost: float
+class SearchCandidates:
+    """Every pair the search evaluated, as four arrays in (c, d) order (the
+    order of scheme_pairs): the flows, check_ic's verdict and scheme_cost."""
+
+    c: np.ndarray
+    d: np.ndarray
+    feasible: np.ndarray
+    cost: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -738,21 +747,21 @@ class SearchResult:
     winner_cost: float
     matches_pi_star: bool
     matches_pi_tilde_star: bool
-    candidates: tuple[SearchCandidate, ...]
+    candidates: SearchCandidates
     warnings: tuple[str, ...] = ()
 
 
 def optimal_scheme_search(params: GameParams) -> SearchResult:
     """Cheapest scheme (by aggregate cost) among all obedient (c, d) pairs.
 
-    Evaluates every pair 1 < c <= d <= n at once, keeps pairs whose
-    obedience verdict (check_ic's) passes, and returns the first of them in
-    (c, d) order whose cost is within a relative 1e-12 of the cheapest. For
-    delta above one half the result is best within this recommendation
-    family; global optimality across all schemes is only established up to
-    one half, hence the warning.
+    Evaluates every pair 1 < c <= d <= n, as arrays in blocks of
+    _SEARCH_BLOCK_PAIRS pairs, keeps pairs whose obedience verdict
+    (check_ic's) passes, and returns the first of them in (c, d) order whose
+    cost is within a relative 1e-12 of the cheapest. For delta above one half
+    the result is best within this recommendation family; global optimality
+    across all schemes is only established up to one half, hence the warning.
     """
-    return _search(params, *_candidates(params, compute_x_ll(params)[1]))
+    return _search(params, *_candidates(params, compute_x_ll(params)))
 
 
 def _search(
@@ -761,14 +770,19 @@ def _search(
     """optimal_scheme_search, compared against already computed candidates."""
     require_gate(params)
     c, d = scheme_pairs(params.n)
-    flow_range, ramp_cheaper = _preconditions(c, d, params)
-    feasible = flow_range & ramp_cheaper
-    for _, follow, deviate, vacuous in _ic_terms(c, d, params, state_costs(c, d, params)):
-        feasible &= vacuous | (deviate - follow >= -_BOUNDARY)
+    feasible = np.empty(len(c), dtype=bool)
+    cost = np.empty(len(c))
+    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
+        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
+        cb, db = c[block], d[block]
+        flow_range, ramp_cheaper = _preconditions(cb, db, params)
+        ok = flow_range & ramp_cheaper
+        for _, follow, deviate, vacuous in _ic_terms(cb, db, params, state_costs(cb, db, params)):
+            ok &= vacuous | (deviate - follow >= -_BOUNDARY)
+        feasible[block], cost[block] = ok, scheme_cost(cb, db, params)
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
-    cost = scheme_cost(c, d, params)
     cheapest = cost[feasible].min()
     ties = feasible & (cost <= cheapest + 1e-12 * np.maximum(1.0, np.abs(cost)))
     k = int(np.argmax(ties))
@@ -784,10 +798,7 @@ def _search(
         winner_cost=float(cost[k]),
         matches_pi_star=(best == (star.c, star.d)),
         matches_pi_tilde_star=(tilde is not None and best == (tilde.c, tilde.d)),
-        candidates=tuple(
-            SearchCandidate(*row)
-            for row in zip(c.tolist(), d.tolist(), feasible.tolist(), cost.tolist())
-        ),
+        candidates=SearchCandidates(c, d, feasible, cost),
         warnings=tuple(warnings),
     )
 

@@ -36,8 +36,10 @@ class InternalError(RuntimeError):
     """Raised when an identity the closed forms guarantee breaks (a bug, not bad input)."""
 
 
-# Largest population a GameParams accepts: the (c, d) search is known to run
-# at n = 1000 (about 2 s and 216 MB), and flows are indexed by 0..n.
+# Largest population a GameParams accepts, and the largest with measured run
+# times: at n = 1000 (499,500 (c, d) pairs) the search takes about 0.2 s and
+# 50 MB, and the linear-solve oracle, the slowest command, 2 to 3 s and about
+# 180 MB. Flows are indexed by 0..n.
 _MAX_N = 1000
 
 # Largest integer magnitude a parameter may have: every integer up to 2**53
@@ -119,10 +121,16 @@ def _require_belief(beta: float) -> float:
 
 
 def _integral(value) -> bool:
-    """True for an int (not a bool) or an array of integers."""
+    """True for an int or a numpy integer (not a bool), or an array of integers."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iu"
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _plain(value):
+    """A numpy integer as a Python int, so 0-d calls stay in plain arithmetic;
+    anything else as it is."""
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def _all(mask) -> bool:
@@ -135,7 +143,7 @@ def _require_flow(x, params: GameParams):
         raise ParameterError(f"flow must be an integer, got {x!r}")
     if not _all((0 <= x) & (x <= params.n)):
         raise ParameterError(f"flow must be in 0..{params.n}, got {x}")
-    return x
+    return _plain(x)
 
 
 def _div(num, den, fill: float = np.nan):

@@ -10,7 +10,8 @@ coordinator. The module computes
 * expected two-round aggregate costs of the benchmark regimes,
 * the optimal incentive-compatible recommendation scheme with one
   experimenter (exhaustive search over second-round recommendation counts,
-  one pi2_low row at a time as a vector over pi2_high),
+  evaluated as a 2-D array over (pi2_low, pi2_high), in blocks of pi2_low
+  rows),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals).
@@ -34,6 +35,7 @@ from .model import (
     InternalError,
     ParameterError,
     _div,
+    _integral,
     _require_belief,
     check_assumption_two_stage,
     expected_theta,
@@ -227,12 +229,13 @@ def ic_constraints_eval(
     beta = _require_belief(beta)
     n = params.n
     for name, value in (("pi2_low", pi2_low), ("pi2_high", pi2_high)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if isinstance(value, np.ndarray) or not _integral(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not 0 <= value <= n - 1:
             raise ParameterError(
                 f"{name} must be in 0..{n - 1} (only {n - 1} uninformed agents), got {value}"
             )
+    pi2_low, pi2_high = int(pi2_low), int(pi2_high)
     return [
         ICSlack2(name, None, None, None, vacuous=True) if vacuous
         else ICSlack2(name, float(follow), float(deviate), float(deviate - follow))
@@ -301,7 +304,8 @@ def scheme_cost_two_stage(
 ) -> float:
     """Expected aggregate cost of a one-experimenter scheme (ignoring ICs).
 
-    pi2_high may be an integer array; the cost then has its shape.
+    pi2_low and pi2_high may be integer arrays that broadcast together; the
+    cost then has their broadcast shape.
     """
     beta = _require_belief(beta)
     return (
@@ -316,14 +320,20 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
 
     Below beta_p no experimenter can be motivated and the no-experimentation
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search evaluates all (pi2_low, pi2_high) pairs, one pi2_low row at a
-    time as a vector over pi2_high, keeps those whose three obedience
-    constraints hold, and returns the cheapest; ties resolve to the
+    search evaluates all (pi2_low, pi2_high) pairs as a 2-D array, in blocks
+    of pi2_low rows of about _BLOCK_ENTRIES pairs, keeps those whose three
+    obedience constraints hold, and returns the cheapest; ties resolve to the
     lexicographically smallest pair. The pair (0, 0) is always obedient at or
     above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
     return _solve_optimal_scheme(beta, params, _require_gate(beta, params))
+
+
+# Pairs per block of the (pi2_low, pi2_high) grid, in whole pi2_low rows.
+# Blocks keep a solve's memory flat in n: the whole grid at once is no
+# faster, and at n = 200 it raised a solve's peak RSS by about 2.4 MB.
+_BLOCK_ENTRIES = 8192
 
 
 def _solve_optimal_scheme(
@@ -338,17 +348,22 @@ def _solve_optimal_scheme(
             slacks=(),
             n_feasible=0,
         )
-    pi_h = np.arange(params.n)
+    n = params.n
+    pi_h = np.arange(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
     best, best_cost, n_feasible = None, np.inf, 0
-    for pi_l in range(params.n):
-        obedient = np.ones(params.n, dtype=bool)
+    for start in range(0, n, rows):
+        pi_l = np.arange(start, min(start + rows, n))[:, None]
+        obedient = np.ones((len(pi_l), n), dtype=bool)
         for _, follow, deviate, vacuous in _ic_terms(beta, pi_l, pi_h, params):
             obedient &= vacuous | (deviate - follow >= 0.0)
         n_feasible += int(np.count_nonzero(obedient))
         cost = np.where(obedient, scheme_cost_two_stage(beta, pi_l, pi_h, params), np.inf)
+        # argmin takes the block's first minimum in row-major order; the
+        # strict < keeps an earlier block's equal minimum.
         k = int(np.argmin(cost))
-        if cost[k] < best_cost:
-            best, best_cost = (pi_l, k), float(cost[k])
+        if cost.flat[k] < best_cost:
+            best, best_cost = divmod(start * n + k, n), float(cost.flat[k])
     if best is None:
         raise InternalError(
             f"no obedient scheme found at beta={beta}; expected (0, 0) to be "

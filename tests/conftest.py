@@ -80,7 +80,9 @@ def draw_infinite_params(
             return params
 
 
-def draw_two_stage_case(rng: np.random.Generator) -> tuple[GameParams, float]:
+def draw_two_stage_case(
+    rng: np.random.Generator, n_range: tuple[int, int] = (3, 4)
+) -> tuple[GameParams, float]:
     """A small instance plus an in-gate belief clear of threshold edges.
 
     The belief avoids (a) a margin around the scheme-existence threshold,
@@ -91,7 +93,7 @@ def draw_two_stage_case(rng: np.random.Generator) -> tuple[GameParams, float]:
     """
     margin = 0.015
     while True:
-        n = int(rng.integers(3, 5))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
         l = float(rng.uniform(0.3, 1.5))
         s0 = float(rng.uniform(0.4, 2.5))
         s1 = float(rng.uniform(0.3, 1.5))

@@ -74,7 +74,7 @@ def test_reference_posteriors_frozen(reference):
 
 
 def test_reference_scheme_selection(reference):
-    assert compute_x_ll(reference) == (3, 3)
+    assert compute_x_ll(reference) == 3
     star = pi_star(reference)
     assert (star.c, star.d) == (2, 3)
     assert pi_tilde_star(reference) is None  # (3, 2) would ramp downward
@@ -149,7 +149,7 @@ def test_static_low_variant_not_obedient(static_low):
 
 def test_full_road_cap():
     # steady constraint is vacuous at d = n, so the scan must accept it
-    assert compute_x_ll(FULL_ROAD) == (4, 4)
+    assert compute_x_ll(FULL_ROAD) == 4
     star = pi_star(FULL_ROAD)
     assert (star.c, star.d) == (3, 4)
     assert pi_tilde_star(FULL_ROAD) is None
@@ -188,8 +188,8 @@ def test_search_reference(reference):
     assert result.winner_cost == pytest.approx(195.625, abs=1e-10)
     assert result.matches_pi_star and not result.matches_pi_tilde_star
     assert result.warnings == ()  # delta = 1/2 is inside the proved range
-    assert len(result.candidates) == 45  # all pairs 1 < c <= d <= 10
-    assert sum(1 for cand in result.candidates if cand.feasible) == 1
+    assert len(result.candidates.c) == 45  # all pairs 1 < c <= d <= 10
+    assert np.count_nonzero(result.candidates.feasible) == 1
 
 
 def test_search_warns_beyond_half(reference):
@@ -221,7 +221,7 @@ def test_delta_sweep_matches_zero_d_calls(reference, infinite_draws):
             if not point.feasible:
                 continue
             trial = dataclasses.replace(params, delta=point.delta)
-            _, x_ll = compute_x_ll(trial)
+            x_ll = compute_x_ll(trial)
             assert point.x_ll == x_ll
             assert point.v_pi_star == scheme_cost(x_so, x_ll, trial)
             assert point.v_so == scheme_cost(x_so, x_so, trial)
@@ -282,20 +282,62 @@ def test_search_wide_golden():
     result = optimal_scheme_search(WIDE)
     assert (result.winner.c, result.winner.d) == (9, 17)
     assert result.winner_cost == 11897.427368421051
-    assert sum(cand.feasible for cand in result.candidates) == 7
-    assert len(result.candidates) == 4950
+    assert np.count_nonzero(result.candidates.feasible) == 7
+    assert len(result.candidates.c) == 4950
     assert result.matches_pi_star and not result.matches_pi_tilde_star
+
+
+def test_search_wide_golden_n1000():
+    # frozen from the search that built one object per pair; n = 1000 takes
+    # 61 blocks of pairs
+    result = optimal_scheme_search(dataclasses.replace(WIDE, n=1000))
+    assert len(result.candidates.c) == 499_500
+    assert np.count_nonzero(result.candidates.feasible) == 7
+    assert (result.winner.c, result.winner.d) == (9, 17)
+    assert result.winner_cost == 119897.42736842106
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_search_does_not_depend_on_block_size(monkeypatch, reference, infinite_draws, block):
+    games = [reference, FULL_ROAD] + infinite_draws[:10]
+    want = [optimal_scheme_search(params) for params in games]
+    monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
+    for params, result in zip(games, want):
+        got = optimal_scheme_search(params)
+        assert (got.winner, got.winner_cost) == (result.winner, result.winner_cost)
+        for name in ("c", "d", "feasible", "cost"):
+            assert np.array_equal(getattr(got.candidates, name),
+                                  getattr(result.candidates, name)), (params, name)
+
+
+def test_numpy_integer_flows(reference):
+    # Flows read from scheme_pairs are numpy integers; the 0-d calls take
+    # them like ints and still give Python numbers.
+    c, d = scheme_pairs(reference.n)
+    report = check_ic(c[0], d[1], reference)
+    assert report == check_ic(2, 3, reference)
+    assert type(report.c) is int and type(report.d) is int
+    assert state_costs(c[0], d[1], reference) == state_costs(2, 3, reference)
+    assert posteriors(c[0], d[1], reference) == posteriors(2, 3, reference)
+    cost = scheme_cost(c[0], d[1], reference)
+    assert type(cost) is float and cost == scheme_cost(2, 3, reference)
+    with pytest.raises(ParameterError):
+        check_ic(np.True_, 3, reference)
 
 
 def test_search_candidates_match_zero_d_calls(reference, infinite_draws):
     # The search evaluates the closed forms over arrays of flows; every
     # candidate must equal the 0-d calls exactly.
     for params in [reference, FULL_ROAD] + infinite_draws:
-        for cand in optimal_scheme_search(params).candidates:
-            assert type(cand.c) is int and type(cand.feasible) is bool
-            assert type(cand.cost) is float
-            assert cand.feasible == check_ic(cand.c, cand.d, params).verdict
-            assert cand.cost == scheme_cost(cand.c, cand.d, params)
+        cand = optimal_scheme_search(params).candidates
+        assert cand.c.dtype.kind == "i" and cand.feasible.dtype == bool
+        assert cand.cost.dtype == np.float64
+        c, d = scheme_pairs(params.n)
+        assert np.array_equal(cand.c, c) and np.array_equal(cand.d, d)
+        for ck, dk, feasible, cost in zip(cand.c.tolist(), cand.d.tolist(),
+                                          cand.feasible.tolist(), cand.cost.tolist()):
+            assert feasible == check_ic(ck, dk, params).verdict
+            assert cost == scheme_cost(ck, dk, params)
 
 
 def test_state_cost_arrays_match_zero_d_calls(reference, infinite_draws):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -226,7 +227,6 @@ def test_infinite_gate_reference(reference):
 
 
 def test_infinite_gate_failure_messages(reference):
-    import dataclasses
     sloped = dataclasses.replace(reference, s1=0.5)
     assert any("flat safe road" in m for m in check_assumption_infinite(sloped).failures())
     fast = dataclasses.replace(reference, gamma_h=0.8)
@@ -296,4 +296,13 @@ def test_stage_cost_over_flow_arrays(reference):
     with pytest.raises(ParameterError):
         stage_cost(np.array([1.0]), reference.l, reference)
     with pytest.raises(ParameterError):
-        stage_cost(np.int64(1), reference.l, reference)
+        stage_cost(np.True_, reference.l, reference)
+
+
+def test_stage_cost_accepts_numpy_integers(reference):
+    # A numpy integer is a flow like an int, and gives the same Python number.
+    for params in (reference, dataclasses.replace(reference, s0=10.5)):
+        want = stage_cost(3, params.l, params)
+        for x in (np.int64(3), np.int32(3), np.uint8(3)):
+            cost = stage_cost(x, params.l, params)
+            assert type(cost) is type(want) and cost == want

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roadrec.model import AssumptionError, GameParams, ParameterError, stage_cost
+from roadrec import two_stage
+from roadrec.model import AssumptionError, GameParams, InternalError, ParameterError, stage_cost
 from roadrec.two_stage import (
     EquilibriumOutcome,
     brute_force_equilibrium,
@@ -204,6 +205,8 @@ STATIC_200 = GameParams(n=200, s0=10.0, s1=1.0, l=0.9, h=630.0)
 
 @pytest.mark.parametrize("beta, pi2_low, pi2_high, cost, n_feasible", [
     (0.53, 51, 1, 75414.775, 168),
+    (0.55, 82, 0, 72357.5, 300),
+    (0.6, 107, 0, 70572.5, 384),
     (0.59, 107, 0, 70799.975, 382),
     (0.65, 107, 0, 69435.125, 437),
 ])
@@ -215,26 +218,79 @@ def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasi
     assert scheme.n_feasible == n_feasible
 
 
-@pytest.mark.parametrize("beta", [0.51, 0.55, 0.6, 0.62])
-def test_row_wise_solve_matches_zero_d_calls(example1, beta):
-    # The solve evaluates one pi2_low row at a time as a vector; it must
-    # agree with the scalar constraints and cost on every pair, and pick the
-    # first strict minimum in (pi2_low, pi2_high) order.
-    n = example1.n
+def _assert_solve_matches_scalar_scan(beta, params):
+    # The solve evaluates the (pi2_low, pi2_high) grid as blocks of a 2-D
+    # array; it must agree with the scalar constraints and cost on every
+    # pair, and pick the first strict minimum in (pi2_low, pi2_high) order.
+    n = params.n
     best, best_cost, n_feasible = None, None, 0
     for pi_l in range(n):
         for pi_h in range(n):
-            if all(s.satisfied for s in ic_constraints_eval(beta, pi_l, pi_h, example1)):
+            if all(s.satisfied for s in ic_constraints_eval(beta, pi_l, pi_h, params)):
                 n_feasible += 1
-                cost = scheme_cost_two_stage(beta, pi_l, pi_h, example1)
+                cost = scheme_cost_two_stage(beta, pi_l, pi_h, params)
                 if best_cost is None or cost < best_cost:
                     best, best_cost = (pi_l, pi_h), cost
-    scheme = solve_optimal_scheme(beta, example1)
-    assert (scheme.pi2_low, scheme.pi2_high) == best
-    assert scheme.expected_cost == best_cost
-    assert scheme.n_feasible == n_feasible
-    assert list(scheme.slacks) == ic_constraints_eval(beta, *best, example1)
-    assert type(scheme.pi2_low) is int and type(scheme.expected_cost) is float
+    if best is None:
+        with pytest.raises(InternalError):
+            solve_optimal_scheme(beta, params)
+        return
+    scheme = solve_optimal_scheme(beta, params)
+    assert (scheme.pi2_low, scheme.pi2_high) == best, (params, beta)
+    assert scheme.expected_cost == best_cost, (params, beta)
+    assert scheme.n_feasible == n_feasible, (params, beta)
+    assert list(scheme.slacks) == ic_constraints_eval(beta, *best, params)
+    assert type(scheme.pi2_low) is int and type(scheme.pi2_high) is int
+    assert type(scheme.expected_cost) is float
+
+
+@pytest.mark.parametrize("beta", [0.51, 0.55, 0.6, 0.62])
+def test_row_wise_solve_matches_zero_d_calls(example1, beta):
+    _assert_solve_matches_scalar_scan(beta, example1)
+
+
+# Integer costs: at beta = 1/2 the cheapest obedient schemes (1, 0) and
+# (2, 0) cost exactly the same, in different pi2_low rows.
+TIED = GameParams(n=3, s0=3, s1=2, l=1, h=18)
+
+
+def test_solve_keeps_the_first_of_tied_schemes():
+    scheme = solve_optimal_scheme(0.5, TIED)
+    assert (scheme.pi2_low, scheme.pi2_high) == (1, 0)
+    assert scheme_cost_two_stage(0.5, 2, 0, TIED) == scheme.expected_cost == 41.5
+    _assert_solve_matches_scalar_scan(0.5, TIED)
+
+
+def test_grid_solve_matches_zero_d_calls_on_draws():
+    # Games with n = 2..12, at beliefs from beta_p up to the gate's limit.
+    # At beta_p itself rounding can leave no obedient pair; the solve must
+    # then raise InternalError, as the scan finds nothing.
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        params, _ = draw_two_stage_case(rng, n_range=(2, 12))
+        th = thresholds(params)
+        k = params.s0 + params.s1 * params.n
+        limit = (params.h - k) / (params.h - params.l)
+        for beta in np.linspace(th.beta_p, limit, 4, endpoint=False).tolist():
+            _assert_solve_matches_scalar_scan(beta, params)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_grid_solve_does_not_depend_on_block_size(monkeypatch, example1, block):
+    cases = [(example1, 0.55), (example1, 0.62), (STATIC_200, 0.6), (TIED, 0.5),
+             (GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0), 0.3)]
+    want = [solve_optimal_scheme(beta, params) for params, beta in cases]
+    monkeypatch.setattr(two_stage, "_BLOCK_ENTRIES", block)
+    assert [solve_optimal_scheme(beta, params) for params, beta in cases] == want
+
+
+def test_ic_constraints_accept_numpy_integers(example1):
+    want = ic_constraints_eval(0.55, 18, 0, example1)
+    assert ic_constraints_eval(0.55, np.int64(18), np.int32(0), example1) == want
+    with pytest.raises(ParameterError):
+        ic_constraints_eval(0.55, np.True_, 0, example1)
+    with pytest.raises(ParameterError):
+        ic_constraints_eval(0.55, np.array(18), 0, example1)
 
 
 # Outcomes of the brute-force oracle frozen with their supporting-profile
