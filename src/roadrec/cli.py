@@ -54,13 +54,19 @@ def _fmt_float(x: float) -> float:
 
 
 def _rounded(obj):
-    """Recursively round floats to 12 significant digits for output."""
+    """Recursively round floats to 12 significant digits for output.
+
+    A record (a dataclass instance) prints as its fields, in field order.
+    vars() reads them without the deep copy of dataclasses.asdict.
+    """
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]
+    if hasattr(obj, "__dataclass_fields__"):  # what dataclasses.is_dataclass tests
+        return _rounded(vars(obj))
     return obj
 
 
@@ -145,10 +151,6 @@ def _load(args: argparse.Namespace) -> tuple[GameParams, float | None]:
     return load_params(args.params)
 
 
-def _params_dict(params: GameParams) -> dict:
-    return dataclasses.asdict(params)
-
-
 def _betas(args: argparse.Namespace, file_beta: float | None) -> list[float]:
     if getattr(args, "beta_grid", None):
         return parse_grid(args.beta_grid)
@@ -198,49 +200,10 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
                 "v_so", "experiment", "pi2_low", "pi2_high", "note"]
         _emit_csv(cols, rows, args)
         return 0
-    payload = {
-        "params": _params_dict(params),
-        "thresholds": {
-            "beta_so": th.beta_so,
-            "beta_p": th.beta_p,
-            "beta_f": th.beta_f,
-            "eq_flow_low": th.eq_flow_low,
-            "so_flow_low": th.so_flow_low,
-            "so_flow_high": th.so_flow_high,
-            "warnings": list(th.warnings),
-        },
-        "rows": rows,
-    }
-    _emit(payload, args)
+    # beta_so_alt only feeds the thresholds' warning.
+    thresholds = {k: v for k, v in vars(th).items() if k != "beta_so_alt"}
+    _emit({"params": params, "thresholds": thresholds, "rows": rows}, args)
     return 0
-
-
-def _scheme_dict(s: inf.InfiniteScheme | None) -> dict | None:
-    return None if s is None else {"c": s.c, "d": s.d}
-
-
-def _ic_dict(report: inf.ICReport) -> dict:
-    return {
-        "c": report.c,
-        "d": report.d,
-        "verdict": report.verdict,
-        "pre_flow_range": report.pre_flow_range,
-        "pre_ramp_cheaper": report.pre_ramp_cheaper,
-        "pre_steady_obedient": report.pre_steady_obedient,
-        "entries": [
-            {
-                "state": e.state,
-                "follow": e.follow,
-                "deviate": e.deviate,
-                "slack": e.slack,
-                "vacuous": e.vacuous,
-                "boundary": e.boundary,
-                "satisfied": e.satisfied,
-            }
-            for e in report.entries
-        ],
-        "warnings": list(report.warnings),
-    }
 
 
 def cmd_infinite(args: argparse.Namespace) -> int:
@@ -254,7 +217,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     star, tilde = inf._candidates(params, x_ll)
     search = inf._search(params, star, tilde)
     payload = {
-        "params": _params_dict(params),
+        "params": params,
         "mu_low": ml,
         "mu_high": mu_high(params),
         "x_so": x_so,
@@ -263,22 +226,22 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         # steady flow and the steady flow it yields are one number.
         "x_ll_bar": x_ll,
         "x_ll": x_ll,
-        "pi_star": _scheme_dict(star),
-        "pi_tilde_star": _scheme_dict(tilde),
+        "pi_star": star,
+        "pi_tilde_star": tilde,
         "v_pi_star": inf.scheme_cost(star.c, star.d, params),
         "v_pi_tilde_star": (
             None if tilde is None else inf.scheme_cost(tilde.c, tilde.d, params)
         ),
         "v_myopic_planner": inf.scheme_cost(x_so, x_so, params),
         "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
-        "ic": _ic_dict(inf.check_ic(star.c, star.d, params)),
+        "ic": inf.check_ic(star.c, star.d, params),
         "search": {
-            "winner": {"c": search.winner.c, "d": search.winner.d},
+            "winner": search.winner,
             "winner_cost": search.winner_cost,
             "matches_pi_star": search.matches_pi_star,
             "matches_pi_tilde_star": search.matches_pi_tilde_star,
             "n_feasible": int(np.count_nonzero(search.candidates.feasible)),
-            "warnings": list(search.warnings),
+            "warnings": search.warnings,
         },
     }
     _emit(payload, args)
@@ -289,26 +252,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params, _ = _load(args)
     deltas = parse_grid(args.delta_grid)
     points = inf.delta_sweep(params, deltas)
-    rows = [
-        {
-            "delta": p.delta,
-            "feasible": p.feasible,
-            "x_ll": p.x_ll,
-            "v_pi_star": p.v_pi_star,
-            "v_myopic_planner": p.v_so,
-            "ratio": p.ratio,
-            "notes": "; ".join(p.notes),
-        }
-        for p in points
-    ]
     if args.format == "csv":
-        cols = ["delta", "feasible", "x_ll", "v_pi_star", "v_myopic_planner",
-                "ratio", "notes"]
-        _emit_csv(cols, rows, args)
+        cols = [field.name for field in dataclasses.fields(inf.SweepPoint)]
+        _emit_csv(cols, [dict(vars(p), notes="; ".join(p.notes)) for p in points], args)
         return 0
-    for row in rows:
-        row["notes"] = [s for s in row["notes"].split("; ") if s]
-    _emit({"params": _params_dict(params), "rows": rows}, args)
+    _emit({"params": params, "rows": points}, args)
     return 0
 
 
@@ -351,15 +299,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = run_scheme(config, params)
     total = inf.scheme_cost(c, d, params)
     payload = {
-        "params": _params_dict(params),
-        "scheme": {"c": c, "d": d},
+        "params": params,
+        "scheme": config.scheme(),
         "closed_form": {"total": total, "per_agent": inf.v_bar(c, d, params)},
         "mc": {
-            "total_mean": stats.total_mean,
-            "total_se": stats.total_se,
-            "per_agent_mean": stats.per_agent_mean,
-            "per_agent_se": stats.per_agent_se,
-            "tail_bound": stats.tail_bound,
+            **vars(stats),
             "trials": config.trials,
             "horizon": config.horizon,
             "seed": config.seed,
@@ -370,20 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ),
     }
     if trig is not None:
-        roll = deviation_rollout(config, trig, params)
-        payload["rollout"] = {
-            "trigger": {"prev_flow": trig.prev_flow, "tag": trig.tag, "rec": trig.rec},
-            "n_triggered": roll.n_triggered,
-            "n_skipped": roll.n_skipped,
-            "follow_mean": roll.follow_mean,
-            "follow_se": roll.follow_se,
-            "deviate_mean": roll.deviate_mean,
-            "deviate_se": roll.deviate_se,
-            "diff_mean": roll.diff_mean,
-            "diff_se": roll.diff_se,
-            "tail_bound": roll.tail_bound,
-            "note": roll.note,
-        }
+        payload["rollout"] = deviation_rollout(config, trig, params)
     _emit(payload, args)
     return 0
 

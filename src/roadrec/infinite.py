@@ -104,21 +104,11 @@ def _to_python(record):
 
 @dataclass(frozen=True)
 class InfiniteScheme:
-    """Flows of a ramp-up recommendation scheme.
-
-    a and b are the flows kept after a low-then-high and high-then-high
-    history; the analysed family pins both to one experimenter. c is the
-    flow on the first low stage, d the steady low-run flow.
-    """
+    """Flows of a ramp-up recommendation scheme: one experimenter after a
+    high observation, c on the first low stage, d on the steady low run."""
 
     c: int
     d: int
-    a: int = 1
-    b: int = 1
-
-    def __post_init__(self) -> None:
-        if self.a != 1 or self.b != 1:
-            raise ParameterError("only single-experimenter schemes (a = b = 1) are supported")
 
     def validate(self, params: GameParams) -> "InfiniteScheme":
         _require_cd(self.c, self.d, params)
@@ -433,22 +423,18 @@ class ICEntry:
 
     Defecting triggers the permanent punishment regime, whose per-stage
     expected cost is s0, so every deviation value ends in delta*s0/(1-delta).
-    slack = deviate - follow; nonnegative means obedient. Unreachable states
-    are vacuous and count as satisfied.
+    slack = deviate - follow; satisfied means a slack of at least -1e-12,
+    boundary one strictly between -1e-12 and 0. Unreachable states are
+    vacuous (values None) and count as satisfied.
     """
 
     state: str
     follow: float | None
     deviate: float | None
     slack: float | None
-    vacuous: bool = False
-    boundary: bool = False
-
-    @property
-    def satisfied(self) -> bool:
-        if self.vacuous:
-            return True
-        return self.slack >= -_BOUNDARY
+    vacuous: bool
+    boundary: bool
+    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -457,11 +443,11 @@ class ICReport:
 
     c: int
     d: int
-    entries: tuple[ICEntry, ...]
+    verdict: bool
     pre_flow_range: bool
     pre_ramp_cheaper: bool
     pre_steady_obedient: bool
-    verdict: bool
+    entries: tuple[ICEntry, ...]
     warnings: tuple[str, ...] = ()
 
     def entry(self, state: str) -> ICEntry:
@@ -473,9 +459,10 @@ class ICReport:
 
 def _entry(state: str, follow: float, deviate: float, vacuous: bool = False) -> ICEntry:
     if vacuous:
-        return ICEntry(state, None, None, None, vacuous=True)
+        return ICEntry(state, None, None, None, vacuous=True, boundary=False, satisfied=True)
     slack = deviate - follow
-    return ICEntry(state, follow, deviate, slack, boundary=-_BOUNDARY < slack < 0.0)
+    return ICEntry(state, follow, deviate, slack, vacuous=False,
+                   boundary=-_BOUNDARY < slack < 0.0, satisfied=slack >= -_BOUNDARY)
 
 
 def _ic_terms(c, d, params: GameParams, table: StateCostTable) -> Iterator[tuple]:
@@ -577,11 +564,11 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     return ICReport(
         c=c,
         d=d,
-        entries=tuple(entries),
+        verdict=verdict,
         pre_flow_range=pre_flow_range,
         pre_ramp_cheaper=pre_ramp_cheaper,
         pre_steady_obedient=pre_steady_obedient,
-        verdict=verdict,
+        entries=tuple(entries),
         warnings=tuple(warnings),
     )
 
@@ -811,7 +798,7 @@ class SweepPoint:
     feasible: bool
     x_ll: int | None
     v_pi_star: float | None
-    v_so: float | None
+    v_myopic_planner: float | None
     ratio: float | None
     notes: tuple[str, ...] = ()
 
@@ -837,8 +824,8 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
                                   notes=tuple(gate.failures())))
             continue
         x_ll = _first_obedient(x_so, x_eq, d, trial)
-        v_star, v_so = scheme_cost(x_so, np.array([x_ll, x_so]), trial).tolist()
-        out.append(SweepPoint(trial.delta, True, x_ll, v_star, v_so, v_star / v_so))
+        v_star, v_planner = scheme_cost(x_so, np.array([x_ll, x_so]), trial).tolist()
+        out.append(SweepPoint(trial.delta, True, x_ll, v_star, v_planner, v_star / v_planner))
     return out
 
 
@@ -847,7 +834,8 @@ def social_opt_policy(beta: float, params: GameParams) -> int:
 
     Keeps at least one agent on the risky road so the coordinator never goes
     blind; otherwise it is the myopic optimal flow for tomorrow's expected
-    coefficient. This is the relaxed benchmark the sweep compares against.
+    coefficient. A relaxed, belief-driven benchmark; the sweep does not use
+    it, but prices the fixed planner's scheme (x_so, x_so) instead.
     """
     beta = _require_belief(beta)
     require_gate(params)

@@ -20,16 +20,17 @@ trial-stages, which bounds the working memory whatever the trial count;
 each block steps all its road chains stage by stage. Under a scheme the
 risky flow is a function of the chain alone (one experimenter at stage one
 and after a high stage, c after the first low stage, d after two or more),
-so the aggregate cost needs no dispatch lottery; only the first trial plays
-it, for its per-agent sample. Agent 0's role is a small Markov chain driven by
-one stream-1 uniform per stage: in a fresh stage (stage one, or after a
-high stage) it is the experimenter when u < 1/n; during the ramp a risky
-agent stays risky and a safe one is recruited when u < need/(n - prev_flow).
-The per-agent lottery reads agent 0's role from the same uniform and draws
-the other recruits from stream 2. A rollout's deviate arm needs no draws
-after the deviation: the gate forces s1 = 0, so once the deviant hides on
-the safe road it pays exactly s0 per stage, whatever the punishment regime
-recommends to the others.
+so the aggregate cost needs no dispatch lottery. Agent 0's role is a small
+Markov chain driven by one stream-1 uniform per stage: in a fresh stage
+(stage one, or after a high stage) it is the experimenter when u < 1/n;
+during the ramp a risky agent stays risky and a safe one is recruited when
+u < need/(n - prev_flow). The agent-by-agent lottery (_sample, _dispatch)
+is kept as the reference the tests check those shortcuts against: it reads
+agent 0's role from the same uniform and draws the other recruits from
+stream 2. A rollout's deviate arm needs no draws after the deviation: the
+gate forces s1 = 0, so once the deviant hides on the safe road it pays
+exactly s0 per stage, whatever the punishment regime recommends to the
+others.
 
 Horizons are finite, so every estimate carries an explicit truncation bound:
 discounting delta^T of the worst possible stage cost, summed to infinity.
@@ -45,6 +46,8 @@ from .model import (
     AssumptionError,
     GameParams,
     ParameterError,
+    _integral,
+    _plain,
     stage_cost,
 )
 from .infinite import InfiniteScheme, require_gate
@@ -92,6 +95,12 @@ class SimConfig:
     max_wait: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("c", "d", "trials", "horizon", "max_wait", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) or not _integral(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer as a Python int, so no size arithmetic wraps
+            object.__setattr__(self, name, _plain(value))
         if self.trials < 1:
             raise ParameterError(f"trials must be positive, got {self.trials}")
         if self.horizon < 1:
@@ -143,16 +152,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    c: int
-    d: int
-    trials: int
-    horizon: int
-    seed: int
-    start: str
-
-
-@dataclass(frozen=True)
 class RunStats:
     """Monte Carlo estimates from compliant runs of a scheme.
 
@@ -160,16 +159,14 @@ class RunStats:
     per_agent_* the per-agent average; tail_bound bounds what truncating the
     horizon can have cut off the aggregate estimate (divide by n for the
     per-agent version). The standard errors are None for a single trial.
-    sample is the first trial's trajectory.
+    The run's settings are the SimConfig's.
     """
 
-    manifest: RunManifest
     total_mean: float
     total_se: float | None
     per_agent_mean: float
     per_agent_se: float | None
     tail_bound: float
-    sample: Trajectory
 
 
 def _blocks(trials: int, horizon: int) -> list[range]:
@@ -336,7 +333,8 @@ def _se(values: np.ndarray) -> float | None:
 
 
 def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
-    """Trial 0 played agent by agent through the dispatch lottery."""
+    """Trial 0, whose road chain is lows, played agent by agent through the
+    dispatch lottery: the reference for _flows, _roles and the cost table."""
     n, delta = params.n, params.delta
     u = _uniforms(config.seed, _STREAM_DISPATCH, range(1), config.horizon)[0]
     rng = np.random.default_rng((config.seed, _STREAM_RECRUITS))
@@ -369,29 +367,23 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
-    # delta^t as the stage-by-stage product that the per-agent sample uses
+    # delta^t as the stage-by-stage product that _sample uses
     disc = np.cumprod(np.r_[1.0, np.full(config.horizon - 1, delta)])
     table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
-    sample: Trajectory | None = None
     for block in _blocks(config.trials, config.horizon):
         lows = _chains(params, config.horizon, config.seed, block, config.start)
         flows = _flows(lows, config.c, config.d, config.start)
         costs = table[flows, lows.view(np.uint8)]
         totals[block.start:block.stop] = _discounted(costs, disc)
-        if sample is None:
-            sample = _sample(config, params, lows[0])
     tail = delta**config.horizon * n * _worst_stage_cost(params) / (1.0 - delta)
     total_se = _se(totals)
     return RunStats(
-        manifest=RunManifest(config.c, config.d, config.trials, config.horizon,
-                             config.seed, config.start),
         total_mean=float(totals.mean()),
         total_se=total_se,
         per_agent_mean=float(totals.mean() / n),
         per_agent_se=None if total_se is None else total_se / n,
         tail_bound=float(tail),
-        sample=sample,
     )
 
 
@@ -402,13 +394,13 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
 class RolloutStats:
     """Paired follow/deviate values of the monitored agent at a trigger state.
 
-    Values discount from the trigger stage (weight one there) over `horizon`
-    stages. diff_* summarise deviate minus follow per trial (paired, common
-    random numbers), so obedience at the state means diff is nonnegative up
-    to sampling noise and the truncation tail. Trials whose chain never
-    produces the trigger within max_wait stages are skipped; if all are, the
-    state was unreachable and the means are None. The standard errors are
-    None when a single trial reached the trigger.
+    Values discount from the trigger stage (weight one there) over the
+    SimConfig's horizon stages. diff_* summarise deviate minus follow per
+    trial (paired, common random numbers), so obedience at the state means
+    diff is nonnegative up to sampling noise and the truncation tail. Trials
+    whose chain never produces the trigger within max_wait stages are
+    skipped; if all are, the state was unreachable and the means are None.
+    The standard errors are None when a single trial reached the trigger.
     """
 
     trigger: AgentState
@@ -421,7 +413,6 @@ class RolloutStats:
     diff_mean: float | None
     diff_se: float | None
     tail_bound: float
-    horizon: int
     note: str = ""
 
 
@@ -514,6 +505,5 @@ def deviation_rollout(
         diff_mean=_mean(diff),
         diff_se=_se(diff),
         tail_bound=float(tail),
-        horizon=config.horizon,
         note="" if len(fol) else f"trigger state never reached within {config.max_wait} stages",
     )

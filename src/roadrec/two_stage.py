@@ -198,10 +198,10 @@ def _cost_social_optimum(beta: float, params: GameParams, th: TwoStageThresholds
 class ICSlack2:
     """One obedience constraint of a two-stage scheme.
 
-    slack = deviation cost - following cost, so nonnegative means obedient.
-    A constraint whose conditioning event has zero probability (nobody ever
-    receives that recommendation) is vacuous: values are None and it counts
-    as satisfied.
+    slack = deviation cost - following cost, so nonnegative means obedient
+    (up to rounding, see _obedient). A constraint whose conditioning event
+    has zero probability (nobody ever receives that recommendation) is
+    vacuous: values are None and it counts as satisfied.
     """
 
     constraint: str
@@ -212,7 +212,14 @@ class ICSlack2:
 
     @property
     def satisfied(self) -> bool:
-        return self.vacuous or self.slack >= 0.0
+        return self.vacuous or bool(_obedient(self.follow, self.deviate))
+
+
+def _obedient(follow, deviate):
+    """Elementwise obedience: a slack down to -1e-12 * (1 + deviate) counts
+    as zero (deviation costs are nonnegative), as at beta = beta_p the
+    experimenter's (0, 0) slack, zero in exact arithmetic, rounds to -2e-15."""
+    return follow <= deviate * (1.0 + 1e-12) + 1e-12
 
 
 def ic_constraints_eval(
@@ -356,7 +363,7 @@ def _solve_optimal_scheme(
         pi_l = np.arange(start, min(start + rows, n))[:, None]
         obedient = np.ones((len(pi_l), n), dtype=bool)
         for _, follow, deviate, vacuous in _ic_terms(beta, pi_l, pi_h, params):
-            obedient &= vacuous | (deviate - follow >= 0.0)
+            obedient &= vacuous | _obedient(follow, deviate)
         n_feasible += int(np.count_nonzero(obedient))
         cost = np.where(obedient, scheme_cost_two_stage(beta, pi_l, pi_h, params), np.inf)
         # argmin takes the block's first minimum in row-major order; the

@@ -100,6 +100,19 @@ def test_two_stage_flags_gated_rows(capsys, example1_file):
     assert "note" in gated[0]
 
 
+def test_two_stage_solves_at_beta_p(capsys, tmp_path):
+    # the belief is this game's beta_p, where rounding used to leave no
+    # obedient scheme and the call exited 3
+    path = tmp_path / "beta_p.json"
+    path.write_text(json.dumps({"n": 10, "s0": 2.1053580846751356, "s1": 0.5475408845587786,
+                                "l": 0.3410667253765831, "h": 26.74489879565194}))
+    code, data = run_json(capsys, ["two-stage", "--params", str(path),
+                                   "--beta-grid", "0.56962306183104"])
+    assert code == 0
+    (row,) = data["rows"]
+    assert row["experiment"] is True
+
+
 def test_two_stage_all_gated_errors(capsys, example1_file):
     code = main(["two-stage", "--params", example1_file, "--beta-grid", "0.8,0.9"])
     assert code == 1

@@ -35,10 +35,6 @@ FULL_ROAD = GameParams(n=4, s0=11.7, s1=0.0, l=1.95, h=16.0,
 
 def test_scheme_validation(reference):
     with pytest.raises(ParameterError):
-        InfiniteScheme(c=2, d=3, a=2)
-    with pytest.raises(ParameterError):
-        InfiniteScheme(c=2, d=3, b=0)
-    with pytest.raises(ParameterError):
         InfiniteScheme(c=1, d=3).validate(reference)
     with pytest.raises(ParameterError):
         InfiniteScheme(c=3, d=2).validate(reference)
@@ -224,7 +220,7 @@ def test_delta_sweep_matches_zero_d_calls(reference, infinite_draws):
             x_ll = compute_x_ll(trial)
             assert point.x_ll == x_ll
             assert point.v_pi_star == scheme_cost(x_so, x_ll, trial)
-            assert point.v_so == scheme_cost(x_so, x_so, trial)
+            assert point.v_myopic_planner == scheme_cost(x_so, x_so, trial)
 
 
 def test_delta_sweep_flags_infeasible_points():

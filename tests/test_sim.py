@@ -20,6 +20,12 @@ FROZEN = GameParams(n=10, s0=10, s1=0.0, l=1.0, h=10.0,
                     gamma_l=0.0, gamma_h=0.0, delta=0.5)
 
 
+def first_trial(cfg: SimConfig, params: GameParams) -> sim.Trajectory:
+    """Trial 0 of cfg played agent by agent through the dispatch lottery."""
+    lows = sim._chains(params, cfg.horizon, cfg.seed, range(1), cfg.start)[0]
+    return sim._sample(cfg, params, lows)
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         SimConfig(c=2, d=3, trials=0)
@@ -31,6 +37,25 @@ def test_config_validation():
         SimConfig(c=2, d=3, max_wait=1)
     with pytest.raises(ParameterError, match="seed must be nonnegative"):
         SimConfig(c=2, d=3, seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("horizon", 4.0), ("seed", 1.5), ("trials", True),
+    ("max_wait", 8.0), ("c", 2.0), ("d", np.array([3])),
+])
+def test_config_rejects_non_integers(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        SimConfig(**{"c": 2, "d": 3, field: value})
+
+
+def test_config_accepts_numpy_integers(reference):
+    cfg = SimConfig(np.int64(2), np.int32(3), trials=np.int64(20), horizon=np.int16(8),
+                    seed=np.uint8(4), max_wait=np.int64(30))
+    plain = SimConfig(2, 3, trials=20, horizon=8, seed=4, max_wait=30)
+    assert cfg == plain
+    assert run_scheme(cfg, reference) == run_scheme(plain, reference)
+    trigger = AgentState(3, "pooled", "safe")
+    assert deviation_rollout(cfg, trigger, reference) == deviation_rollout(plain, trigger, reference)
 
 
 def test_config_upper_bounds():
@@ -91,8 +116,9 @@ def test_frozen_chain_run_is_exact():
     expected = 100.0 * (1.0 - 0.5**40) / 0.5
     assert stats.total_mean == pytest.approx(expected, abs=1e-9)
     assert stats.total_se == 0.0
-    assert stats.sample.flows == tuple([1] * 40)
-    assert stats.sample.thetas == tuple(["H"] * 40)
+    sample = first_trial(cfg, FROZEN)
+    assert sample.flows == tuple([1] * 40)
+    assert sample.thetas == tuple(["H"] * 40)
 
 
 def test_integer_safe_costs_keep_fractional_risky_costs():
@@ -101,11 +127,13 @@ def test_integer_safe_costs_keep_fractional_risky_costs():
     # not round the risky costs down
     params = GameParams(n=10, s0=10, s1=0, l=1.5, h=10,
                         gamma_l=0.0, gamma_h=0.0, delta=0.5)
-    stats = run_scheme(SimConfig(c=2, d=3, trials=2, horizon=20, start="low"), params)
+    cfg = SimConfig(c=2, d=3, trials=2, horizon=20, start="low")
+    stats = run_scheme(cfg, params)
     expected = 91.5 + 83.5 * (1.0 - 0.5**19)
     assert stats.total_mean == pytest.approx(expected, abs=1e-12)
-    assert stats.sample.total == pytest.approx(expected, abs=1e-12)
-    assert min(stats.sample.agent_totals) == pytest.approx(
+    sample = first_trial(cfg, params)
+    assert sample.total == pytest.approx(expected, abs=1e-12)
+    assert min(sample.agent_totals) == pytest.approx(
         1.5 + 4.5 * (1.0 - 0.5**19), abs=1e-12)
 
 
@@ -115,9 +143,9 @@ def test_run_scheme_gate(example1):
 
 
 def test_flows_follow_the_dispatch_rule(reference):
-    stats = run_scheme(SimConfig(c=2, d=3, trials=1, horizon=60, seed=21), reference)
-    thetas = stats.sample.thetas
-    flows = stats.sample.flows
+    sample = first_trial(SimConfig(c=2, d=3, trials=1, horizon=60, seed=21), reference)
+    thetas = sample.thetas
+    flows = sample.flows
     for t in range(len(flows)):
         prev = thetas[t - 1] if t >= 1 else "H"
         prev2 = thetas[t - 2] if t >= 2 else "H"
@@ -134,7 +162,7 @@ def test_run_is_deterministic_given_seed(reference):
     a = run_scheme(cfg, reference)
     b = run_scheme(cfg, reference)
     assert a.total_mean == b.total_mean
-    assert a.sample.flows == b.sample.flows
+    assert first_trial(cfg, reference).flows == first_trial(cfg, reference).flows
 
 
 def test_monte_carlo_matches_closed_form(reference):
@@ -295,11 +323,11 @@ def test_run_scheme_golden_values(reference):
     stats = run_scheme(SimConfig(2, 3, trials=10000, horizon=16, seed=42), reference)
     assert stats.total_mean == 195.48032736816407
     assert stats.total_se == 0.17819466158122485
-    stats = run_scheme(SimConfig(2, 3, trials=500, horizon=12, seed=3, start="low"),
-                       reference)
+    cfg = SimConfig(2, 3, trials=500, horizon=12, seed=3, start="low")
+    stats = run_scheme(cfg, reference)
     assert stats.total_mean == 186.39303125
     assert stats.total_se == 1.166863436545607
-    assert stats.sample.flows == (1,) + (3,) * 11
+    assert first_trial(cfg, reference).flows == (1,) + (3,) * 11
 
 
 @pytest.mark.parametrize("trigger, triggered, follow, deviate", [
@@ -324,15 +352,15 @@ def test_dispatch_flows_match_chain_flows(infinite_draws, start):
     for k, params in enumerate(infinite_draws[:6]):
         c, d = 2, params.n - k % 2
         cfg = SimConfig(c, d, trials=2, horizon=40, seed=k, start=start)
-        stats = run_scheme(cfg, params)
+        sample = first_trial(cfg, params)
         lows = sim._chains(params, 40, k, range(1), start)
         flows = sim._flows(lows, c, d, start)
-        assert stats.sample.flows == tuple(flows[0].tolist())
+        assert sample.flows == tuple(flows[0].tolist())
         # aggregate stage costs price what the agents pay one by one
         disc = params.delta ** np.arange(40)
         costs = sim._cost_table(params, c, d)[flows, lows.view(np.uint8)]
         total = sim._discounted(costs, disc)[0]
-        assert total == pytest.approx(stats.sample.total, rel=1e-12)
+        assert total == pytest.approx(sample.total, rel=1e-12)
 
 
 def test_chain_rows_match_single_chains(reference, monkeypatch):
