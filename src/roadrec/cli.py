@@ -348,7 +348,7 @@ def _oracle_infinite(params: GameParams) -> list[dict]:
     inf.require_gate(params)
     c, d = inf.scheme_pairs(params.n)
     table = inf.state_costs(c, d, params)
-    slack = inf._steady_slack(c, d, params, table)
+    slack = inf._steady_slack(c, d, params, params.delta, table)
     decomp = inf.fc_gd_decomposition(c, d, params)
     worst_fg = float(np.max(np.abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + np.abs(slack))))
     linear = inf.state_costs_linear(c, d, params)

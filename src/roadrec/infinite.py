@@ -16,11 +16,17 @@ form and, as an independent oracle, a plain linear solve), the obedience
 (incentive-compatibility) report, the cheapest obedient scheme, and the
 delta sweep showing when the relaxed social optimum itself becomes obedient.
 
-Each closed form is written once and takes c and d as ints or as integer
-arrays that broadcast together; the search (in blocks of pairs) and the x_ll
-scan evaluate them over arrays of candidate flows (a state that cannot occur
-reads NaN). Two ints, numpy integers included, are the 0-d case of the same
-code and give Python numbers (None for a state that cannot occur). The
+Each closed form is written once, as a private core (_posteriors,
+_scheme_cost, _state_table, _ic_terms, _steady_slack, _first_obedient) that
+does the arithmetic and checks nothing. The cores take c and d as ints or as
+integer arrays, and every core whose value moves with the discount takes it
+as an explicit argument: a float or an array that broadcasts against c and
+d. The search (in blocks of pairs) and the x_ll scan evaluate the cores over
+arrays of candidate flows (a state that cannot occur reads NaN), and the
+delta sweep evaluates them over all of its in-gate discounts at once. The
+public functions check c and d and run the gate once, at entry, and then
+call only cores. Two ints, numpy integers included, are the 0-d case of the
+same code and give Python numbers (None for a state that cannot occur). The
 linear-solve oracle takes the same arguments and solves one stacked system
 per chunk of schemes. check_ic, which builds a report, takes ints only.
 
@@ -135,6 +141,11 @@ class Posteriors:
 def posteriors(c: int, d: int, params: GameParams) -> Posteriors:
     """Bayesian posteriors of an uninformed safe agent under scheme (c, d)."""
     c, d = _require_cd(c, d, params)
+    return _to_python(_posteriors(c, d, params))
+
+
+def _posteriors(c, d, params: GameParams) -> Posteriors:
+    """posteriors for checked flows. No posterior depends on the discount."""
     n, gl, gh = params.n, params.gamma_l, params.gamma_h
 
     def posterior(low, high, limit=0.0):
@@ -146,18 +157,19 @@ def posteriors(c: int, d: int, params: GameParams) -> Posteriors:
     # experimenter among everyone, so a given agent draws r_R with chance 1/n.
     # c = n leaves nobody to recruit: both c-flow likelihoods, and with them
     # their posteriors, are 0.
-    return _to_python(Posteriors(
+    return Posteriors(
         low_given_d_safe=posterior(1.0 - gl, gl * (n - 1) / n, limit=1.0),
         low_given_c_safe=posterior(_div((1.0 - gl) * (n - d), n - c, 0.0), gl * (n - 1) / n),
         low_given_1_safe=posterior(gh * (n - c) / (n - 1), (1.0 - gh) * (n - 1) / n),
         low_given_c_risky=posterior(_div((1.0 - gl) * (d - c), n - c, 0.0), gl / n),
         low_given_1_risky=posterior(gh * (c - 1) / (n - 1), (1.0 - gh) / n),
-    ))
+    )
 
 
-def _discounting(params: GameParams) -> tuple[float, float]:
-    """stay_low = 1 - delta*(1 - gamma_l) and the reset value's cycle weight tau_tilde."""
-    dl, gl, gh = params.delta, params.gamma_l, params.gamma_h
+def _discounting(params: GameParams, dl) -> tuple:
+    """stay_low = 1 - delta*(1 - gamma_l) and the reset value's cycle weight
+    tau_tilde, at discount dl (a float or an array)."""
+    gl, gh = params.gamma_l, params.gamma_h
     stay_low = 1.0 - dl * (1.0 - gl)
     return stay_low, stay_low / ((1.0 - dl) * (1.0 - dl * (1.0 - gh - gl)))
 
@@ -171,9 +183,14 @@ def scheme_cost(c: int, d: int, params: GameParams) -> float:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    dl, gl, gh = params.delta, params.gamma_l, params.gamma_h
+    return _scheme_cost(c, d, params, params.delta)
+
+
+def _scheme_cost(c, d, params: GameParams, dl):
+    """scheme_cost for checked flows at discount dl."""
+    gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
-    stay_low, tau_tilde = _discounting(params)
+    stay_low, tau_tilde = _discounting(params, dl)
     return tau_tilde * (
         stage_cost(1, mh, params)
         + dl * gh * stage_cost(c, ml, params)
@@ -236,11 +253,17 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    n, s0, dl = params.n, params.s0, params.delta
+    return _to_python(_state_table(c, d, params, params.delta))
+
+
+def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
+    """state_costs for checked flows at discount dl, NaN where a state cannot
+    occur; raises InternalError when the consistency identity breaks."""
+    n, s0 = params.n, params.s0
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
-    stay_low, _ = _discounting(params)
-    vb = v_bar(c, d, params)
+    stay_low, _ = _discounting(params, dl)
+    vb = _scheme_cost(c, d, params, dl) / n
 
     risky_at_d_low = (ml * d + dl * gl * vb) / stay_low
     safe_at_d_low = (s0 + dl * gl * vb) / stay_low
@@ -266,8 +289,8 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
             f"state-cost consistency identity broke: gap {np.max(gap):.6g} from the reset value"
         )
 
-    post = posteriors(c, d, params)
-    return _to_python(StateCostTable(
+    post = _posteriors(c, d, params)
+    return StateCostTable(
         post_high_avg=vb,
         risky_at_d_low=risky_at_d_low,
         safe_at_d_low=safe_at_d_low,
@@ -285,7 +308,7 @@ def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
         safe_at_1_pooled=np.where(
             c < n, _mix(post.low_given_1_safe, safe_at_1_low, safe_after_high), safe_after_high
         ),
-    ))
+    )
 
 
 # Schemes per stacked solve in state_costs_linear. One (11, 11) system is
@@ -383,7 +406,7 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
             for name, column in _linear_solve(c[rows], d[rows], params).items():
                 val[name][rows] = column
 
-    post = posteriors(c, d, params)
+    post = _posteriors(c, d, params)
     p1 = post.low_given_1_safe
     fields = dict(
         post_high_avg=val["vbar"],
@@ -465,15 +488,15 @@ def _entry(state: str, follow: float, deviate: float, vacuous: bool = False) -> 
                    boundary=-_BOUNDARY < slack < 0.0, satisfied=slack >= -_BOUNDARY)
 
 
-def _ic_terms(c, d, params: GameParams, table: StateCostTable) -> Iterator[tuple]:
+def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[tuple]:
     """Yield (state, follow, deviate, vacuous) for the 11 obedience constraints.
 
-    table is state_costs(c, d, params). States that cannot occur (d = n
+    table is _state_table(c, d, params, dl). States that cannot occur (d = n
     leaves no safe agent to observe a d flow, similarly c = n) are vacuous.
     """
-    n, s0, dl = params.n, params.s0, params.delta
+    n, s0 = params.n, params.s0
     ml, mh = mu_low(params), mu_high(params)
-    post = posteriors(c, d, params)
+    post = _posteriors(c, d, params)
     punish = s0 / (1.0 - dl)
     punish_tail = dl * s0 / (1.0 - dl)
 
@@ -524,10 +547,10 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     require_gate(params)
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
-    table = state_costs(c, d, params)
+    table = _to_python(_state_table(c, d, params, dl))
     entries = [
         _entry(state, float(follow), float(deviate), vacuous=bool(vacuous))
-        for state, follow, deviate, vacuous in _ic_terms(c, d, params, table)
+        for state, follow, deviate, vacuous in _ic_terms(c, d, params, dl, table)
     ]
     pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
@@ -579,12 +602,15 @@ def steady_slack(c: int, d: int, params: GameParams) -> float:
     This is check_ic's safe_at_d_pooled slack, also at d = n, where the
     constraint itself is vacuous.
     """
-    return _python(_steady_slack(c, d, params, state_costs(c, d, params)))
+    c, d = _require_cd(c, d, params)
+    require_gate(params)
+    dl = params.delta
+    return _python(_steady_slack(c, d, params, dl, _state_table(c, d, params, dl)))
 
 
-def _steady_slack(c, d, params: GameParams, table: StateCostTable):
-    """steady_slack read from an already computed state_costs(c, d, params)."""
-    terms = _ic_terms(c, d, params, table)
+def _steady_slack(c, d, params: GameParams, dl, table: StateCostTable):
+    """steady_slack read from an already computed _state_table(c, d, params, dl)."""
+    terms = _ic_terms(c, d, params, dl, table)
     return next(deviate - follow for state, follow, deviate, _ in terms
                 if state == "safe_at_d_pooled")
 
@@ -600,7 +626,9 @@ def compute_x_ll(params: GameParams) -> int:
     equilibrium flow hits the population size.
     """
     require_gate(params)
-    return _first_obedient(*_steady_range(params), params)
+    x_so, x_eq, d = _steady_range(params)
+    _require_cd(x_so, d, params)
+    return int(_first_obedient(x_so, x_eq, d, params, params.delta))
 
 
 def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
@@ -612,15 +640,17 @@ def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
     return x_so, x_eq, np.arange(x_so, x_eq + 1)
 
 
-def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams) -> int:
-    """The first steady flow in d = x_so..x_eq that is obedient with ramp flow x_so."""
-    obedient = (d == params.n) | (steady_slack(x_so, d, params) >= -_BOUNDARY)
-    if not obedient.any():
+def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams, dl):
+    """The first steady flow in d = x_so..x_eq that is obedient with ramp flow
+    x_so, at discount dl: a float gives one flow, a (k, 1) array k flows."""
+    slack = _steady_slack(x_so, d, params, dl, _state_table(x_so, d, params, dl))
+    obedient = (d == params.n) | (slack >= -_BOUNDARY)
+    if not obedient.any(axis=-1).all():
         raise AssumptionError(
             f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
             "the regime the construction is proved for"
         )
-    return int(d[np.argmax(obedient)])
+    return d[np.argmax(obedient, axis=-1)]
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
@@ -678,8 +708,8 @@ def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
-    stay_low, tau_tilde = _discounting(params)
-    p = posteriors(c, d, params).low_given_d_safe  # does not depend on c, d
+    stay_low, tau_tilde = _discounting(params, dl)
+    p = _posteriors(c, d, params).low_given_d_safe  # does not depend on c, d
     tau = p * dl * gl / stay_low + (1.0 - p) * dl * (
         (1.0 - gh) + gh * dl * gl / stay_low
     )
@@ -756,6 +786,7 @@ def _search(
 ) -> SearchResult:
     """optimal_scheme_search, compared against already computed candidates."""
     require_gate(params)
+    dl = params.delta
     c, d = scheme_pairs(params.n)
     feasible = np.empty(len(c), dtype=bool)
     cost = np.empty(len(c))
@@ -764,9 +795,10 @@ def _search(
         cb, db = c[block], d[block]
         flow_range, ramp_cheaper = _preconditions(cb, db, params)
         ok = flow_range & ramp_cheaper
-        for _, follow, deviate, vacuous in _ic_terms(cb, db, params, state_costs(cb, db, params)):
+        table = _state_table(cb, db, params, dl)
+        for _, follow, deviate, vacuous in _ic_terms(cb, db, params, dl, table):
             ok &= vacuous | (deviate - follow >= -_BOUNDARY)
-        feasible[block], cost[block] = ok, scheme_cost(cb, db, params)
+        feasible[block], cost[block] = ok, _scheme_cost(cb, db, params, dl)
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -811,21 +843,35 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     the best obedient scheme rooted at the planner's ramp flow against the
     planner's own (relaxed, not obedience-checked) scheme, and reaches one
     exactly when the steady flow x_ll drops to the planner's flow.
+
+    The steady flows x_so..x_eq do not depend on delta, so after the gates
+    the cores run once over every in-gate discount, as a (k, 1) column that
+    broadcasts against the flows: one (k, m) steady-slack table for the x_ll
+    scan and one (k, 2) call that prices both schemes. The flows are checked
+    once, and only when some discount passes its gate.
     """
     if params.gamma_l <= 0.0 or params.gamma_h <= 0.0:
         raise ParameterError("delta_sweep needs strictly positive switch rates")
     x_so, x_eq, d = _steady_range(params)
-    out = []
+    gated = []
     for delta in deltas:
         trial = replace(params, delta=float(delta))
-        gate = check_assumption_infinite(trial)
+        gated.append((trial.delta, check_assumption_infinite(trial)))
+    dl = np.array([[delta] for delta, gate in gated if gate.passed])
+    solved = iter(())
+    if len(dl):
+        _require_cd(x_so, d, params)
+        x_ll = _first_obedient(x_so, x_eq, d, params, dl)
+        cost = _scheme_cost(x_so, np.column_stack((x_ll, np.full_like(x_ll, x_so))), params, dl)
+        solved = zip(x_ll.tolist(), cost.tolist())
+    out = []
+    for delta, gate in gated:
         if not gate.passed:
-            out.append(SweepPoint(trial.delta, False, None, None, None, None,
+            out.append(SweepPoint(delta, False, None, None, None, None,
                                   notes=tuple(gate.failures())))
             continue
-        x_ll = _first_obedient(x_so, x_eq, d, trial)
-        v_star, v_planner = scheme_cost(x_so, np.array([x_ll, x_so]), trial).tolist()
-        out.append(SweepPoint(trial.delta, True, x_ll, v_star, v_planner, v_star / v_planner))
+        x, (v_star, v_planner) = next(solved)
+        out.append(SweepPoint(delta, True, x, v_star, v_planner, v_star / v_planner))
     return out
 
 

@@ -24,6 +24,7 @@ cost of staying safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -440,11 +441,14 @@ def _strategy_columns() -> np.ndarray:
     return np.array(rows)
 
 
+@functools.lru_cache(maxsize=None)
 def _strategy_counts(n: int) -> np.ndarray:
     """Every multiset of n strategies, one row of a (C(n+15, n), 16) int8 count matrix.
 
     Built strategy by strategy: each partial row splits into one row per
-    count the next strategy can take from the agents still unassigned.
+    count the next strategy can take from the agents still unassigned. The
+    matrix is built once per n and shared, read-only, by every later call;
+    n is at most 6, so all of them together take at most 1.2 MB.
     """
     counts = np.zeros((1, 0), dtype=np.int8)
     left = np.array([n])
@@ -453,7 +457,9 @@ def _strategy_counts(n: int) -> np.ndarray:
         take = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.column_stack((np.repeat(counts, reps, axis=0), take.astype(np.int8)))
         left = np.repeat(left, reps) - take
-    return np.column_stack((counts, left.astype(np.int8)))
+    counts = np.column_stack((counts, left.astype(np.int8)))
+    counts.flags.writeable = False
+    return counts
 
 
 def brute_force_equilibrium(

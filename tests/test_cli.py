@@ -368,8 +368,9 @@ def test_module_entry_point_runs():
 
 def test_broken_identity_exits_3(capsys, reference_file, monkeypatch):
     # a closed form that drifts from the others breaks the state-cost identity
-    true_v_bar = inf.v_bar
-    monkeypatch.setattr(inf, "v_bar", lambda c, d, params: 1.01 * true_v_bar(c, d, params))
+    true_cost = inf._scheme_cost
+    monkeypatch.setattr(inf, "_scheme_cost",
+                        lambda c, d, params, dl: 1.01 * true_cost(c, d, params, dl))
     assert main(["infinite", "--params", reference_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from roadrec import infinite
-from roadrec.model import AssumptionError, GameParams, ParameterError, mu_low, myopic_so_flow
+from roadrec.model import (
+    AssumptionError,
+    GameParams,
+    ParameterError,
+    check_assumption_infinite,
+    mu_low,
+    myopic_so_flow,
+)
 from roadrec.infinite import (
     InfiniteScheme,
     StateCostTable,
@@ -47,6 +54,37 @@ def test_gate_required(example1):
     # example1 has a sloped safe road and no dynamics: outside the regime
     with pytest.raises(AssumptionError):
         v_bar(2, 3, example1)
+
+
+# Each public closed form as a call on flows (c, d), whether it takes flows,
+# and whether it runs the infinite-horizon gate.
+PUBLIC_FORMS = [
+    pytest.param(posteriors, True, False, id="posteriors"),
+    pytest.param(scheme_cost, True, True, id="scheme_cost"),
+    pytest.param(v_bar, True, True, id="v_bar"),
+    pytest.param(state_costs, True, True, id="state_costs"),
+    pytest.param(steady_slack, True, True, id="steady_slack"),
+    pytest.param(check_ic, True, True, id="check_ic"),
+    pytest.param(fc_gd_decomposition, True, True, id="fc_gd_decomposition"),
+    pytest.param(state_costs_linear, True, True, id="state_costs_linear"),
+    pytest.param(lambda c, d, params: compute_x_ll(params), False, True, id="compute_x_ll"),
+    pytest.param(lambda c, d, params: infinite._search(params, InfiniteScheme(c, d), None),
+                 False, True, id="_search"),
+]
+
+
+@pytest.mark.parametrize("form, takes_flows, gated", PUBLIC_FORMS)
+def test_public_closed_forms_check_inputs(form, takes_flows, gated, reference, example1):
+    # The cores check nothing, so every public entry must check on its own.
+    if takes_flows:
+        for c, d in [(1, 3), (3, 2), (2, 11), (2.5, 3), (2, np.array([3.0]))]:
+            with pytest.raises(ParameterError):
+                form(c, d, reference)
+    if gated:
+        with pytest.raises(AssumptionError):
+            form(2, 3, example1)
+    else:
+        form(2, 3, example1)
 
 
 # Frozen values below were hand-derived from the recursions and confirmed by
@@ -207,26 +245,39 @@ def test_delta_sweep_reference(reference):
     assert points[8].ratio == 1.0
 
 
+# A game whose gate fails for delta below about 0.39, on an unsorted grid
+# that repeats a discount and puts gate-failing discounts between passing
+# ones.
+GATED_SWEEP = (GameParams(n=10, s0=10, s1=0, l=1, h=19.2,
+                          gamma_l=0.1, gamma_h=0.5, delta=0.5),
+               [0.9, 0.2, 0.5, 0.5, 0.1, 0.7, 0.35, 0.45, 0.5, 0.2])
+
+
 def test_delta_sweep_matches_zero_d_calls(reference, infinite_draws):
-    # The sweep scans each delta's steady flows at once and prices both
-    # schemes in one call; every point must equal the 0-d calls exactly.
+    # The sweep scans the steady flows of every in-gate delta at once and
+    # prices both schemes of every delta in one call; every point must equal
+    # the 0-d calls exactly, in input order.
     deltas = [round(0.05 * k, 10) for k in range(1, 20)]
-    for params in [reference] + infinite_draws[:25]:
+    cases = [(params, deltas) for params in [reference] + infinite_draws[:25]]
+    for params, grid in cases + [GATED_SWEEP]:
         x_so = myopic_so_flow(mu_low(params), params)
-        for point in delta_sweep(params, deltas):
+        points = delta_sweep(params, grid)
+        assert [point.delta for point in points] == grid
+        for point in points:
+            trial = dataclasses.replace(params, delta=point.delta)
+            assert point.feasible == check_assumption_infinite(trial).passed
             if not point.feasible:
                 continue
-            trial = dataclasses.replace(params, delta=point.delta)
             x_ll = compute_x_ll(trial)
             assert point.x_ll == x_ll
             assert point.v_pi_star == scheme_cost(x_so, x_ll, trial)
             assert point.v_myopic_planner == scheme_cost(x_so, x_so, trial)
+    feasible = [point.feasible for point in delta_sweep(*GATED_SWEEP)]
+    assert feasible == [True, False, True, True, False, True, False, True, True, False]
 
 
 def test_delta_sweep_flags_infeasible_points():
-    p = GameParams(n=10, s0=10, s1=0, l=1, h=19.2,
-                   gamma_l=0.1, gamma_h=0.5, delta=0.5)
-    points = delta_sweep(p, [0.2, 0.5, 0.9])
+    points = delta_sweep(GATED_SWEEP[0], [0.2, 0.5, 0.9])
     assert [q.feasible for q in points] == [False, True, True]
     assert points[0].x_ll is None and points[0].ratio is None
     assert any("mu_high" in note for note in points[0].notes)
