@@ -38,8 +38,8 @@ class InternalError(RuntimeError):
 
 # Largest population a GameParams accepts, and the largest with measured run
 # times: at n = 1000 (499,500 (c, d) pairs) the search takes about 0.2 s and
-# 50 MB, and the linear-solve oracle, the slowest command, 2 to 3 s and about
-# 180 MB. Flows are indexed by 0..n.
+# 50 MB, and the linear-solve oracle, the slowest command, about 2 s and
+# 46 MB. Flows are indexed by 0..n.
 _MAX_N = 1000
 
 # Largest integer magnitude a parameter may have: every integer up to 2**53

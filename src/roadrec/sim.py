@@ -3,6 +3,8 @@
 Simulates the road-state chain, the coordinator's dispatch rules, compliant
 agents, and (for deviation rollouts) a single monitored agent, agent 0, who
 defects at the first visit to a chosen state and is punished forever after.
+Every chain starts right after a high stage, where the closed forms price a
+scheme.
 
 Determinism: each (seed, stream) pair seeds one numpy generator, stream 0
 for the road chain and 1 for agent 0's dispatch draws. A stream is read as
@@ -77,13 +79,11 @@ def _uniforms(seed: int, stream: int, trials: range, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs shared by all simulation entry points.
+    """Knobs shared by run_scheme and deviation_rollout.
 
-    horizon is the number of simulated (and, in rollouts, valued) stages;
-    start is the latent road state before stage one ("high" matches the
-    cost conventions of the closed forms, which price an excursion that
-    begins right after a high observation). max_wait bounds how long a
-    rollout waits for its trigger state before skipping the trial.
+    horizon is the number of simulated (and, in rollouts, valued) stages,
+    counted from a latent high state before stage one. max_wait bounds how
+    long a rollout waits for its trigger state before skipping the trial.
     """
 
     c: int
@@ -91,7 +91,6 @@ class SimConfig:
     trials: int = 1000
     horizon: int = 64
     seed: int = 0
-    start: str = "high"
     max_wait: int = 256
 
     def __post_init__(self) -> None:
@@ -111,8 +110,6 @@ class SimConfig:
                           ("max_wait", _MAX_WAIT)):
             if getattr(self, name) > cap:
                 raise ParameterError(f"{name} must be at most {cap}, got {getattr(self, name)}")
-        if self.start not in ("high", "low"):
-            raise ParameterError(f"start must be 'high' or 'low', got {self.start!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
@@ -175,11 +172,11 @@ def _blocks(trials: int, horizon: int) -> list[range]:
     return [range(first, min(first + rows, trials)) for first in range(0, trials, rows)]
 
 
-def _chains(
-    params: GameParams, horizon: int, seed: int, trials: range, start: str
-) -> np.ndarray:
+def _chains(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
     """Road chains of the given trials, one row each; True = low.
 
+    Entry t of a row is the state at stage t + 1, so the first entry is
+    already a transition draw from the latent high state before stage one.
     Row k holds trial trials[k], drawn from row trials[k] of stream 0, so a
     row does not depend on which other trials share the call.
     """
@@ -187,46 +184,23 @@ def _chains(
     # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
     stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
     lows = np.empty(u.shape, dtype=bool)
-    low = np.full(len(trials), start == "low")
+    low = np.zeros(len(trials), dtype=bool)
     for t in range(horizon):
         low = np.where(low, stay[:, t], enter[:, t])
         lows[:, t] = low
     return lows
 
 
-def simulate_chain(
-    params: GameParams, horizon: int, seed: int, trial: int = 0, start: str = "high"
-) -> np.ndarray:
-    """Simulate the road-state chain; returns a boolean array, True = low.
-
-    Entry t (0-indexed) is the state at stage t+1. The chain starts from a
-    latent pre-stage state given by start, so the first entry is already a
-    transition draw (from high, it is low with probability gamma_h).
-    """
-    if trial < 0:
-        raise ParameterError(f"trial must be nonnegative, got {trial}")
-    if horizon < 1:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    if horizon > _MAX_HORIZON:
-        raise ParameterError(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
-    if start not in ("high", "low"):
-        raise ParameterError(f"start must be 'high' or 'low', got {start!r}")
-    return _chains(params, horizon, seed, range(trial, trial + 1), start)[0]
-
-
-def _flows(lows: np.ndarray, c: int, d: int, start: str) -> np.ndarray:
+def _flows(lows: np.ndarray, c: int, d: int) -> np.ndarray:
     """Risky flow of every stage of compliant play, from the chains alone.
 
     One experimenter at stage one and after a high stage, c after the first
-    low stage, d after two or more; start pads the states before stage one.
+    low stage, d after two or more; the states before stage one are high.
     """
-    padded = np.empty((lows.shape[0], lows.shape[1] + 2), dtype=bool)
-    padded[:, :2] = start == "low"
+    padded = np.zeros((lows.shape[0], lows.shape[1] + 2), dtype=bool)
     padded[:, 2:] = lows
     prev, prev2 = padded[:, 1:-1], padded[:, :-2]
-    flows = np.where(prev, np.where(prev2, d, c), 1)
-    flows[:, 0] = 1
-    return flows
+    return np.where(prev, np.where(prev2, d, c), 1)
 
 
 def _cost_table(params: GameParams, c: int, d: int) -> np.ndarray:
@@ -341,11 +315,10 @@ def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajecto
     agent_totals = np.zeros(n)
     risky = None
     flows = []
-    start_low = config.start == "low"
     disc = 1.0
     for t in range(1, config.horizon + 1):
-        prev_low = lows[t - 2] if t >= 2 else start_low
-        prev2_low = lows[t - 3] if t >= 3 else start_low
+        prev_low = t >= 2 and lows[t - 2]
+        prev2_low = t >= 3 and lows[t - 3]
         risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, u[t - 1], rng, n)
         agent_totals += disc * _stage_agent_costs(risky, bool(lows[t - 1]), params)
         flows.append(int(risky.sum()))
@@ -363,7 +336,7 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
 
     Every agent follows its recommendation each stage; the estimates are
     directly comparable to the closed-form aggregate cost and per-agent
-    reset value when start='high'.
+    reset value.
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
@@ -372,8 +345,8 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
     for block in _blocks(config.trials, config.horizon):
-        lows = _chains(params, config.horizon, config.seed, block, config.start)
-        flows = _flows(lows, config.c, config.d, config.start)
+        lows = _chains(params, config.horizon, config.seed, block)
+        flows = _flows(lows, config.c, config.d)
         costs = table[flows, lows.view(np.uint8)]
         totals[block.start:block.stop] = _discounted(costs, disc)
     tail = delta**config.horizon * n * _worst_stage_cost(params) / (1.0 - delta)
@@ -476,8 +449,8 @@ def deviation_rollout(
     skipped = 0
 
     for block in _blocks(config.trials, length):
-        lows = _chains(params, length, config.seed, block, config.start)
-        flows = _flows(lows, config.c, config.d, config.start)
+        lows = _chains(params, length, config.seed, block)
+        flows = _flows(lows, config.c, config.d)
         roles = _roles(_uniforms(config.seed, _STREAM_DISPATCH, block, length),
                        lows, flows, n)
         hit = _triggered(trigger, lows, flows, roles, config.max_wait)

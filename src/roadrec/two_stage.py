@@ -149,13 +149,11 @@ def _two_rounds(
     beta: float, params: GameParams, experiment: bool, flow_low: int, flow_high: int
 ) -> float:
     """Expected two-round aggregate cost: everyone safe in both rounds, or one
-    experimenter and then flow_low / flow_high risky users by revealed state."""
+    experimenter and then flow_low / flow_high risky users by revealed state;
+    the experiment is priced as the scheme with those flows, to the bit."""
     if not experiment:
         return 2.0 * stage_cost(0, params.l, params)
-    second = beta * stage_cost(flow_low, params.l, params) + (
-        1.0 - beta
-    ) * stage_cost(flow_high, params.h, params)
-    return stage_cost(1, expected_theta(beta, params), params) + second
+    return scheme_cost_two_stage(beta, flow_low - 1, flow_high, params)
 
 
 def cost_full(beta: float, params: GameParams) -> float:

@@ -163,9 +163,13 @@ def test_infinite_rejects_csv(capsys, reference_file):
 
 
 def test_infinite_gate_failure_exit(capsys, example1_file):
-    code = main(["infinite", "--params", example1_file])
-    assert code == 1
-    assert "gate fails" in capsys.readouterr().err
+    # the library's first call runs the gate, before anything else can fail
+    for command in (["infinite"], ["oracle", "--target", "infinite"]):
+        assert main([command[0], "--params", example1_file, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "gate fails" in lines[0], command
 
 
 def test_sweep_csv(capsys, reference_file):
@@ -206,6 +210,14 @@ def test_simulate_with_trigger(capsys, reference_file):
     roll = data["rollout"]
     assert roll["n_triggered"] + roll["n_skipped"] == 150
     assert roll["diff_mean"] > 0.0
+
+
+def test_simulate_has_no_start_option(capsys, reference_file):
+    # every chain starts right after a high stage, the start the closed forms price
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--params", reference_file, "--start", "low"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --start low" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_trigger(capsys, reference_file):

@@ -6,13 +6,7 @@ import pytest
 from roadrec.model import AssumptionError, GameParams, ParameterError
 from roadrec.infinite import check_ic, pi_star, scheme_cost, v_bar
 from roadrec import sim
-from roadrec.sim import (
-    AgentState,
-    SimConfig,
-    deviation_rollout,
-    run_scheme,
-    simulate_chain,
-)
+from roadrec.sim import AgentState, SimConfig, deviation_rollout, run_scheme
 
 # Both switch rates zero: starting high, the chain never leaves the high
 # state and compliant play is fully deterministic.
@@ -22,7 +16,7 @@ FROZEN = GameParams(n=10, s0=10, s1=0.0, l=1.0, h=10.0,
 
 def first_trial(cfg: SimConfig, params: GameParams) -> sim.Trajectory:
     """Trial 0 of cfg played agent by agent through the dispatch lottery."""
-    lows = sim._chains(params, cfg.horizon, cfg.seed, range(1), cfg.start)[0]
+    lows = sim._chains(params, cfg.horizon, cfg.seed, range(1))[0]
     return sim._sample(cfg, params, lows)
 
 
@@ -31,8 +25,6 @@ def test_config_validation():
         SimConfig(c=2, d=3, trials=0)
     with pytest.raises(ParameterError):
         SimConfig(c=2, d=3, horizon=0)
-    with pytest.raises(ParameterError):
-        SimConfig(c=2, d=3, start="middling")
     with pytest.raises(ParameterError):
         SimConfig(c=2, d=3, max_wait=1)
     with pytest.raises(ParameterError, match="seed must be nonnegative"):
@@ -59,16 +51,13 @@ def test_config_accepts_numpy_integers(reference):
 
 
 def test_config_upper_bounds():
-    # the caps themselves are accepted; one past each is refused, and so is
-    # a single chain longer than the horizon cap
+    # the caps themselves are accepted; one past each is refused
     SimConfig(c=2, d=3, trials=sim._MAX_TRIALS, horizon=sim._MAX_HORIZON,
               max_wait=sim._MAX_WAIT)
     for field, cap in (("trials", sim._MAX_TRIALS), ("horizon", sim._MAX_HORIZON),
                        ("max_wait", sim._MAX_WAIT)):
         with pytest.raises(ParameterError, match=f"{field} must be at most {cap}"):
             SimConfig(c=2, d=3, **{field: cap + 1})
-    with pytest.raises(ParameterError, match="horizon must be at most"):
-        simulate_chain(FROZEN, sim._MAX_HORIZON + 1, seed=0)
 
 
 def test_trigger_validation():
@@ -79,10 +68,10 @@ def test_trigger_validation():
 
 
 def test_chain_is_reproducible(reference):
-    a = simulate_chain(reference, 50, seed=3, trial=7)
-    b = simulate_chain(reference, 50, seed=3, trial=7)
+    a = sim._chains(reference, 50, 3, range(7, 8))
+    b = sim._chains(reference, 50, 3, range(7, 8))
     assert np.array_equal(a, b)
-    c = simulate_chain(reference, 50, seed=3, trial=8)
+    c = sim._chains(reference, 50, 3, range(8, 9))
     assert not np.array_equal(a, c)
 
 
@@ -90,22 +79,16 @@ def test_stream_rows_are_consecutive_draws():
     # row k of a stream's uniform matrix is trial k's slice of one generator
     whole = np.random.default_rng((6, sim._STREAM_DISPATCH)).random((9, 13))
     assert np.array_equal(sim._uniforms(6, sim._STREAM_DISPATCH, range(3, 7), 13), whole[3:7])
-    with pytest.raises(ParameterError, match="trial must be nonnegative"):
-        simulate_chain(FROZEN, 10, seed=0, trial=-1)
 
 
 def test_chain_respects_switch_rates():
-    frozen_high = simulate_chain(FROZEN, 30, seed=1, start="high")
+    frozen_high = sim._chains(FROZEN, 30, 1, range(1))
     assert not frozen_high.any()
-    frozen_low = simulate_chain(FROZEN, 30, seed=1, start="low")
-    assert frozen_low.all()
 
 
 def test_chain_long_run_frequency(reference):
     # stationary P(low) = gamma_h / (gamma_l + gamma_h) = 5/6
-    lows = np.concatenate([
-        simulate_chain(reference, 400, seed=9, trial=t) for t in range(50)
-    ])
+    lows = sim._chains(reference, 400, 9, range(50))
     assert lows.mean() == pytest.approx(5.0 / 6.0, abs=0.02)
 
 
@@ -122,19 +105,25 @@ def test_frozen_chain_run_is_exact():
 
 
 def test_integer_safe_costs_keep_fractional_risky_costs():
-    # the chain stays low: one experimenter at stage one, then d = 3 users
-    # paying 1.5 * 3 each while seven pay s0 = 10; integer s0 and s1 must
-    # not round the risky costs down
+    # a chain that turns low at stage one and stays low: one experimenter,
+    # then c = 2 users paying 1.5 * 2 each, then d = 3 paying 1.5 * 3 each,
+    # while the rest pay s0 = 10; integer s0 and s1 must not round the risky
+    # costs down. The gate keeps a chain from a high start from being forced
+    # low, so the chain is given to the pricing directly.
     params = GameParams(n=10, s0=10, s1=0, l=1.5, h=10,
                         gamma_l=0.0, gamma_h=0.0, delta=0.5)
-    cfg = SimConfig(c=2, d=3, trials=2, horizon=20, start="low")
-    stats = run_scheme(cfg, params)
-    expected = 91.5 + 83.5 * (1.0 - 0.5**19)
-    assert stats.total_mean == pytest.approx(expected, abs=1e-12)
-    sample = first_trial(cfg, params)
+    table = sim._cost_table(params, 2, 3)
+    assert table[[1, 2, 3], 1].tolist() == [91.5, 86.0, 83.5]
+    cfg = SimConfig(c=2, d=3, trials=2, horizon=20)
+    lows = np.ones((1, cfg.horizon), dtype=bool)
+    expected = 91.5 + 0.5 * 86.0 + 83.5 * 0.5 * (1.0 - 0.5**18)
+    costs = table[sim._flows(lows, 2, 3), lows.view(np.uint8)]
+    assert sim._discounted(costs, 0.5 ** np.arange(cfg.horizon))[0] == pytest.approx(
+        expected, abs=1e-12)
+    sample = sim._sample(cfg, params, lows[0])
     assert sample.total == pytest.approx(expected, abs=1e-12)
     assert min(sample.agent_totals) == pytest.approx(
-        1.5 + 4.5 * (1.0 - 0.5**19), abs=1e-12)
+        1.5 + 0.5 * 3.0 + 4.5 * 0.5 * (1.0 - 0.5**18), abs=1e-12)
 
 
 def test_run_scheme_gate(example1):
@@ -247,19 +236,18 @@ def test_rollout_matches_agent_by_agent_play(reference):
     # the loop the vectorised rollout replaces: each trial plays the full
     # dispatch lottery stage by stage, finds agent 0's first visit to the
     # trigger and values both arms from there
-    cfg = SimConfig(2, 3, trials=40, horizon=8, seed=4, start="low", max_wait=40)
+    cfg = SimConfig(2, 3, trials=40, horizon=8, seed=4, max_wait=40)
     n, length = reference.n, cfg.max_wait + cfg.horizon
     weights = [reference.delta**k for k in range(cfg.horizon)]
-    lows = sim._chains(reference, length, cfg.seed, range(cfg.trials), cfg.start)
+    lows = sim._chains(reference, length, cfg.seed, range(cfg.trials))
     u = sim._uniforms(cfg.seed, sim._STREAM_DISPATCH, range(cfg.trials), length)
-    start_low = cfg.start == "low"
     plays = []
     for k in range(cfg.trials):
         rng = np.random.default_rng((cfg.seed, k))
         risky, roles, flows = None, [], []
         for t in range(length):
-            prev_low = bool(lows[k, t - 1]) if t >= 1 else start_low
-            prev2_low = bool(lows[k, t - 2]) if t >= 2 else start_low
+            prev_low = bool(lows[k, t - 1]) if t >= 1 else False
+            prev2_low = bool(lows[k, t - 2]) if t >= 2 else False
             risky = sim._dispatch(risky, prev_low, prev2_low, cfg.c, cfg.d, u[k, t], rng, n)
             roles.append(bool(risky[0]))
             flows.append(int(risky.sum()))
@@ -323,11 +311,6 @@ def test_run_scheme_golden_values(reference):
     stats = run_scheme(SimConfig(2, 3, trials=10000, horizon=16, seed=42), reference)
     assert stats.total_mean == 195.48032736816407
     assert stats.total_se == 0.17819466158122485
-    cfg = SimConfig(2, 3, trials=500, horizon=12, seed=3, start="low")
-    stats = run_scheme(cfg, reference)
-    assert stats.total_mean == 186.39303125
-    assert stats.total_se == 1.166863436545607
-    assert first_trial(cfg, reference).flows == (1,) + (3,) * 11
 
 
 @pytest.mark.parametrize("trigger, triggered, follow, deviate", [
@@ -347,14 +330,13 @@ def test_rollout_golden_values(reference, trigger, triggered, follow, deviate):
 # ---------------------------------------------------------------------------
 # the vectorised paths against the per-agent ones
 
-@pytest.mark.parametrize("start", ["high", "low"])
-def test_dispatch_flows_match_chain_flows(infinite_draws, start):
+def test_dispatch_flows_match_chain_flows(infinite_draws):
     for k, params in enumerate(infinite_draws[:6]):
         c, d = 2, params.n - k % 2
-        cfg = SimConfig(c, d, trials=2, horizon=40, seed=k, start=start)
+        cfg = SimConfig(c, d, trials=2, horizon=40, seed=k)
         sample = first_trial(cfg, params)
-        lows = sim._chains(params, 40, k, range(1), start)
-        flows = sim._flows(lows, c, d, start)
+        lows = sim._chains(params, 40, k, range(1))
+        flows = sim._flows(lows, c, d)
         assert sample.flows == tuple(flows[0].tolist())
         # aggregate stage costs price what the agents pay one by one
         disc = params.delta ** np.arange(40)
@@ -369,14 +351,13 @@ def test_chain_rows_match_single_chains(reference, monkeypatch):
     blocks = sim._blocks(trials, horizon)
     assert [len(b) for b in blocks] == [2] * 5 + [1]
     assert [t for b in blocks for t in b] == list(range(trials))
-    for start in ("high", "low"):
-        rows = np.concatenate([sim._chains(reference, horizon, 5, b, start) for b in blocks])
-        spanning = sim._chains(reference, horizon, 5, range(1, 6), start)
-        for k in range(trials):
-            single = simulate_chain(reference, horizon, seed=5, trial=k, start=start)
-            assert np.array_equal(rows[k], single)
-            if 1 <= k < 6:
-                assert np.array_equal(spanning[k - 1], single)
+    rows = np.concatenate([sim._chains(reference, horizon, 5, b) for b in blocks])
+    spanning = sim._chains(reference, horizon, 5, range(1, 6))
+    for k in range(trials):
+        single = sim._chains(reference, horizon, 5, range(k, k + 1))[0]
+        assert np.array_equal(rows[k], single)
+        if 1 <= k < 6:
+            assert np.array_equal(spanning[k - 1], single)
 
 
 def test_results_do_not_depend_on_block_size(reference, monkeypatch):
@@ -393,8 +374,8 @@ def test_agent0_replay_matches_full_dispatch(n):
     params = GameParams(n=n, s0=10, s1=0.0, l=1.0, h=19.0,
                         gamma_l=0.3, gamma_h=0.5, delta=0.5)
     c, d, stages, trials = 2, n - 1, 60, range(5)
-    lows = sim._chains(params, stages, 3, trials, "high")
-    flows = sim._flows(lows, c, d, "high")
+    lows = sim._chains(params, stages, 3, trials)
+    flows = sim._flows(lows, c, d)
     u = sim._uniforms(3, sim._STREAM_DISPATCH, trials, stages)
     roles = sim._roles(u, lows, flows, n)
     assert roles.any() and not roles.all()

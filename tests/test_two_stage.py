@@ -275,6 +275,30 @@ def test_grid_solve_matches_zero_d_calls_on_draws():
             _assert_solve_matches_scalar_scan(beta, params)
 
 
+def test_benchmark_flows_cost_what_the_scheme_costs():
+    # A solved scheme that uses the flows of private revelation (0, 0) or of
+    # full revelation (x_eq - 1, 0) costs exactly that benchmark, to the bit:
+    # both are priced by the one scheme cost formula.
+    rng = np.random.default_rng(5)
+    private_flows = full_flows = 0
+    for _ in range(100):
+        params, drawn = draw_two_stage_case(rng)
+        th = thresholds(params)
+        k = params.s0 + params.s1 * params.n
+        limit = (params.h - k) / (params.h - params.l)
+        for beta in [drawn] + np.linspace(th.beta_p, limit, 8, endpoint=False).tolist():
+            scheme = solve_optimal_scheme(beta, params)
+            if not scheme.experiment:
+                continue
+            if (scheme.pi2_low, scheme.pi2_high) == (0, 0):
+                private_flows += 1
+                assert scheme.expected_cost == cost_private(beta, params), (params, beta)
+            if (scheme.pi2_low, scheme.pi2_high) == (th.eq_flow_low - 1, 0) and beta >= th.beta_f:
+                full_flows += 1
+                assert scheme.expected_cost == cost_full(beta, params), (params, beta)
+    assert private_flows > 200 and full_flows > 200
+
+
 def test_solve_at_beta_p_experiments():
     # At beta_p the experimenter's (0, 0) slack is zero in exact arithmetic;
     # rounding used to leave it at about -2e-15 in 98 of these 400 games,
