@@ -12,7 +12,6 @@ from .model import (
     AssumptionError,
     GameParams,
     ParameterError,
-    RoadState,
     check_assumption_infinite,
     check_assumption_two_stage,
     load_params,
@@ -25,7 +24,6 @@ __all__ = [
     "AssumptionError",
     "GameParams",
     "ParameterError",
-    "RoadState",
     "check_assumption_infinite",
     "check_assumption_two_stage",
     "load_params",

@@ -13,9 +13,10 @@ Subcommands:
               two-stage game, linear-solve state costs for the infinite one)
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
-fail or an oracle disagrees, 2 on malformed input, 3 when an identity the
-closed forms guarantee breaks (a bug in the program). Numbers are printed with
-twelve significant digits, JSON by default; two-stage and sweep can emit CSV.
+fail or an oracle disagrees, 2 on malformed input or an --output file that
+cannot be written, 3 when an identity the closed forms guarantee breaks (a bug
+in the program). Numbers are printed with twelve significant digits, JSON by
+default; two-stage and sweep can emit CSV.
 """
 
 from __future__ import annotations
@@ -70,16 +71,24 @@ def _rounded(obj):
     return obj
 
 
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write text to --output, or to stdout without one."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file {args.output}: {exc}") from None
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     try:
         text = json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise InternalError(f"refusing to print a non-finite number as JSON: {exc}") from None
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 def _emit_csv(columns: list[str], rows: list[dict], args: argparse.Namespace) -> None:
@@ -99,11 +108,7 @@ def _emit_csv(columns: list[str], rows: list[dict], args: argparse.Namespace) ->
             else:
                 out.append(str(v))
         writer.writerow(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args)
 
 
 def _require_json_format(args: argparse.Namespace, command: str) -> None:
@@ -460,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"roadrec: internal error: {exc}", file=sys.stderr)
         return 3
-    except (AssumptionError, RuntimeError) as exc:
+    except AssumptionError as exc:
         print(f"roadrec: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,9 @@ public functions check c and d and run the gate once, at entry, and then
 call only cores. Two ints, numpy integers included, are the 0-d case of the
 same code and give Python numbers (None for a state that cannot occur). The
 linear-solve oracle takes the same arguments and solves one stacked system
-per chunk of schemes. check_ic, which builds a report, takes ints only.
+per chunk of schemes. check_ic, which builds a report, takes ints only. It,
+the search and the x_ll scan decide obedience by model's one rule, through
+model.ic_entries and model.all_obedient.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -46,24 +48,22 @@ import numpy as np
 from .model import (
     AssumptionError,
     GameParams,
+    ICEntry,
     InternalError,
     ParameterError,
     _all,
     _div,
     _integral,
     _plain,
-    _require_belief,
-    belief_step,
+    all_obedient,
     check_assumption_infinite,
-    expected_theta,
+    ic_entries,
     mu_high,
     mu_low,
     myopic_eq_flow,
     myopic_so_flow,
     stage_cost,
 )
-
-_BOUNDARY = 1e-12
 
 
 def require_gate(params: GameParams) -> None:
@@ -441,28 +441,12 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
 # obedience
 
 @dataclass(frozen=True)
-class ICEntry:
-    """One obedience constraint: follow the recommendation vs defect once.
-
-    Defecting triggers the permanent punishment regime, whose per-stage
-    expected cost is s0, so every deviation value ends in delta*s0/(1-delta).
-    slack = deviate - follow; satisfied means a slack of at least -1e-12,
-    boundary one strictly between -1e-12 and 0. Unreachable states are
-    vacuous (values None) and count as satisfied.
-    """
-
-    state: str
-    follow: float | None
-    deviate: float | None
-    slack: float | None
-    vacuous: bool
-    boundary: bool
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class ICReport:
-    """Obedience report for scheme (c, d)."""
+    """Obedience report for scheme (c, d), one model.ICEntry per constraint.
+
+    Defecting once triggers the permanent punishment regime, whose per-stage
+    expected cost is s0, so every deviation value ends in delta*s0/(1-delta).
+    """
 
     c: int
     d: int
@@ -478,14 +462,6 @@ class ICReport:
             if item.state == state:
                 return item
         raise KeyError(state)
-
-
-def _entry(state: str, follow: float, deviate: float, vacuous: bool = False) -> ICEntry:
-    if vacuous:
-        return ICEntry(state, None, None, None, vacuous=True, boundary=False, satisfied=True)
-    slack = deviate - follow
-    return ICEntry(state, follow, deviate, slack, vacuous=False,
-                   boundary=-_BOUNDARY < slack < 0.0, satisfied=slack >= -_BOUNDARY)
 
 
 def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[tuple]:
@@ -548,10 +524,7 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
     table = _to_python(_state_table(c, d, params, dl))
-    entries = [
-        _entry(state, float(follow), float(deviate), vacuous=bool(vacuous))
-        for state, follow, deviate, vacuous in _ic_terms(c, d, params, dl, table)
-    ]
+    entries = ic_entries(_ic_terms(c, d, params, dl, table))
     pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
@@ -608,11 +581,16 @@ def steady_slack(c: int, d: int, params: GameParams) -> float:
     return _python(_steady_slack(c, d, params, dl, _state_table(c, d, params, dl)))
 
 
+def _steady_term(c, d, params: GameParams, dl, table: StateCostTable) -> tuple:
+    """The safe_at_d_pooled term of _ic_terms(c, d, params, dl, table)."""
+    return next(term for term in _ic_terms(c, d, params, dl, table)
+                if term[0] == "safe_at_d_pooled")
+
+
 def _steady_slack(c, d, params: GameParams, dl, table: StateCostTable):
     """steady_slack read from an already computed _state_table(c, d, params, dl)."""
-    terms = _ic_terms(c, d, params, dl, table)
-    return next(deviate - follow for state, follow, deviate, _ in terms
-                if state == "safe_at_d_pooled")
+    _, follow, deviate, _ = _steady_term(c, d, params, dl, table)
+    return deviate - follow
 
 
 def compute_x_ll(params: GameParams) -> int:
@@ -643,8 +621,8 @@ def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
 def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams, dl):
     """The first steady flow in d = x_so..x_eq that is obedient with ramp flow
     x_so, at discount dl: a float gives one flow, a (k, 1) array k flows."""
-    slack = _steady_slack(x_so, d, params, dl, _state_table(x_so, d, params, dl))
-    obedient = (d == params.n) | (slack >= -_BOUNDARY)
+    table = _state_table(x_so, d, params, dl)
+    obedient = all_obedient([_steady_term(x_so, d, params, dl, table)])
     if not obedient.any(axis=-1).all():
         raise AssumptionError(
             f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
@@ -794,11 +772,10 @@ def _search(
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
         cb, db = c[block], d[block]
         flow_range, ramp_cheaper = _preconditions(cb, db, params)
-        ok = flow_range & ramp_cheaper
         table = _state_table(cb, db, params, dl)
-        for _, follow, deviate, vacuous in _ic_terms(cb, db, params, dl, table):
-            ok &= vacuous | (deviate - follow >= -_BOUNDARY)
-        feasible[block], cost[block] = ok, _scheme_cost(cb, db, params, dl)
+        obedient = all_obedient(_ic_terms(cb, db, params, dl, table))
+        feasible[block] = flow_range & ramp_cheaper & obedient
+        cost[block] = _scheme_cost(cb, db, params, dl)
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -873,17 +850,3 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
         x, (v_star, v_planner) = next(solved)
         out.append(SweepPoint(delta, True, x, v_star, v_planner, v_star / v_planner))
     return out
-
-
-def social_opt_policy(beta: float, params: GameParams) -> int:
-    """Planner's next-stage risky flow given the current low-state belief.
-
-    Keeps at least one agent on the risky road so the coordinator never goes
-    blind; otherwise it is the myopic optimal flow for tomorrow's expected
-    coefficient. A relaxed, belief-driven benchmark; the sweep does not use
-    it, but prices the fixed planner's scheme (x_so, x_so) instead.
-    """
-    beta = _require_belief(beta)
-    require_gate(params)
-    ahead = expected_theta(belief_step(beta, params), params)
-    return max(1, myopic_so_flow(ahead, params))

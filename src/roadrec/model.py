@@ -8,9 +8,10 @@ chain: gamma_l is the chance of jumping low -> high, gamma_h of high -> low.
 
 Everything downstream (two-stage schemes, infinite-horizon schemes, the
 simulator) builds on the handful of quantities defined here: the aggregate
-stage cost, belief updates, one-shot socially optimal and equilibrium flows,
-and the assumption gates that decide whether a parameter set is inside the
-regime the scheme constructions are valid for.
+stage cost, expected coefficients under a belief, one-shot socially optimal
+and equilibrium flows, the assumption gates that decide whether a parameter
+set is inside the regime the scheme constructions are valid for, and the one
+obedience rule both models decide their constraints with.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -45,16 +45,6 @@ _MAX_N = 1000
 # Largest integer magnitude a parameter may have: every integer up to 2**53
 # is a float, so integer and float arithmetic agree.
 _MAX_INT = 2**53
-
-
-class RoadState(str, Enum):
-    """Realisation of the risky road's congestion coefficient."""
-
-    LOW = "L"
-    HIGH = "H"
-
-    def coefficient(self, params: "GameParams") -> float:
-        return params.l if self is RoadState.LOW else params.h
 
 
 @dataclass(frozen=True)
@@ -179,12 +169,6 @@ def expected_theta(beta: float, params: GameParams) -> float:
     """Mean risky coefficient under belief beta = P(theta = L)."""
     beta = _require_belief(beta)
     return beta * params.l + (1.0 - beta) * params.h
-
-
-def belief_step(beta: float, params: GameParams) -> float:
-    """One-step-ahead probability of the low state given P(low today) = beta."""
-    beta = _require_belief(beta)
-    return beta * (1.0 - params.gamma_l) + (1.0 - beta) * params.gamma_h
 
 
 def mu_low(params: GameParams) -> float:
@@ -332,6 +316,66 @@ def check_assumption_infinite(params: GameParams) -> InfiniteGate:
 
 
 # ---------------------------------------------------------------------------
+# obedience
+
+def obedient(follow, deviate):
+    """Elementwise obedience rule: following costs no more than deviating.
+
+    A follow cost up to 1e-12 * (1 + deviate) above the deviation cost still
+    counts (deviation costs are nonnegative in both models): at beta = beta_p
+    the two-stage experimenter's (0, 0) slack, zero in exact arithmetic,
+    rounds to -1.8e-15.
+    """
+    return follow <= deviate * (1.0 + 1e-12) + 1e-12
+
+
+@dataclass(frozen=True)
+class ICEntry:
+    """One obedience constraint: follow the recommendation or deviate.
+
+    slack = deviate - follow, and satisfied is obedient(follow, deviate); a
+    satisfied entry with a negative slack is flagged as boundary. A
+    constraint whose conditioning event has probability zero (nobody ever
+    holds that recommendation) is vacuous: its values are None, and it is
+    satisfied and not boundary.
+    """
+
+    state: str
+    follow: float | None
+    deviate: float | None
+    slack: float | None
+    vacuous: bool
+    boundary: bool
+    satisfied: bool
+
+
+def ic_entries(terms: Iterable[tuple]) -> list[ICEntry]:
+    """One ICEntry per (state, follow, deviate, vacuous) term that a model's
+    _ic_terms yields for one scheme."""
+    out = []
+    for state, follow, deviate, vacuous in terms:
+        if vacuous:
+            out.append(ICEntry(state, None, None, None,
+                               vacuous=True, boundary=False, satisfied=True))
+            continue
+        follow, deviate = float(follow), float(deviate)
+        slack = deviate - follow
+        satisfied = bool(obedient(follow, deviate))
+        out.append(ICEntry(state, follow, deviate, slack, vacuous=False,
+                           boundary=satisfied and slack < 0.0, satisfied=satisfied))
+    return out
+
+
+def all_obedient(terms: Iterable[tuple]):
+    """Elementwise: every (state, follow, deviate, vacuous) term is vacuous or
+    obedient. Terms over arrays of schemes give an array of verdicts."""
+    ok = True
+    for _, follow, deviate, vacuous in terms:
+        ok = ok & (vacuous | obedient(follow, deviate))
+    return ok
+
+
+# ---------------------------------------------------------------------------
 # parameter files
 
 _PARAM_KEYS = ("n", "s0", "s1", "l", "h", "gamma_l", "gamma_h", "delta")
@@ -375,6 +419,7 @@ def load_params(path: str) -> tuple[GameParams, float | None]:
             raw = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read parameter file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode.
         raise ParameterError(f"parameter file {path} is not valid JSON: {exc}") from exc
     return params_from_dict(raw)

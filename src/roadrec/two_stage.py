@@ -33,13 +33,16 @@ import numpy as np
 from .model import (
     AssumptionError,
     GameParams,
+    ICEntry,
     InternalError,
     ParameterError,
     _div,
     _integral,
     _require_belief,
+    all_obedient,
     check_assumption_two_stage,
     expected_theta,
+    ic_entries,
     myopic_eq_flow,
     myopic_so_flow,
     stage_cost,
@@ -193,44 +196,18 @@ def _cost_social_optimum(beta: float, params: GameParams, th: TwoStageThresholds
 # ---------------------------------------------------------------------------
 # recommendation schemes
 
-@dataclass(frozen=True)
-class ICSlack2:
-    """One obedience constraint of a two-stage scheme.
-
-    slack = deviation cost - following cost, so nonnegative means obedient
-    (up to rounding, see _obedient). A constraint whose conditioning event
-    has zero probability (nobody ever receives that recommendation) is
-    vacuous: values are None and it counts as satisfied.
-    """
-
-    constraint: str
-    follow: float | None
-    deviate: float | None
-    slack: float | None
-    vacuous: bool = False
-
-    @property
-    def satisfied(self) -> bool:
-        return self.vacuous or bool(_obedient(self.follow, self.deviate))
-
-
-def _obedient(follow, deviate):
-    """Elementwise obedience: a slack down to -1e-12 * (1 + deviate) counts
-    as zero (deviation costs are nonnegative), as at beta = beta_p the
-    experimenter's (0, 0) slack, zero in exact arithmetic, rounds to -2e-15."""
-    return follow <= deviate * (1.0 + 1e-12) + 1e-12
-
-
 def ic_constraints_eval(
     beta: float, pi2_low: int, pi2_high: int, params: GameParams
-) -> list[ICSlack2]:
+) -> list[ICEntry]:
     """Evaluate the three obedience constraints of a one-experimenter scheme.
 
     pi2_low / pi2_high are the counts of uninformed agents recommended onto
     the risky road in round two after a low / high report. The experimenter
     is always sent back onto a low road, so the low-state risky flow is
     pi2_low + 1; after a high report the experimenter goes safe and the flow
-    is pi2_high.
+    is pi2_high. Each constraint is a model.ICEntry named by its state; one
+    whose conditioning event has probability zero (nobody ever receives that
+    recommendation) is vacuous.
     """
     beta = _require_belief(beta)
     n = params.n
@@ -242,15 +219,11 @@ def ic_constraints_eval(
                 f"{name} must be in 0..{n - 1} (only {n - 1} uninformed agents), got {value}"
             )
     pi2_low, pi2_high = int(pi2_low), int(pi2_high)
-    return [
-        ICSlack2(name, None, None, None, vacuous=True) if vacuous
-        else ICSlack2(name, float(follow), float(deviate), float(deviate - follow))
-        for name, follow, deviate, vacuous in _ic_terms(beta, pi2_low, pi2_high, params)
-    ]
+    return ic_entries(_ic_terms(beta, pi2_low, pi2_high, params))
 
 
 def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tuple]:
-    """Yield (constraint, follow, deviate, vacuous) for the three obedience constraints.
+    """Yield (state, follow, deviate, vacuous) for the three obedience constraints.
 
     Elementwise in the recommendation counts; a vacuous constraint's follow
     and deviate values read 0.
@@ -295,7 +268,7 @@ class TwoStageScheme:
     pi2_low: int | None
     pi2_high: int | None
     expected_cost: float
-    slacks: tuple[ICSlack2, ...]
+    slacks: tuple[ICEntry, ...]
     n_feasible: int
 
     @property
@@ -360,9 +333,7 @@ def _solve_optimal_scheme(
     best, best_cost, n_feasible = None, np.inf, 0
     for start in range(0, n, rows):
         pi_l = np.arange(start, min(start + rows, n))[:, None]
-        obedient = np.ones((len(pi_l), n), dtype=bool)
-        for _, follow, deviate, vacuous in _ic_terms(beta, pi_l, pi_h, params):
-            obedient &= vacuous | _obedient(follow, deviate)
+        obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
         n_feasible += int(np.count_nonzero(obedient))
         cost = np.where(obedient, scheme_cost_two_stage(beta, pi_l, pi_h, params), np.inf)
         # argmin takes the block's first minimum in row-major order; the

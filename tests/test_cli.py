@@ -369,6 +369,18 @@ def test_missing_params_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_output_exits_2(capsys, tmp_path, example1_file, fmt):
+    # into a missing directory, and onto a directory
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        argv = ["two-stage", "--params", example1_file, "--format", fmt, "--output", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("roadrec: parameter error: cannot write")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "roadrec.cli", "--version"],

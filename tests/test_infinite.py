@@ -25,7 +25,6 @@ from roadrec.infinite import (
     posteriors,
     scheme_cost,
     scheme_pairs,
-    social_opt_policy,
     state_costs,
     state_costs_linear,
     steady_slack,
@@ -287,14 +286,6 @@ def test_delta_sweep_flags_infeasible_points():
 def test_delta_sweep_needs_dynamics(example1):
     with pytest.raises(ParameterError):
         delta_sweep(example1, [0.5])
-
-
-def test_social_opt_policy(reference):
-    # after a high observation the planner still keeps one scout out
-    assert social_opt_policy(0.0, reference) == 1
-    assert social_opt_policy(1.0, reference) == 2
-    with pytest.raises(ParameterError):
-        social_opt_policy(1.5, reference)
 
 
 def test_random_draws_have_consistent_tables(infinite_draws):

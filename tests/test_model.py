@@ -9,17 +9,19 @@ from roadrec.model import (
     _MAX_INT,
     _MAX_N,
     GameParams,
+    ICEntry,
     ParameterError,
-    RoadState,
-    belief_step,
+    all_obedient,
     check_assumption_infinite,
     check_assumption_two_stage,
     expected_theta,
+    ic_entries,
     load_params,
     mu_high,
     mu_low,
     myopic_eq_flow,
     myopic_so_flow,
+    obedient,
     params_from_dict,
     stage_cost,
 )
@@ -80,13 +82,6 @@ def test_integer_costs_do_not_wrap_over_flow_arrays():
                               2.0**53 * _MAX_N * _MAX_N]
 
 
-def test_road_state_coefficients():
-    p = small_params()
-    assert RoadState.LOW.coefficient(p) == p.l
-    assert RoadState.HIGH.coefficient(p) == p.h
-    assert RoadState("L") is RoadState.LOW
-
-
 def test_stage_cost_handles_boundaries():
     p = small_params()
     # empty risky road: cost is coefficient-independent
@@ -104,11 +99,10 @@ def test_stage_cost_handles_boundaries():
 
 def test_belief_validation():
     p = small_params()
-    for fn in (lambda b: expected_theta(b, p), lambda b: belief_step(b, p)):
-        with pytest.raises(ParameterError):
-            fn(-0.01)
-        with pytest.raises(ParameterError):
-            fn(1.01)
+    with pytest.raises(ParameterError):
+        expected_theta(-0.01, p)
+    with pytest.raises(ParameterError):
+        expected_theta(1.01, p)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +155,6 @@ def test_myopic_eq_flow_is_stable(params, coef):
     # no safe user wants to join
     if x < n:
         assert coef * (x + 1) >= s0 + s1 * (n - x - 1) - 1e-12
-
-
-@given(params=params_st, beta=st.floats(min_value=0.0, max_value=1.0))
-def test_belief_step_stays_in_unit_interval(params, beta):
-    out = belief_step(beta, params)
-    assert 0.0 <= out <= 1.0
 
 
 @given(params=params_st, beta=st.floats(min_value=0.0, max_value=1.0))
@@ -283,6 +271,57 @@ def test_load_params(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParameterError, match="not valid JSON"):
         load_params(str(bad))
+    # a byte that is not UTF-8, and arrays nested past the recursion limit
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"n": 4, "s0": 2, "s1": 1, "l": 1, "h": 9, "note": "\xff"}')
+    with pytest.raises(ParameterError, match="not valid JSON.*utf-8"):
+        load_params(str(not_utf8))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParameterError, match="not valid JSON.*recursion"):
+        load_params(str(deep))
+
+
+# ---------------------------------------------------------------------------
+# the obedience rule
+
+def test_obedience_rule_tolerance():
+    # the two-stage experimenter's (0, 0) slack at beta = beta_p: zero in
+    # exact arithmetic, -1.8e-15 in floating point
+    assert obedient(4.0 + 1.8e-15, 4.0)
+    assert obedient(1.0, 1.0) and obedient(0.0, 0.0)
+    # a slack of -1e-11 at deviation cost 1 is beyond the tolerance
+    assert not obedient(1.0 + 1e-11, 1.0)
+    # elementwise over arrays, scaled to the deviation cost
+    follow = np.array([1.0 + 1e-11, 1e6 + 1e-7, 1e6 + 1e-5])
+    assert obedient(follow, np.array([1.0, 1e6, 1e6])).tolist() == [False, True, False]
+
+
+def test_ic_entries_flags():
+    entries = ic_entries([
+        ("vacuous", 5.0, 1.0, True),
+        ("rounded", 4.0 + 1.8e-15, 4.0, False),
+        ("slack", 1.0, 2.0, False),
+        ("broken", 1.0 + 1e-11, 1.0, False),
+    ])
+    assert entries[0] == ICEntry("vacuous", None, None, None,
+                                 vacuous=True, boundary=False, satisfied=True)
+    rounded = entries[1]
+    assert rounded.slack < 0.0 and rounded.satisfied and rounded.boundary
+    assert entries[2] == ICEntry("slack", 1.0, 2.0, 1.0,
+                                 vacuous=False, boundary=False, satisfied=True)
+    assert not entries[3].satisfied and not entries[3].boundary
+
+
+def test_all_obedient_is_elementwise_over_terms():
+    # one verdict per scheme: every term is vacuous or obedient there
+    terms = [
+        ("a", np.array([1.0, 3.0, 1.0]), 2.0, np.array([False, True, False])),
+        ("b", np.array([1.0, 1.0, 5.0]), 2.0, False),
+    ]
+    assert all_obedient(terms).tolist() == [True, True, False]
+    assert all_obedient([("c", 1.0, 2.0, False)])
+    assert not all_obedient([("c", 3.0, 2.0, False)])
 
 
 def test_stage_cost_over_flow_arrays(reference):

@@ -115,7 +115,7 @@ def test_scheme_cost_matches_components(example1):
 
 def test_ic_constraints_shapes(example1):
     slacks = ic_constraints_eval(0.55, 18, 0, example1)
-    names = [s.constraint for s in slacks]
+    names = [s.state for s in slacks]
     assert names == ["recommended_safe", "recommended_risky", "experimenter"]
     for s in slacks:
         if not s.vacuous:
@@ -126,11 +126,11 @@ def test_ic_constraints_vacuous_when_no_weight():
     p = GameParams(n=3, s0=1.0, s1=0.5, l=0.8, h=6.0)
     # pi2 = (2, 2): everyone is on the risky road after either state, so no
     # non-experimenter ever holds a safe recommendation
-    by_name = {s.constraint: s for s in ic_constraints_eval(0.2, 2, 2, p)}
+    by_name = {s.state: s for s in ic_constraints_eval(0.2, 2, 2, p)}
     assert by_name["recommended_safe"].vacuous
     assert by_name["recommended_safe"].satisfied
     # pi2 = (0, 0): only the experimenter is ever sent to the risky road
-    by_name = {s.constraint: s for s in ic_constraints_eval(0.2, 0, 0, p)}
+    by_name = {s.state: s for s in ic_constraints_eval(0.2, 0, 0, p)}
     assert by_name["recommended_risky"].vacuous
     assert by_name["recommended_risky"].satisfied
 
