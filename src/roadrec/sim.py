@@ -19,17 +19,20 @@ numbers).
 
 Work is vectorised over trials. Trials run in blocks of about _BLOCK_STAGES
 trial-stages, which bounds the working memory whatever the trial count;
-each block steps all its road chains stage by stage. Under a scheme the
-risky flow is a function of the chain alone (one experimenter at stage one
-and after a high stage, c after the first low stage, d after two or more),
-so the aggregate cost needs no dispatch lottery. Agent 0's role is a small
-Markov chain driven by one stream-1 uniform per stage: in a fresh stage
-(stage one, or after a high stage) it is the experimenter when u < 1/n;
-during the ramp a risky agent stays risky and a safe one is recruited when
-u < need/(n - prev_flow). The agent-by-agent lottery (_sample, _dispatch)
-is kept as the reference the tests check those shortcuts against: it reads
-agent 0's role from the same uniform and draws the other recruits from
-stream 2. A rollout's deviate arm needs no draws after the deviation: the
+each block computes all its road chains at once, as a running maximum over
+int32 stage marks with no stage loop (see _chains; it needs gamma_h <=
+1 - gamma_l, which the gate's bound of 1/2 on both switch rates implies).
+Under a scheme the risky flow is a function of the chain alone (one
+experimenter at stage one and after a high stage, c after the first low
+stage, d after two or more), so the aggregate cost needs no dispatch
+lottery. Agent 0's role is a small Markov chain driven by one stream-1
+uniform per stage: in a fresh stage (stage one, or after a high stage) it
+is the experimenter when u < 1/n; during the ramp a risky agent stays risky
+and a safe one is recruited when u < need/(n - prev_flow). _roles finds it
+from running maxima of int32 stage numbers. The tests check these
+shortcuts against stage-by-stage loops: the chain stepped one stage at a
+time, and the dispatch lottery played agent by agent from the same
+uniforms. A rollout's deviate arm needs no draws after the deviation: the
 gate forces s1 = 0, so once the deviant hides on the safe road it pays
 exactly s0 per stage, whatever the punishment regime recommends to the
 others.
@@ -56,7 +59,6 @@ from .infinite import InfiniteScheme, require_gate
 
 _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
-_STREAM_RECRUITS = 2
 
 # Trial-stages simulated at once: bounds the arrays of one block, and sets
 # how many rows each step of a stage loop covers.
@@ -139,16 +141,6 @@ class AgentState:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One simulated path: states, flows, and discounted realised costs."""
-
-    thetas: tuple[str, ...]
-    flows: tuple[int, ...]
-    total: float
-    agent_totals: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class RunStats:
     """Monte Carlo estimates from compliant runs of a scheme.
 
@@ -179,16 +171,26 @@ def _chains(params: GameParams, horizon: int, seed: int, trials: range) -> np.nd
     already a transition draw from the latent high state before stage one.
     Row k holds trial trials[k], drawn from row trials[k] of stream 0, so a
     row does not depend on which other trials share the call.
+
+    Needs gamma_h <= 1 - gamma_l, which the gate's switch-rate bound
+    implies: then a uniform below gamma_h sends the road low from either
+    state, one at or above 1 - gamma_l sends it high, and any other keeps
+    the state. Stage t is marked 2t + 1 if its draw sets the road low, 2t
+    if it sets it high and -2 (even, so high, as is the latent state before
+    stage one) otherwise; the running maximum of the marks is the last
+    setting draw, and the stage is low exactly when it is odd.
     """
+    high_at = 1.0 - params.gamma_l
+    if params.gamma_h > high_at:
+        raise AssumptionError(
+            f"chain needs gamma_h <= 1 - gamma_l, got gamma_h={params.gamma_h}, "
+            f"gamma_l={params.gamma_l}"
+        )
     u = _uniforms(seed, _STREAM_CHAIN, trials, horizon)
-    # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
-    stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
-    lows = np.empty(u.shape, dtype=bool)
-    low = np.zeros(len(trials), dtype=bool)
-    for t in range(horizon):
-        low = np.where(low, stay[:, t], enter[:, t])
-        lows[:, t] = low
-    return lows
+    low, high = u < params.gamma_h, u >= high_at
+    # (2t + 2 + low) - 2 where a draw sets the state, 0 - 2 where it keeps it
+    marks = (2 * np.arange(1, horizon + 1, dtype=np.int32) + low) * (low | high) - 2
+    return (np.maximum.accumulate(marks, axis=1) & 1).astype(bool)
 
 
 def _flows(lows: np.ndarray, c: int, d: int) -> np.ndarray:
@@ -196,11 +198,12 @@ def _flows(lows: np.ndarray, c: int, d: int) -> np.ndarray:
 
     One experimenter at stage one and after a high stage, c after the first
     low stage, d after two or more; the states before stage one are high.
+    The flows are int32.
     """
     padded = np.zeros((lows.shape[0], lows.shape[1] + 2), dtype=bool)
     padded[:, 2:] = lows
     prev, prev2 = padded[:, 1:-1], padded[:, :-2]
-    return np.where(prev, np.where(prev2, d, c), 1)
+    return 1 + np.int32(c - 1) * prev + np.int32(d - c) * (prev & prev2)
 
 
 def _cost_table(params: GameParams, c: int, d: int) -> np.ndarray:
@@ -223,65 +226,25 @@ def _discounted(costs: np.ndarray, weights) -> np.ndarray:
     return total
 
 
-def _stage_agent_costs(
-    risky: np.ndarray, low: bool, params: GameParams
-) -> np.ndarray:
-    coef = params.l if low else params.h
-    x = int(risky.sum())
-    costs = np.full(params.n, params.s0 + params.s1 * (params.n - x), dtype=float)
-    costs[risky] = coef * x
-    return costs
-
-
-def _dispatch(
-    risky_prev: np.ndarray | None,
-    prev_low: bool,
-    prev2_low: bool,
-    c: int,
-    d: int,
-    u: float,
-    rng: np.random.Generator,
-    n: int,
-) -> np.ndarray:
-    """Recommendations for one stage of compliant play (True = risky).
-
-    A fresh stage (the first, or one after a high stage) recruits one
-    experimenter; the ramp tops the incumbents up to c, then d. Whether a
-    safe agent 0 is recruited depends on u alone, as in _roles; rng draws
-    the other recruits.
-    """
-    fresh = risky_prev is None or not prev_low
-    risky = np.zeros(n, dtype=bool) if fresh else risky_prev.copy()
-    held = int(risky.sum())
-    need = (1 if fresh else d if prev2_low else c) - held
-    if need < 0:
-        raise AssumptionError(
-            "dispatch would need to evict risky incumbents; scheme flows are invalid"
-        )
-    if not risky[0] and u * (n - held) < need:
-        risky[0] = True
-        need -= 1
-    if need:
-        others = np.flatnonzero(~risky[1:]) + 1
-        risky[rng.choice(others, size=need, replace=False)] = True
-    return risky
-
-
 def _roles(u: np.ndarray, lows: np.ndarray, flows: np.ndarray, n: int) -> np.ndarray:
-    """Agent 0's role in each stage, True = risky: _dispatch's rule over
-    (trials x stages) arrays. Agent 0 is risky when it has joined since the
-    last fresh stage; a safe agent 0 joins when u * (n - held) < flow - held,
-    that is u < need / pool written so that a full road needs no division.
+    """Agent 0's role in each stage, True = risky, over (trials x stages)
+    arrays. Agent 0 is risky when it has joined since the last fresh stage;
+    a safe agent 0 joins when u * (n - held) < flow - held, that is
+    u < need / pool written so that a full road needs no division.
+
+    Each running maximum is over int32 stage numbers counted from one: a
+    join's (or a fresh stage's) number, and 0 at every other stage. Stage
+    one is always fresh, so the last join and the last fresh stage compare
+    directly.
     """
     ramp = np.zeros(lows.shape, dtype=bool)
     ramp[:, 1:] = lows[:, :-1]
     held = np.zeros_like(flows)
-    held[:, 1:] = flows[:, :-1]
-    held[~ramp] = 0
+    held[:, 1:] = flows[:, :-1] * ramp[:, 1:]
     joins = u * (n - held) < flows - held
-    stage = np.arange(lows.shape[1])
-    last_join = np.maximum.accumulate(np.where(joins, stage, -1), axis=1)
-    last_fresh = np.maximum.accumulate(np.where(ramp, 0, stage), axis=1)
+    stage = np.arange(1, lows.shape[1] + 1, dtype=np.int32)
+    last_join = np.maximum.accumulate(stage * joins, axis=1)
+    last_fresh = np.maximum.accumulate(stage * ~ramp, axis=1)
     return last_join >= last_fresh
 
 
@@ -306,31 +269,6 @@ def _se(values: np.ndarray) -> float | None:
     return float(values.std(ddof=1) / np.sqrt(m)) if m > 1 else None
 
 
-def _sample(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
-    """Trial 0, whose road chain is lows, played agent by agent through the
-    dispatch lottery: the reference for _flows, _roles and the cost table."""
-    n, delta = params.n, params.delta
-    u = _uniforms(config.seed, _STREAM_DISPATCH, range(1), config.horizon)[0]
-    rng = np.random.default_rng((config.seed, _STREAM_RECRUITS))
-    agent_totals = np.zeros(n)
-    risky = None
-    flows = []
-    disc = 1.0
-    for t in range(1, config.horizon + 1):
-        prev_low = t >= 2 and lows[t - 2]
-        prev2_low = t >= 3 and lows[t - 3]
-        risky = _dispatch(risky, prev_low, prev2_low, config.c, config.d, u[t - 1], rng, n)
-        agent_totals += disc * _stage_agent_costs(risky, bool(lows[t - 1]), params)
-        flows.append(int(risky.sum()))
-        disc *= delta
-    return Trajectory(
-        thetas=tuple("L" if low else "H" for low in lows),
-        flows=tuple(flows),
-        total=float(agent_totals.sum()),
-        agent_totals=tuple(float(v) for v in agent_totals),
-    )
-
-
 def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """Estimate the discounted cost of compliant play under scheme (c, d).
 
@@ -340,7 +278,7 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
-    # delta^t as the stage-by-stage product that _sample uses
+    # delta^t as a stage-by-stage product
     disc = np.cumprod(np.r_[1.0, np.full(config.horizon - 1, delta)])
     table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
@@ -435,7 +373,10 @@ def deviation_rollout(
     share the chain and all dispatch draws up to the deviation.
     """
     _require_sim_gate(config, params)
-    n, s0, s1, delta = params.n, params.s0, params.s1, params.delta
+    n, delta = params.n, params.delta
+    # floats, so that an integer cost beyond int32 never meets the int32
+    # flows as a Python int, which numpy 2 refuses
+    s0, s1 = float(params.s0), float(params.s1)
     length = config.max_wait + config.horizon
     weights = [delta**k for k in range(config.horizon)]
     s0_run = s0 * sum(weights[1:])

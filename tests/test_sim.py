@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,119 @@ from roadrec.infinite import check_ic, pi_star, scheme_cost, v_bar
 from roadrec import sim
 from roadrec.sim import AgentState, SimConfig, deviation_rollout, run_scheme
 
+from conftest import REFERENCE
+
 # Both switch rates zero: starting high, the chain never leaves the high
 # state and compliant play is fully deterministic.
 FROZEN = GameParams(n=10, s0=10, s1=0.0, l=1.0, h=10.0,
                     gamma_l=0.0, gamma_h=0.0, delta=0.5)
 
 
-def first_trial(cfg: SimConfig, params: GameParams) -> sim.Trajectory:
+# ---------------------------------------------------------------------------
+# reference implementations: the stage-by-stage loops that the simulator's
+# array kernels replace
+
+# The agent-by-agent play draws the recruits other than agent 0 from this
+# stream; the simulator itself never needs them.
+STREAM_RECRUITS = 2
+
+
+def chains_by_stage(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
+    """sim._chains stepped one stage at a time from the latent high state."""
+    u = sim._uniforms(seed, sim._STREAM_CHAIN, trials, horizon)
+    # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
+    stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
+    lows = np.empty(u.shape, dtype=bool)
+    low = np.zeros(len(trials), dtype=bool)
+    for t in range(horizon):
+        low = np.where(low, stay[:, t], enter[:, t])
+        lows[:, t] = low
+    return lows
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One simulated path: states, flows, and discounted realised costs."""
+
+    thetas: tuple[str, ...]
+    flows: tuple[int, ...]
+    total: float
+    agent_totals: tuple[float, ...]
+
+
+def stage_agent_costs(risky: np.ndarray, low: bool, params: GameParams) -> np.ndarray:
+    """What each agent pays in one stage with these risky agents."""
+    coef = params.l if low else params.h
+    x = int(risky.sum())
+    costs = np.full(params.n, params.s0 + params.s1 * (params.n - x), dtype=float)
+    costs[risky] = coef * x
+    return costs
+
+
+def dispatch(
+    risky_prev: np.ndarray | None,
+    prev_low: bool,
+    prev2_low: bool,
+    c: int,
+    d: int,
+    u: float,
+    rng: np.random.Generator,
+    n: int,
+) -> np.ndarray:
+    """Recommendations for one stage of compliant play (True = risky).
+
+    A fresh stage (the first, or one after a high stage) recruits one
+    experimenter; the ramp tops the incumbents up to c, then d. Whether a
+    safe agent 0 is recruited depends on u alone, as in sim._roles; rng
+    draws the other recruits.
+    """
+    fresh = risky_prev is None or not prev_low
+    risky = np.zeros(n, dtype=bool) if fresh else risky_prev.copy()
+    held = int(risky.sum())
+    need = (1 if fresh else d if prev2_low else c) - held
+    if need < 0:
+        raise AssumptionError(
+            "dispatch would need to evict risky incumbents; scheme flows are invalid"
+        )
+    if not risky[0] and u * (n - held) < need:
+        risky[0] = True
+        need -= 1
+    if need:
+        others = np.flatnonzero(~risky[1:]) + 1
+        risky[rng.choice(others, size=need, replace=False)] = True
+    return risky
+
+
+def play_agent_by_agent(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
+    """Trial 0, whose road chain is lows, played agent by agent through the
+    dispatch lottery: the reference for sim._flows, sim._roles and the cost
+    table."""
+    n, delta = params.n, params.delta
+    u = sim._uniforms(config.seed, sim._STREAM_DISPATCH, range(1), config.horizon)[0]
+    rng = np.random.default_rng((config.seed, STREAM_RECRUITS))
+    agent_totals = np.zeros(n)
+    risky = None
+    flows = []
+    disc = 1.0
+    for t in range(1, config.horizon + 1):
+        prev_low = t >= 2 and lows[t - 2]
+        prev2_low = t >= 3 and lows[t - 3]
+        risky = dispatch(risky, prev_low, prev2_low, config.c, config.d, u[t - 1], rng, n)
+        agent_totals += disc * stage_agent_costs(risky, bool(lows[t - 1]), params)
+        flows.append(int(risky.sum()))
+        disc *= delta
+    return Trajectory(
+        thetas=tuple("L" if low else "H" for low in lows),
+        flows=tuple(flows),
+        total=float(agent_totals.sum()),
+        agent_totals=tuple(float(v) for v in agent_totals),
+    )
+
+
+def first_trial(cfg: SimConfig, params: GameParams) -> Trajectory:
     """Trial 0 of cfg played agent by agent through the dispatch lottery."""
     lows = sim._chains(params, cfg.horizon, cfg.seed, range(1))[0]
-    return sim._sample(cfg, params, lows)
+    return play_agent_by_agent(cfg, params, lows)
 
 
 def test_config_validation():
@@ -92,6 +196,44 @@ def test_chain_long_run_frequency(reference):
     assert lows.mean() == pytest.approx(5.0 / 6.0, abs=0.02)
 
 
+@pytest.mark.parametrize("params", [
+    replace(REFERENCE, gamma_l=0.5, gamma_h=0.5),
+    FROZEN,
+    REFERENCE,
+    # gamma_h = 1 - gamma_l exactly, past the gate: every draw sets the state
+    replace(REFERENCE, gamma_l=0.75, gamma_h=0.25),
+], ids=["both-half", "frozen", "reference", "complementary"])
+@pytest.mark.parametrize("width, trials", [
+    (1, range(3, 40)), (2, range(5, 30)), (16, range(17, 90)), (216, range(150, 225)),
+])
+def test_chain_matches_stage_by_stage_loop(params, width, trials):
+    lows = sim._chains(params, width, 12, trials)
+    assert lows.dtype == bool and lows.shape == (len(trials), width)
+    assert np.array_equal(lows, chains_by_stage(params, width, 12, trials))
+
+
+def test_chain_matches_loop_on_random_games(infinite_draws):
+    for k, params in enumerate(infinite_draws[:20]):
+        trials = range(7 * k, 7 * k + 30)
+        assert np.array_equal(sim._chains(params, 216, k, trials),
+                              chains_by_stage(params, 216, k, trials)), k
+
+
+def test_chain_matches_loop_at_widest_rollout(reference):
+    width = sim._MAX_WAIT + sim._MAX_HORIZON
+    lows = sim._chains(reference, width, 3, range(2, 3))
+    assert np.array_equal(lows, chains_by_stage(reference, width, 3, range(2, 3)))
+    assert lows.any() and not lows.all()
+
+
+def test_chain_refuses_rates_where_a_draw_can_set_both_states():
+    # gamma_h > 1 - gamma_l: a draw in [1 - gamma_l, gamma_h) would send a
+    # low road high and a high road low, which no running maximum encodes
+    params = replace(REFERENCE, gamma_l=0.6, gamma_h=0.5)
+    with pytest.raises(AssumptionError, match="gamma_h <= 1 - gamma_l"):
+        sim._chains(params, 8, 0, range(2))
+
+
 def test_frozen_chain_run_is_exact():
     # one experimenter pays h*1 = 10, nine safe agents pay s0 = 10 each stage
     cfg = SimConfig(c=2, d=3, trials=3, horizon=40, seed=7)
@@ -120,7 +262,7 @@ def test_integer_safe_costs_keep_fractional_risky_costs():
     costs = table[sim._flows(lows, 2, 3), lows.view(np.uint8)]
     assert sim._discounted(costs, 0.5 ** np.arange(cfg.horizon))[0] == pytest.approx(
         expected, abs=1e-12)
-    sample = sim._sample(cfg, params, lows[0])
+    sample = play_agent_by_agent(cfg, params, lows[0])
     assert sample.total == pytest.approx(expected, abs=1e-12)
     assert min(sample.agent_totals) == pytest.approx(
         1.5 + 0.5 * 3.0 + 4.5 * 0.5 * (1.0 - 0.5**18), abs=1e-12)
@@ -248,7 +390,7 @@ def test_rollout_matches_agent_by_agent_play(reference):
         for t in range(length):
             prev_low = bool(lows[k, t - 1]) if t >= 1 else False
             prev2_low = bool(lows[k, t - 2]) if t >= 2 else False
-            risky = sim._dispatch(risky, prev_low, prev2_low, cfg.c, cfg.d, u[k, t], rng, n)
+            risky = dispatch(risky, prev_low, prev2_low, cfg.c, cfg.d, u[k, t], rng, n)
             roles.append(bool(risky[0]))
             flows.append(int(risky.sum()))
         plays.append((lows[k].tolist(), roles, flows))
@@ -279,6 +421,20 @@ def test_rollout_matches_agent_by_agent_play(reference):
         if follow:
             assert stats.follow_mean == pytest.approx(np.mean(follow), rel=1e-12)
             assert stats.deviate_mean == pytest.approx(np.mean(deviate), rel=1e-12)
+
+
+def test_rollout_prices_integer_costs_beyond_int32(reference):
+    # the flows are int32; integer costs past that width must price as their
+    # float equals do (scaling by a power of two keeps every product exact)
+    k = 2**37
+    ints = replace(reference, s0=10 * k, l=k, h=19 * k)
+    floats = replace(reference, s0=10.0 * k, l=float(k), h=19.0 * k)
+    cfg = SimConfig(2, 3, trials=60, horizon=10, seed=3, max_wait=40)
+    assert run_scheme(cfg, ints) == run_scheme(cfg, floats)
+    for trigger in (AgentState(3, "pooled", "safe"), AgentState(None, "high", "risky")):
+        scaled = deviation_rollout(cfg, trigger, ints)
+        assert scaled == deviation_rollout(cfg, trigger, floats)
+        assert scaled.follow_mean == k * deviation_rollout(cfg, trigger, reference).follow_mean
 
 
 def test_rollout_reports_unreachable_trigger(reference):
@@ -337,6 +493,7 @@ def test_dispatch_flows_match_chain_flows(infinite_draws):
         sample = first_trial(cfg, params)
         lows = sim._chains(params, 40, k, range(1))
         flows = sim._flows(lows, c, d)
+        assert flows.dtype == np.int32
         assert sample.flows == tuple(flows[0].tolist())
         # aggregate stage costs price what the agents pay one by one
         disc = params.delta ** np.arange(40)
@@ -385,7 +542,7 @@ def test_agent0_replay_matches_full_dispatch(n):
         for t in range(stages):
             prev_low = bool(lows[trial, t - 1]) if t >= 1 else False
             prev2_low = bool(lows[trial, t - 2]) if t >= 2 else False
-            risky = sim._dispatch(risky, prev_low, prev2_low, c, d, u[trial, t], rng, n)
+            risky = dispatch(risky, prev_low, prev2_low, c, d, u[trial, t], rng, n)
             assert int(risky.sum()) == flows[trial, t]
             assert bool(risky[0]) == roles[trial, t], (trial, t)
 
