@@ -164,6 +164,14 @@ def _betas(args: argparse.Namespace, file_beta: float | None) -> list[float]:
     raise ParameterError("no belief given: pass --beta-grid or put 'beta' in the params file")
 
 
+def _all_gated(what: str, model: str, detail: str) -> AssumptionError:
+    """The error for a grid whose every point fails its gate: exit 1, one
+    line on stderr, nothing on stdout."""
+    return AssumptionError(
+        f"every requested {what} falls outside the {model} assumptions ({detail})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -177,7 +185,7 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
         gate = check_assumption_two_stage(beta, params)
         if not gate.passed:
             n_gated += 1
-            rows.append({"beta": beta, "gated": True, "note": "; ".join(gate.failures())})
+            rows.append({"beta": beta, "gated": True, "note": "; ".join(gate.failures)})
             continue
         # beta is a float inside the gate, which is all the public cost
         # functions check before they would compute the thresholds again.
@@ -195,11 +203,9 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
             "pi2_high": scheme.pi2_high,
         })
     if n_gated == len(rows):
-        limit = check_assumption_two_stage(0.0, params).beta_limit
-        raise AssumptionError(
-            "every requested belief falls outside the two-stage assumptions "
-            f"(beliefs must be below {limit:.12g})"
-        )
+        # beta_limit does not depend on the belief, so the last gate's serves
+        raise _all_gated("belief", "two-stage",
+                         f"beliefs must be below {gate.beta_limit:.12g}")
     if args.format == "csv":
         cols = ["beta", "gated", "region", "v_full", "v_private", "v_partial",
                 "v_so", "experiment", "pi2_low", "pi2_high", "note"]
@@ -256,6 +262,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params, _ = _load(args)
     deltas = parse_grid(args.delta_grid)
     points = inf.delta_sweep(params, deltas)
+    if not any(point.feasible for point in points):
+        # the gate's only discount-dependent bound is loosest at the largest discount
+        loosest = max(points, key=lambda point: point.delta)
+        raise _all_gated("discount", "infinite-horizon",
+                         f"at delta={loosest.delta:.12g}: " + "; ".join(loosest.notes))
     if args.format == "csv":
         cols = [field.name for field in dataclasses.fields(inf.SweepPoint)]
         _emit_csv(cols, [dict(vars(p), notes="; ".join(p.notes)) for p in points], args)
@@ -331,7 +342,7 @@ def _oracle_two_stage(params: GameParams, betas: list[float]) -> list[dict]:
             checks.append({
                 "name": f"beta={beta:.12g}",
                 "passed": False,
-                "detail": "outside two-stage assumptions: " + "; ".join(gate.failures()),
+                "detail": "outside two-stage assumptions: " + "; ".join(gate.failures),
             })
             continue
         for regime in ("full", "private"):

@@ -70,9 +70,7 @@ def require_gate(params: GameParams) -> None:
     """Raise AssumptionError naming every failed infinite-horizon assumption."""
     gate = check_assumption_infinite(params)
     if not gate.passed:
-        raise AssumptionError(
-            "infinite-horizon gate fails: " + "; ".join(gate.failures())
-        )
+        raise AssumptionError("infinite-horizon gate fails: " + "; ".join(gate.failures))
 
 
 def _require_cd(c, d, params: GameParams):
@@ -816,10 +814,12 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     """Re-gate and re-solve across discount factors.
 
     The gate's mu_high ceiling moves with delta, so each point re-checks it;
-    infeasible points are flagged rather than skipped. The ratio compares
-    the best obedient scheme rooted at the planner's ramp flow against the
-    planner's own (relaxed, not obedience-checked) scheme, and reaches one
-    exactly when the steady flow x_ll drops to the planner's flow.
+    infeasible points are flagged, with the gate's failures as notes, rather
+    than skipped. No other rule refuses a point, so zero switch rates are
+    solved too. The ratio compares the best obedient scheme rooted at the
+    planner's ramp flow against the planner's own (relaxed, not
+    obedience-checked) scheme, and reaches one exactly when the steady flow
+    x_ll drops to the planner's flow.
 
     The steady flows x_so..x_eq do not depend on delta, so after the gates
     the cores run once over every in-gate discount, as a (k, 1) column that
@@ -827,8 +827,6 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     scan and one (k, 2) call that prices both schemes. The flows are checked
     once, and only when some discount passes its gate.
     """
-    if params.gamma_l <= 0.0 or params.gamma_h <= 0.0:
-        raise ParameterError("delta_sweep needs strictly positive switch rates")
     x_so, x_eq, d = _steady_range(params)
     gated = []
     for delta in deltas:
@@ -844,8 +842,7 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     out = []
     for delta, gate in gated:
         if not gate.passed:
-            out.append(SweepPoint(delta, False, None, None, None, None,
-                                  notes=tuple(gate.failures())))
+            out.append(SweepPoint(delta, False, None, None, None, None, gate.failures))
             continue
         x, (v_star, v_planner) = next(solved)
         out.append(SweepPoint(delta, True, x, v_star, v_planner, v_star / v_planner))

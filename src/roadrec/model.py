@@ -11,7 +11,8 @@ simulator) builds on the handful of quantities defined here: the aggregate
 stage cost, expected coefficients under a belief, one-shot socially optimal
 and equilibrium flows, the assumption gates that decide whether a parameter
 set is inside the regime the scheme constructions are valid for, and the one
-obedience rule both models decide their constraints with.
+obedience rule both models decide their constraints with. A gate lists the
+message of each condition that fails, and passes when it lists none.
 """
 
 from __future__ import annotations
@@ -207,31 +208,19 @@ def myopic_eq_flow(coef: float, params: GameParams) -> int:
 class TwoStageGate:
     """Outcome of the two-stage assumption check at a given prior belief.
 
-    low_beats_safe      condition 1: l < s0 + s1, so a lone low road is worth using
-    experiment_costly   condition 2: expected lone risky cost exceeds the worst
-                        safe cost, mu_beta > s0 + s1*n, making experimentation
-                        a genuine sacrifice
-    beta_limit          condition 2 holds exactly for beliefs below this value
+    failures     one message per failed condition, in this order: condition 1,
+                 l < s0 + s1, so a lone low road is worth using; condition 2,
+                 mu_beta > s0 + s1*n, the expected lone risky cost exceeds the
+                 worst safe cost, making experimentation a genuine sacrifice
+    beta_limit   condition 2 holds exactly for beliefs below this value
     """
 
-    low_beats_safe: bool
-    experiment_costly: bool
+    failures: tuple[str, ...]
     beta_limit: float
 
     @property
     def passed(self) -> bool:
-        return self.low_beats_safe and self.experiment_costly
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.low_beats_safe:
-            out.append("l >= s0 + s1: the low road would never attract traffic")
-        if not self.experiment_costly:
-            out.append(
-                "expected lone risky cost does not exceed s0 + s1*n "
-                f"(condition 2 needs beta < {self.beta_limit:.6g})"
-            )
-        return out
+        return not self.failures
 
 
 def check_assumption_two_stage(beta: float, params: GameParams) -> TwoStageGate:
@@ -239,15 +228,14 @@ def check_assumption_two_stage(beta: float, params: GameParams) -> TwoStageGate:
     beta = _require_belief(beta)
     k = params.s0 + params.s1 * params.n
     # mu_beta is decreasing in beta, so condition 2 holds iff beta < (h-k)/(h-l).
-    if params.h <= k:
-        limit = 0.0
-    else:
-        limit = min(1.0, (params.h - k) / (params.h - params.l))
-    return TwoStageGate(
-        low_beats_safe=params.l < params.s0 + params.s1,
-        experiment_costly=expected_theta(beta, params) > k,
-        beta_limit=limit,
-    )
+    limit = min(1.0, (params.h - k) / (params.h - params.l)) if params.h > k else 0.0
+    failures = []
+    if not params.l < params.s0 + params.s1:
+        failures.append("l >= s0 + s1: the low road would never attract traffic")
+    if not expected_theta(beta, params) > k:
+        failures.append("expected lone risky cost does not exceed s0 + s1*n "
+                        f"(condition 2 needs beta < {limit:.6g})")
+    return TwoStageGate(tuple(failures), limit)
 
 
 @dataclass(frozen=True)
@@ -258,44 +246,19 @@ class InfiniteGate:
     safe road (s1 = 0), persistent states (both switch rates at most 1/2),
     a safe road that beats even three low-road users (s0 > 3l), and one-step
     conditional means pinned to l <= mu_low < s0/3 and
-    s0 <= mu_high <= s0 + delta*gamma_h*(s0/3 - mu_low). The last bound moves
-    with delta, so re-run the gate when sweeping discount factors.
+    s0 <= mu_high <= s0 + delta*gamma_h*(s0/3 - mu_low); a switch rate may be
+    zero. failures holds one message per failed condition, in that order. The
+    last bound moves with delta, so re-run the gate when sweeping discounts.
     """
 
-    flat_safe_road: bool
-    persistent_states: bool
-    safe_beats_three_low: bool
-    mu_low_in_range: bool
-    mu_high_in_range: bool
+    failures: tuple[str, ...]
     mu_low: float
     mu_high: float
     mu_high_limit: float
 
     @property
     def passed(self) -> bool:
-        return (
-            self.flat_safe_road
-            and self.persistent_states
-            and self.safe_beats_three_low
-            and self.mu_low_in_range
-            and self.mu_high_in_range
-        )
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.flat_safe_road:
-            out.append("s1 != 0: the dynamic scheme analysis needs a flat safe road")
-        if not self.persistent_states:
-            out.append("switch rates must satisfy gamma_l <= 1/2 and gamma_h <= 1/2")
-        if not self.safe_beats_three_low:
-            out.append("s0 <= 3*l: safe road must dominate three low-road users")
-        if not self.mu_low_in_range:
-            out.append(f"mu_low={self.mu_low:.6g} outside [l, s0/3)")
-        if not self.mu_high_in_range:
-            out.append(
-                f"mu_high={self.mu_high:.6g} outside [s0, {self.mu_high_limit:.6g}]"
-            )
-        return out
+        return not self.failures
 
 
 def check_assumption_infinite(params: GameParams) -> InfiniteGate:
@@ -303,16 +266,18 @@ def check_assumption_infinite(params: GameParams) -> InfiniteGate:
     ml = mu_low(params)
     mh = mu_high(params)
     mh_limit = params.s0 + params.delta * params.gamma_h * (params.s0 / 3.0 - ml)
-    return InfiniteGate(
-        flat_safe_road=params.s1 == 0,
-        persistent_states=params.gamma_l <= 0.5 and params.gamma_h <= 0.5,
-        safe_beats_three_low=params.s0 > 3.0 * params.l,
-        mu_low_in_range=params.l <= ml < params.s0 / 3.0,
-        mu_high_in_range=params.s0 <= mh <= mh_limit,
-        mu_low=ml,
-        mu_high=mh,
-        mu_high_limit=mh_limit,
-    )
+    failures = []
+    if params.s1 != 0:
+        failures.append("s1 != 0: the dynamic scheme analysis needs a flat safe road")
+    if not (params.gamma_l <= 0.5 and params.gamma_h <= 0.5):
+        failures.append("switch rates must satisfy gamma_l <= 1/2 and gamma_h <= 1/2")
+    if not params.s0 > 3.0 * params.l:
+        failures.append("s0 <= 3*l: safe road must dominate three low-road users")
+    if not params.l <= ml < params.s0 / 3.0:
+        failures.append(f"mu_low={ml:.6g} outside [l, s0/3)")
+    if not params.s0 <= mh <= mh_limit:
+        failures.append(f"mu_high={mh:.6g} outside [s0, {mh_limit:.6g}]")
+    return InfiniteGate(tuple(failures), ml, mh, mh_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _require_gate(beta: float, params: GameParams) -> TwoStageThresholds:
     gate = check_assumption_two_stage(beta, params)
     if not gate.passed:
         raise AssumptionError(
-            "two-stage gate fails at beta=%g: %s" % (beta, "; ".join(gate.failures()))
+            "two-stage gate fails at beta=%g: %s" % (beta, "; ".join(gate.failures))
         )
     return thresholds(params)
 

@@ -13,6 +13,9 @@ from roadrec.model import ParameterError
 
 REFERENCE_RAW = {"n": 10, "s0": 10, "s1": 0, "l": 1, "h": 19,
                  "gamma_l": 0.1, "gamma_h": 0.5, "delta": 0.5}
+# conftest's STATIC_LOW: in the gate for delta >= 3/7, with gamma_l = 0
+STATIC_LOW_RAW = {"n": 6, "s0": 10, "s1": 0, "l": 1, "h": 20,
+                  "gamma_l": 0.0, "gamma_h": 0.5, "delta": 0.5}
 EXAMPLE1_RAW = {"n": 40, "s0": 10, "s1": 1, "l": 0.9, "h": 150, "beta": 0.55}
 
 
@@ -97,7 +100,8 @@ def test_two_stage_flags_gated_rows(capsys, example1_file):
     gated = [row for row in data["rows"] if row["gated"]]
     assert len(gated) == 1
     assert gated[0]["beta"] == 0.9
-    assert "note" in gated[0]
+    assert gated[0]["note"] == ("expected lone risky cost does not exceed s0 + s1*n "
+                                "(condition 2 needs beta < 0.670691)")
 
 
 def test_two_stage_solves_at_beta_p(capsys, tmp_path):
@@ -170,6 +174,44 @@ def test_infinite_gate_failure_exit(capsys, example1_file):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "gate fails" in lines[0], command
+
+
+def test_infinite_gate_failure_message(capsys, example1_file):
+    assert main(["infinite", "--params", example1_file]) == 1
+    assert capsys.readouterr().err == (
+        "roadrec: infinite-horizon gate fails: s1 != 0: the dynamic scheme analysis "
+        "needs a flat safe road; mu_high=150 outside [s0, 10]\n"
+    )
+
+
+def test_sweep_solves_zero_switch_rate(capsys, tmp_path):
+    path = tmp_path / "static_low.json"
+    path.write_text(json.dumps(STATIC_LOW_RAW))
+    code, data = run_json(capsys, ["sweep", "--params", str(path),
+                                   "--delta-grid", "0.2,0.5,0.9"])
+    assert code == 0
+    assert [row["feasible"] for row in data["rows"]] == [False, True, True]
+
+
+@pytest.mark.parametrize("raw, grid, err", [
+    # the mu_high ceiling is loosest at the largest discount, and fails there too
+    (dict(REFERENCE_RAW, h=19.2), "0.2,0.1",
+     "roadrec: every requested discount falls outside the infinite-horizon assumptions "
+     "(at delta=0.2: mu_high=10.1 outside [s0, 10.0513])\n"),
+    # a static game fails the gate at every discount
+    (EXAMPLE1_RAW, "0.2:0.7:0.5",
+     "roadrec: every requested discount falls outside the infinite-horizon assumptions "
+     "(at delta=0.7: s1 != 0: the dynamic scheme analysis needs a flat safe road; "
+     "mu_high=150 outside [s0, 10])\n"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_all_gated_exits_1(capsys, tmp_path, raw, grid, err, fmt):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--params", str(path), "--delta-grid", grid, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_sweep_csv(capsys, reference_file):

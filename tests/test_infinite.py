@@ -283,9 +283,35 @@ def test_delta_sweep_flags_infeasible_points():
     assert points[2].ratio == 1.0
 
 
-def test_delta_sweep_needs_dynamics(example1):
-    with pytest.raises(ParameterError):
-        delta_sweep(example1, [0.5])
+def test_delta_sweep_solves_zero_switch_rates(static_low):
+    # gamma_l = 0: nothing but the per-discount gate refuses a point, and
+    # every in-gate point equals the per-discount calls exactly
+    grid = [round(0.05 * k, 10) for k in range(1, 20)]
+    points = delta_sweep(static_low, grid)
+    assert [point.delta for point in points] == grid
+    n_feasible = 0
+    for point in points:
+        trial = dataclasses.replace(static_low, delta=point.delta)
+        assert point.feasible == check_assumption_infinite(trial).passed
+        if not point.feasible:
+            continue
+        n_feasible += 1
+        star = pi_star(trial)
+        assert point.x_ll == compute_x_ll(trial) == star.d
+        assert point.v_pi_star == scheme_cost(star.c, star.d, trial)
+        assert point.v_myopic_planner == scheme_cost(star.c, star.c, trial)
+    assert n_feasible == 11  # the mu_high ceiling admits delta >= 3/7
+
+
+def test_delta_sweep_flags_every_static_point(example1):
+    # a static game fails the gate at every discount, with its failures as notes
+    grid = [0.0, 0.5, 0.9]
+    points = delta_sweep(example1, grid)
+    assert [point.feasible for point in points] == [False] * 3
+    for point in points:
+        trial = dataclasses.replace(example1, delta=point.delta)
+        assert point.notes == check_assumption_infinite(trial).failures != ()
+        assert (point.x_ll, point.v_pi_star, point.ratio) == (None, None, None)
 
 
 def test_random_draws_have_consistent_tables(infinite_draws):

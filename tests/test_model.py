@@ -26,6 +26,8 @@ from roadrec.model import (
     stage_cost,
 )
 
+from conftest import draw_two_stage_case
+
 
 def small_params(**overrides):
     base = dict(n=5, s0=2.0, s1=0.5, l=1.0, h=8.0)
@@ -195,13 +197,16 @@ def test_two_stage_gate_example1(example1):
     assert check_assumption_two_stage(expected_limit - 1e-9, example1).passed
     bad = check_assumption_two_stage(expected_limit + 1e-9, example1)
     assert not bad.passed
-    assert any("condition 2" in msg for msg in bad.failures())
+    assert bad.failures == (
+        "expected lone risky cost does not exceed s0 + s1*n "
+        f"(condition 2 needs beta < {expected_limit:.6g})",
+    )
 
 
 def test_two_stage_gate_condition_one():
     p = small_params(l=3.0, h=40.0)  # l >= s0 + s1 = 2.5
     gate = check_assumption_two_stage(0.1, p)
-    assert not gate.low_beats_safe
+    assert gate.failures == ("l >= s0 + s1: the low road would never attract traffic",)
     assert not gate.passed
 
 
@@ -211,16 +216,107 @@ def test_infinite_gate_reference(reference):
     assert gate.mu_low == pytest.approx(2.8)
     assert gate.mu_high == pytest.approx(10.0)
     assert gate.mu_high_limit == pytest.approx(10.0 + 0.25 * (10.0 / 3.0 - 2.8))
-    assert gate.failures() == []
+    assert gate.failures == ()
 
 
 def test_infinite_gate_failure_messages(reference):
     sloped = dataclasses.replace(reference, s1=0.5)
-    assert any("flat safe road" in m for m in check_assumption_infinite(sloped).failures())
+    assert any("flat safe road" in m for m in check_assumption_infinite(sloped).failures)
     fast = dataclasses.replace(reference, gamma_h=0.8)
-    assert any("switch rates" in m for m in check_assumption_infinite(fast).failures())
+    assert any("switch rates" in m for m in check_assumption_infinite(fast).failures)
     cheap_safe = dataclasses.replace(reference, l=4.0)
-    assert not check_assumption_infinite(cheap_safe).safe_beats_three_low
+    assert ("s0 <= 3*l: safe road must dominate three low-road users"
+            in check_assumption_infinite(cheap_safe).failures)
+
+
+def _infinite_conditions(p):
+    """The infinite-horizon gate's conditions restated, as (holds, message)
+    pairs in order: mu_low and mu_high are the chance-weighted next-stage
+    coefficients after a low and a high observation."""
+    stay_low = 1.0 - p.gamma_l
+    ml = stay_low * p.l + (1.0 - stay_low) * p.h
+    mh = p.gamma_h * p.l + (1.0 - p.gamma_h) * p.h
+    limit = p.s0 + p.delta * p.gamma_h * (p.s0 / 3.0 - ml)
+    return [
+        (p.s1 == 0, "s1 != 0: the dynamic scheme analysis needs a flat safe road"),
+        (max(p.gamma_l, p.gamma_h) <= 0.5,
+         "switch rates must satisfy gamma_l <= 1/2 and gamma_h <= 1/2"),
+        (3.0 * p.l < p.s0, "s0 <= 3*l: safe road must dominate three low-road users"),
+        (p.l <= ml and ml < p.s0 / 3.0, f"mu_low={ml:.6g} outside [l, s0/3)"),
+        (p.s0 <= mh and mh <= limit, f"mu_high={mh:.6g} outside [s0, {limit:.6g}]"),
+    ]
+
+
+def _two_stage_conditions(beta, p):
+    """The two-stage gate's belief limit and its (holds, message) conditions,
+    restated."""
+    worst_safe = p.s0 + p.s1 * p.n
+    limit = max(0.0, min(1.0, (p.h - worst_safe) / (p.h - p.l)))
+    return limit, [
+        (p.l < p.s0 + p.s1, "l >= s0 + s1: the low road would never attract traffic"),
+        (beta * p.l + (1.0 - beta) * p.h > worst_safe,
+         "expected lone risky cost does not exceed s0 + s1*n "
+         f"(condition 2 needs beta < {limit:.6g})"),
+    ]
+
+
+def _check_gate(gate, conditions, failed):
+    """gate lists exactly the messages of the failed conditions, in order, and
+    passes iff every condition holds; failed collects the indices that fail."""
+    assert gate.failures == tuple(message for holds, message in conditions if not holds)
+    assert gate.passed == (not gate.failures) == all(holds for holds, _ in conditions)
+    failed.update(k for k, (holds, _) in enumerate(conditions) if not holds)
+
+
+def _out_of_gate(params, rng):
+    """params with a random nonempty set of its gate conditions broken."""
+    breaks = [
+        dict(s1=float(rng.uniform(0.1, 2.0))),
+        dict(gamma_l=float(rng.uniform(0.51, 1.0))),
+        dict(gamma_h=float(rng.uniform(0.51, 1.0))),
+        dict(l=params.s0 / float(rng.uniform(1.5, 3.0))),
+        dict(h=params.h * float(rng.uniform(1.5, 4.0))),
+        dict(h=params.l + (params.s0 - params.l) * float(rng.uniform(0.1, 0.9))),
+        dict(delta=0.0),
+        dict(l=(params.s0 + params.s1) * float(rng.uniform(1.0, 1.5))),
+    ]
+    picked = rng.choice(len(breaks), size=int(rng.integers(1, 4)), replace=False)
+    changes = {}
+    for k in sorted(picked):
+        changes.update(breaks[k])
+    low = changes.get("l", params.l)
+    if changes.get("h", params.h) <= low:
+        changes["h"] = 2.0 * low
+    return dataclasses.replace(params, **changes)
+
+
+def test_gates_list_each_failed_condition(infinite_draws):
+    # Every condition, restated here, decides its own message: the gate's
+    # failures are exactly those messages, in order, and it passes iff none.
+    rng = np.random.default_rng(1313)
+    outside = [_out_of_gate(p, rng) for p in infinite_draws for _ in range(2)]
+    cases = [draw_two_stage_case(rng, n_range=(2, 12)) for _ in range(200)]
+    two_stage_games = [p for p, _ in cases]
+    games = (infinite_draws + outside + two_stage_games
+             + [_out_of_gate(p, rng) for p in two_stage_games])
+    failed_infinite, failed_two_stage = set(), set()
+    for params in games:
+        _check_gate(check_assumption_infinite(params), _infinite_conditions(params),
+                    failed_infinite)
+        for beta in (0.0, 1.0, float(rng.uniform())):
+            gate = check_assumption_two_stage(beta, params)
+            limit, conditions = _two_stage_conditions(beta, params)
+            assert gate.beta_limit == limit
+            _check_gate(gate, conditions, failed_two_stage)
+    # every condition fails somewhere, so each restatement is exercised
+    assert failed_infinite == set(range(5)) and failed_two_stage == {0, 1}
+    assert all(check_assumption_infinite(p).passed for p in infinite_draws)
+    assert not any(check_assumption_infinite(p).passed for p in outside)
+    for params, beta in cases:
+        assert check_assumption_two_stage(beta, params).failures == ()
+        for beyond in (check_assumption_two_stage(beta, params).beta_limit, 1.0):
+            _check_gate(check_assumption_two_stage(beyond, params),
+                        _two_stage_conditions(beyond, params)[1], failed_two_stage)
 
 
 # ---------------------------------------------------------------------------
