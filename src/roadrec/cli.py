@@ -439,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo vs closed forms; optional deviation rollout")
     common(p)
     p.add_argument("--scheme", help="scheme flows as 'c,d' (default: the optimal scheme)")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--horizon", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-wait", type=int, default=256)
+    sim_defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    for name in ("trials", "horizon", "seed", "max_wait"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=sim_defaults[name])
     p.add_argument("--trigger", help="deviation trigger as FLOW:TAG:REC, e.g. '3:pooled:safe' "
                                      "(FLOW may be 'any'; TAG is low/high/pooled)")
     p.set_defaults(func=cmd_simulate)

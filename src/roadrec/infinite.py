@@ -315,8 +315,9 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
 # but raise the peak RSS of a call at small n by up to 1 MB.
 _BLOCK_PAIRS = 256
 
-# The linear oracle's unknowns, in column order. c = n drops l1_rs and avgc:
-# nobody is left on the safe road to recruit.
+# The linear oracle's unknowns, in column order, the same for every scheme.
+# c = n leaves nobody on the safe road to recruit: there the l1_rs and avgc
+# rows pin those two unknowns to 0, and the oracle reports them as NaN.
 _LINEAR_UNKNOWNS = (
     "vbar", "h_rr", "h_rs", "l1_rr", "l1_rs",
     "lc_rr", "lc_rs", "ld_rr", "ld_rs", "avg1", "avgc",
@@ -324,51 +325,39 @@ _LINEAR_UNKNOWNS = (
 
 
 def _linear_solve(c: np.ndarray, d: np.ndarray, params: GameParams) -> dict[str, np.ndarray]:
-    """The linear oracle's unknowns, by name, for 1-D flow arrays whose
-    schemes all have c < n or all have c = n (one system size)."""
+    """The linear oracle's unknowns, by name, for 1-D flow arrays: one
+    11-unknown system per scheme, NaN for the two states c = n rules out."""
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
-    recruits = bool(c[0] < n)
-
-    names = [x for x in _LINEAR_UNKNOWNS if recruits or x not in ("l1_rs", "avgc")]
-    idx = {name: i for i, name in enumerate(names)}
-    m = len(names)
+    recruits = c < n
+    equations = [  # (right-hand side, {unknown: coefficient}), one per row
+        (0.0, {"vbar": 1.0, "h_rr": -1.0 / n, "h_rs": -(n - 1) / n}),
+        (mh, {"h_rr": 1.0, "l1_rr": -dl * gh, "vbar": -dl * (1 - gh)}),
+        (s0, {"h_rs": 1.0, "avg1": -dl * gh, "vbar": -dl * (1 - gh)}),
+        (ml * c, {"l1_rr": 1.0, "lc_rr": -dl * (1 - gl), "vbar": -dl * gl}),
+        (s0 * recruits,
+         {"l1_rs": 1.0, "avgc": -dl * (1 - gl) * recruits, "vbar": -dl * gl * recruits}),
+        (ml * d, {"lc_rr": 1.0, "ld_rr": -dl * (1 - gl), "vbar": -dl * gl}),
+        (s0, {"lc_rs": 1.0, "ld_rs": -dl * (1 - gl), "vbar": -dl * gl}),
+        (ml * d, {"ld_rr": 1.0 - dl * (1 - gl), "vbar": -dl * gl}),
+        (s0, {"ld_rs": 1.0 - dl * (1 - gl), "vbar": -dl * gl}),
+        (0.0, {"avg1": 1.0, "l1_rr": -(c - 1) / (n - 1), "l1_rs": -(n - c) / (n - 1)}),
+        (0.0, {"avgc": 1.0, "lc_rr": -_div(d - c, n - c, 0.0),
+               "lc_rs": -_div(n - d, n - c, 0.0)}),
+    ]
+    m = len(_LINEAR_UNKNOWNS)
     a = np.zeros((len(c), m, m))
     b = np.zeros((len(c), m, 1))
-
-    def eq(row: int, rhs, terms: dict) -> None:
+    for row, (rhs, terms) in enumerate(equations):
         for name, coef in terms.items():
-            a[:, row, idx[name]] += coef
+            a[:, row, _LINEAR_UNKNOWNS.index(name)] += coef
         b[:, row, 0] = rhs
 
-    row = iter(range(m))
-    eq(next(row), 0.0, {"vbar": 1.0, "h_rr": -1.0 / n, "h_rs": -(n - 1) / n})
-    eq(next(row), mh, {"h_rr": 1.0, "l1_rr": -dl * gh, "vbar": -dl * (1 - gh)})
-    eq(next(row), s0, {"h_rs": 1.0, "avg1": -dl * gh, "vbar": -dl * (1 - gh)})
-    eq(next(row), ml * c, {"l1_rr": 1.0, "lc_rr": -dl * (1 - gl), "vbar": -dl * gl})
-    if recruits:
-        eq(next(row), s0, {"l1_rs": 1.0, "avgc": -dl * (1 - gl), "vbar": -dl * gl})
-    eq(next(row), ml * d, {"lc_rr": 1.0, "ld_rr": -dl * (1 - gl), "vbar": -dl * gl})
-    eq(next(row), s0, {"lc_rs": 1.0, "ld_rs": -dl * (1 - gl), "vbar": -dl * gl})
-    eq(next(row), ml * d, {"ld_rr": 1.0 - dl * (1 - gl), "vbar": -dl * gl})
-    eq(next(row), s0, {"ld_rs": 1.0 - dl * (1 - gl), "vbar": -dl * gl})
-    if recruits:
-        eq(next(row), 0.0, {
-            "avg1": 1.0,
-            "l1_rr": -(c - 1) / (n - 1),
-            "l1_rs": -(n - c) / (n - 1),
-        })
-        eq(next(row), 0.0, {
-            "avgc": 1.0,
-            "lc_rr": -(d - c) / (n - c),
-            "lc_rs": -(n - d) / (n - c),
-        })
-    else:
-        eq(next(row), 0.0, {"avg1": 1.0, "l1_rr": -1.0})
-
-    x = np.linalg.solve(a, b)[:, :, 0]
-    return {name: x[:, i] for name, i in idx.items()}
+    val = dict(zip(_LINEAR_UNKNOWNS, np.linalg.solve(a, b)[:, :, 0].T))
+    for name in ("l1_rs", "avgc"):
+        val[name][~recruits] = np.nan
+    return val
 
 
 def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
@@ -381,31 +370,27 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     stage inputs.
 
     c and d are ints or integer arrays that broadcast together, like
-    state_costs. The systems of all schemes are stacked and solved together,
-    _BLOCK_PAIRS schemes at a time so that the stacked matrices take the same
-    memory whatever n is; schemes with c = n have two unknowns fewer and are
-    solved as a stack of their own. LAPACK still factors each system on its
-    own, so a scheme's values do not depend on what else is in the call. Two
-    ints give Python numbers (None for a state that cannot occur, NaN in an
-    array call).
+    state_costs. Every scheme is the same 11-unknown system, c = n included,
+    where two rows pin the states nobody can be in. The systems are stacked
+    and solved _BLOCK_PAIRS schemes at a time, so that the stacked matrices
+    take the same memory whatever n is. LAPACK still factors each system on
+    its own, so a scheme's values do not depend on what else is in the call.
+    Two ints give Python numbers (None for a state that cannot occur, NaN in
+    an array call).
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    n = params.n
     c, d = np.broadcast_arrays(c, d)
     shape = c.shape
     c, d = c.ravel(), d.ravel()
 
-    val = {name: np.full(c.shape, np.nan) for name in _LINEAR_UNKNOWNS}
-    for same_size in (c < n, c == n):
-        pick = np.flatnonzero(same_size)
-        for start in range(0, len(pick), _BLOCK_PAIRS):
-            rows = pick[start:start + _BLOCK_PAIRS]
-            for name, column in _linear_solve(c[rows], d[rows], params).items():
-                val[name][rows] = column
+    val = {name: np.empty(c.shape) for name in _LINEAR_UNKNOWNS}
+    for start in range(0, len(c), _BLOCK_PAIRS):
+        rows = slice(start, start + _BLOCK_PAIRS)
+        for name, column in _linear_solve(c[rows], d[rows], params).items():
+            val[name][rows] = column
 
     post = _posteriors(c, d, params)
-    p1 = post.low_given_1_safe
     fields = dict(
         post_high_avg=val["vbar"],
         risky_at_d_low=val["ld_rr"],
@@ -418,16 +403,11 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
         avg_at_c_low=val["avgc"],
         risky_after_high=val["h_rr"],
         safe_after_high=val["h_rs"],
-        safe_at_d_pooled=(
-            post.low_given_d_safe * val["ld_rs"]
-            + (1.0 - post.low_given_d_safe) * val["h_rs"]
-        ),
-        safe_at_c_pooled=(
-            post.low_given_c_safe * val["lc_rs"]
-            + (1.0 - post.low_given_c_safe) * val["h_rs"]
-        ),
+        safe_at_d_pooled=_mix(post.low_given_d_safe, val["ld_rs"], val["h_rs"]),
+        safe_at_c_pooled=_mix(post.low_given_c_safe, val["lc_rs"], val["h_rs"]),
+        # c = n: the low branch never sends a safe recommendation.
         safe_at_1_pooled=np.where(
-            c < n, p1 * val["l1_rs"] + (1.0 - p1) * val["h_rs"], val["h_rs"]
+            c < params.n, _mix(post.low_given_1_safe, val["l1_rs"], val["h_rs"]), val["h_rs"]
         ),
     )
     return _to_python(StateCostTable(
@@ -544,13 +524,14 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
             (table.avg_at_1_low <= table.safe_at_d_low + tol, "recruit average exceeds steady safe value"),
             (table.safe_at_d_low <= punish + tol, "steady safe value exceeds punishment"),
             (ml * d <= s0 + tol, "steady low flow costs more than the safe road"),
-            (c + 0.5 + tol >= s0 / (2.0 * ml), "ramp flow below the obedience floor"),
         ]
-        if table.avg_at_c_low is not None:
-            checks.append(
+        if c < params.n:
+            # c = n leaves no ramp stage, and n caps its flow, not the floor.
+            checks += [
+                (c + 0.5 + tol >= s0 / (2.0 * ml), "ramp flow below the obedience floor"),
                 (table.avg_at_c_low <= table.safe_at_d_low + tol,
-                 "ramp-stage average exceeds steady safe value")
-            )
+                 "ramp-stage average exceeds steady safe value"),
+            ]
         for ok, message in checks:
             if not ok:
                 warnings.append("invariant violated: " + message)

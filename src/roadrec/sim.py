@@ -90,8 +90,8 @@ class SimConfig:
 
     c: int
     d: int
-    trials: int = 1000
-    horizon: int = 64
+    trials: int = 10_000
+    horizon: int = 16
     seed: int = 0
     max_wait: int = 256
 

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from roadrec import infinite
+from roadrec.cli import main
 from roadrec.model import (
     AssumptionError,
     GameParams,
@@ -37,6 +39,12 @@ from conftest import draw_infinite_params
 # the steady constraint at d = n holds vacuously (no safe agent exists).
 FULL_ROAD = GameParams(n=4, s0=11.7, s1=0.0, l=1.95, h=16.0,
                        gamma_l=0.02, gamma_h=0.3, delta=0.28)
+
+# A two-agent game: every scheme has c = n, so nobody is left on the safe
+# road to recruit after a low report. Its n = 3 copy is in the gate too.
+SMALL = GameParams(n=2, s0=10, s1=0, l=1, h=19.5,
+                   gamma_l=0.02, gamma_h=0.5, delta=0.5)
+SMALL_3 = dataclasses.replace(SMALL, n=3)
 
 
 def test_scheme_validation(reference):
@@ -129,15 +137,18 @@ def test_reference_ic_report(reference):
 
 
 def test_closed_form_matches_linear_solve(reference):
-    for c, d in [(2, 2), (2, 3), (3, 5), (2, 10), (10, 10)]:
-        table = state_costs(c, d, reference)
-        linear = state_costs_linear(c, d, reference)
+    cases = [(reference, c, d) for c, d in [(2, 2), (2, 3), (3, 5), (2, 10), (10, 10)]]
+    for params in (SMALL, SMALL_3):
+        cases += [(params, c, d) for c, d in zip(*scheme_pairs(params.n))]
+    for params, c, d in cases:
+        table = state_costs(c, d, params)
+        linear = state_costs_linear(c, d, params)
         for f in dataclasses.fields(StateCostTable):
             a, b = getattr(table, f.name), getattr(linear, f.name)
             if a is None or b is None:
-                assert a is b, (c, d, f.name)
+                assert a is b, (params, c, d, f.name)
             else:
-                assert a == pytest.approx(b, rel=1e-11), (c, d, f.name)
+                assert a == pytest.approx(b, rel=1e-11), (params, c, d, f.name)
 
 
 def test_full_road_edge_states(reference):
@@ -163,6 +174,24 @@ def test_cost_identity_against_state_table(reference, infinite_draws):
         assert scheme_cost(star.c, star.d, params) == pytest.approx(
             params.n * mix, rel=1e-9
         )
+
+
+def test_full_road_ramp_raises_no_invariant_warning(tmp_path, capsys):
+    # At c = n the planner's flow is capped by the population, so the ramp
+    # flow's floor (an interior first-order condition) does not apply.
+    obedient_at_full_road = 0
+    for params in (SMALL, SMALL_3):
+        for c, d in zip(*scheme_pairs(params.n)):
+            report = check_ic(c, d, params)
+            obedient_at_full_road += report.verdict and report.c == params.n
+            assert not any("invariant violated" in w for w in report.warnings), (params, c, d)
+        path = tmp_path / f"small_{params.n}.json"
+        path.write_text(json.dumps(dataclasses.asdict(params)))
+        assert main(["infinite", "--params", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ic"]["verdict"] and payload["pi_star"]["c"] == params.n
+        assert not any("invariant violated" in w for w in payload["ic"]["warnings"])
+    assert obedient_at_full_road == 2  # (2, 2) at n = 2 and (3, 3) at n = 3
 
 
 def test_static_low_variant_not_obedient(static_low):
@@ -441,7 +470,7 @@ def _linear_tables(params):
 def test_linear_solve_arrays_match_zero_d_calls(reference, infinite_draws, which):
     # One stacked solve over all schemes must give each scheme's own solve
     # bit for bit, with NaN where the 0-d call gives None (c = n).
-    games = [reference, FULL_ROAD, WIDE] if which == "fixed" else infinite_draws
+    games = [reference, FULL_ROAD, WIDE, SMALL, SMALL_3] if which == "fixed" else infinite_draws
     names = [f.name for f in dataclasses.fields(StateCostTable)]
     for params in games:
         c, d, table = _linear_tables(params)
