@@ -17,20 +17,22 @@ form and, as an independent oracle, a plain linear solve), the obedience
 delta sweep showing when the relaxed social optimum itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
-_scheme_cost, _state_table, _ic_terms, _steady_slack, _first_obedient) that
-does the arithmetic and checks nothing. The cores take c and d as ints or as
-integer arrays, and every core whose value moves with the discount takes it
-as an explicit argument: a float or an array that broadcasts against c and
-d. The search (in blocks of pairs) and the x_ll scan evaluate the cores over
-arrays of candidate flows (a state that cannot occur reads NaN), and the
-delta sweep evaluates them over all of its in-gate discounts at once. The
-public functions check c and d and run the gate once, at entry, and then
-call only cores. Two ints, numpy integers included, are the 0-d case of the
-same code and give Python numbers (None for a state that cannot occur). The
-linear-solve oracle takes the same arguments and solves one stacked system
-per chunk of schemes. check_ic, which builds a report, takes ints only. It,
-the search and the x_ll scan decide obedience by model's one rule, through
-model.ic_entries and model.all_obedient.
+_scheme_cost, _state_table, _ic_terms, _steady_slack, _first_obedient,
+_search) that does the arithmetic and checks no argument of its own; the
+model primitives it calls (stage_cost, mu_low) still check theirs. The
+cores take c and d as ints or as integer arrays, and every core whose value
+moves with the discount takes it as an explicit argument: a float or an
+array that broadcasts against c and d. The search (in blocks of pairs) and
+the x_ll scan evaluate the cores over arrays of candidate flows (a state
+that cannot occur reads NaN), and the delta sweep evaluates them over all
+of its in-gate discounts at once. The public functions check c and d and
+run the gate once, at entry, and then call only cores. Two ints, numpy
+integers included, are the 0-d case of the same code and give Python
+numbers (None for a state that cannot occur). The linear-solve oracle takes
+the same arguments and solves one stacked system per chunk of schemes.
+check_ic, which builds a report, takes ints only. It, the search and the
+x_ll scan decide obedience by model's one rule, through model.ic_entries
+and model.all_obedient.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -212,15 +214,16 @@ def _mix(p, low, high):
 
 @dataclass(frozen=True)
 class StateCostTable:
-    """Expected discounted cost-to-go of a compliant agent, by state.
+    """Expected discounted cost-to-go of a compliant agent, by state: the 11
+    states the recursion solves.
 
     A state bundles what the agent saw last stage and the recommendation it
     just received. "at_d/at_c/at_1" is the risky flow it observed; "low"
-    means it was on the risky road and saw the low state; "after_high" means
-    it was on the risky road and saw the high state; "pooled" means it was
-    on the safe road and only knows the flow (costs there are probability
-    mixtures via the posteriors). avg_at_* are pre-recommendation averages
-    over the recruitment lottery faced by a safe agent at a low transition.
+    means the road was low; "after_high" means the coordinator just saw the
+    high state. avg_at_* are pre-recommendation averages over the
+    recruitment lottery faced by a safe agent at a low transition. An agent
+    on the safe road only knows the flow: its "pooled" values are posterior
+    mixtures of a low and a high state of this table, formed in _ic_terms.
     Fields are None (NaN in an array call) when the state cannot occur
     (c = n leaves nobody on the safe road to recruit later).
     """
@@ -236,9 +239,6 @@ class StateCostTable:
     avg_at_c_low: float | None
     risky_after_high: float
     safe_after_high: float
-    safe_at_d_pooled: float
-    safe_at_c_pooled: float
-    safe_at_1_pooled: float
 
 
 def state_costs(c: int, d: int, params: GameParams) -> StateCostTable:
@@ -287,7 +287,6 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
             f"state-cost consistency identity broke: gap {np.max(gap):.6g} from the reset value"
         )
 
-    post = _posteriors(c, d, params)
     return StateCostTable(
         post_high_avg=vb,
         risky_at_d_low=risky_at_d_low,
@@ -300,12 +299,6 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
         avg_at_c_low=avg_at_c_low,
         risky_after_high=risky_after_high,
         safe_after_high=safe_after_high,
-        safe_at_d_pooled=_mix(post.low_given_d_safe, safe_at_d_low, safe_after_high),
-        safe_at_c_pooled=_mix(post.low_given_c_safe, safe_at_c_low, safe_after_high),
-        # c = n: the low branch never sends a safe recommendation.
-        safe_at_1_pooled=np.where(
-            c < n, _mix(post.low_given_1_safe, safe_at_1_low, safe_after_high), safe_after_high
-        ),
     )
 
 
@@ -315,12 +308,14 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
 # but raise the peak RSS of a call at small n by up to 1 MB.
 _BLOCK_PAIRS = 256
 
-# The linear oracle's unknowns, in column order, the same for every scheme.
-# c = n leaves nobody on the safe road to recruit: there the l1_rs and avgc
-# rows pin those two unknowns to 0, and the oracle reports them as NaN.
+# The linear oracle's unknowns, in column order, the same for every scheme:
+# the fields of StateCostTable. c = n leaves nobody on the safe road to
+# recruit: there the safe_at_1_low and avg_at_c_low rows pin those two
+# unknowns to 0, and the oracle reports them as NaN.
 _LINEAR_UNKNOWNS = (
-    "vbar", "h_rr", "h_rs", "l1_rr", "l1_rs",
-    "lc_rr", "lc_rs", "ld_rr", "ld_rs", "avg1", "avgc",
+    "post_high_avg", "risky_after_high", "safe_after_high", "risky_at_1_low",
+    "safe_at_1_low", "risky_at_c_low", "safe_at_c_low", "risky_at_d_low",
+    "safe_at_d_low", "avg_at_1_low", "avg_at_c_low",
 )
 
 
@@ -332,19 +327,25 @@ def _linear_solve(c: np.ndarray, d: np.ndarray, params: GameParams) -> dict[str,
     ml, mh = mu_low(params), mu_high(params)
     recruits = c < n
     equations = [  # (right-hand side, {unknown: coefficient}), one per row
-        (0.0, {"vbar": 1.0, "h_rr": -1.0 / n, "h_rs": -(n - 1) / n}),
-        (mh, {"h_rr": 1.0, "l1_rr": -dl * gh, "vbar": -dl * (1 - gh)}),
-        (s0, {"h_rs": 1.0, "avg1": -dl * gh, "vbar": -dl * (1 - gh)}),
-        (ml * c, {"l1_rr": 1.0, "lc_rr": -dl * (1 - gl), "vbar": -dl * gl}),
-        (s0 * recruits,
-         {"l1_rs": 1.0, "avgc": -dl * (1 - gl) * recruits, "vbar": -dl * gl * recruits}),
-        (ml * d, {"lc_rr": 1.0, "ld_rr": -dl * (1 - gl), "vbar": -dl * gl}),
-        (s0, {"lc_rs": 1.0, "ld_rs": -dl * (1 - gl), "vbar": -dl * gl}),
-        (ml * d, {"ld_rr": 1.0 - dl * (1 - gl), "vbar": -dl * gl}),
-        (s0, {"ld_rs": 1.0 - dl * (1 - gl), "vbar": -dl * gl}),
-        (0.0, {"avg1": 1.0, "l1_rr": -(c - 1) / (n - 1), "l1_rs": -(n - c) / (n - 1)}),
-        (0.0, {"avgc": 1.0, "lc_rr": -_div(d - c, n - c, 0.0),
-               "lc_rs": -_div(n - d, n - c, 0.0)}),
+        (0.0, {"post_high_avg": 1.0, "risky_after_high": -1.0 / n,
+               "safe_after_high": -(n - 1) / n}),
+        (mh, {"risky_after_high": 1.0, "risky_at_1_low": -dl * gh,
+              "post_high_avg": -dl * (1 - gh)}),
+        (s0, {"safe_after_high": 1.0, "avg_at_1_low": -dl * gh,
+              "post_high_avg": -dl * (1 - gh)}),
+        (ml * c, {"risky_at_1_low": 1.0, "risky_at_c_low": -dl * (1 - gl),
+                  "post_high_avg": -dl * gl}),
+        (s0 * recruits, {"safe_at_1_low": 1.0, "avg_at_c_low": -dl * (1 - gl) * recruits,
+                         "post_high_avg": -dl * gl * recruits}),
+        (ml * d, {"risky_at_c_low": 1.0, "risky_at_d_low": -dl * (1 - gl),
+                  "post_high_avg": -dl * gl}),
+        (s0, {"safe_at_c_low": 1.0, "safe_at_d_low": -dl * (1 - gl), "post_high_avg": -dl * gl}),
+        (ml * d, {"risky_at_d_low": 1.0 - dl * (1 - gl), "post_high_avg": -dl * gl}),
+        (s0, {"safe_at_d_low": 1.0 - dl * (1 - gl), "post_high_avg": -dl * gl}),
+        (0.0, {"avg_at_1_low": 1.0, "risky_at_1_low": -(c - 1) / (n - 1),
+               "safe_at_1_low": -(n - c) / (n - 1)}),
+        (0.0, {"avg_at_c_low": 1.0, "risky_at_c_low": -_div(d - c, n - c, 0.0),
+               "safe_at_c_low": -_div(n - d, n - c, 0.0)}),
     ]
     m = len(_LINEAR_UNKNOWNS)
     a = np.zeros((len(c), m, m))
@@ -355,7 +356,7 @@ def _linear_solve(c: np.ndarray, d: np.ndarray, params: GameParams) -> dict[str,
         b[:, row, 0] = rhs
 
     val = dict(zip(_LINEAR_UNKNOWNS, np.linalg.solve(a, b)[:, :, 0].T))
-    for name in ("l1_rs", "avgc"):
+    for name in ("safe_at_1_low", "avg_at_c_low"):
         val[name][~recruits] = np.nan
     return val
 
@@ -366,8 +367,8 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     Builds the one-step expectation equations with every state kept as an
     unknown (the c-flow states are not folded into the d-flow states, the
     reset value is not expanded into a closed form) and solves with numpy.
-    Shares no arithmetic with the closed forms beyond the posteriors and the
-    stage inputs.
+    The unknowns are the table's 11 fields. Shares no arithmetic with the
+    closed forms beyond the stage inputs.
 
     c and d are ints or integer arrays that broadcast together, like
     state_costs. Every scheme is the same 11-unknown system, c = n included,
@@ -384,35 +385,12 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
     shape = c.shape
     c, d = c.ravel(), d.ravel()
 
-    val = {name: np.empty(c.shape) for name in _LINEAR_UNKNOWNS}
+    solved = {name: np.empty(c.shape) for name in _LINEAR_UNKNOWNS}
     for start in range(0, len(c), _BLOCK_PAIRS):
         rows = slice(start, start + _BLOCK_PAIRS)
         for name, column in _linear_solve(c[rows], d[rows], params).items():
-            val[name][rows] = column
-
-    post = _posteriors(c, d, params)
-    fields = dict(
-        post_high_avg=val["vbar"],
-        risky_at_d_low=val["ld_rr"],
-        safe_at_d_low=val["ld_rs"],
-        risky_at_c_low=val["lc_rr"],
-        safe_at_c_low=val["lc_rs"],
-        risky_at_1_low=val["l1_rr"],
-        safe_at_1_low=val["l1_rs"],
-        avg_at_1_low=val["avg1"],
-        avg_at_c_low=val["avgc"],
-        risky_after_high=val["h_rr"],
-        safe_after_high=val["h_rs"],
-        safe_at_d_pooled=_mix(post.low_given_d_safe, val["ld_rs"], val["h_rs"]),
-        safe_at_c_pooled=_mix(post.low_given_c_safe, val["lc_rs"], val["h_rs"]),
-        # c = n: the low branch never sends a safe recommendation.
-        safe_at_1_pooled=np.where(
-            c < params.n, _mix(post.low_given_1_safe, val["l1_rs"], val["h_rs"]), val["h_rs"]
-        ),
-    )
-    return _to_python(StateCostTable(
-        **{name: value.reshape(shape) for name, value in fields.items()}
-    ))
+            solved[name][rows] = column
+    return _to_python(StateCostTable(**{name: v.reshape(shape) for name, v in solved.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +423,26 @@ class ICReport:
 def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[tuple]:
     """Yield (state, follow, deviate, vacuous) for the 11 obedience constraints.
 
-    table is _state_table(c, d, params, dl). States that cannot occur (d = n
-    leaves no safe agent to observe a d flow, similarly c = n) are vacuous.
+    table is _state_table(c, d, params, dl), NaN where a state cannot occur.
+    An agent on the safe road saw only the risky flow, so each of its six
+    "pooled" follow values is the posterior mixture of a low and a high state
+    of the table; they are formed here and nowhere else. States that cannot
+    occur (d = n leaves no safe agent to observe a d flow, similarly c = n)
+    are vacuous.
     """
     n, s0 = params.n, params.s0
     ml, mh = mu_low(params), mu_high(params)
     post = _posteriors(c, d, params)
     punish = s0 / (1.0 - dl)
     punish_tail = dl * s0 / (1.0 - dl)
+    safe_high, risky_high = table.safe_after_high, table.risky_after_high
+    safe_at_d = _mix(post.low_given_d_safe, table.safe_at_d_low, safe_high)
+    safe_at_c = _mix(post.low_given_c_safe, table.safe_at_c_low, safe_high)
+    # c = n: the low branch never sends a safe recommendation.
+    safe_at_1 = np.where(c < n, _mix(post.low_given_1_safe, table.safe_at_1_low, safe_high),
+                         safe_high)
+    risky_at_c = _mix(post.low_given_c_risky, table.risky_at_c_low, risky_high)
+    risky_at_1 = _mix(post.low_given_1_risky, table.risky_at_1_low, risky_high)
 
     def jump(p, flow):
         # A pooled agent told to stay safe joins the risky road instead.
@@ -461,23 +451,16 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     yield "risky_at_d_low", table.risky_at_d_low, punish, False
     yield "risky_at_c_low", table.risky_at_c_low, punish, False
     yield "risky_at_1_low", table.risky_at_1_low, punish, False
-    yield "safe_after_high", table.safe_after_high, 2.0 * mh + punish_tail, False
-    yield "risky_after_high", table.risky_after_high, punish, False
-    yield ("safe_at_d_pooled", table.safe_at_d_pooled,
-           jump(post.low_given_d_safe, d), d == n)
-    yield ("safe_at_c_pooled", table.safe_at_c_pooled,
-           jump(post.low_given_c_safe, d), c == n)
-    yield ("safe_at_1_pooled", table.safe_at_1_pooled,
-           jump(post.low_given_1_safe, c), False)
-    # Pooled agents told to go risky. After a d flow only the high reset
-    # hands a safe agent r_R, so the posterior there is pure high.
-    yield "risky_at_d_pooled", table.risky_after_high, punish, d == n
-    yield ("risky_at_c_pooled",
-           _mix(post.low_given_c_risky, table.risky_at_c_low, table.risky_after_high),
-           punish, c == n)
-    yield ("risky_at_1_pooled",
-           _mix(post.low_given_1_risky, table.risky_at_1_low, table.risky_after_high),
-           punish, False)
+    yield "safe_after_high", safe_high, 2.0 * mh + punish_tail, False
+    yield "risky_after_high", risky_high, punish, False
+    yield "safe_at_d_pooled", safe_at_d, jump(post.low_given_d_safe, d), d == n
+    yield "safe_at_c_pooled", safe_at_c, jump(post.low_given_c_safe, d), c == n
+    yield "safe_at_1_pooled", safe_at_1, jump(post.low_given_1_safe, c), False
+    # After a d flow only the high reset hands a safe agent r_R, so the
+    # posterior there is pure high.
+    yield "risky_at_d_pooled", risky_high, punish, d == n
+    yield "risky_at_c_pooled", risky_at_c, punish, c == n
+    yield "risky_at_1_pooled", risky_at_1, punish, False
 
 
 def _preconditions(c, d, params: GameParams):
@@ -501,8 +484,10 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     require_gate(params)
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
-    table = _to_python(_state_table(c, d, params, dl))
+    # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
+    table = _state_table(c, d, params, dl)
     entries = ic_entries(_ic_terms(c, d, params, dl, table))
+    table = _to_python(table)
     pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
@@ -741,8 +726,8 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
 def _search(
     params: GameParams, star: InfiniteScheme, tilde: InfiniteScheme | None
 ) -> SearchResult:
-    """optimal_scheme_search, compared against already computed candidates."""
-    require_gate(params)
+    """optimal_scheme_search, compared against already computed candidates,
+    for a game whose gate the caller has run (compute_x_ll runs it)."""
     dl = params.delta
     c, d = scheme_pairs(params.n)
     feasible = np.empty(len(c), dtype=bool)

@@ -374,16 +374,14 @@ def deviation_rollout(
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
-    # floats, so that an integer cost beyond int32 never meets the int32
-    # flows as a Python int, which numpy 2 refuses
-    s0, s1 = float(params.s0), float(params.s1)
+    s0 = float(params.s0)  # so the cost arrays are float whatever the input types
     length = config.max_wait + config.horizon
     weights = [delta**k for k in range(config.horizon)]
     s0_run = s0 * sum(weights[1:])
 
     def cost(risky: np.ndarray, low: np.ndarray, flow: np.ndarray) -> np.ndarray:
-        """Agent 0's cost in stages with these risky flows."""
-        return np.where(risky, np.where(low, params.l, params.h) * flow, s0 + s1 * (n - flow))
+        """Agent 0's cost in stages with these risky flows; the safe road costs s0."""
+        return np.where(risky, np.where(low, params.l, params.h) * flow, s0)
 
     follow_vals: list[np.ndarray] = []
     deviate_vals: list[np.ndarray] = []

@@ -15,6 +15,7 @@ from roadrec.model import (
     check_assumption_infinite,
     check_assumption_two_stage,
 )
+from roadrec import infinite as inf
 from roadrec import two_stage as ts
 
 # Static two-road instance: thresholds land at 0.50 / 0.57 / 0.05.
@@ -29,6 +30,25 @@ REFERENCE = GameParams(n=10, s0=10, s1=0, l=1, h=19,
 # not obedient, the steady safe agent strictly prefers to jump.
 STATIC_LOW = GameParams(n=6, s0=10, s1=0, l=1, h=20,
                         gamma_l=0.0, gamma_h=0.5, delta=0.5)
+
+
+def assert_pooled_match_linear(c: int, d: int, params: GameParams) -> None:
+    """Each non-vacuous safe_at_*_pooled follow value of check_ic is, to a
+    relative 1e-11, the posterior mixture p*low + (1 - p)*high of
+    state_costs_linear's states; at c = n, where no low stage sends a safe
+    recommendation, safe_at_1_pooled is the high state itself."""
+    report = inf.check_ic(c, d, params)
+    linear = inf.state_costs_linear(c, d, params)
+    post = inf.posteriors(c, d, params)
+    high = linear.safe_after_high
+    for flow, p, low in (("d", post.low_given_d_safe, linear.safe_at_d_low),
+                         ("c", post.low_given_c_safe, linear.safe_at_c_low),
+                         ("1", post.low_given_1_safe, linear.safe_at_1_low)):
+        entry = report.entry(f"safe_at_{flow}_pooled")
+        if entry.vacuous:
+            continue
+        want = high if flow == "1" and c == params.n else p * low + (1.0 - p) * high
+        assert entry.follow == pytest.approx(want, rel=1e-11), (params, c, d, flow)
 
 
 @pytest.fixture

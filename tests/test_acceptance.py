@@ -16,7 +16,14 @@ from roadrec import infinite as inf
 from roadrec import two_stage as ts
 from roadrec.sim import AgentState, SimConfig, deviation_rollout, run_scheme
 
-from conftest import EXAMPLE1, REFERENCE, STATIC_LOW, draw_infinite_params, draw_two_stage_case
+from conftest import (
+    EXAMPLE1,
+    REFERENCE,
+    STATIC_LOW,
+    assert_pooled_match_linear,
+    draw_infinite_params,
+    draw_two_stage_case,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +114,7 @@ def test_criterion_04_state_costs_match_linear_solve(infinite_draws):
                 rel = abs(a - b) / (1.0 + abs(a))
                 worst = max(worst, rel)
                 assert rel <= 1e-9, (params, pair, f.name, rel)
+            assert_pooled_match_linear(*pair, params)
     print(f"criterion 04: PASS {len(infinite_draws)} draws, worst relative gap {worst:.2e}")
 
 

@@ -33,7 +33,7 @@ from roadrec.infinite import (
     v_bar,
 )
 
-from conftest import draw_infinite_params
+from conftest import assert_pooled_match_linear, draw_infinite_params
 
 # n=4 instance whose myopic equilibrium flow equals the population size, so
 # the steady constraint at d = n holds vacuously (no safe agent exists).
@@ -75,8 +75,8 @@ PUBLIC_FORMS = [
     pytest.param(fc_gd_decomposition, True, True, id="fc_gd_decomposition"),
     pytest.param(state_costs_linear, True, True, id="state_costs_linear"),
     pytest.param(lambda c, d, params: compute_x_ll(params), False, True, id="compute_x_ll"),
-    pytest.param(lambda c, d, params: infinite._search(params, InfiniteScheme(c, d), None),
-                 False, True, id="_search"),
+    pytest.param(lambda c, d, params: optimal_scheme_search(params), False, True,
+                 id="optimal_scheme_search"),
 ]
 
 
@@ -149,6 +149,7 @@ def test_closed_form_matches_linear_solve(reference):
                 assert a is b, (params, c, d, f.name)
             else:
                 assert a == pytest.approx(b, rel=1e-11), (params, c, d, f.name)
+        assert_pooled_match_linear(c, d, params)
 
 
 def test_full_road_edge_states(reference):
