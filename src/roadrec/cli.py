@@ -47,28 +47,73 @@ from .model import (
 )
 from . import two_stage as ts
 from . import infinite as inf
-from .sim import AgentState, SimConfig, deviation_rollout, run_scheme
+from . import sim
+from .sim import AgentState, SimConfig
 
 
-def _fmt_float(x: float) -> float:
-    return float(f"{x:.12g}")
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _rounded(obj):
-    """Recursively round floats to 12 significant digits for output.
+def _json_text(obj) -> str:
+    """obj as the text of json.dumps(obj, indent=2, allow_nan=False), with
+    every float rounded to 12 significant digits first, in one walk.
 
-    A record (a dataclass instance) prints as its fields, in field order.
-    vars() reads them without the deep copy of dataclasses.asdict.
+    A record (a dataclass instance) prints as its fields, in field order;
+    vars() reads them without the deep copy of dataclasses.asdict. Dict keys
+    must be strings. A non-finite float raises InternalError, and a value
+    JSON has no form for raises TypeError, as json.dumps does.
     """
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):  # what dataclasses.is_dataclass tests
-        return _rounded(vars(obj))
-    return obj
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, out) -> None:
+    """Append obj's JSON text to out; newline starts a line at obj's own indent."""
+    if isinstance(obj, str):
+        out(_encode_str(obj))
+    elif isinstance(obj, float):
+        value = float(f"{obj:.12g}")
+        if not math.isfinite(value):
+            raise InternalError("refusing to print a non-finite number as JSON: "
+                                f"Out of range float values are not JSON compliant: {value!r}")
+        out(float.__repr__(value))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + _encode_str(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif hasattr(obj, "__dataclass_fields__"):  # what dataclasses.is_dataclass tests
+        _write_json(vars(obj), newline, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(text: str, args: argparse.Namespace) -> None:
@@ -84,11 +129,7 @@ def _write(text: str, args: argparse.Namespace) -> None:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    try:
-        text = json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise InternalError(f"refusing to print a non-finite number as JSON: {exc}") from None
-    _write(text, args)
+    _write(_json_text(payload) + "\n", args)
 
 
 def _emit_csv(columns: list[str], rows: list[dict], args: argparse.Namespace) -> None:
@@ -220,12 +261,15 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
     params, _ = _load(args)
-    x_ll = inf.compute_x_ll(params)  # runs the gate first
+    # compute_x_ll runs the gate, the only time this call runs it. The
+    # candidates' flows are validated, and x_so is pi_star's ramp flow.
+    x_ll = inf.compute_x_ll(params)
     ml = mu_low(params)
     x_so = myopic_so_flow(ml, params)
     x_eq = myopic_eq_flow(ml, params)
     star, tilde = inf._candidates(params, x_ll)
     search = inf._search(params, star, tilde)
+    dl = params.delta
     payload = {
         "params": params,
         "mu_low": ml,
@@ -238,13 +282,13 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "x_ll": x_ll,
         "pi_star": star,
         "pi_tilde_star": tilde,
-        "v_pi_star": inf.scheme_cost(star.c, star.d, params),
+        "v_pi_star": inf._scheme_cost(star.c, star.d, params, dl),
         "v_pi_tilde_star": (
-            None if tilde is None else inf.scheme_cost(tilde.c, tilde.d, params)
+            None if tilde is None else inf._scheme_cost(tilde.c, tilde.d, params, dl)
         ),
-        "v_myopic_planner": inf.scheme_cost(x_so, x_so, params),
-        "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
-        "ic": inf.check_ic(star.c, star.d, params),
+        "v_myopic_planner": inf._scheme_cost(x_so, x_so, params, dl),
+        "v_no_experiment": params.n * params.s0 / (1.0 - dl),
+        "ic": inf._check_ic(star.c, star.d, params),
         "search": {
             "winner": search.winner,
             "winner_cost": search.winner_cost,
@@ -302,17 +346,19 @@ def _parse_trigger(text: str) -> AgentState:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_json_format(args, "simulate")
     params, _ = _load(args)
-    inf.require_gate(params)
+    # The gate runs once, before any input is validated, and the flows come
+    # validated; the rest of the call uses the cores that check neither.
     if args.scheme:
+        inf.require_gate(params)
         c, d = _parse_scheme(args.scheme, params)
     else:
-        star = inf.pi_star(params)
+        star = inf.pi_star(params)  # runs the gate first
         c, d = star.c, star.d
     trig = _parse_trigger(args.trigger) if args.trigger else None
     config = SimConfig(c=c, d=d, trials=args.trials, horizon=args.horizon,
                        seed=args.seed, max_wait=args.max_wait)
-    stats = run_scheme(config, params)
-    total = inf.scheme_cost(c, d, params)
+    stats = sim._run_scheme(config, params)
+    total = inf._scheme_cost(c, d, params, params.delta)
     payload = {
         "params": params,
         "scheme": config.scheme(),
@@ -329,7 +375,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ),
     }
     if trig is not None:
-        payload["rollout"] = deviation_rollout(config, trig, params)
+        payload["rollout"] = sim._deviation_rollout(config, trig, params)
     _emit(payload, args)
     return 0
 

@@ -482,6 +482,11 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
+    return _check_ic(c, d, params)
+
+
+def _check_ic(c: int, d: int, params: GameParams) -> ICReport:
+    """check_ic for checked Python-int flows, in a game whose gate passed."""
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior

@@ -399,25 +399,27 @@ def _strategy_bits(s: int) -> tuple[int, int, int, int]:
     return s & 1, (s >> 1) & 1, (s >> 2) & 1, (s >> 3) & 1
 
 
+@functools.lru_cache(maxsize=None)
 def _strategy_columns() -> np.ndarray:
-    """The 16 strategies as a (16, 6) table of 0/1 columns: their four bits,
-    then their round-two action by state under private revelation (own
-    observation if experimenting, otherwise the no-information action)."""
+    """The 16 strategies as a read-only (16, 6) table of 0/1 columns: their
+    four bits, then their round-two action by state under private revelation
+    (own observation if experimenting, otherwise the no-information action)."""
     rows = []
     for s in range(16):
         a1, fn, fl, fh = _strategy_bits(s)
         rows.append((a1, fn, fl, fh, fl if a1 else fn, fh if a1 else fn))
-    return np.array(rows)
+    cols = np.array(rows)
+    cols.flags.writeable = False
+    return cols
 
 
-@functools.lru_cache(maxsize=None)
 def _strategy_counts(n: int) -> np.ndarray:
     """Every multiset of n strategies, one row of a (C(n+15, n), 16) int8 count matrix.
 
     Built strategy by strategy: each partial row splits into one row per
-    count the next strategy can take from the agents still unassigned. The
-    matrix is built once per n and shared, read-only, by every later call;
-    n is at most 6, so all of them together take at most 1.2 MB.
+    count the next strategy can take from the agents still unassigned. Only
+    _profile_index reads it, once per n; the index is what stays cached, and
+    for n = 2..6 together it takes 1.9 MB.
     """
     counts = np.zeros((1, 0), dtype=np.int8)
     left = np.array([n])
@@ -426,9 +428,68 @@ def _strategy_counts(n: int) -> np.ndarray:
         take = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         counts = np.column_stack((np.repeat(counts, reps, axis=0), take.astype(np.int8)))
         left = np.repeat(left, reps) - take
-    counts = np.column_stack((counts, left.astype(np.int8)))
-    counts.flags.writeable = False
-    return counts
+    return np.column_stack((counts, left.astype(np.int8)))
+
+
+# The other agents' totals each regime's costs read, as columns of
+# _strategy_columns: (k, sn, sl, sh) under public revelation, (k, pl, ph)
+# under private revelation; each runs 0..n-1. The last two are the
+# round-two risky counts in the low and the high state.
+_READS = {"full": [0, 1, 2, 3], "private": [0, 4, 5]}
+
+
+@dataclass(frozen=True)
+class _ProfileIndex:
+    """What brute_force_equilibrium reads of the strategy multisets of n agents.
+
+    A pair is a multiset and one strategy it holds; pairs run multiset by
+    multiset, and starts holds where each multiset's pairs begin (int32).
+    entry[regime] holds each pair's position in that regime's flattened
+    (cell, strategy) table, where the cell is the base-n number of the
+    other agents' totals the regime reads (int16). outcome[regime] holds
+    each multiset's on-path outcome as the base-(n+1) number of
+    (experimenters, low flow, high flow), which sorts them (int16). Nothing
+    here depends on the game.
+    """
+
+    starts: np.ndarray
+    entry: dict[str, np.ndarray]
+    outcome: dict[str, np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_index(n: int) -> _ProfileIndex:
+    """The profile index for n agents, built once per n and kept read-only.
+
+    Built in int16, with no array wider than that per pair: no cell or
+    outcome number reaches 2**15 at n <= 6.
+    """
+    cols = _strategy_columns()
+    counts = _strategy_counts(n)
+    held = counts > 0
+    # np.dot, not @ or **: integer matmul and power would page in 128 kB more
+    # of numpy's code.
+    totals = np.dot(counts, cols.astype(np.int8)).astype(np.int16)
+    size = np.count_nonzero(held, axis=1)  # at least 1: every multiset holds n agents
+    starts = (np.cumsum(size) - size).astype(np.int32)
+    k1, sn = totals[:, 0], totals[:, 1]
+    base = n + 1
+    entry, outcome = {}, {}
+    for regime, read in _READS.items():
+        strides = np.array([n**k for k in reversed(range(len(read)))], dtype=np.int16)
+        # A pair's cell is its multiset's totals less its own strategy's
+        # column; boolean indexing takes the held pairs in row order.
+        own = (np.arange(16) - 16 * np.dot(cols[:, read], strides)).astype(np.int16)
+        entry[regime] = (np.repeat(np.dot(totals[:, read], strides) * 16, size)
+                         + np.broadcast_to(own, held.shape)[held])
+        low, high = totals[:, read[-2]], totals[:, read[-1]]
+        # Nobody experiments: the state is never learned and both flows are sn.
+        outcome[regime] = ((k1 * base + np.where(k1 >= 1, low, sn)) * base
+                           + np.where(k1 >= 1, high, sn))
+    index = _ProfileIndex(starts, entry, outcome)
+    for array in (starts, *entry.values(), *outcome.values()):
+        array.flags.writeable = False
+    return index
 
 
 def brute_force_equilibrium(
@@ -439,11 +500,11 @@ def brute_force_equilibrium(
     A strategy is a first-round road choice plus a second-round choice for
     each information condition (nothing observed / low observed / high
     observed); 16 per agent. Costs depend only on how many agents play each
-    strategy, so the search runs over all strategy multisets at once, as an
-    integer count matrix. An agent's cost depends on the rest of the profile
-    only through the other agents' totals its regime reads (first-round
-    risky count and the second-round risky counts by information condition),
-    so the 16 strategies' costs are tabulated once over that grid. A
+    strategy, so the search runs over all strategy multisets at once. An
+    agent's cost depends on the rest of the profile only through the other
+    agents' totals its regime reads (first-round risky count and the
+    second-round risky counts by information condition), so the 16
+    strategies' costs are tabulated once over that grid of cells. A
     multiset is an equilibrium when no strategy it contains has an
     alternative cheaper by more than a 1e-9 relative tolerance.
 
@@ -453,6 +514,11 @@ def brute_force_equilibrium(
     profiles that deter experimentation with second-round threats nobody
     would carry out. The private regime needs no such filter because
     uninformed agents cannot react to a deviation they never observe.
+
+    Both tests are per strategy and cell, so a call fills one (cell,
+    strategy) table of bad strategies and reads it through the per-n
+    _profile_index: every (multiset, strategy it holds) pair looks up its
+    entry, and each multiset with a bad entry is dropped.
 
     Returns the distinct on-path outcomes, sorted, with supporting-profile
     counts. Exhaustive in the number of agents; refuses n > 6.
@@ -468,10 +534,8 @@ def brute_force_equilibrium(
     # As floats, integer costs cannot wrap in int64 arrays; below 2**53 every
     # sum and product is the exact value scalar arithmetic would give.
     s0, s1, l, h = (float(v) for v in (params.s0, params.s1, params.l, params.h))
-    cols = _strategy_columns()
-    a1, fn, fl, fh, priv_low, priv_high = cols.T
-    # Others' totals each regime reads: (k, sn, sl, sh) or (k, pl, ph), each 0..n-1.
-    read = [0, 1, 2, 3] if regime == "full" else [0, 4, 5]
+    a1, fn, fl, fh, priv_low, priv_high = _strategy_columns().T
+    read = _READS[regime]
     grid = np.indices((n,) * len(read)).reshape(len(read), -1, 1)
     x1 = grid[0] + a1
     if regime == "full":
@@ -491,34 +555,23 @@ def brute_force_equilibrium(
         )
         # fmin skips NaN as the strict test does; no strategy beats itself by
         # more than its tolerance, so it can stay in its row's minimum.
-        beaten = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
-        # stable[state, act, total]: that round-two action is a one-shot best
-        # response when total agents in all take the risky road in that state.
-        coef, total = np.array([[l], [h]]), np.arange(n + 1)
-        tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
-        stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
-                           coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
-
-    counts = _strategy_counts(n)
-    # np.dot, not @ or **: integer matmul and power would page in 128 kB more
-    # of numpy's code.
-    totals = np.dot(counts, cols.astype(np.int8))
-    strides = np.array([n**k for k in reversed(range(len(read)))])
-    flat = np.dot(totals[:, read], strides)
-    ok = np.ones(len(counts), dtype=bool)
-    for s in range(16):
-        rows = np.flatnonzero(counts[:, s])
-        keep = ~beaten[flat[rows] - np.dot(cols[s, read], strides), s]
+        bad = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
         if regime == "full":
-            keep &= stable[0, fl[s], totals[rows, 2]] & stable[1, fh[s], totals[rows, 3]]
-        ok[rows] &= keep
+            # stable[state, act, total]: that round-two action is a one-shot
+            # best response when total agents in all take the risky road in
+            # that state. The total is the others' count in the cell plus the
+            # strategy's own action.
+            coef, total = np.array([[l], [h]]), np.arange(n + 1)
+            tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+            stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
+                               coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
+            bad |= ~(stable[0, fl, grid[2] + fl] & stable[1, fh, grid[3] + fh])
 
-    k1, sn, sl, sh, pl, ph = totals[ok].T.astype(np.intp)
-    low, high = (sl, sh) if regime == "full" else (pl, ph)
-    # Count outcomes (k1, low, high) by their base-(n+1) number, which sorts them.
+    # A multiset is an equilibrium when no strategy it holds is bad in its cell.
+    index = _profile_index(n)
+    ok = ~np.logical_or.reduceat(bad.take(index.entry[regime]), index.starts)
     base = n + 1
-    found = np.bincount((k1 * base + np.where(k1 >= 1, low, sn)) * base
-                        + np.where(k1 >= 1, high, sn), minlength=base**3)
+    found = np.bincount(index.outcome[regime][ok], minlength=base**3)
     outcomes = []
     for key in np.flatnonzero(found).tolist():
         k, rest = divmod(key, base * base)

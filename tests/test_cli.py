@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roadrec import cli
 from roadrec import infinite as inf
@@ -275,8 +278,8 @@ def test_simulate_validates_trigger_before_simulating(capsys, reference_file, mo
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before validating the trigger")
 
-    monkeypatch.setattr(cli, "run_scheme", refuse)
-    monkeypatch.setattr(cli, "deviation_rollout", refuse)
+    monkeypatch.setattr(sim, "_run_scheme", refuse)
+    monkeypatch.setattr(sim, "_deviation_rollout", refuse)
     for bad in ("3:pooled", "x:pooled:safe", "3:pooled:maybe", "3:sideways:safe"):
         assert main(["simulate", "--params", reference_file, "--trigger", bad]) == 2
         assert capsys.readouterr().err.startswith("roadrec: parameter error")
@@ -293,8 +296,8 @@ def test_simulate_rejects_bad_sizes_before_simulating(capsys, reference_file, mo
     def refuse(*args, **kwargs):
         raise AssertionError("simulated an invalid configuration")
 
-    monkeypatch.setattr(cli, "run_scheme", refuse)
-    monkeypatch.setattr(cli, "deviation_rollout", refuse)
+    monkeypatch.setattr(sim, "_run_scheme", refuse)
+    monkeypatch.setattr(sim, "_deviation_rollout", refuse)
     assert main(["simulate", "--params", reference_file, "--trigger", "3:pooled:safe",
                  flag, str(value)]) == 2
     captured = capsys.readouterr()
@@ -361,6 +364,142 @@ def test_emit_refuses_non_finite_numbers(capsys):
     with pytest.raises(RuntimeError, match="non-finite"):
         cli._emit({"rows": [{"ratio": float("inf")}]}, args)
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+def _fmt_float(x):
+    return float(f"{x:.12g}")
+
+
+def _rounded(obj):
+    """Recursively round floats to 12 significant digits for output."""
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    if hasattr(obj, "__dataclass_fields__"):
+        return _rounded(vars(obj))
+    return obj
+
+
+def reference_text(payload):
+    """The text _emit wrote before it had a writer of its own: round, then dump."""
+    return json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n"
+
+
+def emitted(capsys, payload):
+    args = cli.build_parser().parse_args(["infinite", "--params", "unused.json"])
+    cli._emit(payload, args)
+    return capsys.readouterr().out
+
+
+STATIC_N4_RAW = {"n": 4, "s0": 1, "s1": 1, "l": 0.9, "h": 20}
+
+
+@pytest.mark.parametrize("raw, calls", [
+    (REFERENCE_RAW, [
+        ["infinite"],
+        ["sweep", "--delta-grid", "0.1:0.9:0.1"],
+        ["simulate", "--trials", "50", "--seed", "3"],
+        ["simulate", "--trials", "1", "--seed", "1", "--scheme", "2,3", "--horizon", "8",
+         "--max-wait", "60", "--trigger", "3:pooled:safe"],
+        ["oracle", "--target", "infinite"],
+        ["two-stage", "--beta-grid", "0.1:0.6:0.1"],
+    ]),
+    (STATIC_N4_RAW, [
+        ["two-stage", "--beta-grid", "0:0.7:0.05"],
+        ["oracle", "--target", "two-stage", "--beta-grid", "0.1,0.3,0.6,0.9"],
+    ]),
+])
+def test_emit_writes_what_json_dumps_wrote(capsys, monkeypatch, tmp_path, raw, calls):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(raw))
+    payloads = []
+    true_emit = cli._emit
+
+    def recorded(payload, args):
+        payloads.append(payload)
+        true_emit(payload, args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    for argv in calls:
+        payloads.clear()
+        main([argv[0], "--params", str(path), *argv[1:]])
+        assert len(payloads) == 1, argv
+        assert capsys.readouterr().out == reference_text(payloads[0]), argv
+
+
+@dataclasses.dataclass(frozen=True)
+class _Point:
+    x: float
+    label: str
+    tags: tuple = ()
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"rows": [], "empty": {}, "nested": [[], {}]},
+    {"pairs": ((1, 2.5), (3, (4.25, ())))},
+    {"points": [_Point(1 / 3, "a"), _Point(2.0, "b", (0.1, None))]},
+    {"name": "théta ≤ β — \u00e9\t\"quoted\"\\", "ключ ü": "\x00\x1f"},
+    {"zero": -0.0, "big": 1e16, "small": 1e-7, "tiny": 5e-324, "huge": 1.7976931348623157e308},
+    {"ints": [2**53 + 1, -(2**63) - 5, 10**30, 0, -1], "flags": [True, False, None]},
+    {"np": np.float64(2.0) / 3.0, "np_list": [np.float64(1e-7), np.float64(-0.0)]},
+    [1.23456789012345, 123456789012.345, 0.1 + 0.2, 1e22, 123456789012345678.0],
+    "just a string",
+    7,
+])
+def test_emit_matches_json_dumps_on_edge_cases(capsys, payload):
+    assert emitted(capsys, payload) == reference_text(payload)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_json_values)
+def test_emit_matches_json_dumps_on_drawn_payloads(payload):
+    assert cli._json_text(payload) + "\n" == reference_text(payload)
+
+
+@pytest.mark.parametrize("payload", [{"value": np.int64(3)}, {"value": np.float32(0.5)},
+                                     {"value": {1, 2}}, {"value": np.bool_(True)}])
+def test_emit_refuses_what_json_dumps_refuses(capsys, payload):
+    with pytest.raises(TypeError):
+        reference_text(payload)
+    with pytest.raises(TypeError):
+        emitted(capsys, payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["infinite"],
+    ["simulate", "--trials", "20", "--horizon", "20"],
+    ["simulate", "--trials", "20", "--horizon", "20", "--max-wait", "30",
+     "--scheme", "2,3", "--trigger", "3:pooled:safe"],
+])
+def test_infinite_gate_runs_once_per_call(capsys, reference_file, monkeypatch, argv):
+    calls = []
+    true_gate = inf.check_assumption_infinite
+
+    def counted(params):
+        calls.append(params)
+        return true_gate(params)
+
+    monkeypatch.setattr(inf, "check_assumption_infinite", counted)
+    code, data = run_json(capsys, [argv[0], "--params", reference_file, *argv[1:]])
+    assert code == 0
+    assert ("rollout" in data) == ("--trigger" in argv)
+    assert len(calls) == 1
 
 
 def test_oracle_infinite(capsys, reference_file):

@@ -441,3 +441,98 @@ def test_brute_force_matches_ordered_profiles(params, beta, regime):
     found = brute_force_equilibrium(params, beta, regime=regime)
     got = [(o.experimenters, o.flow_low, o.flow_high, o.profiles) for o in found]
     assert got == _ordered_profile_equilibria(params, beta, regime)
+
+
+def _brute_force_by_strategy(params, beta, regime):
+    """The oracle's answer with the verdicts gathered strategy by strategy.
+
+    For each of the 16 strategies, every multiset holding it reads that
+    strategy's verdict at the other agents' totals, and, under public
+    revelation, looks its round-two actions up in the credibility table at
+    the multiset's own totals. No per-n index is built or read.
+    """
+    n = params.n
+    s0, s1, l, h = (float(v) for v in (params.s0, params.s1, params.l, params.h))
+    cols = np.array(two_stage._strategy_columns())
+    a1, fn, fl, fh, priv_low, priv_high = cols.T
+    read = [0, 1, 2, 3] if regime == "full" else [0, 4, 5]
+    grid = np.indices((n,) * len(read)).reshape(len(read), -1, 1)
+    x1 = grid[0] + a1
+    if regime == "full":
+        informed = x1 >= 1
+        t_low, act_low = np.where(informed, grid[2], grid[1]), np.where(informed, fl, fn)
+        t_high, act_high = np.where(informed, grid[3], grid[1]), np.where(informed, fh, fn)
+    else:
+        t_low, t_high, act_low, act_high = grid[1], grid[2], priv_low, priv_high
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1_safe = s0 + s1 * (n - x1)
+        cost = beta * (
+            np.where(a1, l * x1, c1_safe)
+            + np.where(act_low, l * (t_low + 1), s0 + s1 * (n - t_low))
+        ) + (1.0 - beta) * (
+            np.where(a1, h * x1, c1_safe)
+            + np.where(act_high, h * (t_high + 1), s0 + s1 * (n - t_high))
+        )
+        beaten = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
+        coef, total = np.array([[l], [h]]), np.arange(n + 1)
+        tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+        stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
+                           coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
+
+    counts = two_stage._strategy_counts(n)
+    totals = np.dot(counts, cols.astype(np.int8))
+    strides = np.array([n**k for k in reversed(range(len(read)))])
+    flat = np.dot(totals[:, read], strides)
+    ok = np.ones(len(counts), dtype=bool)
+    for s in range(16):
+        rows = np.flatnonzero(counts[:, s])
+        keep = ~beaten[flat[rows] - np.dot(cols[s, read], strides), s]
+        if regime == "full":
+            keep &= stable[0, fl[s], totals[rows, 2]] & stable[1, fh[s], totals[rows, 3]]
+        ok[rows] &= keep
+
+    k1, sn, sl, sh, pl, ph = totals[ok].T.astype(np.intp)
+    low, high = (sl, sh) if regime == "full" else (pl, ph)
+    base = n + 1
+    found = np.bincount((k1 * base + np.where(k1 >= 1, low, sn)) * base
+                        + np.where(k1 >= 1, high, sn), minlength=base**3)
+    outcomes = []
+    for key in np.flatnonzero(found).tolist():
+        k, rest = divmod(key, base * base)
+        outcomes.append((k, *divmod(rest, base), int(found[key])))
+    return outcomes
+
+
+def _brute_force_cases():
+    """Seeded beliefs for n = 2..6, each game also at beta_p and at beta_f."""
+    rng = np.random.default_rng(1616)
+    cases = []
+    for n in range(2, 7):
+        for _ in range(2):
+            params, beta = draw_two_stage_case(rng, n_range=(n, n))
+            th = thresholds(params)
+            cases += [(params, b) for b in (beta, th.beta_p, th.beta_f) if 0.0 <= b <= 1.0]
+    return cases
+
+
+@pytest.mark.parametrize("regime", ["full", "private"])
+def test_brute_force_matches_strategy_by_strategy_reference(regime):
+    cases = _brute_force_cases()
+    assert {params.n for params, _ in cases} == {2, 3, 4, 5, 6}
+    for params, beta in cases:
+        found = brute_force_equilibrium(params, beta, regime=regime)
+        got = [(o.experimenters, o.flow_low, o.flow_high, o.profiles) for o in found]
+        assert got == _brute_force_by_strategy(params, beta, regime), (params, beta)
+
+
+def test_profile_index_is_read_only():
+    assert not two_stage._strategy_columns().flags.writeable
+    for n in range(2, 7):
+        index = two_stage._profile_index(n)
+        arrays = [index.starts, *index.entry.values(), *index.outcome.values()]
+        assert set(index.entry) == set(index.outcome) == {"full", "private"}
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert two_stage._profile_index(n) is index
