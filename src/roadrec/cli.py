@@ -10,7 +10,8 @@ Subcommands:
   simulate    Monte Carlo estimates vs the closed forms, optionally a
               deviation rollout at a chosen trigger state
   oracle      independent cross-checks (brute-force equilibria for the
-              two-stage game, linear-solve state costs for the infinite one)
+              two-stage game, state costs solved from the dispatch chain for
+              the infinite one)
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
 fail or an oracle disagrees, 2 on malformed input or an --output file that
@@ -235,10 +236,10 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
             "beta": beta,
             "gated": False,
             "region": ts.region(beta, th),
-            "v_full": ts._cost_full(beta, params, th),
-            "v_private": ts._cost_private(beta, params, th),
+            "v_full": ts._cost(beta, "full", params, th),
+            "v_private": ts._cost(beta, "private", params, th),
             "v_partial": scheme.expected_cost,
-            "v_so": ts._cost_social_optimum(beta, params, th),
+            "v_so": ts._cost(beta, "planner", params, th),
             "experiment": scheme.experiment,
             "pi2_low": scheme.pi2_low,
             "pi2_high": scheme.pi2_high,
@@ -406,18 +407,20 @@ def _oracle_two_stage(params: GameParams, betas: list[float]) -> list[dict]:
 
 
 def _oracle_infinite(params: GameParams) -> list[dict]:
+    inf.require_gate(params)  # the only gate of the call; the flows are valid
     c, d = inf.scheme_pairs(params.n)
+    dl = params.delta
     worst_state = worst_fg = 0.0
     # one block of pairs at a time, keeping only the worst gaps: flat memory in n
     for start in range(0, len(c), inf._SEARCH_BLOCK_PAIRS):
         block = slice(start, start + inf._SEARCH_BLOCK_PAIRS)
         cb, db = c[block], d[block]
-        table = inf.state_costs(cb, db, params)  # runs the gate first
-        slack = inf._steady_slack(cb, db, params, params.delta, table)
-        decomp = inf.fc_gd_decomposition(cb, db, params)
+        table = inf._state_table(cb, db, params, dl)
+        slack = inf._steady_slack(cb, db, params, dl, table)
+        decomp = inf._fc_gd(cb, db, params)
         gap = np.abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + np.abs(slack))
         worst_fg = float(np.max(gap, initial=worst_fg))  # a NaN gap stays NaN
-        linear = inf.state_costs_linear(cb, db, params)
+        linear = inf._chain_table(cb, db, params)
         for field in dataclasses.fields(table):
             closed, solved = getattr(table, field.name), getattr(linear, field.name)
             if not np.array_equal(np.isnan(closed), np.isnan(solved)):

@@ -12,24 +12,26 @@ Disobedience is punished forever with independent recommendations calibrated
 so every agent expects the safe cost s0 each stage.
 
 The module computes the per-agent value of compliance state by state (closed
-form and, as an independent oracle, a plain linear solve), the obedience
-(incentive-compatibility) report, the cheapest obedient scheme, and the
-delta sweep showing when the relaxed social optimum itself becomes obedient.
+form and, as an independent oracle, a linear solve of one agent's Markov
+chain built from the dispatch rule), the obedience (incentive-compatibility)
+report, the cheapest obedient scheme, and the delta sweep showing when the
+relaxed social optimum itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
-_scheme_cost, _state_table, _ic_terms, _steady_slack, _first_obedient,
-_search) that does the arithmetic and checks no argument of its own; the
-model primitives it calls (stage_cost, mu_low) still check theirs. The
-cores take c and d as ints or as integer arrays, and every core whose value
-moves with the discount takes it as an explicit argument: a float or an
-array that broadcasts against c and d. The search (in blocks of pairs) and
-the x_ll scan evaluate the cores over arrays of candidate flows (a state
-that cannot occur reads NaN), and the delta sweep evaluates them over all
-of its in-gate discounts at once. The public functions check c and d and
-run the gate once, at entry, and then call only cores. Two ints, numpy
-integers included, are the 0-d case of the same code and give Python
-numbers (None for a state that cannot occur). The linear-solve oracle takes
-the same arguments and solves one stacked system per chunk of schemes.
+_scheme_cost, _state_table, _ic_terms, _steady_slack, _fc_gd,
+_first_obedient, _search) that does the arithmetic and checks no argument
+of its own; the model primitives it calls (stage_cost, mu_low) still check
+theirs. The cores take c and d as ints or as integer arrays, and every core
+whose value moves with the discount takes it as an explicit argument: a
+float or an array that broadcasts against c and d. The search (in blocks of
+pairs) and the x_ll scan evaluate the cores over arrays of candidate flows
+(a state that cannot occur reads NaN), and the delta sweep evaluates them
+over all of its in-gate discounts at once. The public functions check c and
+d and run the gate once, at entry, and then call only cores. Two ints,
+numpy integers included, are the 0-d case of the same code and give Python
+numbers (None for a state that cannot occur). The chain oracle,
+state_costs_linear, takes the same arguments; its core _chain_table takes
+1-D flows and solves every scheme's 6-state chain in one stacked call.
 check_ic, which builds a report, takes ints only. It, the search and the
 x_ll scan decide obedience by model's one rule, through model.ic_entries
 and model.all_obedient.
@@ -302,95 +304,75 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
     )
 
 
-# Schemes per stacked solve in state_costs_linear. One (11, 11) system is
-# 968 bytes, so a chunk's matrices take about 250 kB whatever n is. Larger
-# chunks save little time (n = 1000: 1.6 s at 4,096 against 1.9 s at 256),
-# but raise the peak RSS of a call at small n by up to 1 MB.
-_BLOCK_PAIRS = 256
-
-# The linear oracle's unknowns, in column order, the same for every scheme:
-# the fields of StateCostTable. c = n leaves nobody on the safe road to
-# recruit: there the safe_at_1_low and avg_at_c_low rows pin those two
-# unknowns to 0, and the oracle reports them as NaN.
-_LINEAR_UNKNOWNS = (
-    "post_high_avg", "risky_after_high", "safe_after_high", "risky_at_1_low",
-    "safe_at_1_low", "risky_at_c_low", "safe_at_c_low", "risky_at_d_low",
-    "safe_at_d_low", "avg_at_1_low", "avg_at_c_low",
-)
-
-
-def _linear_solve(c: np.ndarray, d: np.ndarray, params: GameParams) -> dict[str, np.ndarray]:
-    """The linear oracle's unknowns, by name, for 1-D flow arrays: one
-    11-unknown system per scheme, NaN for the two states c = n rules out."""
-    n, s0, dl = params.n, params.s0, params.delta
-    gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
-    recruits = c < n
-    equations = [  # (right-hand side, {unknown: coefficient}), one per row
-        (0.0, {"post_high_avg": 1.0, "risky_after_high": -1.0 / n,
-               "safe_after_high": -(n - 1) / n}),
-        (mh, {"risky_after_high": 1.0, "risky_at_1_low": -dl * gh,
-              "post_high_avg": -dl * (1 - gh)}),
-        (s0, {"safe_after_high": 1.0, "avg_at_1_low": -dl * gh,
-              "post_high_avg": -dl * (1 - gh)}),
-        (ml * c, {"risky_at_1_low": 1.0, "risky_at_c_low": -dl * (1 - gl),
-                  "post_high_avg": -dl * gl}),
-        (s0 * recruits, {"safe_at_1_low": 1.0, "avg_at_c_low": -dl * (1 - gl) * recruits,
-                         "post_high_avg": -dl * gl * recruits}),
-        (ml * d, {"risky_at_c_low": 1.0, "risky_at_d_low": -dl * (1 - gl),
-                  "post_high_avg": -dl * gl}),
-        (s0, {"safe_at_c_low": 1.0, "safe_at_d_low": -dl * (1 - gl), "post_high_avg": -dl * gl}),
-        (ml * d, {"risky_at_d_low": 1.0 - dl * (1 - gl), "post_high_avg": -dl * gl}),
-        (s0, {"safe_at_d_low": 1.0 - dl * (1 - gl), "post_high_avg": -dl * gl}),
-        (0.0, {"avg_at_1_low": 1.0, "risky_at_1_low": -(c - 1) / (n - 1),
-               "safe_at_1_low": -(n - c) / (n - 1)}),
-        (0.0, {"avg_at_c_low": 1.0, "risky_at_c_low": -_div(d - c, n - c, 0.0),
-               "safe_at_c_low": -_div(n - d, n - c, 0.0)}),
-    ]
-    m = len(_LINEAR_UNKNOWNS)
-    a = np.zeros((len(c), m, m))
-    b = np.zeros((len(c), m, 1))
-    for row, (rhs, terms) in enumerate(equations):
-        for name, coef in terms.items():
-            a[:, row, _LINEAR_UNKNOWNS.index(name)] += coef
-        b[:, row, 0] = rhs
-
-    val = dict(zip(_LINEAR_UNKNOWNS, np.linalg.solve(a, b)[:, :, 0].T))
-    for name in ("safe_at_1_low", "avg_at_c_low"):
-        val[name][~recruits] = np.nan
-    return val
-
-
 def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
-    """Compliance values via a direct linear solve (oracle for state_costs).
-
-    Builds the one-step expectation equations with every state kept as an
-    unknown (the c-flow states are not folded into the d-flow states, the
-    reset value is not expanded into a closed form) and solves with numpy.
-    The unknowns are the table's 11 fields. Shares no arithmetic with the
-    closed forms beyond the stage inputs.
+    """Compliance values from one agent's dispatch chain (oracle for
+    state_costs); shares nothing with the closed forms but the stage inputs.
 
     c and d are ints or integer arrays that broadcast together, like
-    state_costs. Every scheme is the same 11-unknown system, c = n included,
-    where two rows pin the states nobody can be in. The systems are stacked
-    and solved _BLOCK_PAIRS schemes at a time, so that the stacked matrices
-    take the same memory whatever n is. LAPACK still factors each system on
-    its own, so a scheme's values do not depend on what else is in the call.
-    Two ints give Python numbers (None for a state that cannot occur, NaN in
-    an array call).
+    state_costs; two ints give Python numbers (None for a state that cannot
+    occur, NaN in an array call). An array call stacks every scheme's 6 x 6
+    system at once; the CLI oracle calls the core 8,192 schemes at a time.
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
     c, d = np.broadcast_arrays(c, d)
-    shape = c.shape
-    c, d = c.ravel(), d.ravel()
+    table = _chain_table(c.ravel(), d.ravel(), params)
+    return _to_python(StateCostTable(**{name: v.reshape(c.shape)
+                                        for name, v in vars(table).items()}))
 
-    solved = {name: np.empty(c.shape) for name in _LINEAR_UNKNOWNS}
-    for start in range(0, len(c), _BLOCK_PAIRS):
-        rows = slice(start, start + _BLOCK_PAIRS)
-        for name, column in _linear_solve(c[rows], d[rows], params).items():
-            solved[name][rows] = column
-    return _to_python(StateCostTable(**{name: v.reshape(shape) for name, v in solved.items()}))
+
+def _chain_table(c: np.ndarray, d: np.ndarray, params: GameParams) -> StateCostTable:
+    """state_costs_linear for checked 1-D flows in a game whose gate passed,
+    NaN for the two states c = n rules out.
+
+    The six states are the stage's phase (fresh at flow 1 after a high
+    report, ramp at c after one low, steady at d after two or more) and the
+    agent's role (risky or safe). A stage that ends high starts a fresh one,
+    whose experimenter is drawn from everyone; one that ends low moves the
+    phase on, recruiting a safe agent with chance (c - 1)/(n - 1) into the
+    ramp and (d - c)/(n - c) into the steady run. The values solve
+    v = r + delta*P v, r the expected stage cost. LAPACK factors each
+    scheme's system on its own, so no value depends on the rest of the call.
+    """
+    n, s0, dl = params.n, params.s0, params.delta
+    gl, gh = params.gamma_l, params.gamma_h
+    ml, mh = mu_low(params), mu_high(params)
+    recruit_ramp = (c - 1) / (n - 1)
+    recruit_steady = _div(d - c, n - c, 0.0)
+    # P by (scheme, phase, role, next phase, next role), with the phases
+    # fresh, ramp and steady and the roles risky and safe; then I - delta*P.
+    a = np.zeros((len(c), 3, 2, 3, 2))
+    fresh_roles = np.array([1.0 / n, (n - 1) / n])
+    a[:, 0, :, 0] = (1.0 - gh) * fresh_roles
+    a[:, 1:, :, 0] = gl * fresh_roles
+    a[:, 0, 0, 1, 0] = gh
+    a[:, 0, 1, 1] = gh * np.column_stack((recruit_ramp, 1.0 - recruit_ramp))
+    a[:, 1:, 0, 2, 0] = 1.0 - gl
+    a[:, 1, 1, 2] = (1.0 - gl) * np.column_stack((recruit_steady, 1.0 - recruit_steady))
+    a[:, 2, 1, 2, 1] = 1.0 - gl
+    a = a.reshape(len(c), 6, 6)
+    a *= -dl
+    a[:, range(6), range(6)] += 1.0
+    r = np.zeros((len(c), 6, 1))
+    r[:, 0, 0], r[:, 2, 0], r[:, 4, 0] = mh, ml * c, ml * d
+    r[:, 1::2, 0] = s0
+    fresh_risky, fresh_safe, ramp_risky, ramp_safe, steady_risky, steady_safe = (
+        np.linalg.solve(a, r)[:, :, 0].T)
+    full = c == n  # nobody is left on the safe road to recruit
+    ramp_safe[full] = np.nan
+    return StateCostTable(
+        post_high_avg=fresh_risky / n + fresh_safe * (n - 1) / n,
+        risky_at_d_low=steady_risky,
+        safe_at_d_low=steady_safe,
+        risky_at_c_low=steady_risky,
+        safe_at_c_low=steady_safe,
+        risky_at_1_low=ramp_risky,
+        safe_at_1_low=ramp_safe,
+        avg_at_1_low=np.where(full, ramp_risky, _mix(recruit_ramp, ramp_risky, ramp_safe)),
+        avg_at_c_low=np.where(full, np.nan, _mix(recruit_steady, steady_risky, steady_safe)),
+        risky_after_high=fresh_risky,
+        safe_after_high=fresh_safe,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +634,11 @@ def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
     """Evaluate the f/g split of the steady-flow obedience constraint."""
     c, d = _require_cd(c, d, params)
     require_gate(params)
+    return _to_python(_fc_gd(c, d, params))
+
+
+def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
+    """fc_gd_decomposition for checked flows, in a game whose gate passed."""
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
@@ -679,8 +666,8 @@ def fc_gd_decomposition(c: int, d: int, params: GameParams) -> FGDecomposition:
         * ((d - 1) * ml * d + (n - d) * s0) / (n - 1)
         - tt * dl * dl * ((1.0 - gl) / stay_low) * gh * stage_cost(d, ml, params)
     )
-    return _to_python(FGDecomposition(c=c, d=d, f_c=f_c, g_d=g_d, tau=tau,
-                                      tau_tilde=tau_tilde, k_const=k_const))
+    return FGDecomposition(c=c, d=d, f_c=f_c, g_d=g_d, tau=tau, tau_tilde=tau_tilde,
+                           k_const=k_const)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +736,7 @@ def _search(
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
     cheapest = cost[feasible].min()
-    ties = feasible & (cost <= cheapest + 1e-12 * np.maximum(1.0, np.abs(cost)))
+    ties = feasible & (cost <= cheapest + 1e-12 * np.abs(cost))
     k = int(np.argmax(ties))
     best = (int(c[k]), int(d[k]))
     warnings = []

@@ -39,8 +39,8 @@ class InternalError(RuntimeError):
 
 # Largest population a GameParams accepts, and the largest with measured run
 # times: at n = 1000 (499,500 (c, d) pairs) the search takes about 0.2 s and
-# 50 MB, and the linear-solve oracle, the slowest command, about 2 s and
-# 46 MB. Flows are indexed by 0..n.
+# 50 MB, and the chain oracle, the slowest command, under 1 s and 46 MB.
+# Flows are indexed by 0..n.
 _MAX_N = 1000
 
 # Largest integer magnitude a parameter may have: every integer up to 2**53
@@ -286,12 +286,13 @@ def check_assumption_infinite(params: GameParams) -> InfiniteGate:
 def obedient(follow, deviate):
     """Elementwise obedience rule: following costs no more than deviating.
 
-    A follow cost up to 1e-12 * (1 + deviate) above the deviation cost still
-    counts (deviation costs are nonnegative in both models): at beta = beta_p
-    the two-stage experimenter's (0, 0) slack, zero in exact arithmetic,
-    rounds to -1.8e-15.
+    A follow cost up to a relative 1e-12 above the deviation cost still
+    counts: at beta = beta_p the two-stage experimenter's (0, 0) slack, zero
+    in exact arithmetic, rounds to -1.8e-15. Every non-vacuous deviation cost
+    is positive in both models, so the tolerance has no absolute part, and
+    scaling every cost by a power of two leaves every verdict unchanged.
     """
-    return follow <= deviate * (1.0 + 1e-12) + 1e-12
+    return follow <= deviate * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)

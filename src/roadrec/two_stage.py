@@ -148,49 +148,54 @@ def _require_gate(beta: float, params: GameParams) -> TwoStageThresholds:
     return thresholds(params)
 
 
-def _two_rounds(
-    beta: float, params: GameParams, experiment: bool, flow_low: int, flow_high: int
-) -> float:
-    """Expected two-round aggregate cost: everyone safe in both rounds, or one
-    experimenter and then flow_low / flow_high risky users by revealed state;
-    the experiment is priced as the scheme with those flows, to the bit."""
-    if not experiment:
+def _two_rounds(beta: float, params: GameParams, outcome: EquilibriumOutcome) -> float:
+    """Expected two-round aggregate cost of an outcome: everyone safe in both
+    rounds, or one experimenter and then the outcome's risky flows by
+    revealed state; the experiment is priced as the scheme with those flows,
+    to the bit."""
+    if not outcome.experimenters:
         return 2.0 * stage_cost(0, params.l, params)
-    return scheme_cost_two_stage(beta, flow_low - 1, flow_high, params)
+    return scheme_cost_two_stage(beta, outcome.flow_low - 1, outcome.flow_high, params)
 
 
 def cost_full(beta: float, params: GameParams) -> float:
     """Expected two-round aggregate cost of equilibrium under public revelation."""
     beta = _require_belief(beta)
-    return _cost_full(beta, params, _require_gate(beta, params))
+    return _cost(beta, "full", params, _require_gate(beta, params))
 
 
 def cost_private(beta: float, params: GameParams) -> float:
     """Expected cost under private revelation (only the experimenter learns)."""
     beta = _require_belief(beta)
-    return _cost_private(beta, params, _require_gate(beta, params))
+    return _cost(beta, "private", params, _require_gate(beta, params))
 
 
 def cost_social_optimum(beta: float, params: GameParams) -> float:
     """Expected cost when a planner dictates both rounds (no incentives)."""
     beta = _require_belief(beta)
-    return _cost_social_optimum(beta, params, _require_gate(beta, params))
+    return _cost(beta, "planner", params, _require_gate(beta, params))
 
 
-# The _cost_* and _solve_optimal_scheme bodies take an in-gate float belief
-# and the game's thresholds, so a caller that loops over beliefs computes
-# the thresholds once.
+# _cost, _outcome and _solve_optimal_scheme take an in-gate float belief and
+# the game's thresholds, so a caller that loops over beliefs computes the
+# thresholds once.
 
-def _cost_full(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
-    return _two_rounds(beta, params, beta >= th.beta_f, th.eq_flow_low, 0)
-
-
-def _cost_private(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
-    return _two_rounds(beta, params, beta >= th.beta_p, 1, 0)
+def _cost(beta: float, regime: str, params: GameParams, th: TwoStageThresholds) -> float:
+    """Expected two-round cost of a regime: "full", "private" or "planner"."""
+    return _two_rounds(beta, params, _outcome(beta, regime, th))
 
 
-def _cost_social_optimum(beta: float, params: GameParams, th: TwoStageThresholds) -> float:
-    return _two_rounds(beta, params, beta >= th.beta_so, th.so_flow_low, th.so_flow_high)
+def _outcome(beta: float, regime: str, th: TwoStageThresholds) -> EquilibriumOutcome:
+    """On-path outcome of a regime: nobody experiments below its cutoff; at
+    or above it one agent does, followed by the regime's round-two flows."""
+    cutoff, flow_low, flow_high = {
+        "full": (th.beta_f, th.eq_flow_low, 0),
+        "private": (th.beta_p, 1, 0),
+        "planner": (th.beta_so, th.so_flow_low, th.so_flow_high),
+    }[regime]
+    if beta < cutoff:
+        return EquilibriumOutcome(0, 0, 0)
+    return EquilibriumOutcome(1, flow_low, flow_high)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +328,7 @@ def _solve_optimal_scheme(
             experiment=False,
             pi2_low=None,
             pi2_high=None,
-            expected_cost=_two_rounds(beta, params, False, 0, 0),
+            expected_cost=_two_rounds(beta, params, EquilibriumOutcome(0, 0, 0)),
             slacks=(),
             n_feasible=0,
         )
@@ -361,7 +366,7 @@ def _solve_optimal_scheme(
 
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """On-path outcome of a two-stage equilibrium profile.
+    """On-path outcome of a two-stage equilibrium profile (or of the planner).
 
     experimenters is the first-round risky flow; flow_low / flow_high are the
     second-round risky flows by road state. When nobody experiments the state
@@ -386,12 +391,7 @@ def equilibrium_flows(beta: float, regime: str, params: GameParams) -> Equilibri
     beta = _require_belief(beta)
     if regime not in _REGIMES:
         raise ParameterError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    th = thresholds(params)
-    cutoff = th.beta_f if regime == "full" else th.beta_p
-    if beta < cutoff:
-        return EquilibriumOutcome(0, 0, 0)
-    flow_low = th.eq_flow_low if regime == "full" else 1
-    return EquilibriumOutcome(1, flow_low, 0)
+    return _outcome(beta, regime, thresholds(params))
 
 
 def _strategy_bits(s: int) -> tuple[int, int, int, int]:

@@ -486,6 +486,7 @@ def test_emit_refuses_what_json_dumps_refuses(capsys, payload):
     ["simulate", "--trials", "20", "--horizon", "20"],
     ["simulate", "--trials", "20", "--horizon", "20", "--max-wait", "30",
      "--scheme", "2,3", "--trigger", "3:pooled:safe"],
+    ["oracle", "--target", "infinite"],
 ])
 def test_infinite_gate_runs_once_per_call(capsys, reference_file, monkeypatch, argv):
     calls = []

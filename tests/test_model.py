@@ -26,7 +26,10 @@ from roadrec.model import (
     stage_cost,
 )
 
-from conftest import draw_two_stage_case
+from roadrec import infinite as inf
+from roadrec import two_stage as ts
+
+from conftest import REFERENCE, draw_two_stage_case
 
 
 def small_params(**overrides):
@@ -418,6 +421,45 @@ def test_all_obedient_is_elementwise_over_terms():
     assert all_obedient(terms).tolist() == [True, True, False]
     assert all_obedient([("c", 1.0, 2.0, False)])
     assert not all_obedient([("c", 3.0, 2.0, False)])
+
+
+# Powers of two that scale every cost of a game: float arithmetic scales
+# exactly, so costs must scale exactly and no verdict may move.
+_UNIT_EXPONENTS = range(-60, 61, 20)
+
+
+def _in_units(params: GameParams, k: float) -> GameParams:
+    return dataclasses.replace(params, s0=params.s0 * k, s1=params.s1 * k,
+                               l=params.l * k, h=params.h * k)
+
+
+def test_infinite_verdicts_do_not_depend_on_the_unit(infinite_draws):
+    for params in [REFERENCE] + infinite_draws[:50]:
+        star = inf.pi_star(params)
+        base = inf.optimal_scheme_search(params)
+        verdict = inf.check_ic(star.c, star.d, params).verdict
+        for e in _UNIT_EXPONENTS:
+            k = 2.0**e
+            scaled = _in_units(params, k)
+            got = inf.optimal_scheme_search(scaled)
+            assert got.winner == base.winner, (params, e)
+            assert np.array_equal(got.candidates.feasible, base.candidates.feasible), (params, e)
+            assert np.array_equal(got.candidates.cost, base.candidates.cost * k), (params, e)
+            assert inf.compute_x_ll(scaled) == star.d, (params, e)
+            assert inf.check_ic(star.c, star.d, scaled).verdict == verdict, (params, e)
+
+
+def test_two_stage_scheme_does_not_depend_on_the_unit():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        params, beta = draw_two_stage_case(rng, n_range=(2, 12))
+        base = ts.solve_optimal_scheme(beta, params)
+        for e in _UNIT_EXPONENTS:
+            k = 2.0**e
+            got = ts.solve_optimal_scheme(beta, _in_units(params, k))
+            assert (got.experiment, got.pi2_low, got.pi2_high, got.n_feasible) == (
+                base.experiment, base.pi2_low, base.pi2_high, base.n_feasible), (params, beta, e)
+            assert got.expected_cost == base.expected_cost * k, (params, beta, e)
 
 
 def test_stage_cost_over_flow_arrays(reference):
