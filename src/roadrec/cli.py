@@ -43,8 +43,6 @@ from .model import (
     load_params,
     mu_high,
     mu_low,
-    myopic_eq_flow,
-    myopic_so_flow,
 )
 from . import two_stage as ts
 from . import infinite as inf
@@ -262,18 +260,16 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
     params, _ = _load(args)
-    # compute_x_ll runs the gate, the only time this call runs it. The
-    # candidates' flows are validated, and x_so is pi_star's ramp flow.
-    x_ll = inf.compute_x_ll(params)
-    ml = mu_low(params)
-    x_so = myopic_so_flow(ml, params)
-    x_eq = myopic_eq_flow(ml, params)
-    star, tilde = inf._candidates(params, x_ll)
-    search = inf._search(params, star, tilde)
-    dl = params.delta
+    inf.require_gate(params)  # the only gate of the call
+    x_so, x_eq = inf._low_flows(params)
+    # One pass over every (c, d) pair checks the flows and gives x_ll, the
+    # candidate schemes and every cost printed below.
+    search = inf._search(params, x_so, x_eq)
+    x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star
+    cost_of = search.candidates.cost_of
     payload = {
         "params": params,
-        "mu_low": ml,
+        "mu_low": mu_low(params),
         "mu_high": mu_high(params),
         "x_so": x_so,
         "x_eq": x_eq,
@@ -283,13 +279,11 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "x_ll": x_ll,
         "pi_star": star,
         "pi_tilde_star": tilde,
-        "v_pi_star": inf._scheme_cost(star.c, star.d, params, dl),
-        "v_pi_tilde_star": (
-            None if tilde is None else inf._scheme_cost(tilde.c, tilde.d, params, dl)
-        ),
-        "v_myopic_planner": inf._scheme_cost(x_so, x_so, params, dl),
-        "v_no_experiment": params.n * params.s0 / (1.0 - dl),
-        "ic": inf._check_ic(star.c, star.d, params),
+        "v_pi_star": cost_of(star.c, star.d),
+        "v_pi_tilde_star": None if tilde is None else cost_of(tilde.c, tilde.d),
+        "v_myopic_planner": cost_of(x_so, x_so),
+        "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
+        "ic": inf._check_ic(star.c, star.d, params, x_so, x_eq),
         "search": {
             "winner": search.winner,
             "winner_cost": search.winner_cost,
@@ -411,23 +405,26 @@ def _oracle_infinite(params: GameParams) -> list[dict]:
     c, d = inf.scheme_pairs(params.n)
     dl = params.delta
     worst_state = worst_fg = 0.0
-    # one block of pairs at a time, keeping only the worst gaps: flat memory in n
+    # One block of pairs at a time, keeping only the worst gaps: flat memory
+    # in n. Each gap is relative to a positive cost of its own scheme, so no
+    # gap depends on the unit of cost: a state cost to itself, and the f/g
+    # gap to the steady term's deviation cost (the slack can be near 0).
     for start in range(0, len(c), inf._SEARCH_BLOCK_PAIRS):
         block = slice(start, start + inf._SEARCH_BLOCK_PAIRS)
         cb, db = c[block], d[block]
         table = inf._state_table(cb, db, params, dl)
-        slack = inf._steady_slack(cb, db, params, dl, table)
+        _, follow, deviate, _ = inf._steady_term(cb, db, params, dl, table)
         decomp = inf._fc_gd(cb, db, params)
-        gap = np.abs((decomp.f_c - decomp.g_d) + slack) / (1.0 + np.abs(slack))
+        gap = np.abs((decomp.f_c - decomp.g_d) + (deviate - follow)) / deviate
         worst_fg = float(np.max(gap, initial=worst_fg))  # a NaN gap stays NaN
-        linear = inf._chain_table(cb, db, params)
-        for field in dataclasses.fields(table):
-            closed, solved = getattr(table, field.name), getattr(linear, field.name)
-            if not np.array_equal(np.isnan(closed), np.isnan(solved)):
-                worst_state = float("inf")
-            worst_state = max(worst_state, float(np.fmax.reduce(  # fmax skips NaN
-                np.abs(closed - solved) / (1.0 + np.abs(closed)), initial=0.0
-            )))
+        # the 11 fields of each table stacked, one row per field
+        closed = np.array(list(vars(table).values()))
+        solved = np.array(list(vars(inf._chain_table(cb, db, params)).values()))
+        if not np.array_equal(np.isnan(closed), np.isnan(solved)):
+            worst_state = float("inf")
+        worst_state = max(worst_state, float(np.fmax.reduce(  # fmax skips NaN
+            np.abs(closed - solved) / np.abs(closed), axis=None, initial=0.0
+        )))
     checks = []
     checks.append({
         "name": f"state costs, closed form vs linear solve ({len(c)} schemes)",

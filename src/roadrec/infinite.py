@@ -26,15 +26,21 @@ whose value moves with the discount takes it as an explicit argument: a
 float or an array that broadcasts against c and d. The search (in blocks of
 pairs) and the x_ll scan evaluate the cores over arrays of candidate flows
 (a state that cannot occur reads NaN), and the delta sweep evaluates them
-over all of its in-gate discounts at once. The public functions check c and
-d and run the gate once, at entry, and then call only cores. Two ints,
-numpy integers included, are the 0-d case of the same code and give Python
-numbers (None for a state that cannot occur). The chain oracle,
-state_costs_linear, takes the same arguments; its core _chain_table takes
-1-D flows and solves every scheme's 6-state chain in one stacked call.
-check_ic, which builds a report, takes ints only. It, the search and the
-x_ll scan decide obedience by model's one rule, through model.ic_entries
-and model.all_obedient.
+over all of its in-gate discounts at once. _ic_terms yields the binding
+steady term (safe_at_d_pooled) before it forms the other posteriors, so the
+x_ll scan and the steady slack pay for that term alone. The search also
+keeps the steady verdicts of the pairs (x_so, x_so..x_eq) and returns x_ll,
+pi_star and pi_tilde_star from the same pass, so a caller that runs the
+search needs no separate scan; compute_x_ll scans with _first_obedient for
+callers that want x_ll alone. The public functions check c and d and run
+the gate once, at entry, and then call only cores. Two ints, numpy integers
+included, are the 0-d case of the same code and give Python numbers (None
+for a state that cannot occur). The chain oracle, state_costs_linear, takes
+the same arguments; its core _chain_table takes 1-D flows and solves each
+block of schemes' 6-state chains in one stacked call. check_ic, which
+builds a report, takes ints only. It, the search and the x_ll scan decide
+obedience by model's one rule, through model.ic_entries and
+model.all_obedient.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -149,23 +155,30 @@ def posteriors(c: int, d: int, params: GameParams) -> Posteriors:
 def _posteriors(c, d, params: GameParams) -> Posteriors:
     """posteriors for checked flows. No posterior depends on the discount."""
     n, gl, gh = params.n, params.gamma_l, params.gamma_h
-
-    def posterior(low, high, limit=0.0):
-        # Bayes from the likelihoods of what the agent saw, by last state.
-        return _div(low, low + high, limit)
-
     # Likelihood of receiving r_S (or r_R) by last state, given last flow.
     # Low keeps incumbents and recruits uniformly; high redraws one
     # experimenter among everyone, so a given agent draws r_R with chance 1/n.
     # c = n leaves nobody to recruit: both c-flow likelihoods, and with them
     # their posteriors, are 0.
     return Posteriors(
-        low_given_d_safe=posterior(1.0 - gl, gl * (n - 1) / n, limit=1.0),
-        low_given_c_safe=posterior(_div((1.0 - gl) * (n - d), n - c, 0.0), gl * (n - 1) / n),
-        low_given_1_safe=posterior(gh * (n - c) / (n - 1), (1.0 - gh) * (n - 1) / n),
-        low_given_c_risky=posterior(_div((1.0 - gl) * (d - c), n - c, 0.0), gl / n),
-        low_given_1_risky=posterior(gh * (c - 1) / (n - 1), (1.0 - gh) / n),
+        low_given_d_safe=_low_given_d_safe(params),
+        low_given_c_safe=_posterior(_div((1.0 - gl) * (n - d), n - c, 0.0), gl * (n - 1) / n),
+        low_given_1_safe=_posterior(gh * (n - c) / (n - 1), (1.0 - gh) * (n - 1) / n),
+        low_given_c_risky=_posterior(_div((1.0 - gl) * (d - c), n - c, 0.0), gl / n),
+        low_given_1_risky=_posterior(gh * (c - 1) / (n - 1), (1.0 - gh) / n),
     )
+
+
+def _posterior(low, high, limit=0.0):
+    """Bayes from the likelihoods of what the agent saw, by last state."""
+    return _div(low, low + high, limit)
+
+
+def _low_given_d_safe(params: GameParams) -> float:
+    """The posterior low_given_d_safe, a scalar: after a d flow a low stage
+    keeps every safe agent safe, so it depends on neither flow."""
+    n, gl = params.n, params.gamma_l
+    return _posterior(1.0 - gl, gl * (n - 1) / n, limit=1.0)
 
 
 def _discounting(params: GameParams, dl) -> tuple:
@@ -284,7 +297,7 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
     risky_after_high = mh + dl * (gh * risky_at_1_low + (1.0 - gh) * vb)
 
     gap = np.abs(risky_after_high / n + safe_after_high * (n - 1) / n - vb)
-    if (gap > 1e-9 * np.maximum(1.0, np.abs(vb))).any():
+    if (gap > 1e-9 * np.abs(vb)).any():
         raise InternalError(
             f"state-cost consistency identity broke: gap {np.max(gap):.6g} from the reset value"
         )
@@ -310,15 +323,20 @@ def state_costs_linear(c: int, d: int, params: GameParams) -> StateCostTable:
 
     c and d are ints or integer arrays that broadcast together, like
     state_costs; two ints give Python numbers (None for a state that cannot
-    occur, NaN in an array call). An array call stacks every scheme's 6 x 6
-    system at once; the CLI oracle calls the core 8,192 schemes at a time.
+    occur, NaN in an array call). An array call stacks the 6 x 6 systems of
+    _SEARCH_BLOCK_PAIRS schemes at a time, so beyond its result its memory
+    does not grow with the number of schemes.
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
     c, d = np.broadcast_arrays(c, d)
-    table = _chain_table(c.ravel(), d.ravel(), params)
-    return _to_python(StateCostTable(**{name: v.reshape(c.shape)
-                                        for name, v in vars(table).items()}))
+    shape, c, d = c.shape, c.ravel(), d.ravel()
+    out = {name: np.empty(len(c)) for name in StateCostTable.__dataclass_fields__}
+    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
+        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
+        for name, value in vars(_chain_table(c[block], d[block], params)).items():
+            out[name][block] = value
+    return _to_python(StateCostTable(**{name: v.reshape(shape) for name, v in out.items()}))
 
 
 def _chain_table(c: np.ndarray, d: np.ndarray, params: GameParams) -> StateCostTable:
@@ -410,21 +428,15 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     "pooled" follow values is the posterior mixture of a low and a high state
     of the table; they are formed here and nowhere else. States that cannot
     occur (d = n leaves no safe agent to observe a d flow, similarly c = n)
-    are vacuous.
+    are vacuous. The other posteriors and mixtures are formed after the
+    steady term's yield, so a caller that reads only that term (_steady_term)
+    pays for none of them.
     """
     n, s0 = params.n, params.s0
     ml, mh = mu_low(params), mu_high(params)
-    post = _posteriors(c, d, params)
     punish = s0 / (1.0 - dl)
     punish_tail = dl * s0 / (1.0 - dl)
     safe_high, risky_high = table.safe_after_high, table.risky_after_high
-    safe_at_d = _mix(post.low_given_d_safe, table.safe_at_d_low, safe_high)
-    safe_at_c = _mix(post.low_given_c_safe, table.safe_at_c_low, safe_high)
-    # c = n: the low branch never sends a safe recommendation.
-    safe_at_1 = np.where(c < n, _mix(post.low_given_1_safe, table.safe_at_1_low, safe_high),
-                         safe_high)
-    risky_at_c = _mix(post.low_given_c_risky, table.risky_at_c_low, risky_high)
-    risky_at_1 = _mix(post.low_given_1_risky, table.risky_at_1_low, risky_high)
 
     def jump(p, flow):
         # A pooled agent told to stay safe joins the risky road instead.
@@ -435,7 +447,16 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     yield "risky_at_1_low", table.risky_at_1_low, punish, False
     yield "safe_after_high", safe_high, 2.0 * mh + punish_tail, False
     yield "risky_after_high", risky_high, punish, False
-    yield "safe_at_d_pooled", safe_at_d, jump(post.low_given_d_safe, d), d == n
+    p_d = _low_given_d_safe(params)
+    yield ("safe_at_d_pooled", _mix(p_d, table.safe_at_d_low, safe_high), jump(p_d, d),
+           d == n)
+    post = _posteriors(c, d, params)
+    safe_at_c = _mix(post.low_given_c_safe, table.safe_at_c_low, safe_high)
+    # c = n: the low branch never sends a safe recommendation.
+    safe_at_1 = np.where(c < n, _mix(post.low_given_1_safe, table.safe_at_1_low, safe_high),
+                         safe_high)
+    risky_at_c = _mix(post.low_given_c_risky, table.risky_at_c_low, risky_high)
+    risky_at_1 = _mix(post.low_given_1_risky, table.risky_at_1_low, risky_high)
     yield "safe_at_c_pooled", safe_at_c, jump(post.low_given_c_safe, d), c == n
     yield "safe_at_1_pooled", safe_at_1, jump(post.low_given_1_safe, c), False
     # After a d flow only the high reset hands a safe agent r_R, so the
@@ -445,13 +466,21 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     yield "risky_at_1_pooled", risky_at_1, punish, False
 
 
-def _preconditions(c, d, params: GameParams):
-    """Flows between the planner's and the equilibrium low-state flow, and a
-    first-low-stage cost no worse than the two-user one."""
+def _preconditions(c, d, params: GameParams, x_so: int, x_eq: int):
+    """Flows between the planner's and the equilibrium low-state flow (x_so
+    and x_eq, from _low_flows), and a first-low-stage cost no worse than the
+    two-user one."""
     ml = mu_low(params)
-    flow_range = (myopic_so_flow(ml, params) <= c) & (d <= myopic_eq_flow(ml, params))
+    flow_range = (x_so <= c) & (d <= x_eq)
     ramp_cheaper = stage_cost(c, ml, params) <= stage_cost(2, ml, params)
     return flow_range, ramp_cheaper
+
+
+def _low_flows(params: GameParams) -> tuple[int, int]:
+    """The planner's and the equilibrium low-state flows x_so and x_eq;
+    neither depends on delta."""
+    ml = mu_low(params)
+    return myopic_so_flow(ml, params), myopic_eq_flow(ml, params)
 
 
 def check_ic(c: int, d: int, params: GameParams) -> ICReport:
@@ -464,18 +493,20 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    return _check_ic(c, d, params)
+    return _check_ic(c, d, params, *_low_flows(params))
 
 
-def _check_ic(c: int, d: int, params: GameParams) -> ICReport:
-    """check_ic for checked Python-int flows, in a game whose gate passed."""
+def _check_ic(c: int, d: int, params: GameParams, x_so: int, x_eq: int) -> ICReport:
+    """check_ic for checked Python-int flows, in a game whose gate passed and
+    whose low-state flows are x_so and x_eq."""
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
     table = _state_table(c, d, params, dl)
     entries = ic_entries(_ic_terms(c, d, params, dl, table))
     table = _to_python(table)
-    pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
+    pre_flow_range, pre_ramp_cheaper = (
+        bool(x) for x in _preconditions(c, d, params, x_so, x_eq))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
 
@@ -487,9 +518,11 @@ def _check_ic(c: int, d: int, params: GameParams) -> ICReport:
 
     if verdict:
         # Sanity identities the punishment argument relies on. A violation
-        # here points at a formula regression, so surface it loudly.
+        # here points at a formula regression, so surface it loudly. The
+        # cost tolerance is relative to the punishment value, so it scales
+        # with the unit of cost.
         punish = s0 / (1.0 - dl)
-        tol = 1e-9 * max(1.0, punish)
+        tol = 1e-9 * punish
         checks = [
             ((1.0 - dl) * table.post_high_avg <= s0 + tol, "reset value exceeds s0 per stage"),
             (table.risky_at_d_low <= punish + tol, "steady risky value exceeds punishment"),
@@ -500,7 +533,7 @@ def _check_ic(c: int, d: int, params: GameParams) -> ICReport:
         if c < params.n:
             # c = n leaves no ramp stage, and n caps its flow, not the floor.
             checks += [
-                (c + 0.5 + tol >= s0 / (2.0 * ml), "ramp flow below the obedience floor"),
+                (c + 0.5 + 1e-9 >= s0 / (2.0 * ml), "ramp flow below the obedience floor"),
                 (table.avg_at_c_low <= table.safe_at_d_low + tol,
                  "ramp-stage average exceeds steady safe value"),
             ]
@@ -563,9 +596,7 @@ def compute_x_ll(params: GameParams) -> int:
 def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
     """The planner's and the equilibrium low-state flows x_so and x_eq, and
     the steady flows x_so..x_eq that the x_ll scan tries; none depends on delta."""
-    ml = mu_low(params)
-    x_so = myopic_so_flow(ml, params)
-    x_eq = myopic_eq_flow(ml, params)
+    x_so, x_eq = _low_flows(params)
     return x_so, x_eq, np.arange(x_so, x_eq + 1)
 
 
@@ -575,16 +606,22 @@ def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams, dl)
     table = _state_table(x_so, d, params, dl)
     obedient = all_obedient([_steady_term(x_so, d, params, dl, table)])
     if not obedient.any(axis=-1).all():
-        raise AssumptionError(
-            f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
-            "the regime the construction is proved for"
-        )
+        raise _no_steady_flow(x_so, x_eq)
     return d[np.argmax(obedient, axis=-1)]
+
+
+def _no_steady_flow(x_so: int, x_eq: int) -> AssumptionError:
+    """The error for a game in which no steady flow x_so..x_eq is obedient."""
+    return AssumptionError(
+        f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
+        "the regime the construction is proved for"
+    )
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
     """The candidate-optimal scheme: planner's ramp flow, smallest obedient d."""
-    return _candidates(params, compute_x_ll(params))[0]
+    x_ll = compute_x_ll(params)
+    return _candidates(myopic_so_flow(mu_low(params), params), x_ll)[0]
 
 
 def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
@@ -593,17 +630,17 @@ def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
     None whenever that would need c > d, i.e. when the obedient steady flow
     is already within one of the planner's flow.
     """
-    return _candidates(params, compute_x_ll(params))[1]
+    x_ll = compute_x_ll(params)
+    return _candidates(myopic_so_flow(mu_low(params), params), x_ll)[1]
 
 
-def _candidates(
-    params: GameParams, x_ll: int
-) -> tuple[InfiniteScheme, InfiniteScheme | None]:
-    """pi_star and pi_tilde_star from an already computed steady flow x_ll."""
-    star = InfiniteScheme(c=myopic_so_flow(mu_low(params), params), d=x_ll).validate(params)
-    if star.c + 1 > star.d - 1:
-        return star, None
-    return star, InfiniteScheme(c=star.c + 1, d=star.d - 1).validate(params)
+def _candidates(x_so: int, x_ll: int) -> tuple[InfiniteScheme, InfiniteScheme | None]:
+    """pi_star and pi_tilde_star from the planner's flow x_so and an already
+    computed steady flow x_ll; both lie in a range the caller has checked,
+    so both schemes are valid."""
+    if x_so + 1 > x_ll - 1:
+        return InfiniteScheme(c=x_so, d=x_ll), None
+    return InfiniteScheme(c=x_so, d=x_ll), InfiniteScheme(c=x_so + 1, d=x_ll - 1)
 
 
 @dataclass(frozen=True)
@@ -643,7 +680,7 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
     gl, gh = params.gamma_l, params.gamma_h
     ml, mh = mu_low(params), mu_high(params)
     stay_low, tau_tilde = _discounting(params, dl)
-    p = _posteriors(c, d, params).low_given_d_safe  # does not depend on c, d
+    p = _low_given_d_safe(params)
     tau = p * dl * gl / stay_low + (1.0 - p) * dl * (
         (1.0 - gh) + gh * dl * gl / stay_low
     )
@@ -673,10 +710,17 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
 # ---------------------------------------------------------------------------
 # search and sweep
 
-# Pairs per block of the (c, d) search. A block's thirty-odd intermediate
-# arrays then take about 2 MB, so beyond its four result arrays the search's
-# memory does not grow with n.
+# Pairs per block of the (c, d) search, and schemes per stacked solve of the
+# chain oracle. A search block's thirty-odd intermediate arrays then take
+# about 2 MB, so beyond their result arrays neither grows in memory with n.
 _SEARCH_BLOCK_PAIRS = 8192
+
+
+def _pair_index(c: int, d: int, n: int) -> int:
+    """Position of scheme (c, d) in scheme_pairs(n): each row c' < c holds the
+    n - c' + 1 pairs (c', c'..n)."""
+    r = c - 2
+    return r * (n - 1) - r * (r - 1) // 2 + (d - c)
 
 
 @dataclass(frozen=True)
@@ -689,15 +733,24 @@ class SearchCandidates:
     feasible: np.ndarray
     cost: np.ndarray
 
+    def cost_of(self, c: int, d: int) -> float:
+        """scheme_cost of scheme (c, d), read from its place in (c, d) order."""
+        n = int(self.d[-1])  # scheme_pairs(n) ends with (n, n)
+        return float(self.cost[_pair_index(c, d, n)])
+
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of the exhaustive obedient-scheme search."""
+    """Outcome of the exhaustive obedient-scheme search, with the steady flow
+    x_ll and the two candidate schemes read from the same pass."""
 
     winner: InfiniteScheme
     winner_cost: float
     matches_pi_star: bool
     matches_pi_tilde_star: bool
+    x_ll: int
+    pi_star: InfiniteScheme
+    pi_tilde_star: InfiniteScheme | None
     candidates: SearchCandidates
     warnings: tuple[str, ...] = ()
 
@@ -711,27 +764,44 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     cost is within a relative 1e-12 of the cheapest. For delta above one half
     the result is best within this recommendation family; global optimality
     across all schemes is only established up to one half, hence the warning.
+    The same pass gives compute_x_ll's steady flow and the candidates
+    pi_star and pi_tilde_star.
     """
-    return _search(params, *_candidates(params, compute_x_ll(params)))
+    require_gate(params)
+    return _search(params, *_low_flows(params))
 
 
-def _search(
-    params: GameParams, star: InfiniteScheme, tilde: InfiniteScheme | None
-) -> SearchResult:
-    """optimal_scheme_search, compared against already computed candidates,
-    for a game whose gate the caller has run (compute_x_ll runs it)."""
-    dl = params.delta
-    c, d = scheme_pairs(params.n)
+def _search(params: GameParams, x_so: int, x_eq: int) -> SearchResult:
+    """optimal_scheme_search for a game whose gate the caller has run, with
+    its low-state flows x_so and x_eq.
+
+    The flows x_so..x_eq are checked first, as compute_x_ll checks them. The
+    pairs (x_so, x_so..x_eq) lie next to each other in (c, d) order, and their
+    steady verdicts (the safe_at_d_pooled term that _first_obedient reads)
+    give x_ll: only those verdicts are kept, not the blocks' terms. Then, as
+    in compute_x_ll, no obedient steady flow raises AssumptionError, and only
+    after it can an empty feasible set raise InternalError.
+    """
+    n = params.n
+    steady = np.arange(x_so, x_eq + 1)
+    _require_cd(x_so, steady, params)
+    c, d = scheme_pairs(n)
     feasible = np.empty(len(c), dtype=bool)
     cost = np.empty(len(c))
+    row = _pair_index(x_so, x_so, n)
+    row_end = row + len(steady)
+    row_ok = np.empty(len(steady), dtype=bool)
     for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        cb, db = c[block], d[block]
-        flow_range, ramp_cheaper = _preconditions(cb, db, params)
-        table = _state_table(cb, db, params, dl)
-        obedient = all_obedient(_ic_terms(cb, db, params, dl, table))
-        feasible[block] = flow_range & ramp_cheaper & obedient
-        cost[block] = _scheme_cost(cb, db, params, dl)
+        feasible[block], steady_ok, cost[block] = _search_block(
+            c[block], d[block], params, x_so, x_eq)
+        lo, hi = max(row, start), min(row_end, start + len(steady_ok))
+        if lo < hi:  # this block holds part of the x_so row
+            row_ok[lo - row:hi - row] = steady_ok[lo - start:hi - start]
+    if not row_ok.any():
+        raise _no_steady_flow(x_so, x_eq)
+    x_ll = x_so + int(np.argmax(row_ok))
+    star, tilde = _candidates(x_so, x_ll)
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -750,9 +820,26 @@ def _search(
         winner_cost=float(cost[k]),
         matches_pi_star=(best == (star.c, star.d)),
         matches_pi_tilde_star=(tilde is not None and best == (tilde.c, tilde.d)),
+        x_ll=x_ll,
+        pi_star=star,
+        pi_tilde_star=tilde,
         candidates=SearchCandidates(c, d, feasible, cost),
         warnings=tuple(warnings),
     )
+
+
+def _search_block(c: np.ndarray, d: np.ndarray, params: GameParams, x_so: int, x_eq: int):
+    """One block of the search: each pair's check_ic verdict, the verdict of
+    its steady term alone, and its scheme_cost."""
+    dl = params.delta
+    flow_range, ramp_cheaper = _preconditions(c, d, params, x_so, x_eq)
+    obedient = True
+    for term in _ic_terms(c, d, params, dl, _state_table(c, d, params, dl)):
+        ok = all_obedient([term])
+        if term[0] == "safe_at_d_pooled":
+            steady = ok
+        obedient = obedient & ok
+    return flow_range & ramp_cheaper & obedient, steady, _scheme_cost(c, d, params, dl)
 
 
 @dataclass(frozen=True)

@@ -151,18 +151,28 @@ def test_infinite_record(capsys, reference_file):
 
 
 def test_infinite_computes_x_ll_once(capsys, reference_file, monkeypatch):
-    # pi_star, pi_tilde_star and the search's comparison all reuse one x_ll
-    calls = []
-    true_compute_x_ll = inf.compute_x_ll
+    # x_ll, pi_star and pi_tilde_star come from the search's one pass over
+    # the pairs: neither compute_x_ll nor its scan runs
+    searches, scans = [], []
+    true_search = inf._search
 
-    def counted(params):
-        calls.append(params)
-        return true_compute_x_ll(params)
+    def counted_search(*args):
+        searches.append(true_search(*args))
+        return searches[-1]
 
-    monkeypatch.setattr(inf, "compute_x_ll", counted)
+    def refused(*args):
+        scans.append(args)
+        raise AssertionError("x_ll must come from the search")
+
+    monkeypatch.setattr(inf, "_search", counted_search)
+    monkeypatch.setattr(inf, "compute_x_ll", refused)
+    monkeypatch.setattr(inf, "_first_obedient", refused)
     code, data = run_json(capsys, ["infinite", "--params", reference_file])
     assert code == 0 and data["search"]["matches_pi_star"] is True
-    assert len(calls) == 1
+    assert scans == [] and len(searches) == 1
+    (search,) = searches
+    assert data["x_ll"] == search.x_ll == 3
+    assert data["pi_star"] == dataclasses.asdict(search.pi_star)
 
 
 def test_infinite_rejects_csv(capsys, reference_file):

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from roadrec import infinite
+from roadrec import cli, infinite
 from roadrec.cli import main
 from roadrec.model import (
     AssumptionError,
     GameParams,
+    InternalError,
     ParameterError,
     check_assumption_infinite,
     mu_low,
@@ -496,6 +497,22 @@ def test_linear_solve_does_not_depend_on_batch():
                                       equal_nan=True), (params, k, f.name)
 
 
+def test_linear_solve_does_not_depend_on_block_size(monkeypatch):
+    # An array call solves _SEARCH_BLOCK_PAIRS schemes at a time. At 7 the
+    # 780 schemes of the 40-agent game take 112 blocks, the two small games
+    # one each, and no entry may move.
+    wide = dataclasses.replace(WIDE, n=40)
+    calls = [(params, *scheme_pairs(params.n)) for params in (FULL_ROAD, SMALL_3, wide)]
+    calls.append((wide, np.array([[2], [3]]), np.arange(3, 41)))  # a (2, 38) broadcast
+    want = [state_costs_linear(c, d, params) for params, c, d in calls]
+    monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", 7)
+    for (params, c, d), table in zip(calls, want):
+        got = state_costs_linear(c, d, params)
+        for f in dataclasses.fields(StateCostTable):
+            assert np.array_equal(getattr(got, f.name), getattr(table, f.name),
+                                  equal_nan=True), (params, f.name)
+
+
 def test_linear_solve_broadcasts(reference):
     table = state_costs_linear(np.array([[2], [3]]), np.array([3, 10]), reference)
     assert table.post_high_avg.shape == (2, 2)
@@ -504,3 +521,85 @@ def test_linear_solve_broadcasts(reference):
     assert not np.isnan(full_road.safe_at_1_low[0]) and np.isnan(full_road.safe_at_1_low[1])
     with pytest.raises(ParameterError):
         state_costs_linear(np.array([10]), np.array([3]), reference)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_infinite_payload_matches_library(monkeypatch, tmp_path, reference, infinite_draws,
+                                          block):
+    # infinite reads x_ll, the candidates and their costs from the search's
+    # one pass; each must equal what the public functions compute on their
+    # own. Blocks of 1 and 7 pairs split the x_so row across blocks.
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload))
+    monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
+    path = tmp_path / "game.json"
+    for game in [reference, FULL_ROAD, SMALL, SMALL_3] + infinite_draws:
+        path.write_text(json.dumps(dataclasses.asdict(game)))
+        assert main(["infinite", "--params", str(path)]) == 0
+        payload = payloads.pop()
+        params = payload["params"]
+        assert params == game
+        star, tilde = pi_star(params), pi_tilde_star(params)
+        assert payload["x_ll"] == payload["x_ll_bar"] == compute_x_ll(params)
+        assert type(payload["x_ll"]) is int
+        assert payload["pi_star"] == star and payload["pi_tilde_star"] == tilde
+        assert payload["v_pi_star"] == scheme_cost(star.c, star.d, params)
+        assert payload["v_pi_tilde_star"] == (
+            None if tilde is None else scheme_cost(tilde.c, tilde.d, params))
+        assert payload["v_myopic_planner"] == scheme_cost(star.c, star.c, params)
+        assert type(payload["v_pi_star"]) is float
+        assert payload["ic"] == check_ic(star.c, star.d, params)
+
+
+def test_search_errors_keep_their_order(monkeypatch, reference):
+    # A bad steady range is a ParameterError before anything is evaluated;
+    # no obedient steady flow is an AssumptionError even when no scheme is
+    # obedient either, which alone is an InternalError.
+    x_so, x_eq = infinite._low_flows(reference)
+    with pytest.raises(ParameterError, match="1 < c <= d"):
+        infinite._search(reference, 1, x_eq)
+    with pytest.raises(ParameterError, match="1 < c <= d"):
+        infinite._search(reference, x_so, reference.n + 1)
+    true_block = infinite._search_block
+
+    def refusing(steady_too):
+        def block(*args):
+            feasible, steady, cost = true_block(*args)
+            return (np.zeros_like(feasible), np.zeros_like(steady) if steady_too else steady,
+                    cost)
+        return block
+
+    monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=True))
+    with pytest.raises(AssumptionError, match=f"no obedient steady flow in {x_so}..{x_eq}"):
+        infinite._search(reference, x_so, x_eq)
+    monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=False))
+    with pytest.raises(InternalError, match="no obedient scheme found"):
+        infinite._search(reference, x_so, x_eq)
+
+
+@pytest.mark.parametrize("e", [-40, 0, 40])
+def test_internal_checks_trip_on_a_relative_error(monkeypatch, reference, e):
+    # A relative 1e-6 error in one table field trips the state-table identity
+    # and check_ic's invariant warnings alike, in any unit of cost. At delta
+    # 0.8, (2, 2) is obedient and its ramp-stage average equals the steady
+    # safe value, so that invariant holds with no room.
+    k = 2.0**e
+    params = dataclasses.replace(reference, delta=0.8, s0=reference.s0 * k,
+                                 l=reference.l * k, h=reference.h * k)
+    report = check_ic(2, 2, params)
+    assert report.verdict and report.warnings == ()
+    true_cost, true_table = infinite._scheme_cost, infinite._state_table
+    monkeypatch.setattr(infinite, "_scheme_cost",
+                        lambda *args: true_cost(*args) * (1.0 + 1e-6))
+    with pytest.raises(InternalError, match="consistency identity"):
+        state_costs(2, 2, params)
+    monkeypatch.setattr(infinite, "_scheme_cost", true_cost)
+
+    def perturbed(*args):
+        table = true_table(*args)
+        return dataclasses.replace(table, avg_at_c_low=table.avg_at_c_low * (1.0 + 1e-6))
+
+    monkeypatch.setattr(infinite, "_state_table", perturbed)
+    report = check_ic(2, 2, params)
+    assert report.verdict
+    assert report.warnings == ("invariant violated: ramp-stage average exceeds steady safe value",)

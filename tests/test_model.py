@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from roadrec.model import (
 
 from roadrec import infinite as inf
 from roadrec import two_stage as ts
+from roadrec.cli import main
 
 from conftest import REFERENCE, draw_two_stage_case
 
@@ -447,6 +449,22 @@ def test_infinite_verdicts_do_not_depend_on_the_unit(infinite_draws):
             assert np.array_equal(got.candidates.cost, base.candidates.cost * k), (params, e)
             assert inf.compute_x_ll(scaled) == star.d, (params, e)
             assert inf.check_ic(star.c, star.d, scaled).verdict == verdict, (params, e)
+
+
+def test_infinite_oracle_does_not_depend_on_the_unit(tmp_path, capsys):
+    # Each oracle gap is relative to a positive cost of its own scheme, so
+    # the printed checks, details included, are the same in every unit.
+    small = dataclasses.replace(REFERENCE, n=2, h=19.5, gamma_l=0.02)
+    wide = GameParams(n=40, s0=60.0, s1=0.0, l=1.0, h=120.0,
+                      gamma_l=0.02, gamma_h=0.5, delta=0.5)
+    path = tmp_path / "game.json"
+    for params in (REFERENCE, wide, small):
+        printed = []
+        for e in _UNIT_EXPONENTS:
+            path.write_text(json.dumps(dataclasses.asdict(_in_units(params, 2.0**e))))
+            assert main(["oracle", "--params", str(path), "--target", "infinite"]) == 0
+            printed.append(json.loads(capsys.readouterr().out)["checks"])
+        assert all(checks == printed[0] for checks in printed), (params, printed)
 
 
 def test_two_stage_scheme_does_not_depend_on_the_unit():
