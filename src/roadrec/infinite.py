@@ -50,7 +50,7 @@ it just received.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,7 +64,9 @@ from .model import (
     _all,
     _div,
     _integral,
+    _infinite_gate,
     _plain,
+    _require_discount,
     all_obedient,
     check_assumption_infinite,
     ic_entries,
@@ -875,8 +877,9 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     x_so, x_eq, d = _steady_range(params)
     gated = []
     for delta in deltas:
-        trial = replace(params, delta=float(delta))
-        gated.append((trial.delta, check_assumption_infinite(trial)))
+        delta = float(delta)
+        _require_discount(delta)
+        gated.append((delta, _infinite_gate(params, delta)))
     dl = np.array([[delta] for delta, gate in gated if gate.passed])
     solved = iter(())
     if len(dl):

@@ -99,8 +99,19 @@ class GameParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ParameterError(f"delta must be in [0, 1), got {self.delta}")
+        _require_discount(self.delta)
+
+
+def _require_discount(delta: float) -> None:
+    """Raise ParameterError unless delta, a number, is a discount in [0, 1).
+
+    GameParams checks its own delta with it, and a sweep each of its
+    discounts, without building a GameParams per discount.
+    """
+    if not math.isfinite(delta):
+        raise ParameterError(f"delta must be finite, got {delta!r}")
+    if not 0.0 <= delta < 1.0:
+        raise ParameterError(f"delta must be in [0, 1), got {delta}")
 
 
 def _require_belief(beta: float) -> float:
@@ -263,9 +274,15 @@ class InfiniteGate:
 
 def check_assumption_infinite(params: GameParams) -> InfiniteGate:
     """Evaluate the infinite-horizon assumption gate (depends on delta)."""
+    return _infinite_gate(params, params.delta)
+
+
+def _infinite_gate(params: GameParams, delta: float) -> InfiniteGate:
+    """The infinite-horizon gate of params at discount delta, which replaces
+    params.delta; delta must already be a valid discount."""
     ml = mu_low(params)
     mh = mu_high(params)
-    mh_limit = params.s0 + params.delta * params.gamma_h * (params.s0 / 3.0 - ml)
+    mh_limit = params.s0 + delta * params.gamma_h * (params.s0 / 3.0 - ml)
     failures = []
     if params.s1 != 0:
         failures.append("s1 != 0: the dynamic scheme analysis needs a flat safe road")

@@ -9,9 +9,10 @@ coordinator. The module computes
   (socially worthwhile / with private revelation / with public revelation),
 * expected two-round aggregate costs of the benchmark regimes,
 * the optimal incentive-compatible recommendation scheme with one
-  experimenter (exhaustive search over second-round recommendation counts,
-  evaluated as a 2-D array over (pi2_low, pi2_high), in blocks of pi2_low
-  rows),
+  experimenter (exhaustive over the second-round recommendation counts
+  (pi2_low, pi2_high), in blocks of pi2_low rows: a bound that separates by
+  flow rules out most pairs on the binding recommended_risky term, and the
+  exact obedience terms and cost are evaluated only on the pairs it keeps),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals).
@@ -265,6 +266,38 @@ def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tu
            False)
 
 
+def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
+    """R over pi2_low = 0..n-1 and U over pi2_high = 0..n-1: every pair whose
+    recommended_risky term _ic_terms finds vacuous or obedient has
+    not (R_i + U_j > 0).
+
+    In exact arithmetic the term separates by flow. Its follow cost is
+    (a + b)/(w + v) and its deviation cost (s + t)/(w + v), where the
+    weight w, the risky load a and the safe load s depend on pi2_low only,
+    and v, b and t on pi2_high only; so the term reads a_i + b_j <= s_i + t_j.
+    R_i = a_i - (1 + 1e-9)*s_i and U_j = b_j - (1 + 1e-9)*t_j.
+
+    Why no such pair is dropped, in float arithmetic with unit roundoff u:
+    - If the float verdict is true, a + b <= (s + t)(1 + 1e-12 + O(10u)),
+      where 1e-12 is model.obedient's tolerance. All of these quantities
+      are nonnegative, and s + t > 0 whenever w + v > 0, because s0 > 0.
+    - So R + U <= -(1e-9 - 1e-12 - O(u))(s + t). The rounding error of the
+      computed R + U is O(u)(a + b + s + t) <= O(u)(s + t), so the computed
+      sum is <= 0 and the pair is kept.
+    - A vacuous pair (w + v = 0) has a = b = s = t = 0, so it is kept.
+    - A NaN from overflow fails the test R_i + U_j > 0, so its pair is kept.
+    The filter only chooses pairs: each kept pair's verdicts and cost come
+    from _ic_terms and scheme_cost_two_stage, as for any other pair.
+    """
+    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
+    pi = np.arange(n)
+    w = beta * pi
+    v = (1.0 - beta) * pi
+    margin = 1.0 + 1e-9
+    return (w * l * (pi + 1) - margin * w * (s0 + s1 * (n - pi)),
+            v * h * pi - margin * v * (s0 + s1 * (n - pi + 1)))
+
+
 @dataclass(frozen=True)
 class TwoStageScheme:
     """Optimal incentive-compatible two-stage recommendation scheme."""
@@ -304,20 +337,25 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
 
     Below beta_p no experimenter can be motivated and the no-experimentation
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search evaluates all (pi2_low, pi2_high) pairs as a 2-D array, in blocks
-    of pi2_low rows of about _BLOCK_ENTRIES pairs, keeps those whose three
-    obedience constraints hold, and returns the cheapest; ties resolve to the
-    lexicographically smallest pair. The pair (0, 0) is always obedient at or
-    above beta_p, so the feasible set cannot be empty.
+    search runs over all (pi2_low, pi2_high) pairs, in blocks of pi2_low rows
+    of about _BLOCK_ENTRIES pairs. In each block _risky_filter rules out, by
+    one sum per pair, pairs that cannot pass the recommended_risky
+    constraint; the three obedience constraints and the cost are evaluated
+    on the pairs it keeps, and the cheapest obedient pair is returned. Ties
+    resolve to the lexicographically smallest pair. The pair (0, 0) is
+    always obedient at or above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
     return _solve_optimal_scheme(beta, params, _require_gate(beta, params))
 
 
 # Pairs per block of the (pi2_low, pi2_high) grid, in whole pi2_low rows.
-# Blocks keep a solve's memory flat in n: the whole grid at once is no
-# faster, and at n = 200 it raised a solve's peak RSS by about 2.4 MB.
-_BLOCK_ENTRIES = 8192
+# Blocks keep a solve's memory flat in n: a block holds one float and one
+# bool per pair, plus the few pairs the filter keeps. A solve's tracemalloc
+# peak is 0.45 MB at n = 200 (one block) and 0.7 MB at n = 1000, where the
+# whole grid at once takes 9 MB. Each block has a fixed cost: in blocks of
+# 8192 pairs the n = 200 solve took about twice as long.
+_BLOCK_ENTRIES = 65536
 
 
 def _solve_optimal_scheme(
@@ -333,19 +371,24 @@ def _solve_optimal_scheme(
             n_feasible=0,
         )
     n = params.n
-    pi_h = np.arange(n)
+    low, high = _risky_filter(beta, params)
     rows = max(1, _BLOCK_ENTRIES // n)
     best, best_cost, n_feasible = None, np.inf, 0
     for start in range(0, n, rows):
-        pi_l = np.arange(start, min(start + rows, n))[:, None]
+        # The block's pairs that may pass recommended_risky, in row-major order.
+        pi_l, pi_h = np.nonzero(~(low[start:start + rows, None] + high > 0))
+        pi_l += start
         obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
-        n_feasible += int(np.count_nonzero(obedient))
-        cost = np.where(obedient, scheme_cost_two_stage(beta, pi_l, pi_h, params), np.inf)
+        pi_l, pi_h = pi_l[obedient], pi_h[obedient]
+        n_feasible += len(pi_l)
+        if not len(pi_l):
+            continue
+        cost = scheme_cost_two_stage(beta, pi_l, pi_h, params)
         # argmin takes the block's first minimum in row-major order; the
         # strict < keeps an earlier block's equal minimum.
         k = int(np.argmin(cost))
-        if cost.flat[k] < best_cost:
-            best, best_cost = divmod(start * n + k, n), float(cost.flat[k])
+        if cost[k] < best_cost:
+            best, best_cost = (int(pi_l[k]), int(pi_h[k])), float(cost[k])
     if best is None:
         raise InternalError(
             f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
@@ -506,14 +549,19 @@ def brute_force_equilibrium(
     second-round risky counts by information condition), so the 16
     strategies' costs are tabulated once over that grid of cells. A
     multiset is an equilibrium when no strategy it contains has an
-    alternative cheaper by more than a 1e-9 relative tolerance.
+    alternative cheaper by more than 1e-9 of its own cost.
 
     In the full-revelation regime a profile must additionally be credible:
     the complete second-round action profile after a revealed state must be a
     one-shot equilibrium of that state's congestion game. This prunes
     profiles that deter experimentation with second-round threats nobody
-    would carry out. The private regime needs no such filter because
-    uninformed agents cannot react to a deviation they never observe.
+    would carry out. Its one-shot test allows 1e-9 of coef*n + s0 + s1*n,
+    the state's largest risky cost plus its largest safe cost. The private
+    regime needs no such filter because uninformed agents cannot react to a
+    deviation they never observe.
+
+    Every cost is positive, so both tolerances are relative: scaling every
+    cost by a power of two leaves every verdict unchanged.
 
     Both tests are per strategy and cell, so a call fills one (cell,
     strategy) table of bad strategies and reads it through the per-n
@@ -555,14 +603,14 @@ def brute_force_equilibrium(
         )
         # fmin skips NaN as the strict test does; no strategy beats itself by
         # more than its tolerance, so it can stay in its row's minimum.
-        bad = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
+        bad = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * cost
         if regime == "full":
             # stable[state, act, total]: that round-two action is a one-shot
             # best response when total agents in all take the risky road in
             # that state. The total is the others' count in the cell plus the
             # strategy's own action.
             coef, total = np.array([[l], [h]]), np.arange(n + 1)
-            tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+            tol = 1e-9 * (coef * n + s0 + s1 * n)
             stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
                                coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
             bad |= ~(stable[0, fl, grid[2] + fl] & stable[1, fh, grid[3] + fh])

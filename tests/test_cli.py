@@ -237,6 +237,17 @@ def test_sweep_csv(capsys, reference_file):
     assert lines[-1].split(",")[5] == "1"  # ratio is exactly one at 0.9
 
 
+@pytest.mark.parametrize("grid, err", [
+    ("0.5,1.0", "roadrec: parameter error: delta must be in [0, 1), got 1.0\n"),
+    ("0.5,nan", "roadrec: parameter error: delta must be finite, got nan\n"),
+])
+def test_sweep_rejects_a_discount_outside_the_unit_interval(capsys, reference_file, grid, err):
+    assert main(["sweep", "--params", reference_file, "--delta-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_sweep_requires_delta_grid(reference_file):
     with pytest.raises(SystemExit):
         main(["sweep", "--params", reference_file])

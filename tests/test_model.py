@@ -31,7 +31,7 @@ from roadrec import infinite as inf
 from roadrec import two_stage as ts
 from roadrec.cli import main
 
-from conftest import REFERENCE, draw_two_stage_case
+from conftest import EXAMPLE1, REFERENCE, draw_two_stage_case
 
 
 def small_params(**overrides):
@@ -464,6 +464,27 @@ def test_infinite_oracle_does_not_depend_on_the_unit(tmp_path, capsys):
             path.write_text(json.dumps(dataclasses.asdict(_in_units(params, 2.0**e))))
             assert main(["oracle", "--params", str(path), "--target", "infinite"]) == 0
             printed.append(json.loads(capsys.readouterr().out)["checks"])
+        assert all(checks == printed[0] for checks in printed), (params, printed)
+
+
+def test_two_stage_oracle_does_not_depend_on_the_unit(tmp_path, capsys):
+    # The brute force's tolerances are relative to positive costs, so its
+    # printed checks are the same in every unit, at the knife-edge beliefs
+    # beta_p and beta_f too.
+    rng = np.random.default_rng(3)
+    games = [(dataclasses.replace(EXAMPLE1, n=4), None)]
+    games += [draw_two_stage_case(rng) for _ in range(20)]
+    path = tmp_path / "game.json"
+    for params, drawn in games:
+        th = ts.thresholds(params)
+        betas = [b for b in (drawn, th.beta_p, th.beta_f, 0.3) if b is not None and 0 <= b <= 1]
+        grid = ",".join(repr(b) for b in betas)
+        printed = []
+        for e in _UNIT_EXPONENTS:
+            path.write_text(json.dumps(dataclasses.asdict(_in_units(params, 2.0**e))))
+            code = main(["oracle", "--params", str(path), "--target", "two-stage",
+                         "--beta-grid", grid])
+            printed.append((code, json.loads(capsys.readouterr().out)["checks"]))
         assert all(checks == printed[0] for checks in printed), (params, printed)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roadrec import two_stage
-from roadrec.model import AssumptionError, GameParams, InternalError, ParameterError, stage_cost
+from roadrec.model import (AssumptionError, GameParams, InternalError, ParameterError,
+                           all_obedient, stage_cost)
 from roadrec.two_stage import (
     EquilibriumOutcome,
     brute_force_equilibrium,
@@ -219,9 +221,10 @@ def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasi
 
 
 def _assert_solve_matches_scalar_scan(beta, params):
-    # The solve evaluates the (pi2_low, pi2_high) grid as blocks of a 2-D
-    # array; it must agree with the scalar constraints and cost on every
-    # pair, and pick the first strict minimum in (pi2_low, pi2_high) order.
+    # The solve evaluates, block by block, the (pi2_low, pi2_high) pairs its
+    # filter keeps; it must agree with the scalar constraints and cost on
+    # every pair, and pick the first strict minimum in (pi2_low, pi2_high)
+    # order.
     n = params.n
     best, best_cost, n_feasible = None, None, 0
     for pi_l in range(n):
@@ -273,6 +276,74 @@ def test_grid_solve_matches_zero_d_calls_on_draws():
         limit = (params.h - k) / (params.h - params.l)
         for beta in np.linspace(th.beta_p, limit, 4, endpoint=False).tolist():
             _assert_solve_matches_scalar_scan(beta, params)
+
+
+def test_grid_solve_matches_zero_d_calls_on_larger_draws():
+    # n = 13..30, where the filter rules out most of each grid, at beta_p
+    # and two beliefs above it.
+    rng = np.random.default_rng(1319)
+    for _ in range(10):
+        params, _ = draw_two_stage_case(rng, n_range=(13, 30))
+        th = thresholds(params)
+        k = params.s0 + params.s1 * params.n
+        limit = (params.h - k) / (params.h - params.l)
+        for beta in np.linspace(th.beta_p, limit, 3, endpoint=False).tolist():
+            _assert_solve_matches_scalar_scan(beta, params)
+
+
+def _tight_beliefs(params, lo, hi, rng, count=2):
+    """Up to count beliefs in [lo, hi) at each of which the recommended_risky
+    term of some pair (i, j), i, j >= 1, is tight in exact arithmetic: there
+    beta*a_i + (1 - beta)*b_j = 0, with a_i and b_j the term's follow less
+    deviation loads per unit of weight."""
+    n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
+    pi = np.arange(1, n)
+    a = (pi * (l * (pi + 1) - (s0 + s1 * (n - pi))))[:, None]
+    b = (pi * (h * pi - (s0 + s1 * (n - pi + 1))))[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = b / (b - a)
+    found = beta[(a < 0) & (b > 0) & (lo <= beta) & (beta < hi)]
+    return rng.choice(found, size=min(count, len(found)), replace=False).tolist()
+
+
+# Integer games in which the recommended_risky term of a pair (i, 0) is
+# tight at every belief: l*(i + 1) = s0 + s1*(n - i), for i = 2 and i = 3.
+TIGHT_RISKY = [GameParams(n=4, s0=1, s1=1, l=1, h=20),
+               GameParams(n=9, s0=2, s1=1, l=2, h=90)]
+
+
+def test_risky_filter_keeps_every_pair_the_risky_term_passes():
+    # The solve evaluates only the pairs _risky_filter keeps, so over the
+    # full grid they must include every pair whose recommended_risky term
+    # is vacuous or obedient: at beta_p, just above it, up to the gate's
+    # limit and where some pair's term is tight, in units of 2**e, where
+    # float arithmetic scales every cost exactly.
+    rng = np.random.default_rng(1901)
+    games = TIGHT_RISKY + [draw_two_stage_case(rng, n_range=(2, 60))[0] for _ in range(200)]
+    kept = passed = pairs = 0
+    for params in games:
+        th = thresholds(params)
+        k = params.s0 + params.s1 * params.n
+        limit = (params.h - k) / (params.h - params.l)
+        betas = [th.beta_p, float(np.nextafter(th.beta_p, 1.0))]
+        betas += np.linspace(th.beta_p, limit, 5, endpoint=False)[1:].tolist()
+        betas += _tight_beliefs(params, th.beta_p, limit, rng)
+        pi = np.arange(params.n)
+        for e in range(-60, 61, 20):
+            unit = 2.0**e
+            scaled = dataclasses.replace(params, s0=params.s0 * unit, s1=params.s1 * unit,
+                                         l=params.l * unit, h=params.h * unit)
+            for beta in betas:
+                _, risky, _ = two_stage._ic_terms(beta, pi[:, None], pi, scaled)
+                ok = all_obedient([risky])
+                low, high = two_stage._risky_filter(beta, scaled)
+                keep = ~(low[:, None] + high > 0)
+                assert not np.any(ok & ~keep), (params, beta, e)
+                kept += int(np.count_nonzero(keep))
+                passed += int(np.count_nonzero(ok))
+                pairs += keep.size
+    # the filter is a bound, not the term itself, yet it rules most pairs out
+    assert passed <= kept < pairs / 4, (passed, kept, pairs)
 
 
 def test_benchmark_flows_cost_what_the_scheme_costs():
@@ -396,7 +467,7 @@ def _ordered_profile_equilibria(params, beta, regime):
         for coef, pos in ((l, 2), (h, 3)):
             acts = [bits[s][pos] for s in profile]
             x = sum(acts)
-            tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+            tol = 1e-9 * (coef * n + s0 + s1 * n)
             for act in acts:
                 if act and not coef * x <= s0 + s1 * (n - x + 1) + tol:
                     return False
@@ -407,7 +478,7 @@ def _ordered_profile_equilibria(params, beta, regime):
     def stable(profile):
         for i in range(n):
             base = cost(profile, i)
-            tol = 1e-9 * (1.0 + abs(base))
+            tol = 1e-9 * base
             for alt in range(16):
                 swapped = profile[:i] + (alt,) + profile[i + 1:]
                 if cost(swapped, i) < base - tol:
@@ -473,9 +544,9 @@ def _brute_force_by_strategy(params, beta, regime):
             np.where(a1, h * x1, c1_safe)
             + np.where(act_high, h * (t_high + 1), s0 + s1 * (n - t_high))
         )
-        beaten = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * (1.0 + np.abs(cost))
+        beaten = np.fmin.reduce(cost, axis=1, keepdims=True) < cost - 1e-9 * cost
         coef, total = np.array([[l], [h]]), np.arange(n + 1)
-        tol = 1e-9 * (1.0 + coef * n + s0 + s1 * n)
+        tol = 1e-9 * (coef * n + s0 + s1 * n)
         stable = np.stack((s0 + s1 * (n - total) <= coef * (total + 1) + tol,
                            coef * total <= s0 + s1 * (n - total + 1) + tol), axis=1)
 
