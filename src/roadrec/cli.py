@@ -227,17 +227,15 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
             n_gated += 1
             rows.append({"beta": beta, "gated": True, "note": "; ".join(gate.failures)})
             continue
-        # beta is a float inside the gate, which is all the public cost
-        # functions check before they would compute the thresholds again.
-        scheme = ts._solve_optimal_scheme(beta, params, th)
+        scheme = ts.solve_optimal_scheme(beta, params)
         rows.append({
             "beta": beta,
             "gated": False,
             "region": ts.region(beta, th),
-            "v_full": ts._cost(beta, "full", params, th),
-            "v_private": ts._cost(beta, "private", params, th),
+            "v_full": ts.cost_full(beta, params),
+            "v_private": ts.cost_private(beta, params),
             "v_partial": scheme.expected_cost,
-            "v_so": ts._cost(beta, "planner", params, th),
+            "v_so": ts.cost_social_optimum(beta, params),
             "experiment": scheme.experiment,
             "pi2_low": scheme.pi2_low,
             "pi2_high": scheme.pi2_high,
@@ -260,11 +258,12 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
     params, _ = _load(args)
-    inf.require_gate(params)  # the only gate of the call
-    x_so, x_eq = inf._low_flows(params)
+    inf.require_gate(params)
+    x_so, x_eq = inf.low_flows(params)
     # One pass over every (c, d) pair checks the flows and gives x_ll, the
-    # candidate schemes and every cost printed below.
-    search = inf._search(params, x_so, x_eq)
+    # candidate schemes and every cost printed below. (roadbench/run.py
+    # reads a traced optimal_scheme_search's candidates as a list.)
+    search = inf._search(params)
     x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star
     cost_of = search.candidates.cost_of
     payload = {
@@ -283,7 +282,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "v_pi_tilde_star": None if tilde is None else cost_of(tilde.c, tilde.d),
         "v_myopic_planner": cost_of(x_so, x_so),
         "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
-        "ic": inf._check_ic(star.c, star.d, params, x_so, x_eq),
+        "ic": inf.check_ic(star.c, star.d, params),
         "search": {
             "winner": search.winner,
             "winner_cost": search.winner_cost,
@@ -341,8 +340,7 @@ def _parse_trigger(text: str) -> AgentState:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_json_format(args, "simulate")
     params, _ = _load(args)
-    # The gate runs once, before any input is validated, and the flows come
-    # validated; the rest of the call uses the cores that check neither.
+    # The gate runs before any input is validated.
     if args.scheme:
         inf.require_gate(params)
         c, d = _parse_scheme(args.scheme, params)
@@ -352,8 +350,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trig = _parse_trigger(args.trigger) if args.trigger else None
     config = SimConfig(c=c, d=d, trials=args.trials, horizon=args.horizon,
                        seed=args.seed, max_wait=args.max_wait)
-    stats = sim._run_scheme(config, params)
-    total = inf._scheme_cost(c, d, params, params.delta)
+    stats = sim.run_scheme(config, params)
+    total = inf.scheme_cost(c, d, params)
     payload = {
         "params": params,
         "scheme": config.scheme(),
@@ -370,7 +368,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ),
     }
     if trig is not None:
-        payload["rollout"] = sim._deviation_rollout(config, trig, params)
+        payload["rollout"] = sim.deviation_rollout(config, trig, params)
     _emit(payload, args)
     return 0
 
@@ -386,12 +384,18 @@ def _oracle_two_stage(params: GameParams, betas: list[float]) -> list[dict]:
                 "detail": "outside two-stage assumptions: " + "; ".join(gate.failures),
             })
             continue
-        for regime in ("full", "private"):
+        for regime, flow_low in (("full", ts.thresholds(params).eq_flow_low), ("private", 1)):
             predicted = ts.equilibrium_flows(beta, regime, params)
             found = ts.brute_force_equilibrium(params, beta, regime=regime)
             want = (predicted.experimenters, predicted.flow_low, predicted.flow_high)
             got = [(o.experimenters, o.flow_low, o.flow_high) for o in found]
             ok = got == [want]
+            tie = [(0, 0, 0), (1, flow_low, 0)]
+            if got == tie and want in tie:
+                # At the regime's cutoff the experimenter is indifferent, within
+                # the brute force's relative 1e-9, so it finds both outcomes.
+                term = ts.ic_constraints_eval(beta, flow_low - 1, 0, params)[-1]
+                ok = abs(term.slack) <= 1e-9 * max(term.follow, term.deviate)
             checks.append({
                 "name": f"beta={beta:.12g} regime={regime}",
                 "passed": ok,

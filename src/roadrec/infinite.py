@@ -18,29 +18,29 @@ report, the cheapest obedient scheme, and the delta sweep showing when the
 relaxed social optimum itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
-_scheme_cost, _state_table, _ic_terms, _steady_slack, _fc_gd,
-_first_obedient, _search) that does the arithmetic and checks no argument
-of its own; the model primitives it calls (stage_cost, mu_low) still check
-theirs. The cores take c and d as ints or as integer arrays, and every core
-whose value moves with the discount takes it as an explicit argument: a
-float or an array that broadcasts against c and d. The search (in blocks of
-pairs) and the x_ll scan evaluate the cores over arrays of candidate flows
-(a state that cannot occur reads NaN), and the delta sweep evaluates them
+_scheme_cost, _state_table, _ic_terms, _fc_gd, _first_obedient, _search)
+that does the arithmetic and checks no argument of its own; the model
+primitives it calls (stage_cost, mu_low) still check theirs. The cores take
+c and d as ints or as integer arrays, and every core whose value moves with
+the discount takes it as an explicit argument: a float or an array that
+broadcasts against c and d. Each operation has one public entry point,
+which checks c and d and runs the gate, then calls only cores. The passing
+gate (require_gate) and the low-state flows x_so and x_eq that bound the
+ramp (low_flows) are remembered per GameParams object (model._per_game), so
+the calls on one game compute them once and no core takes them. The search
+(in blocks of pairs) and the x_ll scan evaluate the cores over arrays of
+candidate flows (a state that cannot occur reads NaN), and the delta sweep
 over all of its in-gate discounts at once. _ic_terms yields the binding
-steady term (safe_at_d_pooled) before it forms the other posteriors, so the
-x_ll scan and the steady slack pay for that term alone. The search also
-keeps the steady verdicts of the pairs (x_so, x_so..x_eq) and returns x_ll,
-pi_star and pi_tilde_star from the same pass, so a caller that runs the
-search needs no separate scan; compute_x_ll scans with _first_obedient for
-callers that want x_ll alone. The public functions check c and d and run
-the gate once, at entry, and then call only cores. Two ints, numpy integers
-included, are the 0-d case of the same code and give Python numbers (None
-for a state that cannot occur). The chain oracle, state_costs_linear, takes
-the same arguments; its core _chain_table takes 1-D flows and solves each
-block of schemes' 6-state chains in one stacked call. check_ic, which
-builds a report, takes ints only. It, the search and the x_ll scan decide
-obedience by model's one rule, through model.ic_entries and
-model.all_obedient.
+steady term (safe_at_d_pooled) first, so the x_ll scan and the steady slack
+pay for that term alone. The search also returns x_ll, pi_star and
+pi_tilde_star from the steady verdicts of the pairs (x_so, x_so..x_eq) in
+the same pass; compute_x_ll scans with _first_obedient for callers that
+want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
+same code and give Python numbers (None for a state that cannot occur). The
+chain oracle, state_costs_linear, takes the same arguments; its core
+_chain_table solves each block of schemes' 6-state chains in one stacked
+call. check_ic, which builds a report, takes ints only. It, the search and
+the x_ll scan decide obedience by model.ic_entries and model.all_obedient.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -65,6 +65,7 @@ from .model import (
     _div,
     _integral,
     _infinite_gate,
+    _per_game,
     _plain,
     _require_discount,
     all_obedient,
@@ -78,8 +79,10 @@ from .model import (
 )
 
 
+@_per_game
 def require_gate(params: GameParams) -> None:
-    """Raise AssumptionError naming every failed infinite-horizon assumption."""
+    """Raise AssumptionError naming every failed infinite-horizon assumption;
+    a pass is remembered per GameParams object (model._per_game)."""
     gate = check_assumption_infinite(params)
     if not gate.passed:
         raise AssumptionError("infinite-horizon gate fails: " + "; ".join(gate.failures))
@@ -468,19 +471,22 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     yield "risky_at_1_pooled", risky_at_1, punish, False
 
 
-def _preconditions(c, d, params: GameParams, x_so: int, x_eq: int):
+def _preconditions(c, d, params: GameParams):
     """Flows between the planner's and the equilibrium low-state flow (x_so
-    and x_eq, from _low_flows), and a first-low-stage cost no worse than the
+    and x_eq, from low_flows), and a first-low-stage cost no worse than the
     two-user one."""
     ml = mu_low(params)
+    x_so, x_eq = low_flows(params)
     flow_range = (x_so <= c) & (d <= x_eq)
     ramp_cheaper = stage_cost(c, ml, params) <= stage_cost(2, ml, params)
     return flow_range, ramp_cheaper
 
 
-def _low_flows(params: GameParams) -> tuple[int, int]:
-    """The planner's and the equilibrium low-state flows x_so and x_eq;
-    neither depends on delta."""
+@_per_game
+def low_flows(params: GameParams) -> tuple[int, int]:
+    """The planner's and the equilibrium low-state flows x_so and x_eq, which
+    bound the ramp; neither depends on delta. Remembered per GameParams
+    object (model._per_game)."""
     ml = mu_low(params)
     return myopic_so_flow(ml, params), myopic_eq_flow(ml, params)
 
@@ -495,20 +501,13 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    return _check_ic(c, d, params, *_low_flows(params))
-
-
-def _check_ic(c: int, d: int, params: GameParams, x_so: int, x_eq: int) -> ICReport:
-    """check_ic for checked Python-int flows, in a game whose gate passed and
-    whose low-state flows are x_so and x_eq."""
     s0, dl = params.s0, params.delta
     ml = mu_low(params)
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
     table = _state_table(c, d, params, dl)
     entries = ic_entries(_ic_terms(c, d, params, dl, table))
     table = _to_python(table)
-    pre_flow_range, pre_ramp_cheaper = (
-        bool(x) for x in _preconditions(c, d, params, x_so, x_eq))
+    pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
 
@@ -564,19 +563,14 @@ def steady_slack(c: int, d: int, params: GameParams) -> float:
     c, d = _require_cd(c, d, params)
     require_gate(params)
     dl = params.delta
-    return _python(_steady_slack(c, d, params, dl, _state_table(c, d, params, dl)))
+    _, follow, deviate, _ = _steady_term(c, d, params, dl, _state_table(c, d, params, dl))
+    return _python(deviate - follow)
 
 
 def _steady_term(c, d, params: GameParams, dl, table: StateCostTable) -> tuple:
     """The safe_at_d_pooled term of _ic_terms(c, d, params, dl, table)."""
     return next(term for term in _ic_terms(c, d, params, dl, table)
                 if term[0] == "safe_at_d_pooled")
-
-
-def _steady_slack(c, d, params: GameParams, dl, table: StateCostTable):
-    """steady_slack read from an already computed _state_table(c, d, params, dl)."""
-    _, follow, deviate, _ = _steady_term(c, d, params, dl, table)
-    return deviate - follow
 
 
 def compute_x_ll(params: GameParams) -> int:
@@ -590,30 +584,33 @@ def compute_x_ll(params: GameParams) -> int:
     equilibrium flow hits the population size.
     """
     require_gate(params)
-    x_so, x_eq, d = _steady_range(params)
+    return int(_first_obedient(params, params.delta))
+
+
+def _steady_flows(params: GameParams) -> tuple[int, np.ndarray]:
+    """The ramp flow x_so and the steady flows x_so..x_eq that the x_ll scan
+    tries, once checked as the schemes (x_so, x_so..x_eq); neither depends
+    on delta."""
+    x_so, x_eq = low_flows(params)
+    d = np.arange(x_so, x_eq + 1)
     _require_cd(x_so, d, params)
-    return int(_first_obedient(x_so, x_eq, d, params, params.delta))
+    return x_so, d
 
 
-def _steady_range(params: GameParams) -> tuple[int, int, np.ndarray]:
-    """The planner's and the equilibrium low-state flows x_so and x_eq, and
-    the steady flows x_so..x_eq that the x_ll scan tries; none depends on delta."""
-    x_so, x_eq = _low_flows(params)
-    return x_so, x_eq, np.arange(x_so, x_eq + 1)
-
-
-def _first_obedient(x_so: int, x_eq: int, d: np.ndarray, params: GameParams, dl):
-    """The first steady flow in d = x_so..x_eq that is obedient with ramp flow
-    x_so, at discount dl: a float gives one flow, a (k, 1) array k flows."""
+def _first_obedient(params: GameParams, dl):
+    """The first steady flow x_so..x_eq that is obedient with ramp flow x_so,
+    at discount dl: a float gives one flow, a (k, 1) array k flows."""
+    x_so, d = _steady_flows(params)
     table = _state_table(x_so, d, params, dl)
     obedient = all_obedient([_steady_term(x_so, d, params, dl, table)])
     if not obedient.any(axis=-1).all():
-        raise _no_steady_flow(x_so, x_eq)
+        raise _no_steady_flow(params)
     return d[np.argmax(obedient, axis=-1)]
 
 
-def _no_steady_flow(x_so: int, x_eq: int) -> AssumptionError:
+def _no_steady_flow(params: GameParams) -> AssumptionError:
     """The error for a game in which no steady flow x_so..x_eq is obedient."""
+    x_so, x_eq = low_flows(params)
     return AssumptionError(
         f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
         "the regime the construction is proved for"
@@ -622,8 +619,7 @@ def _no_steady_flow(x_so: int, x_eq: int) -> AssumptionError:
 
 def pi_star(params: GameParams) -> InfiniteScheme:
     """The candidate-optimal scheme: planner's ramp flow, smallest obedient d."""
-    x_ll = compute_x_ll(params)
-    return _candidates(myopic_so_flow(mu_low(params), params), x_ll)[0]
+    return _candidates(compute_x_ll(params), params)[0]
 
 
 def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
@@ -632,14 +628,14 @@ def pi_tilde_star(params: GameParams) -> InfiniteScheme | None:
     None whenever that would need c > d, i.e. when the obedient steady flow
     is already within one of the planner's flow.
     """
-    x_ll = compute_x_ll(params)
-    return _candidates(myopic_so_flow(mu_low(params), params), x_ll)[1]
+    return _candidates(compute_x_ll(params), params)[1]
 
 
-def _candidates(x_so: int, x_ll: int) -> tuple[InfiniteScheme, InfiniteScheme | None]:
+def _candidates(x_ll: int, params: GameParams) -> tuple[InfiniteScheme, InfiniteScheme | None]:
     """pi_star and pi_tilde_star from the planner's flow x_so and an already
     computed steady flow x_ll; both lie in a range the caller has checked,
     so both schemes are valid."""
+    x_so, _ = low_flows(params)
     if x_so + 1 > x_ll - 1:
         return InfiniteScheme(c=x_so, d=x_ll), None
     return InfiniteScheme(c=x_so, d=x_ll), InfiniteScheme(c=x_so + 1, d=x_ll - 1)
@@ -770,12 +766,11 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     pi_star and pi_tilde_star.
     """
     require_gate(params)
-    return _search(params, *_low_flows(params))
+    return _search(params)
 
 
-def _search(params: GameParams, x_so: int, x_eq: int) -> SearchResult:
-    """optimal_scheme_search for a game whose gate the caller has run, with
-    its low-state flows x_so and x_eq.
+def _search(params: GameParams) -> SearchResult:
+    """optimal_scheme_search for a game whose gate the caller has run.
 
     The flows x_so..x_eq are checked first, as compute_x_ll checks them. The
     pairs (x_so, x_so..x_eq) lie next to each other in (c, d) order, and their
@@ -785,8 +780,7 @@ def _search(params: GameParams, x_so: int, x_eq: int) -> SearchResult:
     after it can an empty feasible set raise InternalError.
     """
     n = params.n
-    steady = np.arange(x_so, x_eq + 1)
-    _require_cd(x_so, steady, params)
+    x_so, steady = _steady_flows(params)
     c, d = scheme_pairs(n)
     feasible = np.empty(len(c), dtype=bool)
     cost = np.empty(len(c))
@@ -795,15 +789,14 @@ def _search(params: GameParams, x_so: int, x_eq: int) -> SearchResult:
     row_ok = np.empty(len(steady), dtype=bool)
     for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        feasible[block], steady_ok, cost[block] = _search_block(
-            c[block], d[block], params, x_so, x_eq)
+        feasible[block], steady_ok, cost[block] = _search_block(c[block], d[block], params)
         lo, hi = max(row, start), min(row_end, start + len(steady_ok))
         if lo < hi:  # this block holds part of the x_so row
             row_ok[lo - row:hi - row] = steady_ok[lo - start:hi - start]
     if not row_ok.any():
-        raise _no_steady_flow(x_so, x_eq)
+        raise _no_steady_flow(params)
     x_ll = x_so + int(np.argmax(row_ok))
-    star, tilde = _candidates(x_so, x_ll)
+    star, tilde = _candidates(x_ll, params)
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -830,11 +823,11 @@ def _search(params: GameParams, x_so: int, x_eq: int) -> SearchResult:
     )
 
 
-def _search_block(c: np.ndarray, d: np.ndarray, params: GameParams, x_so: int, x_eq: int):
+def _search_block(c: np.ndarray, d: np.ndarray, params: GameParams):
     """One block of the search: each pair's check_ic verdict, the verdict of
     its steady term alone, and its scheme_cost."""
     dl = params.delta
-    flow_range, ramp_cheaper = _preconditions(c, d, params, x_so, x_eq)
+    flow_range, ramp_cheaper = _preconditions(c, d, params)
     obedient = True
     for term in _ic_terms(c, d, params, dl, _state_table(c, d, params, dl)):
         ok = all_obedient([term])
@@ -874,7 +867,6 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     scan and one (k, 2) call that prices both schemes. The flows are checked
     once, and only when some discount passes its gate.
     """
-    x_so, x_eq, d = _steady_range(params)
     gated = []
     for delta in deltas:
         delta = float(delta)
@@ -883,8 +875,8 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
     dl = np.array([[delta] for delta, gate in gated if gate.passed])
     solved = iter(())
     if len(dl):
-        _require_cd(x_so, d, params)
-        x_ll = _first_obedient(x_so, x_eq, d, params, dl)
+        x_ll = _first_obedient(params, dl)
+        x_so, _ = low_flows(params)
         cost = _scheme_cost(x_so, np.column_stack((x_ll, np.full_like(x_ll, x_so))), params, dl)
         solved = zip(x_ll.tolist(), cost.tolist())
     out = []

@@ -17,6 +17,7 @@ message of each condition that fails, and passes when it lists none.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -100,6 +101,27 @@ class GameParams:
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {value}")
         _require_discount(self.delta)
+
+
+def _per_game(fn):
+    """fn(params), remembered for the last GameParams object it was called on.
+
+    A GameParams is frozen, so one object always gives one value. The memo
+    matches the object, not an equal one: a game with int fields equals its
+    float copy, yet can compute other bits. Its one (params, value) entry
+    keeps that object alive, so no other can take its identity. A call that
+    raises stores nothing."""
+    last = None
+
+    @functools.wraps(fn)
+    def memo(params):
+        nonlocal last
+        entry = last
+        if entry is None or entry[0] is not params:
+            entry = last = (params, fn(params))
+        return entry[1]
+
+    return memo
 
 
 def _require_discount(delta: float) -> None:

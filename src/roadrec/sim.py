@@ -277,11 +277,6 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     reset value.
     """
     _require_sim_gate(config, params)
-    return _run_scheme(config, params)
-
-
-def _run_scheme(config: SimConfig, params: GameParams) -> RunStats:
-    """run_scheme for a scheme already validated, in a game whose gate passed."""
     n, delta = params.n, params.delta
     # delta^t as a stage-by-stage product
     disc = np.cumprod(np.r_[1.0, np.full(config.horizon - 1, delta)])
@@ -378,13 +373,6 @@ def deviation_rollout(
     share the chain and all dispatch draws up to the deviation.
     """
     _require_sim_gate(config, params)
-    return _deviation_rollout(config, trigger, params)
-
-
-def _deviation_rollout(
-    config: SimConfig, trigger: AgentState, params: GameParams
-) -> RolloutStats:
-    """deviation_rollout for a scheme already validated, in a game whose gate passed."""
     n, delta = params.n, params.delta
     s0 = float(params.s0)  # so the cost arrays are float whatever the input types
     length = config.max_wait + config.horizon

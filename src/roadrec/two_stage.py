@@ -39,6 +39,7 @@ from .model import (
     ParameterError,
     _div,
     _integral,
+    _per_game,
     _require_belief,
     all_obedient,
     check_assumption_two_stage,
@@ -74,11 +75,13 @@ class TwoStageThresholds:
     warnings: tuple[str, ...] = ()
 
 
+@_per_game
 def thresholds(params: GameParams) -> TwoStageThresholds:
     """Compute the three experimentation thresholds.
 
     Requires gate condition 1 (l < s0 + s1); condition 2 depends on beta and
-    is checked by the cost functions instead.
+    is checked by the cost functions instead. Remembered per GameParams
+    object (model._per_game), so a loop over beliefs computes them once.
     """
     if not params.l < params.s0 + params.s1:
         raise AssumptionError(
@@ -161,29 +164,23 @@ def _two_rounds(beta: float, params: GameParams, outcome: EquilibriumOutcome) ->
 
 def cost_full(beta: float, params: GameParams) -> float:
     """Expected two-round aggregate cost of equilibrium under public revelation."""
-    beta = _require_belief(beta)
-    return _cost(beta, "full", params, _require_gate(beta, params))
+    return _cost(beta, "full", params)
 
 
 def cost_private(beta: float, params: GameParams) -> float:
     """Expected cost under private revelation (only the experimenter learns)."""
-    beta = _require_belief(beta)
-    return _cost(beta, "private", params, _require_gate(beta, params))
+    return _cost(beta, "private", params)
 
 
 def cost_social_optimum(beta: float, params: GameParams) -> float:
     """Expected cost when a planner dictates both rounds (no incentives)."""
-    beta = _require_belief(beta)
-    return _cost(beta, "planner", params, _require_gate(beta, params))
+    return _cost(beta, "planner", params)
 
 
-# _cost, _outcome and _solve_optimal_scheme take an in-gate float belief and
-# the game's thresholds, so a caller that loops over beliefs computes the
-# thresholds once.
-
-def _cost(beta: float, regime: str, params: GameParams, th: TwoStageThresholds) -> float:
+def _cost(beta: float, regime: str, params: GameParams) -> float:
     """Expected two-round cost of a regime: "full", "private" or "planner"."""
-    return _two_rounds(beta, params, _outcome(beta, regime, th))
+    beta = _require_belief(beta)
+    return _two_rounds(beta, params, _outcome(beta, regime, _require_gate(beta, params)))
 
 
 def _outcome(beta: float, regime: str, th: TwoStageThresholds) -> EquilibriumOutcome:
@@ -332,6 +329,15 @@ def scheme_cost_two_stage(
     )
 
 
+# Pairs per block of the (pi2_low, pi2_high) grid, in whole pi2_low rows.
+# Blocks keep a solve's memory flat in n: a block holds one float and one
+# bool per pair, plus the few pairs the filter keeps. A solve's tracemalloc
+# peak is 0.45 MB at n = 200 (one block) and 0.7 MB at n = 1000, where the
+# whole grid at once takes 9 MB. Each block has a fixed cost: in blocks of
+# 8192 pairs the n = 200 solve took about twice as long.
+_BLOCK_ENTRIES = 65536
+
+
 def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
     """Minimise expected cost over obedient one-experimenter schemes.
 
@@ -346,21 +352,7 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
     always obedient at or above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
-    return _solve_optimal_scheme(beta, params, _require_gate(beta, params))
-
-
-# Pairs per block of the (pi2_low, pi2_high) grid, in whole pi2_low rows.
-# Blocks keep a solve's memory flat in n: a block holds one float and one
-# bool per pair, plus the few pairs the filter keeps. A solve's tracemalloc
-# peak is 0.45 MB at n = 200 (one block) and 0.7 MB at n = 1000, where the
-# whole grid at once takes 9 MB. Each block has a fixed cost: in blocks of
-# 8192 pairs the n = 200 solve took about twice as long.
-_BLOCK_ENTRIES = 65536
-
-
-def _solve_optimal_scheme(
-    beta: float, params: GameParams, th: TwoStageThresholds
-) -> TwoStageScheme:
+    th = _require_gate(beta, params)
     if beta < th.beta_p:
         return TwoStageScheme(
             experiment=False,

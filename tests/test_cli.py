@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from roadrec import cli
 from roadrec import infinite as inf
 from roadrec import sim
 from roadrec.cli import main, parse_grid
-from roadrec.model import ParameterError
+from roadrec.model import GameParams, ParameterError
 
 
 REFERENCE_RAW = {"n": 10, "s0": 10, "s1": 0, "l": 1, "h": 19,
@@ -299,8 +300,8 @@ def test_simulate_validates_trigger_before_simulating(capsys, reference_file, mo
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before validating the trigger")
 
-    monkeypatch.setattr(sim, "_run_scheme", refuse)
-    monkeypatch.setattr(sim, "_deviation_rollout", refuse)
+    monkeypatch.setattr(sim, "run_scheme", refuse)
+    monkeypatch.setattr(sim, "deviation_rollout", refuse)
     for bad in ("3:pooled", "x:pooled:safe", "3:pooled:maybe", "3:sideways:safe"):
         assert main(["simulate", "--params", reference_file, "--trigger", bad]) == 2
         assert capsys.readouterr().err.startswith("roadrec: parameter error")
@@ -317,8 +318,8 @@ def test_simulate_rejects_bad_sizes_before_simulating(capsys, reference_file, mo
     def refuse(*args, **kwargs):
         raise AssertionError("simulated an invalid configuration")
 
-    monkeypatch.setattr(sim, "_run_scheme", refuse)
-    monkeypatch.setattr(sim, "_deviation_rollout", refuse)
+    monkeypatch.setattr(sim, "run_scheme", refuse)
+    monkeypatch.setattr(sim, "deviation_rollout", refuse)
     assert main(["simulate", "--params", reference_file, "--trigger", "3:pooled:safe",
                  flag, str(value)]) == 2
     captured = capsys.readouterr()
@@ -552,6 +553,65 @@ def test_oracle_two_stage_flags_gated_beta(capsys, tmp_path):
     assert data["passed"] is False
 
 
+# EXAMPLE1's coefficients at n = 4, where the brute force runs
+TIE_RAW = {"n": 4, "s0": 10, "s1": 1, "l": 0.9, "h": 150}
+
+
+def _oracle_checks(capsys, path, beta):
+    code, data = run_json(capsys, ["oracle", "--params", str(path), "--target", "two-stage",
+                                   "--beta-grid", repr(beta)])
+    return code, {check["name"].split("regime=")[1]: check for check in data["checks"]}
+
+
+def test_oracle_two_stage_passes_the_tie_at_each_cutoff(capsys, tmp_path):
+    # At beta_p (private) and beta_f (full) the experimenter is indifferent,
+    # so the brute force finds both sides of the cutoff; just below beta_p
+    # the prediction is the other side of the same tie.
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(TIE_RAW))
+    th = cli.ts.thresholds(GameParams(**TIE_RAW))
+    for beta, regime, want in ((th.beta_p, "private", "(1, 1, 0)"),
+                               (math.nextafter(th.beta_p, 0.0), "private", "(0, 0, 0)"),
+                               (th.beta_f, "full", "(1, 4, 0)")):
+        code, checks = _oracle_checks(capsys, path, beta)
+        assert code == 0
+        assert checks[regime]["detail"] == f"predicted {want}, brute force found " + (
+            "[(0, 0, 0), (1, 1, 0)]" if regime == "private" else "[(0, 0, 0), (1, 4, 0)]")
+
+
+def test_oracle_two_stage_stays_strict_off_the_tie(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(TIE_RAW))
+    params = GameParams(**TIE_RAW)
+    th = cli.ts.thresholds(params)
+    near = [(th.beta_p + step, 1) for step in (-1e-6, 1e-6)]
+    near += [(th.beta_f + step, th.eq_flow_low) for step in (-1e-6, 1e-6)]
+    for beta, flow_low in near:
+        # the experimenter's relative slack is far outside the 1e-9 tie band
+        term = cli.ts.ic_constraints_eval(beta, flow_low - 1, 0, params)[-1]
+        assert term.state == "experimenter"
+        assert abs(term.slack) > 1e-6 * max(term.follow, term.deviate)
+        assert _oracle_checks(capsys, path, beta)[0] == 0
+    # Off the tie, finding both outcomes fails the check.
+    true_brute = cli.ts.brute_force_equilibrium
+
+    def both(params, beta, regime):
+        flow_low = th.eq_flow_low if regime == "full" else 1
+        return [cli.ts.EquilibriumOutcome(0, 0, 0), cli.ts.EquilibriumOutcome(1, flow_low, 0)]
+
+    monkeypatch.setattr(cli.ts, "brute_force_equilibrium", both)
+    for beta, _ in near:
+        code, checks = _oracle_checks(capsys, path, beta)
+        assert code == 1 and not any(check["passed"] for check in checks.values())
+    # At the tie, a wrong prediction still fails.
+    monkeypatch.setattr(cli.ts, "brute_force_equilibrium", true_brute)
+    monkeypatch.setattr(cli.ts, "equilibrium_flows",
+                        lambda beta, regime, params: cli.ts.EquilibriumOutcome(1, 2, 0))
+    for beta, regime in ((th.beta_p, "private"), (th.beta_f, "full")):
+        code, checks = _oracle_checks(capsys, path, beta)
+        assert code == 1 and not checks[regime]["passed"]
+
+
 def test_output_file(tmp_path, reference_file):
     out = tmp_path / "record.json"
     code = main(["infinite", "--params", reference_file, "--output", str(out)])
@@ -607,17 +667,34 @@ def test_broken_identity_exits_3(capsys, reference_file, monkeypatch):
 
 
 def test_two_stage_computes_thresholds_once(capsys, example1_file, monkeypatch):
+    # Only the body of thresholds calls two_stage.myopic_eq_flow, so its
+    # calls count the computations, not the memo's hits.
     calls = []
-    true_thresholds = cli.ts.thresholds
+    true_flow = cli.ts.myopic_eq_flow
 
-    def counted(params):
+    def counted(coef, params):
         calls.append(params)
-        return true_thresholds(params)
+        return true_flow(coef, params)
 
-    monkeypatch.setattr(cli.ts, "thresholds", counted)
+    monkeypatch.setattr(cli.ts, "myopic_eq_flow", counted)
     code, data = run_json(capsys, ["two-stage", "--params", example1_file,
                                    "--beta-grid", "0.3,0.55,0.6"])
     assert code == 0 and len(data["rows"]) == 3
+    assert len(calls) == 1
+
+
+def test_infinite_computes_low_flows_once(capsys, reference_file, monkeypatch):
+    # Only the body of infinite.low_flows calls infinite.myopic_eq_flow.
+    calls = []
+    true_flow = inf.myopic_eq_flow
+
+    def counted(coef, params):
+        calls.append(params)
+        return true_flow(coef, params)
+
+    monkeypatch.setattr(inf, "myopic_eq_flow", counted)
+    code, data = run_json(capsys, ["infinite", "--params", reference_file])
+    assert code == 0 and data["x_eq"] == 3
     assert len(calls) == 1
 
 

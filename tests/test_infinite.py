@@ -555,12 +555,14 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
     # A bad steady range is a ParameterError before anything is evaluated;
     # no obedient steady flow is an AssumptionError even when no scheme is
     # obedient either, which alone is an InternalError.
-    x_so, x_eq = infinite._low_flows(reference)
-    with pytest.raises(ParameterError, match="1 < c <= d"):
-        infinite._search(reference, 1, x_eq)
-    with pytest.raises(ParameterError, match="1 < c <= d"):
-        infinite._search(reference, x_so, reference.n + 1)
+    x_so, x_eq = infinite.low_flows(reference)
     true_block = infinite._search_block
+    for bad in ((1, x_eq), (x_so, reference.n + 1)):
+        monkeypatch.setattr(infinite, "low_flows", lambda params, bad=bad: bad)
+        monkeypatch.setattr(infinite, "_search_block", None)  # never reached
+        with pytest.raises(ParameterError, match="1 < c <= d"):
+            optimal_scheme_search(reference)
+    monkeypatch.setattr(infinite, "low_flows", lambda params: (x_so, x_eq))
 
     def refusing(steady_too):
         def block(*args):
@@ -571,10 +573,10 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
 
     monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=True))
     with pytest.raises(AssumptionError, match=f"no obedient steady flow in {x_so}..{x_eq}"):
-        infinite._search(reference, x_so, x_eq)
+        optimal_scheme_search(reference)
     monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=False))
     with pytest.raises(InternalError, match="no obedient scheme found"):
-        infinite._search(reference, x_so, x_eq)
+        optimal_scheme_search(reference)
 
 
 @pytest.mark.parametrize("e", [-40, 0, 40])

@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from roadrec.model import (
     _MAX_INT,
     _MAX_N,
+    AssumptionError,
     GameParams,
     ICEntry,
     ParameterError,
+    _per_game,
     all_obedient,
     check_assumption_infinite,
     check_assumption_two_stage,
@@ -232,6 +234,59 @@ def test_infinite_gate_failure_messages(reference):
     cheap_safe = dataclasses.replace(reference, l=4.0)
     assert ("s0 <= 3*l: safe road must dominate three low-road users"
             in check_assumption_infinite(cheap_safe).failures)
+
+
+# ---------------------------------------------------------------------------
+# per-game memo
+
+def test_per_game_computes_once_per_object(reference):
+    calls = []
+
+    @_per_game
+    def value(params):
+        calls.append(params)
+        return object()
+
+    first = value(reference)
+    assert value(reference) is first and len(calls) == 1
+    other = dataclasses.replace(reference)  # an equal game, another object
+    assert other == reference and value(other) is not first and len(calls) == 2
+    assert value(reference) is not first and len(calls) == 3  # one entry only
+
+
+def test_per_game_keys_on_identity_not_equality():
+    # Equal, with the same hash, yet int and float fields give other bits.
+    fields = dict(n=10, s0=4594915198092498, s1=8924964022381449,
+                  l=4048658484850501, h=4894067864242291)
+    ints = GameParams(**fields)
+    floats = GameParams(**{k: v if k == "n" else float(v) for k, v in fields.items()})
+    assert ints == floats and hash(ints) == hash(floats)
+    want = [ts.thresholds.__wrapped__(p).beta_so for p in (ints, floats)]
+    assert want[0] != want[1]
+    for _ in range(2):
+        assert [ts.thresholds(p).beta_so for p in (ints, floats)] == want
+        assert ts.thresholds(floats).beta_so == want[1]
+        assert ts.thresholds(ints).beta_so == want[0]
+
+
+def test_per_game_remembers_no_exception(reference):
+    calls = []
+
+    @_per_game
+    def flaky(params):
+        calls.append(params)
+        if len(calls) == 1:
+            raise AssumptionError("first call fails")
+        return len(calls)
+
+    with pytest.raises(AssumptionError):
+        flaky(reference)
+    assert flaky(reference) == 2 and flaky(reference) == 2
+    # A failing gate raises on every call.
+    sloped = dataclasses.replace(reference, s1=0.5)
+    for _ in range(2):
+        with pytest.raises(AssumptionError, match="flat safe road"):
+            inf.require_gate(sloped)
 
 
 def _infinite_conditions(p):
