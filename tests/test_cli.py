@@ -570,13 +570,14 @@ def test_oracle_two_stage_passes_the_tie_at_each_cutoff(capsys, tmp_path):
     path = tmp_path / "tie.json"
     path.write_text(json.dumps(TIE_RAW))
     th = cli.ts.thresholds(GameParams(**TIE_RAW))
-    for beta, regime, want in ((th.beta_p, "private", "(1, 1, 0)"),
-                               (math.nextafter(th.beta_p, 0.0), "private", "(0, 0, 0)"),
-                               (th.beta_f, "full", "(1, 4, 0)")):
+    private, full = "[(0, 0, 0), (1, 1, 0)]", "[(0, 0, 0), (1, 4, 0)]"
+    for beta, regime, want, found in (
+            (th.beta_p, "private", "(1, 1, 0)", private),
+            (math.nextafter(th.beta_p, 0.0), "private", "(0, 0, 0)", private),
+            (th.beta_f, "full", "(1, 4, 0)", full)):
         code, checks = _oracle_checks(capsys, path, beta)
         assert code == 0
-        assert checks[regime]["detail"] == f"predicted {want}, brute force found " + (
-            "[(0, 0, 0), (1, 1, 0)]" if regime == "private" else "[(0, 0, 0), (1, 4, 0)]")
+        assert checks[regime]["detail"] == f"predicted {want}, brute force found {found}"
 
 
 def test_oracle_two_stage_stays_strict_off_the_tie(capsys, tmp_path, monkeypatch):

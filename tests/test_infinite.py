@@ -557,9 +557,9 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
     # obedient either, which alone is an InternalError.
     x_so, x_eq = infinite.low_flows(reference)
     true_block = infinite._search_block
+    monkeypatch.setattr(infinite, "_search_block", None)  # never reached
     for bad in ((1, x_eq), (x_so, reference.n + 1)):
         monkeypatch.setattr(infinite, "low_flows", lambda params, bad=bad: bad)
-        monkeypatch.setattr(infinite, "_search_block", None)  # never reached
         with pytest.raises(ParameterError, match="1 < c <= d"):
             optimal_scheme_search(reference)
     monkeypatch.setattr(infinite, "low_flows", lambda params: (x_so, x_eq))
