@@ -260,8 +260,8 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     params, _ = _load(args)
     inf.require_gate(params)
     x_so, x_eq = inf.low_flows(params)
-    # One pass over every (c, d) pair checks the flows and gives x_ll, the
-    # candidate schemes and every cost printed below. (roadbench/run.py
+    # One search pass checks the flows and gives x_ll, the candidate
+    # schemes and every cost printed below. (roadbench/run.py
     # reads a traced optimal_scheme_search's candidates as a list.)
     search = inf._search(params)
     x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star

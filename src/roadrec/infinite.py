@@ -28,11 +28,12 @@ which checks c and d and runs the gate, then calls only cores. The passing
 gate (require_gate) and the low-state flows x_so and x_eq that bound the
 ramp (low_flows) are remembered per GameParams object (model._per_game), so
 the calls on one game compute them once and no core takes them. The search
-(in blocks of pairs) and the x_ll scan evaluate the cores over arrays of
-candidate flows (a state that cannot occur reads NaN), and the delta sweep
-over all of its in-gate discounts at once. _ic_terms yields the binding
-steady term (safe_at_d_pooled) first, so the x_ll scan and the steady slack
-pay for that term alone. The search also returns x_ll, pi_star and
+(in blocks of pairs, obedience only in the flow box x_so..x_eq) and the
+x_ll scan evaluate the cores over arrays of candidate flows (a state that
+cannot occur reads NaN), and the delta sweep over all of its in-gate
+discounts at once. _ic_terms yields the binding steady term
+(safe_at_d_pooled) first, so the x_ll scan and the steady slack pay for
+that term alone. The search also returns x_ll, pi_star and
 pi_tilde_star from the steady verdicts of the pairs (x_so, x_so..x_eq) in
 the same pass; compute_x_ll scans with _first_obedient for callers that
 want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
@@ -708,9 +709,9 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
 # ---------------------------------------------------------------------------
 # search and sweep
 
-# Pairs per block of the (c, d) search, and schemes per stacked solve of the
-# chain oracle. A search block's thirty-odd intermediate arrays then take
-# about 2 MB, so beyond their result arrays neither grows in memory with n.
+# Pairs per search block, and schemes per stacked solve of the chain oracle.
+# A block's thirty-odd intermediate arrays then take about 2 MB, so beyond
+# their result arrays neither grows in memory with n.
 _SEARCH_BLOCK_PAIRS = 8192
 
 
@@ -723,8 +724,8 @@ def _pair_index(c: int, d: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchCandidates:
-    """Every pair the search evaluated, as four arrays in (c, d) order (the
-    order of scheme_pairs): the flows, check_ic's verdict and scheme_cost."""
+    """Every pair 1 < c <= d <= n, as four arrays in (c, d) order (the order
+    of scheme_pairs): the flows, check_ic's verdict and scheme_cost."""
 
     c: np.ndarray
     d: np.ndarray
@@ -756,14 +757,14 @@ class SearchResult:
 def optimal_scheme_search(params: GameParams) -> SearchResult:
     """Cheapest scheme (by aggregate cost) among all obedient (c, d) pairs.
 
-    Evaluates every pair 1 < c <= d <= n, as arrays in blocks of
-    _SEARCH_BLOCK_PAIRS pairs, keeps pairs whose obedience verdict
-    (check_ic's) passes, and returns the first of them in (c, d) order whose
-    cost is within a relative 1e-12 of the cheapest. For delta above one half
-    the result is best within this recommendation family; global optimality
-    across all schemes is only established up to one half, hence the warning.
-    The same pass gives compute_x_ll's steady flow and the candidates
-    pi_star and pi_tilde_star.
+    Tests obedience (check_ic's verdict) on the pairs x_so <= c <= d <= x_eq,
+    the only ones that can pass it, and prices every pair 1 < c <= d <= n,
+    as arrays in blocks of _SEARCH_BLOCK_PAIRS pairs; returns the first
+    obedient pair in (c, d) order whose cost is within a relative 1e-12 of
+    the cheapest. For delta above one half the result is best within this
+    recommendation family; global optimality across all schemes is only
+    established up to one half, hence the warning. The same pass gives
+    compute_x_ll's steady flow and the candidates pi_star and pi_tilde_star.
     """
     require_gate(params)
     return _search(params)
@@ -772,27 +773,24 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
 def _search(params: GameParams) -> SearchResult:
     """optimal_scheme_search for a game whose gate the caller has run.
 
-    The flows x_so..x_eq are checked first, as compute_x_ll checks them. The
-    pairs (x_so, x_so..x_eq) lie next to each other in (c, d) order, and their
-    steady verdicts (the safe_at_d_pooled term that _first_obedient reads)
-    give x_ll: only those verdicts are kept, not the blocks' terms. Then, as
-    in compute_x_ll, no obedient steady flow raises AssumptionError, and only
-    after it can an empty feasible set raise InternalError.
+    The flows x_so..x_eq are checked first, as compute_x_ll checks them.
+    Pairs outside the box x_so <= c <= d <= x_eq fail flow_range, so they
+    stay infeasible untested. The box opens with the pairs (x_so,
+    x_so..x_eq), whose steady verdicts give x_ll. Then no obedient steady
+    flow raises AssumptionError, and only after it can an empty feasible set
+    raise InternalError.
     """
-    n = params.n
     x_so, steady = _steady_flows(params)
-    c, d = scheme_pairs(n)
-    feasible = np.empty(len(c), dtype=bool)
-    cost = np.empty(len(c))
-    row = _pair_index(x_so, x_so, n)
-    row_end = row + len(steady)
-    row_ok = np.empty(len(steady), dtype=bool)
-    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
+    _, x_eq = low_flows(params)
+    c, d = scheme_pairs(params.n)
+    box = np.flatnonzero((x_so <= c) & (d <= x_eq))
+    feasible = np.zeros(len(c), dtype=bool)
+    steady_ok = np.empty(len(box), dtype=bool)
+    for start in range(0, len(box), _SEARCH_BLOCK_PAIRS):
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        feasible[block], steady_ok, cost[block] = _search_block(c[block], d[block], params)
-        lo, hi = max(row, start), min(row_end, start + len(steady_ok))
-        if lo < hi:  # this block holds part of the x_so row
-            row_ok[lo - row:hi - row] = steady_ok[lo - start:hi - start]
+        pairs = box[block]
+        feasible[pairs], steady_ok[block] = _obedient_block(c[pairs], d[pairs], params)
+    row_ok = steady_ok[:len(steady)]
     if not row_ok.any():
         raise _no_steady_flow(params)
     x_ll = x_so + int(np.argmax(row_ok))
@@ -800,6 +798,10 @@ def _search(params: GameParams) -> SearchResult:
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
+    cost = np.empty(len(c))
+    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
+        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
+        cost[block] = _scheme_cost(c[block], d[block], params, params.delta)
     cheapest = cost[feasible].min()
     ties = feasible & (cost <= cheapest + 1e-12 * np.abs(cost))
     k = int(np.argmax(ties))
@@ -823,18 +825,14 @@ def _search(params: GameParams) -> SearchResult:
     )
 
 
-def _search_block(c: np.ndarray, d: np.ndarray, params: GameParams):
-    """One block of the search: each pair's check_ic verdict, the verdict of
-    its steady term alone, and its scheme_cost."""
+def _obedient_block(c: np.ndarray, d: np.ndarray, params: GameParams):
+    """One block of the search's box pairs: each pair's check_ic verdict and
+    the verdict of its steady term alone."""
     dl = params.delta
     flow_range, ramp_cheaper = _preconditions(c, d, params)
-    obedient = True
-    for term in _ic_terms(c, d, params, dl, _state_table(c, d, params, dl)):
-        ok = all_obedient([term])
-        if term[0] == "safe_at_d_pooled":
-            steady = ok
-        obedient = obedient & ok
-    return flow_range & ramp_cheaper & obedient, steady, _scheme_cost(c, d, params, dl)
+    terms = list(_ic_terms(c, d, params, dl, _state_table(c, d, params, dl)))
+    steady = all_obedient(term for term in terms if term[0] == "safe_at_d_pooled")
+    return flow_range & ramp_cheaper & all_obedient(terms), steady
 
 
 @dataclass(frozen=True)

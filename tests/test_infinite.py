@@ -422,8 +422,11 @@ def test_numpy_integer_flows(reference):
 
 def test_search_candidates_match_zero_d_calls(reference, infinite_draws):
     # The search evaluates the closed forms over arrays of flows; every
-    # candidate must equal the 0-d calls exactly.
-    for params in [reference, FULL_ROAD] + infinite_draws:
+    # candidate must equal the 0-d calls exactly. WIDE at n = 40 has 780
+    # pairs around its 45-pair flow box, so the verdicts the search leaves
+    # false untested are checked too.
+    wide40 = dataclasses.replace(WIDE, n=40)
+    for params in [reference, FULL_ROAD, SMALL, SMALL_3, wide40] + infinite_draws:
         cand = optimal_scheme_search(params).candidates
         assert cand.c.dtype.kind == "i" and cand.feasible.dtype == bool
         assert cand.cost.dtype == np.float64
@@ -556,8 +559,8 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
     # no obedient steady flow is an AssumptionError even when no scheme is
     # obedient either, which alone is an InternalError.
     x_so, x_eq = infinite.low_flows(reference)
-    true_block = infinite._search_block
-    monkeypatch.setattr(infinite, "_search_block", None)  # never reached
+    true_block = infinite._obedient_block
+    monkeypatch.setattr(infinite, "_obedient_block", None)  # never reached
     for bad in ((1, x_eq), (x_so, reference.n + 1)):
         monkeypatch.setattr(infinite, "low_flows", lambda params, bad=bad: bad)
         with pytest.raises(ParameterError, match="1 < c <= d"):
@@ -566,17 +569,48 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
 
     def refusing(steady_too):
         def block(*args):
-            feasible, steady, cost = true_block(*args)
-            return (np.zeros_like(feasible), np.zeros_like(steady) if steady_too else steady,
-                    cost)
+            feasible, steady = true_block(*args)
+            return np.zeros_like(feasible), np.zeros_like(steady) if steady_too else steady
         return block
 
-    monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=True))
+    monkeypatch.setattr(infinite, "_obedient_block", refusing(steady_too=True))
     with pytest.raises(AssumptionError, match=f"no obedient steady flow in {x_so}..{x_eq}"):
         optimal_scheme_search(reference)
-    monkeypatch.setattr(infinite, "_search_block", refusing(steady_too=False))
+    monkeypatch.setattr(infinite, "_obedient_block", refusing(steady_too=False))
     with pytest.raises(InternalError, match="no obedient scheme found"):
         optimal_scheme_search(reference)
+
+
+def test_search_tests_obedience_only_in_the_flow_box(monkeypatch, infinite_draws):
+    # flow_range fails outside x_so <= c <= d <= x_eq, so the obedience terms
+    # see the (x_eq - x_so + 1)(x_eq - x_so + 2)/2 pairs of that box and no
+    # other, however many pairs the game has.
+    seen = []
+    true_block = infinite._obedient_block
+
+    def counted(c, d, params):
+        seen.append(len(c))
+        return true_block(c, d, params)
+
+    monkeypatch.setattr(infinite, "_obedient_block", counted)
+
+    def pairs_seen(params):
+        seen.clear()
+        optimal_scheme_search(params)
+        return sum(seen)
+
+    for n in (100, 1000):
+        assert pairs_seen(dataclasses.replace(WIDE, n=n)) == 45
+    assert pairs_seen(SMALL) == pairs_seen(SMALL_3) == 1
+    # A box that spans the whole game (x_so = 2, x_eq = n) sees every pair.
+    whole = [params for params in infinite_draws
+             if infinite.low_flows(params) == (2, params.n)]
+    assert len(whole) == 8
+    for params in whole:
+        assert pairs_seen(params) == len(scheme_pairs(params.n)[0])
+    for params in infinite_draws:
+        x_so, x_eq = infinite.low_flows(params)
+        assert pairs_seen(params) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
 
 
 @pytest.mark.parametrize("e", [-40, 0, 40])
