@@ -19,11 +19,13 @@ relaxed social optimum itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
 _scheme_cost, _state_table, _ic_terms, _fc_gd, _first_obedient, _search)
-that does the arithmetic and checks no argument of its own; the model
-primitives it calls (stage_cost, mu_low) still check theirs. The cores take
-c and d as ints or as integer arrays, and every core whose value moves with
-the discount takes it as an explicit argument: a float or an array that
-broadcasts against c and d. Each operation has one public entry point,
+that does the arithmetic and checks no argument. The model primitives it
+calls are unchecked private copies (model._stage_cost, _mu_low and
+_mu_high); only the myopic flows, which low_flows computes once per game,
+still check their coefficient. The cores take c and d as ints or as
+integer arrays, and every core whose value moves with the discount takes
+it as an explicit argument: a float or an array that broadcasts against c
+and d. Each operation has one public entry point,
 which checks c and d and runs the gate, then calls only cores. The passing
 gate (require_gate) and the low-state flows x_so and x_eq that bound the
 ramp (low_flows) are remembered per GameParams object (model._per_game), so
@@ -66,17 +68,17 @@ from .model import (
     _div,
     _integral,
     _infinite_gate,
+    _mu_high,
+    _mu_low,
     _per_game,
     _plain,
     _require_discount,
+    _stage_cost,
     all_obedient,
     check_assumption_infinite,
     ic_entries,
-    mu_high,
-    mu_low,
     myopic_eq_flow,
     myopic_so_flow,
-    stage_cost,
 )
 
 
@@ -210,12 +212,12 @@ def scheme_cost(c: int, d: int, params: GameParams) -> float:
 def _scheme_cost(c, d, params: GameParams, dl):
     """scheme_cost for checked flows at discount dl."""
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
+    ml, mh = _mu_low(params), _mu_high(params)
     stay_low, tau_tilde = _discounting(params, dl)
     return tau_tilde * (
-        stage_cost(1, mh, params)
-        + dl * gh * stage_cost(c, ml, params)
-        + dl * dl * (1.0 - gl) / stay_low * gh * stage_cost(d, ml, params)
+        _stage_cost(1, mh, params)
+        + dl * gh * _stage_cost(c, ml, params)
+        + dl * dl * (1.0 - gl) / stay_low * gh * _stage_cost(d, ml, params)
     )
 
 
@@ -280,7 +282,7 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
     occur; raises InternalError when the consistency identity breaks."""
     n, s0 = params.n, params.s0
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
+    ml, mh = _mu_low(params), _mu_high(params)
     stay_low, _ = _discounting(params, dl)
     vb = _scheme_cost(c, d, params, dl) / n
 
@@ -360,7 +362,7 @@ def _chain_table(c: np.ndarray, d: np.ndarray, params: GameParams) -> StateCostT
     """
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
+    ml, mh = _mu_low(params), _mu_high(params)
     recruit_ramp = (c - 1) / (n - 1)
     recruit_steady = _div(d - c, n - c, 0.0)
     # P by (scheme, phase, role, next phase, next role), with the phases
@@ -439,7 +441,7 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     pays for none of them.
     """
     n, s0 = params.n, params.s0
-    ml, mh = mu_low(params), mu_high(params)
+    ml, mh = _mu_low(params), _mu_high(params)
     punish = s0 / (1.0 - dl)
     punish_tail = dl * s0 / (1.0 - dl)
     safe_high, risky_high = table.safe_after_high, table.risky_after_high
@@ -476,10 +478,10 @@ def _preconditions(c, d, params: GameParams):
     """Flows between the planner's and the equilibrium low-state flow (x_so
     and x_eq, from low_flows), and a first-low-stage cost no worse than the
     two-user one."""
-    ml = mu_low(params)
+    ml = _mu_low(params)
     x_so, x_eq = low_flows(params)
     flow_range = (x_so <= c) & (d <= x_eq)
-    ramp_cheaper = stage_cost(c, ml, params) <= stage_cost(2, ml, params)
+    ramp_cheaper = _stage_cost(c, ml, params) <= _stage_cost(2, ml, params)
     return flow_range, ramp_cheaper
 
 
@@ -488,7 +490,7 @@ def low_flows(params: GameParams) -> tuple[int, int]:
     """The planner's and the equilibrium low-state flows x_so and x_eq, which
     bound the ramp; neither depends on delta. Remembered per GameParams
     object (model._per_game)."""
-    ml = mu_low(params)
+    ml = _mu_low(params)
     return myopic_so_flow(ml, params), myopic_eq_flow(ml, params)
 
 
@@ -503,7 +505,7 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     c, d = _require_cd(c, d, params)
     require_gate(params)
     s0, dl = params.s0, params.delta
-    ml = mu_low(params)
+    ml = _mu_low(params)
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
     table = _state_table(c, d, params, dl)
     entries = ic_entries(_ic_terms(c, d, params, dl, table))
@@ -677,7 +679,7 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
     """fc_gd_decomposition for checked flows, in a game whose gate passed."""
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = mu_low(params), mu_high(params)
+    ml, mh = _mu_low(params), _mu_high(params)
     stay_low, tau_tilde = _discounting(params, dl)
     p = _low_given_d_safe(params)
     tau = p * dl * gl / stay_low + (1.0 - p) * dl * (
@@ -687,20 +689,20 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
     k_const = (
         p * s0 / stay_low
         + (1.0 - p) * s0
-        + tt * stage_cost(1, mh, params)
+        + tt * _stage_cost(1, mh, params)
         - (1.0 - p) * 2.0 * mh
         - dl * s0 / (1.0 - dl)
     )
     f_c = (
         dl * (1.0 - p) * gh / (n - 1) * ((c - 1) * ml * c + (n - c) * s0)
-        + tt * dl * gh * stage_cost(c, ml, params)
+        + tt * dl * gh * _stage_cost(c, ml, params)
         + k_const
     )
     g_d = (
         p * ml * (d + 1)
         - dl * (1.0 - p) * gh * (dl * (1.0 - gl) / stay_low)
         * ((d - 1) * ml * d + (n - d) * s0) / (n - 1)
-        - tt * dl * dl * ((1.0 - gl) / stay_low) * gh * stage_cost(d, ml, params)
+        - tt * dl * dl * ((1.0 - gl) / stay_low) * gh * _stage_cost(d, ml, params)
     )
     return FGDecomposition(c=c, d=d, f_c=f_c, g_d=g_d, tau=tau, tau_tilde=tau_tilde,
                            k_const=k_const)

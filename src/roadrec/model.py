@@ -191,17 +191,29 @@ def stage_cost(x, coef: float, params: GameParams):
     a squared flow can exceed int64.
     """
     x = _require_flow(x, params)
-    if isinstance(x, np.ndarray):
-        x = x.astype(float)
-    if coef <= 0:
-        raise ParameterError(f"congestion coefficient must be positive, got {coef}")
+    _require_coef(coef)
+    return _stage_cost(x, coef, params)
+
+
+def _stage_cost(x, coef: float, params: GameParams):
+    """stage_cost for a flow in 0..n and a positive coefficient, unchecked."""
+    x = x.astype(float) if isinstance(x, np.ndarray) else _plain(x)
     safe_users = params.n - x
     return coef * x * x + (params.s0 + params.s1 * safe_users) * safe_users
 
 
+def _require_coef(coef: float) -> None:
+    if coef <= 0:
+        raise ParameterError(f"congestion coefficient must be positive, got {coef}")
+
+
 def expected_theta(beta: float, params: GameParams) -> float:
     """Mean risky coefficient under belief beta = P(theta = L)."""
-    beta = _require_belief(beta)
+    return _expected_theta(_require_belief(beta), params)
+
+
+def _expected_theta(beta: float, params: GameParams) -> float:
+    """expected_theta for a belief already checked (and made a float)."""
     return beta * params.l + (1.0 - beta) * params.h
 
 
@@ -215,9 +227,22 @@ def mu_high(params: GameParams) -> float:
     return expected_theta(params.gamma_h, params)
 
 
+# The cores' copies of mu_low and mu_high. GameParams keeps both switch rates
+# in [0, 1], so these beliefs need no check; float() is the conversion
+# _require_belief makes, so a game with int fields gives the same bits.
+
+def _mu_low(params: GameParams) -> float:
+    return _expected_theta(float(1.0 - params.gamma_l), params)
+
+
+def _mu_high(params: GameParams) -> float:
+    return _expected_theta(float(params.gamma_h), params)
+
+
 def myopic_so_flow(coef: float, params: GameParams) -> int:
     """Risky flow minimising the one-stage aggregate cost; ties go to fewer users."""
-    return int(np.argmin(stage_cost(np.arange(params.n + 1), coef, params)))
+    _require_coef(coef)
+    return int(np.argmin(_stage_cost(np.arange(params.n + 1), coef, params)))
 
 
 def myopic_eq_flow(coef: float, params: GameParams) -> int:
@@ -228,8 +253,7 @@ def myopic_eq_flow(coef: float, params: GameParams) -> int:
     does not strictly prefer joining, coef*(x + 1) >= s0 + s1*(n - x - 1);
     0 when no x qualifies.
     """
-    if coef <= 0:
-        raise ParameterError(f"congestion coefficient must be positive, got {coef}")
+    _require_coef(coef)
     n, s0, s1 = params.n, params.s0, params.s1
     x = np.arange(n + 1)
     stay = coef * x <= s0 + s1 * (n - x + 1)
@@ -302,8 +326,8 @@ def check_assumption_infinite(params: GameParams) -> InfiniteGate:
 def _infinite_gate(params: GameParams, delta: float) -> InfiniteGate:
     """The infinite-horizon gate of params at discount delta, which replaces
     params.delta; delta must already be a valid discount."""
-    ml = mu_low(params)
-    mh = mu_high(params)
+    ml = _mu_low(params)
+    mh = _mu_high(params)
     mh_limit = params.s0 + delta * params.gamma_h * (params.s0 / 3.0 - ml)
     failures = []
     if params.s1 != 0:

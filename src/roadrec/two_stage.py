@@ -10,9 +10,11 @@ coordinator. The module computes
 * expected two-round aggregate costs of the benchmark regimes,
 * the optimal incentive-compatible recommendation scheme with one
   experimenter (exhaustive over the second-round recommendation counts
-  (pi2_low, pi2_high), in blocks of pi2_low rows: a bound that separates by
-  flow rules out most pairs on the binding recommended_risky term, and the
-  exact obedience terms and cost are evaluated only on the pairs it keeps),
+  (pi2_low, pi2_high): a bound that separates by flow rules out most pairs
+  on the binding recommended_risky term, first whole pi2_low rows and
+  pi2_high columns, then pairs of the kept rows and columns, a block of
+  rows at a time; the exact obedience terms and cost are evaluated only on
+  the pairs it keeps),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals).
@@ -38,16 +40,17 @@ from .model import (
     InternalError,
     ParameterError,
     _div,
+    _expected_theta,
     _integral,
     _per_game,
     _require_belief,
+    _require_flow,
+    _stage_cost,
     all_obedient,
     check_assumption_two_stage,
-    expected_theta,
     ic_entries,
     myopic_eq_flow,
     myopic_so_flow,
-    stage_cost,
 )
 
 _REGIMES = ("full", "private")
@@ -90,18 +93,18 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
         )
     n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
     k = s0 + s1 * n
-    g0 = stage_cost(0, l, params)
+    g0 = _stage_cost(0, l, params)
 
     x_eq = myopic_eq_flow(l, params)
-    g_eq = stage_cost(x_eq, l, params)
+    g_eq = _stage_cost(x_eq, l, params)
     beta_f = (h - k) / (h - l + k - g_eq / n)
 
     beta_p = (h - k) / (h + k - 2.0 * l)
 
     x_so_l = myopic_so_flow(l, params)
     x_so_h = myopic_so_flow(h, params)
-    g_so_l = stage_cost(x_so_l, l, params)
-    g_so_h = stage_cost(x_so_h, h, params)
+    g_so_l = _stage_cost(x_so_l, l, params)
+    g_so_h = _stage_cost(x_so_h, h, params)
     # Indifference between never experimenting (2*g0) and experimenting once,
     # solved for beta: 2*g0 = g(1, mu_beta) + beta*g_so_l + (1-beta)*g_so_h.
     lone = (s0 + s1 * (n - 1)) * (n - 1)  # safe-side cost of g(1, .)
@@ -158,8 +161,8 @@ def _two_rounds(beta: float, params: GameParams, outcome: EquilibriumOutcome) ->
     revealed state; the experiment is priced as the scheme with those flows,
     to the bit."""
     if not outcome.experimenters:
-        return 2.0 * stage_cost(0, params.l, params)
-    return scheme_cost_two_stage(beta, outcome.flow_low - 1, outcome.flow_high, params)
+        return 2.0 * _stage_cost(0, params.l, params)
+    return _scheme_cost(beta, outcome.flow_low - 1, outcome.flow_high, params)
 
 
 def cost_full(beta: float, params: GameParams) -> float:
@@ -258,7 +261,7 @@ def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tu
     # The experimenter, weighing both rounds against refusing to experiment
     # (everyone stays safe both rounds if they refuse).
     yield ("experimenter",
-           expected_theta(beta, params) + beta * l * x_l + (1.0 - beta) * (s0 + s1 * (n - x_h)),
+           _expected_theta(beta, params) + beta * l * x_l + (1.0 - beta) * (s0 + s1 * (n - x_h)),
            2.0 * (s0 + s1 * n),
            False)
 
@@ -284,7 +287,8 @@ def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarr
     - A vacuous pair (w + v = 0) has a = b = s = t = 0, so it is kept.
     - A NaN from overflow fails the test R_i + U_j > 0, so its pair is kept.
     The filter only chooses pairs: each kept pair's verdicts and cost come
-    from _ic_terms and scheme_cost_two_stage, as for any other pair.
+    from _ic_terms and _scheme_cost, as for any other pair. _risky_pairs
+    forms the kept pairs.
     """
     n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
     pi = np.arange(n)
@@ -293,6 +297,51 @@ def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarr
     margin = 1.0 + 1e-9
     return (w * l * (pi + 1) - margin * w * (s0 + s1 * (n - pi)),
             v * h * pi - margin * v * (s0 + s1 * (n - pi + 1)))
+
+
+# Entries per block of the kept rows x kept columns sub-grid, in whole rows.
+# A block holds one float and one bool per entry, so blocks keep a solve's
+# memory flat in n however wide a strip a game keeps; the whole n = 1000
+# grid at once would take 9 MB. The strips measured so far fit in one
+# block: 111 x 4 entries on the tests' STATIC_200 and at most 748 x 11 over
+# 360 in-gate draws with n = 900-1000. A solve's tracemalloc peak is
+# 0.05 MB at n = 200 and 0.4-0.47 MB at n = 1000 (STATIC_1000), most of it
+# the kept pairs' obedience terms.
+_BLOCK_ENTRIES = 65536
+
+
+def _risky_pairs(low: np.ndarray, high: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (i, j) with not (low[i] + high[j] > 0), _risky_filter's
+    test, as index arrays in row-major order, a block of rows at a time.
+
+    Row i is dropped when low[i] + min(high) > 0, column j when
+    min(low) + high[j] > 0, before any pair is formed; the pair test then
+    runs on kept rows x kept columns, in blocks of about _BLOCK_ENTRIES
+    entries, and its flat indices are mapped back. No dropped row or column
+    holds a pair the test keeps:
+    - IEEE rounded addition is monotone in each operand, so for non-NaN
+      operands min(high) <= high[j] gives low[i] + min(high) <=
+      low[i] + high[j], and a row whose least sum is > 0 has every sum
+      > 0. The same holds for columns.
+    - A NaN entry makes its array's minimum NaN, and a NaN minimum fails
+      > 0 for every row (or column), so it drops nothing.
+    - A pair whose sum is NaN from inf + (-inf) keeps its row and its
+      column: the array holding the -inf has a minimum of -inf (or NaN),
+      which sums with the +inf to NaN, and the -inf plus the other array's
+      minimum is -inf or NaN; neither is > 0.
+    So the kept pairs, their order and their number are those of the full
+    test. In the solve low[0] = high[0] = 0 (pi2 = 0 carries no weight), so
+    row 0 and column 0 always stay.
+    """
+    # np.flatnonzero, inlined: at small n its wrapper costs more than the work.
+    rows = (~(low + high.min() > 0)).nonzero()[0]
+    cols = (~(low.min() + high > 0)).nonzero()[0]
+    high = high[cols]
+    step = max(1, _BLOCK_ENTRIES // len(cols))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        i, j = np.divmod((~(low[block, None] + high > 0)).ravel().nonzero()[0], len(cols))
+        yield block[i], cols[j]
 
 
 @dataclass(frozen=True)
@@ -322,20 +371,19 @@ def scheme_cost_two_stage(
     cost then has their broadcast shape.
     """
     beta = _require_belief(beta)
+    _require_flow(pi2_low + 1, params)
+    _require_flow(pi2_high, params)
+    return _scheme_cost(beta, pi2_low, pi2_high, params)
+
+
+def _scheme_cost(beta: float, pi2_low, pi2_high, params: GameParams):
+    """scheme_cost_two_stage for a checked belief and flows pi2_low + 1 and
+    pi2_high in 0..n."""
     return (
-        stage_cost(1, expected_theta(beta, params), params)
-        + beta * stage_cost(pi2_low + 1, params.l, params)
-        + (1.0 - beta) * stage_cost(pi2_high, params.h, params)
+        _stage_cost(1, _expected_theta(beta, params), params)
+        + beta * _stage_cost(pi2_low + 1, params.l, params)
+        + (1.0 - beta) * _stage_cost(pi2_high, params.h, params)
     )
-
-
-# Pairs per block of the (pi2_low, pi2_high) grid, in whole pi2_low rows.
-# Blocks keep a solve's memory flat in n: a block holds one float and one
-# bool per pair, plus the few pairs the filter keeps. A solve's tracemalloc
-# peak is 0.45 MB at n = 200 (one block) and 0.7 MB at n = 1000, where the
-# whole grid at once takes 9 MB. Each block has a fixed cost: in blocks of
-# 8192 pairs the n = 200 solve took about twice as long.
-_BLOCK_ENTRIES = 65536
 
 
 def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
@@ -343,13 +391,15 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
 
     Below beta_p no experimenter can be motivated and the no-experimentation
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search runs over all (pi2_low, pi2_high) pairs, in blocks of pi2_low rows
-    of about _BLOCK_ENTRIES pairs. In each block _risky_filter rules out, by
-    one sum per pair, pairs that cannot pass the recommended_risky
-    constraint; the three obedience constraints and the cost are evaluated
-    on the pairs it keeps, and the cheapest obedient pair is returned. Ties
-    resolve to the lexicographically smallest pair. The pair (0, 0) is
-    always obedient at or above beta_p, so the feasible set cannot be empty.
+    search runs over all (pi2_low, pi2_high) pairs. _risky_filter's bound
+    rules out the pairs that cannot pass the recommended_risky constraint:
+    _risky_pairs drops whole rows and columns first, then tests the pairs
+    of the kept ones by one sum each, in blocks of kept rows of about
+    _BLOCK_ENTRIES pairs. The three obedience constraints and the cost are
+    evaluated on the pairs it keeps, and the cheapest obedient pair is
+    returned. Ties resolve to the lexicographically smallest pair. The pair
+    (0, 0) is always obedient at or above beta_p, so the feasible set cannot
+    be empty.
     """
     beta = _require_belief(beta)
     th = _require_gate(beta, params)
@@ -362,20 +412,15 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
             slacks=(),
             n_feasible=0,
         )
-    n = params.n
-    low, high = _risky_filter(beta, params)
-    rows = max(1, _BLOCK_ENTRIES // n)
     best, best_cost, n_feasible = None, np.inf, 0
-    for start in range(0, n, rows):
-        # The block's pairs that may pass recommended_risky, in row-major order.
-        pi_l, pi_h = np.nonzero(~(low[start:start + rows, None] + high > 0))
-        pi_l += start
+    # Each block's pairs that may pass recommended_risky, in row-major order.
+    for pi_l, pi_h in _risky_pairs(*_risky_filter(beta, params)):
         obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
         pi_l, pi_h = pi_l[obedient], pi_h[obedient]
         n_feasible += len(pi_l)
         if not len(pi_l):
             continue
-        cost = scheme_cost_two_stage(beta, pi_l, pi_h, params)
+        cost = _scheme_cost(beta, pi_l, pi_h, params)
         # argmin takes the block's first minimum in row-major order; the
         # strict < keeps an earlier block's equal minimum.
         k = int(np.argmin(cost))

@@ -576,3 +576,61 @@ def test_stage_cost_accepts_numpy_integers(reference):
         for x in (np.int64(3), np.int32(3), np.uint8(3)):
             cost = stage_cost(x, params.l, params)
             assert type(cost) is type(want) and cost == want
+
+
+# ---------------------------------------------------------------------------
+# checked public primitives, unchecked private copies for the cores
+
+def test_public_primitives_keep_their_checks(reference, example1):
+    for x in (2.0, -1, reference.n + 1):
+        with pytest.raises(ParameterError, match="flow must be"):
+            stage_cost(x, reference.l, reference)
+    for coef in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="coefficient must be positive"):
+            stage_cost(2, coef, reference)
+        with pytest.raises(ParameterError, match="coefficient must be positive"):
+            myopic_so_flow(coef, reference)
+    with pytest.raises(ParameterError, match=f"flow must be in 0..{example1.n}"):
+        ts.scheme_cost_two_stage(0.55, example1.n, 0, example1)
+    with pytest.raises(ParameterError, match=f"flow must be in 0..{example1.n}"):
+        ts.scheme_cost_two_stage(0.55, 0, example1.n + 1, example1)
+    with pytest.raises(ParameterError, match="belief"):
+        ts.scheme_cost_two_stage(1.5, 0, 0, example1)
+
+
+@pytest.mark.parametrize("params", [
+    GameParams(n=3, s0=3, s1=2, l=1, h=18),  # int fields
+    GameParams(n=4, s0=1, s1=1, l=1, h=20),
+    GameParams(n=9, s0=2, s1=1, l=2, h=90),
+    GameParams(n=10, s0=10, s1=0, l=1, h=19, gamma_l=0, gamma_h=1),
+    GameParams(n=7, s0=9, s1=0, l=3, h=2**53, gamma_l=1, gamma_h=0),
+    REFERENCE,
+    small_params(gamma_l=0.2, gamma_h=0.3),
+])
+def test_private_conditional_means_equal_the_public_ones(params):
+    from roadrec.model import _mu_high, _mu_low
+    for private, public in ((_mu_low, mu_low), (_mu_high, mu_high)):
+        got, want = private(params), public(params)
+        assert got == want and type(got) is type(want), (params, got, want)
+
+
+def test_cores_make_no_public_stage_cost_call(monkeypatch, reference, example1):
+    # The cores call the unchecked model._stage_cost. Fresh GameParams
+    # objects, so that no game-level value comes from model._per_game.
+    import roadrec.model as model
+    import roadrec.sim as sim
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stage_cost(*args)
+
+    for module in (model, sim, inf, ts):
+        if hasattr(module, "stage_cost"):
+            monkeypatch.setattr(module, "stage_cost", counted)
+    inf._search(dataclasses.replace(reference))
+    inf.delta_sweep(dataclasses.replace(reference), [0.1, 0.5, 0.9])
+    ts.solve_optimal_scheme(0.55, dataclasses.replace(example1))
+    assert calls == []
+    model.stage_cost(2, reference.l, reference)  # the counter is live
+    assert len(calls) == 1

@@ -220,6 +220,24 @@ def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasi
     assert scheme.n_feasible == n_feasible
 
 
+# Five times STATIC_200's n (h scaled with the safe road's worst cost):
+# 1,000,000 (pi2_low, pi2_high) pairs per belief.
+STATIC_1000 = GameParams(n=1000, s0=10.0, s1=1.0, l=0.9, h=3150.0)
+
+
+@pytest.mark.parametrize("beta, pi2_low, pi2_high, cost, n_feasible", [
+    (0.52, 48, 1, 1971208.536, 166),
+    (0.55, 296, 0, 1783253.9, 1969),
+    (0.6, 528, 0, 1700296.28, 3699),
+])
+def test_optimal_scheme_static_1000_golden(beta, pi2_low, pi2_high, cost, n_feasible):
+    # frozen from the solve that tested every pair of a block of whole rows
+    scheme = solve_optimal_scheme(beta, STATIC_1000)
+    assert (scheme.pi2_low, scheme.pi2_high) == (pi2_low, pi2_high)
+    assert scheme.expected_cost == cost
+    assert scheme.n_feasible == n_feasible
+
+
 def _assert_solve_matches_scalar_scan(beta, params):
     # The solve evaluates, block by block, the (pi2_low, pi2_high) pairs its
     # filter keeps; it must agree with the scalar constraints and cost on
@@ -312,12 +330,20 @@ TIGHT_RISKY = [GameParams(n=4, s0=1, s1=1, l=1, h=20),
                GameParams(n=9, s0=2, s1=1, l=2, h=90)]
 
 
+def _pruned_pairs(low, high):
+    """_risky_pairs' blocks, joined."""
+    blocks = list(two_stage._risky_pairs(low, high))
+    return tuple(np.concatenate([block[k] for block in blocks]) for k in (0, 1))
+
+
 def test_risky_filter_keeps_every_pair_the_risky_term_passes():
     # The solve evaluates only the pairs _risky_filter keeps, so over the
     # full grid they must include every pair whose recommended_risky term
     # is vacuous or obedient: at beta_p, just above it, up to the gate's
     # limit and where some pair's term is tight, in units of 2**e, where
-    # float arithmetic scales every cost exactly.
+    # float arithmetic scales every cost exactly. _risky_pairs, which drops
+    # whole rows and columns first, must give exactly the full test's pairs
+    # in row-major order.
     rng = np.random.default_rng(1901)
     games = TIGHT_RISKY + [draw_two_stage_case(rng, n_range=(2, 60))[0] for _ in range(200)]
     kept = passed = pairs = 0
@@ -339,11 +365,36 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
                 low, high = two_stage._risky_filter(beta, scaled)
                 keep = ~(low[:, None] + high > 0)
                 assert not np.any(ok & ~keep), (params, beta, e)
+                for got, want in zip(_pruned_pairs(low, high), np.nonzero(keep)):
+                    assert np.array_equal(got, want), (params, beta, e)
                 kept += int(np.count_nonzero(keep))
                 passed += int(np.count_nonzero(ok))
                 pairs += keep.size
     # the filter is a bound, not the term itself, yet it rules most pairs out
     assert passed <= kept < pairs / 4, (passed, kept, pairs)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 65536])
+def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(monkeypatch, block):
+    # R or U holding NaN or +-inf (as overflow could make them): no row or
+    # column may be dropped that holds a pair the full test keeps, and the
+    # pairs come out in the full test's order whatever the block size.
+    monkeypatch.setattr(two_stage, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(2201)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0])
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        low, high = rng.normal(size=n), rng.normal(size=n)
+        for values in (low, high):
+            special = rng.random(n) < 0.3
+            values[special] = rng.choice(specials, size=int(special.sum()))
+        # as in the solve, pi2 = 0 carries no weight: R_0 = U_0 = 0
+        low[0] = high[0] = 0.0
+        with np.errstate(invalid="ignore"):
+            want = np.nonzero(~(low[:, None] + high > 0))
+            got = _pruned_pairs(low, high)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (low, high)
 
 
 def test_benchmark_flows_cost_what_the_scheme_costs():
@@ -381,11 +432,16 @@ def test_solve_at_beta_p_experiments():
         assert scheme.experiment and all(s.satisfied for s in scheme.slacks), params
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 2, 7, 200])
 def test_grid_solve_does_not_depend_on_block_size(monkeypatch, example1, block):
     cases = [(example1, 0.55), (example1, 0.62), (STATIC_200, 0.6), (TIED, 0.5),
              (GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0), 0.3)]
     want = [solve_optimal_scheme(beta, params) for params, beta in cases]
+    # STATIC_200 at 0.6 keeps 4 pi2_high columns: blocks 1 and 2 are
+    # smaller than one kept row, and 200 splits its 111 kept rows.
+    low, high = two_stage._risky_filter(0.6, STATIC_200)
+    assert np.count_nonzero(~(low.min() + high > 0)) == 4
+    assert np.count_nonzero(~(low + high.min() > 0)) == 111
     monkeypatch.setattr(two_stage, "_BLOCK_ENTRIES", block)
     assert [solve_optimal_scheme(beta, params) for params, beta in cases] == want
 
