@@ -220,8 +220,8 @@ def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasi
     assert scheme.n_feasible == n_feasible
 
 
-# Five times STATIC_200's n (h scaled with the safe road's worst cost):
-# 1,000,000 (pi2_low, pi2_high) pairs per belief.
+# STATIC_200's safe road and low coefficient at n = 1000, with five times
+# its h: 1,000,000 (pi2_low, pi2_high) pairs per belief.
 STATIC_1000 = GameParams(n=1000, s0=10.0, s1=1.0, l=0.9, h=3150.0)
 
 
