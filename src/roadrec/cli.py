@@ -260,12 +260,11 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     params, _ = _load(args)
     inf.require_gate(params)
     x_so, x_eq = inf.low_flows(params)
-    # One search pass checks the flows and gives x_ll, the candidate
-    # schemes and every cost printed below. (roadbench/run.py
-    # reads a traced optimal_scheme_search's candidates as a list.)
+    # One search pass checks the flows and gives x_ll and the candidate
+    # schemes. (roadbench/run.py reads a traced optimal_scheme_search's
+    # candidates as a list.)
     search = inf._search(params)
     x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star
-    cost_of = search.candidates.cost_of
     payload = {
         "params": params,
         "mu_low": mu_low(params),
@@ -278,9 +277,9 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "x_ll": x_ll,
         "pi_star": star,
         "pi_tilde_star": tilde,
-        "v_pi_star": cost_of(star.c, star.d),
-        "v_pi_tilde_star": None if tilde is None else cost_of(tilde.c, tilde.d),
-        "v_myopic_planner": cost_of(x_so, x_so),
+        "v_pi_star": inf.scheme_cost(star.c, star.d, params),
+        "v_pi_tilde_star": None if tilde is None else inf.scheme_cost(tilde.c, tilde.d, params),
+        "v_myopic_planner": inf.scheme_cost(x_so, x_so, params),
         "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
         "ic": inf.check_ic(star.c, star.d, params),
         "search": {

@@ -30,12 +30,13 @@ which checks c and d and runs the gate, then calls only cores. The passing
 gate (require_gate) and the low-state flows x_so and x_eq that bound the
 ramp (low_flows) are remembered per GameParams object (model._per_game), so
 the calls on one game compute them once and no core takes them. The search
-(in blocks of pairs, obedience only in the flow box x_so..x_eq) and the
-x_ll scan evaluate the cores over arrays of candidate flows (a state that
-cannot occur reads NaN), and the delta sweep over all of its in-gate
-discounts at once. _ic_terms yields the binding steady term
+and the x_ll scan evaluate the cores over arrays of candidate flows (a
+state that cannot occur reads NaN), and the delta sweep over all of its
+in-gate discounts at once. _ic_terms yields the binding steady term
 (safe_at_d_pooled) first, so the x_ll scan and the steady slack pay for
-that term alone. The search also returns x_ll, pi_star and
+that term alone. The search's candidates are the pairs of the flow box
+x_so <= c <= d <= x_eq, the only ones that can be obedient, which it tests
+and prices in blocks; it also returns x_ll, pi_star and
 pi_tilde_star from the steady verdicts of the pairs (x_so, x_so..x_eq) in
 the same pass; compute_x_ll scans with _first_obedient for callers that
 want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
@@ -717,27 +718,16 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
 _SEARCH_BLOCK_PAIRS = 8192
 
 
-def _pair_index(c: int, d: int, n: int) -> int:
-    """Position of scheme (c, d) in scheme_pairs(n): each row c' < c holds the
-    n - c' + 1 pairs (c', c'..n)."""
-    r = c - 2
-    return r * (n - 1) - r * (r - 1) // 2 + (d - c)
-
-
 @dataclass(frozen=True)
 class SearchCandidates:
-    """Every pair 1 < c <= d <= n, as four arrays in (c, d) order (the order
-    of scheme_pairs): the flows, check_ic's verdict and scheme_cost."""
+    """The pairs of the flow box x_so <= c <= d <= x_eq, the only ones that
+    can be obedient, as four arrays in (c, d) order: the flows, check_ic's
+    verdict and scheme_cost."""
 
     c: np.ndarray
     d: np.ndarray
     feasible: np.ndarray
     cost: np.ndarray
-
-    def cost_of(self, c: int, d: int) -> float:
-        """scheme_cost of scheme (c, d), read from its place in (c, d) order."""
-        n = int(self.d[-1])  # scheme_pairs(n) ends with (n, n)
-        return float(self.cost[_pair_index(c, d, n)])
 
 
 @dataclass(frozen=True)
@@ -759,14 +749,15 @@ class SearchResult:
 def optimal_scheme_search(params: GameParams) -> SearchResult:
     """Cheapest scheme (by aggregate cost) among all obedient (c, d) pairs.
 
-    Tests obedience (check_ic's verdict) on the pairs x_so <= c <= d <= x_eq,
-    the only ones that can pass it, and prices every pair 1 < c <= d <= n,
-    as arrays in blocks of _SEARCH_BLOCK_PAIRS pairs; returns the first
-    obedient pair in (c, d) order whose cost is within a relative 1e-12 of
-    the cheapest. For delta above one half the result is best within this
-    recommendation family; global optimality across all schemes is only
-    established up to one half, hence the warning. The same pass gives
-    compute_x_ll's steady flow and the candidates pi_star and pi_tilde_star.
+    Only the pairs of the flow box x_so <= c <= d <= x_eq can be obedient,
+    so the search tests obedience (check_ic's verdict) and prices those
+    pairs alone, as arrays in blocks of _SEARCH_BLOCK_PAIRS pairs, and
+    returns them as its candidates. The winner is the first obedient pair
+    in (c, d) order whose cost is within a relative 1e-12 of the cheapest.
+    For delta above one half the result is best within this recommendation
+    family; global optimality across all schemes is only established up to
+    one half, hence the warning. The same pass gives compute_x_ll's steady
+    flow and the candidates pi_star and pi_tilde_star.
     """
     require_gate(params)
     return _search(params)
@@ -776,22 +767,22 @@ def _search(params: GameParams) -> SearchResult:
     """optimal_scheme_search for a game whose gate the caller has run.
 
     The flows x_so..x_eq are checked first, as compute_x_ll checks them.
-    Pairs outside the box x_so <= c <= d <= x_eq fail flow_range, so they
-    stay infeasible untested. The box opens with the pairs (x_so,
-    x_so..x_eq), whose steady verdicts give x_ll. Then no obedient steady
-    flow raises AssumptionError, and only after it can an empty feasible set
-    raise InternalError.
+    The candidates are the box pairs x_so <= c <= d <= x_eq in (c, d)
+    order; every other pair fails flow_range. The box opens with the pairs
+    (x_so, x_so..x_eq), whose steady verdicts give x_ll. Then no obedient
+    steady flow raises AssumptionError, and only after it can an empty
+    feasible set raise InternalError.
     """
     x_so, steady = _steady_flows(params)
-    _, x_eq = low_flows(params)
-    c, d = scheme_pairs(params.n)
-    box = np.flatnonzero((x_so <= c) & (d <= x_eq))
-    feasible = np.zeros(len(c), dtype=bool)
-    steady_ok = np.empty(len(box), dtype=bool)
-    for start in range(0, len(box), _SEARCH_BLOCK_PAIRS):
+    c, d = np.triu_indices(len(steady))
+    c, d = c + x_so, d + x_so
+    feasible = np.empty(len(c), dtype=bool)
+    steady_ok = np.empty(len(c), dtype=bool)
+    cost = np.empty(len(c))
+    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        pairs = box[block]
-        feasible[pairs], steady_ok[block] = _obedient_block(c[pairs], d[pairs], params)
+        feasible[block], steady_ok[block] = _obedient_block(c[block], d[block], params)
+        cost[block] = _scheme_cost(c[block], d[block], params, params.delta)
     row_ok = steady_ok[:len(steady)]
     if not row_ok.any():
         raise _no_steady_flow(params)
@@ -800,10 +791,6 @@ def _search(params: GameParams) -> SearchResult:
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
-    cost = np.empty(len(c))
-    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
-        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        cost[block] = _scheme_cost(c[block], d[block], params, params.delta)
     cheapest = cost[feasible].min()
     ties = feasible & (cost <= cheapest + 1e-12 * np.abs(cost))
     k = int(np.argmax(ties))

@@ -39,8 +39,9 @@ class InternalError(RuntimeError):
 
 
 # Largest population a GameParams accepts, and the largest with measured run
-# times: at n = 1000 (499,500 (c, d) pairs) the search takes about 0.2 s and
-# 50 MB, and the chain oracle, the slowest command, under 1 s and 46 MB.
+# times on a 2-core x86 host: at n = 1000 (499,500 (c, d) pairs) the search
+# takes about 0.2 ms in-process and the infinite command's process peaks at
+# 31 MB; the chain oracle, the slowest command, takes under 1 s and 46 MB.
 # Flows are indexed by 0..n.
 _MAX_N = 1000
 
@@ -242,7 +243,10 @@ def _mu_high(params: GameParams) -> float:
 def myopic_so_flow(coef: float, params: GameParams) -> int:
     """Risky flow minimising the one-stage aggregate cost; ties go to fewer users."""
     _require_coef(coef)
-    return int(np.argmin(_stage_cost(np.arange(params.n + 1), coef, params)))
+    # A cost past the float range is +inf, which argmin never picks over a
+    # finite one.
+    with np.errstate(over="ignore"):
+        return int(np.argmin(_stage_cost(np.arange(params.n + 1), coef, params)))
 
 
 def myopic_eq_flow(coef: float, params: GameParams) -> int:

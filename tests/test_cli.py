@@ -121,6 +121,32 @@ def test_two_stage_solves_at_beta_p(capsys, tmp_path):
     assert row["experiment"] is True
 
 
+def test_two_stage_high_cost_past_float_range_warns_nothing(tmp_path):
+    # h * x * x overflows to +inf for most flows when the planner minimises
+    # the high-state stage cost; argmin still picks x = 0, and numpy's
+    # overflow warning must not reach stderr.
+    path = tmp_path / "huge_h.json"
+    path.write_text(json.dumps({"n": 1000, "s0": 10, "s1": 1, "l": 0.9, "h": 1e308}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "roadrec.cli", "two-stage", "--params", str(path),
+         "--beta-grid", "0.6"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    row = {"beta": 0.6, "gated": False, "region": "A", "v_full": 2020000.0,
+           "v_private": 2020000.0, "v_partial": 2020000.0, "v_so": 2020000.0,
+           "experiment": False, "pi2_low": None, "pi2_high": None}
+    want = {
+        "params": {"n": 1000, "s0": 10, "s1": 1, "l": 0.9, "h": 1e308,
+                   "gamma_l": 0.0, "gamma_h": 0.0, "delta": 0.0},
+        "thresholds": {"beta_so": 1.0, "beta_p": 1.0, "beta_f": 1.0, "eq_flow_low": 532,
+                       "so_flow_low": 529, "so_flow_high": 0, "warnings": []},
+        "rows": [row],
+    }
+    assert proc.stdout == json.dumps(want, indent=2) + "\n"
+
+
 def test_two_stage_all_gated_errors(capsys, example1_file):
     code = main(["two-stage", "--params", example1_file, "--beta-grid", "0.8,0.9"])
     assert code == 1

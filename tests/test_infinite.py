@@ -252,7 +252,7 @@ def test_search_reference(reference):
     assert result.winner_cost == pytest.approx(195.625, abs=1e-10)
     assert result.matches_pi_star and not result.matches_pi_tilde_star
     assert result.warnings == ()  # delta = 1/2 is inside the proved range
-    assert len(result.candidates.c) == 45  # all pairs 1 < c <= d <= 10
+    assert len(result.candidates.c) == 3  # the box pairs 2 <= c <= d <= 3
     assert np.count_nonzero(result.candidates.feasible) == 1
 
 
@@ -378,15 +378,15 @@ def test_search_wide_golden():
     assert (result.winner.c, result.winner.d) == (9, 17)
     assert result.winner_cost == 11897.427368421051
     assert np.count_nonzero(result.candidates.feasible) == 7
-    assert len(result.candidates.c) == 4950
+    assert len(result.candidates.c) == 45  # the box pairs 9 <= c <= d <= 17
     assert result.matches_pi_star and not result.matches_pi_tilde_star
 
 
 def test_search_wide_golden_n1000():
-    # frozen from the search that built one object per pair; n = 1000 takes
-    # 61 blocks of pairs
+    # frozen from the search that built one object per pair; the flow box is
+    # the same 45 pairs as at n = 100
     result = optimal_scheme_search(dataclasses.replace(WIDE, n=1000))
-    assert len(result.candidates.c) == 499_500
+    assert len(result.candidates.c) == 45
     assert np.count_nonzero(result.candidates.feasible) == 7
     assert (result.winner.c, result.winner.d) == (9, 17)
     assert result.winner_cost == 119897.42736842106
@@ -422,20 +422,26 @@ def test_numpy_integer_flows(reference):
 
 def test_search_candidates_match_zero_d_calls(reference, infinite_draws):
     # The search evaluates the closed forms over arrays of flows; every
-    # candidate must equal the 0-d calls exactly. WIDE at n = 40 has 780
-    # pairs around its 45-pair flow box, so the verdicts the search leaves
-    # false untested are checked too.
+    # candidate must equal the 0-d calls exactly. The candidates are the
+    # flow box's pairs in (c, d) order; every other pair must fail check_ic,
+    # which WIDE at n = 40 checks on the 735 of its 780 pairs outside the box.
     wide40 = dataclasses.replace(WIDE, n=40)
     for params in [reference, FULL_ROAD, SMALL, SMALL_3, wide40] + infinite_draws:
         cand = optimal_scheme_search(params).candidates
         assert cand.c.dtype.kind == "i" and cand.feasible.dtype == bool
         assert cand.cost.dtype == np.float64
+        x_so, x_eq = infinite.low_flows(params)
         c, d = scheme_pairs(params.n)
-        assert np.array_equal(cand.c, c) and np.array_equal(cand.d, d)
+        box = (x_so <= c) & (d <= x_eq)
+        assert np.array_equal(cand.c, c[box]) and np.array_equal(cand.d, d[box])
         for ck, dk, feasible, cost in zip(cand.c.tolist(), cand.d.tolist(),
                                           cand.feasible.tolist(), cand.cost.tolist()):
             assert feasible == check_ic(ck, dk, params).verdict
             assert cost == scheme_cost(ck, dk, params)
+        if params is wide40:
+            assert np.count_nonzero(~box) == 735
+        for ck, dk in zip(c[~box].tolist(), d[~box].tolist()):
+            assert check_ic(ck, dk, params).verdict is False, (params, ck, dk)
 
 
 def test_state_cost_arrays_match_zero_d_calls(reference, infinite_draws):
@@ -529,9 +535,10 @@ def test_linear_solve_broadcasts(reference):
 @pytest.mark.parametrize("block", [1, 7])
 def test_infinite_payload_matches_library(monkeypatch, tmp_path, reference, infinite_draws,
                                           block):
-    # infinite reads x_ll, the candidates and their costs from the search's
-    # one pass; each must equal what the public functions compute on their
-    # own. Blocks of 1 and 7 pairs split the x_so row across blocks.
+    # infinite reads x_ll and the candidates from the search's one pass;
+    # each, and each cost it prints, must equal what the public functions
+    # compute on their own. Blocks of 1 and 7 pairs split the x_so row
+    # across blocks.
     payloads = []
     monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload))
     monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
@@ -584,7 +591,8 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
 def test_search_tests_obedience_only_in_the_flow_box(monkeypatch, infinite_draws):
     # flow_range fails outside x_so <= c <= d <= x_eq, so the obedience terms
     # see the (x_eq - x_so + 1)(x_eq - x_so + 2)/2 pairs of that box and no
-    # other, however many pairs the game has.
+    # other, however many pairs the game has, and the search returns those
+    # pairs alone as its candidates.
     seen = []
     true_block = infinite._obedient_block
 
@@ -596,7 +604,9 @@ def test_search_tests_obedience_only_in_the_flow_box(monkeypatch, infinite_draws
 
     def pairs_seen(params):
         seen.clear()
-        optimal_scheme_search(params)
+        candidates = optimal_scheme_search(params).candidates
+        x_so, x_eq = infinite.low_flows(params)
+        assert len(candidates.c) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
         return sum(seen)
 
     for n in (100, 1000):
