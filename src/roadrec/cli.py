@@ -9,9 +9,9 @@ Subcommands:
   sweep       how the optimal scheme and its cost move with the discount
   simulate    Monte Carlo estimates vs the closed forms, optionally a
               deviation rollout at a chosen trigger state
-  oracle      independent cross-checks (brute-force equilibria for the
-              two-stage game, state costs solved from the dispatch chain for
-              the infinite one)
+  oracle      independent cross-checks: two_stage.oracle_checks (brute-force
+              equilibria) or infinite.oracle_checks (state costs solved from
+              the dispatch chain)
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
 fail or an oracle disagrees, 2 on malformed input or an --output file that
@@ -192,10 +192,6 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _load(args: argparse.Namespace) -> tuple[GameParams, float | None]:
-    return load_params(args.params)
-
-
 def _betas(args: argparse.Namespace, file_beta: float | None) -> list[float]:
     if getattr(args, "beta_grid", None):
         return parse_grid(args.beta_grid)
@@ -216,7 +212,7 @@ def _all_gated(what: str, model: str, detail: str) -> AssumptionError:
 # subcommands
 
 def cmd_two_stage(args: argparse.Namespace) -> int:
-    params, file_beta = _load(args)
+    params, file_beta = load_params(args.params)
     betas = _betas(args, file_beta)
     th = ts.thresholds(params)
     rows = []
@@ -257,7 +253,7 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
 
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
-    params, _ = _load(args)
+    params, _ = load_params(args.params)
     inf.require_gate(params)
     x_so, x_eq = inf.low_flows(params)
     # One search pass checks the flows and gives x_ll and the candidate
@@ -296,7 +292,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    params, _ = _load(args)
+    params, _ = load_params(args.params)
     deltas = parse_grid(args.delta_grid)
     points = inf.delta_sweep(params, deltas)
     if not any(point.feasible for point in points):
@@ -338,7 +334,7 @@ def _parse_trigger(text: str) -> AgentState:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_json_format(args, "simulate")
-    params, _ = _load(args)
+    params, _ = load_params(args.params)
     # The gate runs before any input is validated.
     if args.scheme:
         inf.require_gate(params)
@@ -372,83 +368,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_two_stage(params: GameParams, betas: list[float]) -> list[dict]:
-    checks = []
-    for beta in betas:
-        gate = check_assumption_two_stage(beta, params)
-        if not gate.passed:
-            checks.append({
-                "name": f"beta={beta:.12g}",
-                "passed": False,
-                "detail": "outside two-stage assumptions: " + "; ".join(gate.failures),
-            })
-            continue
-        for regime, flow_low in (("full", ts.thresholds(params).eq_flow_low), ("private", 1)):
-            predicted = ts.equilibrium_flows(beta, regime, params)
-            found = ts.brute_force_equilibrium(params, beta, regime=regime)
-            want = (predicted.experimenters, predicted.flow_low, predicted.flow_high)
-            got = [(o.experimenters, o.flow_low, o.flow_high) for o in found]
-            ok = got == [want]
-            tie = [(0, 0, 0), (1, flow_low, 0)]
-            if got == tie and want in tie:
-                # At the regime's cutoff the experimenter is indifferent, within
-                # the brute force's relative 1e-9, so it finds both outcomes.
-                term = ts.ic_constraints_eval(beta, flow_low - 1, 0, params)[-1]
-                ok = abs(term.slack) <= 1e-9 * max(term.follow, term.deviate)
-            checks.append({
-                "name": f"beta={beta:.12g} regime={regime}",
-                "passed": ok,
-                "detail": f"predicted {want}, brute force found {got}",
-            })
-    return checks
-
-
-def _oracle_infinite(params: GameParams) -> list[dict]:
-    inf.require_gate(params)  # the only gate of the call; the flows are valid
-    c, d = inf.scheme_pairs(params.n)
-    dl = params.delta
-    worst_state = worst_fg = 0.0
-    # One block of pairs at a time, keeping only the worst gaps: flat memory
-    # in n. Each gap is relative to a positive cost of its own scheme, so no
-    # gap depends on the unit of cost: a state cost to itself, and the f/g
-    # gap to the steady term's deviation cost (the slack can be near 0).
-    for start in range(0, len(c), inf._SEARCH_BLOCK_PAIRS):
-        block = slice(start, start + inf._SEARCH_BLOCK_PAIRS)
-        cb, db = c[block], d[block]
-        table = inf._state_table(cb, db, params, dl)
-        _, follow, deviate, _ = inf._steady_term(cb, db, params, dl, table)
-        decomp = inf._fc_gd(cb, db, params)
-        gap = np.abs((decomp.f_c - decomp.g_d) + (deviate - follow)) / deviate
-        worst_fg = float(np.max(gap, initial=worst_fg))  # a NaN gap stays NaN
-        # the 11 fields of each table stacked, one row per field
-        closed = np.array(list(vars(table).values()))
-        solved = np.array(list(vars(inf._chain_table(cb, db, params)).values()))
-        if not np.array_equal(np.isnan(closed), np.isnan(solved)):
-            worst_state = float("inf")
-        worst_state = max(worst_state, float(np.fmax.reduce(  # fmax skips NaN
-            np.abs(closed - solved) / np.abs(closed), axis=None, initial=0.0
-        )))
-    checks = []
-    checks.append({
-        "name": f"state costs, closed form vs linear solve ({len(c)} schemes)",
-        "passed": worst_state <= 1e-9,
-        "detail": f"worst relative gap {worst_state:.3g}",
-    })
-    checks.append({
-        "name": "steady-state obedience slack vs its f/g decomposition",
-        "passed": worst_fg <= 1e-9,
-        "detail": f"worst relative gap {worst_fg:.3g}",
-    })
-    return checks
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     _require_json_format(args, "oracle")
-    params, file_beta = _load(args)
+    params, file_beta = load_params(args.params)
     if args.target == "two-stage":
-        checks = _oracle_two_stage(params, _betas(args, file_beta))
+        checks = ts.oracle_checks(params, _betas(args, file_beta))
     else:
-        checks = _oracle_infinite(params)
+        checks = inf.oracle_checks(params)
     passed = all(c["passed"] for c in checks)
     _emit({"target": args.target, "passed": passed, "checks": checks}, args)
     return 0 if passed else 1

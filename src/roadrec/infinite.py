@@ -13,20 +13,21 @@ so every agent expects the safe cost s0 each stage.
 
 The module computes the per-agent value of compliance state by state (closed
 form and, as an independent oracle, a linear solve of one agent's Markov
-chain built from the dispatch rule), the obedience (incentive-compatibility)
-report, the cheapest obedient scheme, and the delta sweep showing when the
-relaxed social optimum itself becomes obedient.
+chain built from the dispatch rule; oracle_checks compares the two over
+every scheme), the obedience (incentive-compatibility) report, the cheapest
+obedient scheme, and the delta sweep showing when the relaxed social optimum
+itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
 _scheme_cost, _state_table, _ic_terms, _fc_gd, _first_obedient, _search)
 that does the arithmetic and checks no argument. The model primitives it
-calls are unchecked private copies (model._stage_cost, _mu_low and
-_mu_high); only the myopic flows, which low_flows computes once per game,
-still check their coefficient. The cores take c and d as ints or as
-integer arrays, and every core whose value moves with the discount takes
-it as an explicit argument: a float or an array that broadcasts against c
-and d. Each operation has one public entry point,
-which checks c and d and runs the gate, then calls only cores. The passing
+calls check nothing either (model._stage_cost, mu_low and mu_high); only
+the myopic flows, which low_flows computes once per game, still check
+their coefficient. The cores take c and d as ints or as integer arrays,
+and every core whose value moves with the discount takes it as an
+explicit argument: a float or an array that broadcasts against c and d.
+Each operation has one public entry point, which checks c and d and runs
+the gate, then calls only cores. The passing
 gate (require_gate) and the low-state flows x_so and x_eq that bound the
 ramp (low_flows) are remembered per GameParams object (model._per_game), so
 the calls on one game compute them once and no core takes them. The search
@@ -43,8 +44,10 @@ want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
 same code and give Python numbers (None for a state that cannot occur). The
 chain oracle, state_costs_linear, takes the same arguments; its core
 _chain_table solves each block of schemes' 6-state chains in one stacked
-call. check_ic, which builds a report, takes ints only. It, the search and
-the x_ll scan decide obedience by model.ic_entries and model.all_obedient.
+call, and oracle_checks runs it and the cores on the same blocks of
+_SEARCH_BLOCK_PAIRS schemes. check_ic, which builds a report, takes ints
+only. It, the search and the x_ll scan decide obedience by
+model.ic_entries and model.all_obedient.
 
 State mnemonics follow the recommendation histories: an agent is described
 by what it observed last stage (the realised risky flow; the road state if
@@ -69,8 +72,6 @@ from .model import (
     _div,
     _integral,
     _infinite_gate,
-    _mu_high,
-    _mu_low,
     _per_game,
     _plain,
     _require_discount,
@@ -78,6 +79,8 @@ from .model import (
     all_obedient,
     check_assumption_infinite,
     ic_entries,
+    mu_high,
+    mu_low,
     myopic_eq_flow,
     myopic_so_flow,
 )
@@ -213,7 +216,7 @@ def scheme_cost(c: int, d: int, params: GameParams) -> float:
 def _scheme_cost(c, d, params: GameParams, dl):
     """scheme_cost for checked flows at discount dl."""
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = _mu_low(params), _mu_high(params)
+    ml, mh = mu_low(params), mu_high(params)
     stay_low, tau_tilde = _discounting(params, dl)
     return tau_tilde * (
         _stage_cost(1, mh, params)
@@ -283,7 +286,7 @@ def _state_table(c, d, params: GameParams, dl) -> StateCostTable:
     occur; raises InternalError when the consistency identity breaks."""
     n, s0 = params.n, params.s0
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = _mu_low(params), _mu_high(params)
+    ml, mh = mu_low(params), mu_high(params)
     stay_low, _ = _discounting(params, dl)
     vb = _scheme_cost(c, d, params, dl) / n
 
@@ -363,7 +366,7 @@ def _chain_table(c: np.ndarray, d: np.ndarray, params: GameParams) -> StateCostT
     """
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = _mu_low(params), _mu_high(params)
+    ml, mh = mu_low(params), mu_high(params)
     recruit_ramp = (c - 1) / (n - 1)
     recruit_steady = _div(d - c, n - c, 0.0)
     # P by (scheme, phase, role, next phase, next role), with the phases
@@ -442,7 +445,7 @@ def _ic_terms(c, d, params: GameParams, dl, table: StateCostTable) -> Iterator[t
     pays for none of them.
     """
     n, s0 = params.n, params.s0
-    ml, mh = _mu_low(params), _mu_high(params)
+    ml, mh = mu_low(params), mu_high(params)
     punish = s0 / (1.0 - dl)
     punish_tail = dl * s0 / (1.0 - dl)
     safe_high, risky_high = table.safe_after_high, table.risky_after_high
@@ -479,7 +482,7 @@ def _preconditions(c, d, params: GameParams):
     """Flows between the planner's and the equilibrium low-state flow (x_so
     and x_eq, from low_flows), and a first-low-stage cost no worse than the
     two-user one."""
-    ml = _mu_low(params)
+    ml = mu_low(params)
     x_so, x_eq = low_flows(params)
     flow_range = (x_so <= c) & (d <= x_eq)
     ramp_cheaper = _stage_cost(c, ml, params) <= _stage_cost(2, ml, params)
@@ -491,7 +494,7 @@ def low_flows(params: GameParams) -> tuple[int, int]:
     """The planner's and the equilibrium low-state flows x_so and x_eq, which
     bound the ramp; neither depends on delta. Remembered per GameParams
     object (model._per_game)."""
-    ml = _mu_low(params)
+    ml = mu_low(params)
     return myopic_so_flow(ml, params), myopic_eq_flow(ml, params)
 
 
@@ -506,7 +509,7 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     c, d = _require_cd(c, d, params)
     require_gate(params)
     s0, dl = params.s0, params.delta
-    ml = _mu_low(params)
+    ml = mu_low(params)
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
     table = _state_table(c, d, params, dl)
     entries = ic_entries(_ic_terms(c, d, params, dl, table))
@@ -680,7 +683,7 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
     """fc_gd_decomposition for checked flows, in a game whose gate passed."""
     n, s0, dl = params.n, params.s0, params.delta
     gl, gh = params.gamma_l, params.gamma_h
-    ml, mh = _mu_low(params), _mu_high(params)
+    ml, mh = mu_low(params), mu_high(params)
     stay_low, tau_tilde = _discounting(params, dl)
     p = _low_given_d_safe(params)
     tau = p * dl * gl / stay_low + (1.0 - p) * dl * (
@@ -874,3 +877,44 @@ def delta_sweep(params: GameParams, deltas: Iterable[float]) -> list[SweepPoint]
         x, (v_star, v_planner) = next(solved)
         out.append(SweepPoint(delta, True, x, v_star, v_planner, v_star / v_planner))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the chain oracle
+
+def oracle_checks(params: GameParams) -> list[dict]:
+    """The state costs against the chain oracle, and the steady slack against
+    its f/g decomposition, over every scheme 1 < c <= d <= n, as two {name,
+    passed, detail} dicts. Blocks of _SEARCH_BLOCK_PAIRS schemes keep only
+    the worst gaps: flat memory in n. Each gap is relative to a positive
+    cost of its own scheme, so none depends on the unit: a state cost to
+    itself, the f/g gap to the steady deviation cost (the slack can be near
+    0). A state only one side has (NaN on the other) makes the gap inf."""
+    require_gate(params)  # the only gate of the call; the flows are valid
+    c, d = scheme_pairs(params.n)
+    dl = params.delta
+    worst_state = worst_fg = 0.0
+    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
+        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
+        cb, db = c[block], d[block]
+        table = _state_table(cb, db, params, dl)
+        _, follow, deviate, _ = _steady_term(cb, db, params, dl, table)
+        decomp = _fc_gd(cb, db, params)
+        gap = np.abs((decomp.f_c - decomp.g_d) + (deviate - follow)) / deviate
+        worst_fg = float(np.max(gap, initial=worst_fg))  # a NaN gap stays NaN
+        # the 11 fields of each table stacked, one row per field
+        closed = np.array(list(vars(table).values()))
+        solved = np.array(list(vars(_chain_table(cb, db, params)).values()))
+        if not np.array_equal(np.isnan(closed), np.isnan(solved)):
+            worst_state = float("inf")
+        worst_state = max(worst_state, float(np.fmax.reduce(  # fmax skips NaN
+            np.abs(closed - solved) / np.abs(closed), axis=None, initial=0.0
+        )))
+    return [
+        {"name": f"state costs, closed form vs linear solve ({len(c)} schemes)",
+         "passed": worst_state <= 1e-9,
+         "detail": f"worst relative gap {worst_state:.3g}"},
+        {"name": "steady-state obedience slack vs its f/g decomposition",
+         "passed": worst_fg <= 1e-9,
+         "detail": f"worst relative gap {worst_fg:.3g}"},
+    ]

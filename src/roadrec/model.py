@@ -219,24 +219,13 @@ def _expected_theta(beta: float, params: GameParams) -> float:
 
 
 def mu_low(params: GameParams) -> float:
-    """Expected next-stage coefficient after observing the low state."""
-    return expected_theta(1.0 - params.gamma_l, params)
+    """Expected next-stage coefficient after observing the low state. GameParams
+    keeps both switch rates in [0, 1], so neither mean checks its belief."""
+    return _expected_theta(float(1.0 - params.gamma_l), params)
 
 
 def mu_high(params: GameParams) -> float:
     """Expected next-stage coefficient after observing the high state."""
-    return expected_theta(params.gamma_h, params)
-
-
-# The cores' copies of mu_low and mu_high. GameParams keeps both switch rates
-# in [0, 1], so these beliefs need no check; float() is the conversion
-# _require_belief makes, so a game with int fields gives the same bits.
-
-def _mu_low(params: GameParams) -> float:
-    return _expected_theta(float(1.0 - params.gamma_l), params)
-
-
-def _mu_high(params: GameParams) -> float:
     return _expected_theta(float(params.gamma_h), params)
 
 
@@ -330,8 +319,8 @@ def check_assumption_infinite(params: GameParams) -> InfiniteGate:
 def _infinite_gate(params: GameParams, delta: float) -> InfiniteGate:
     """The infinite-horizon gate of params at discount delta, which replaces
     params.delta; delta must already be a valid discount."""
-    ml = _mu_low(params)
-    mh = _mu_high(params)
+    ml = mu_low(params)
+    mh = mu_high(params)
     mh_limit = params.s0 + delta * params.gamma_h * (params.s0 / 3.0 - ml)
     failures = []
     if params.s1 != 0:

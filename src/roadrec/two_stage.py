@@ -17,7 +17,9 @@ coordinator. The module computes
   the pairs it keeps),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
-  table of the 16 strategies' costs over the other agents' totals).
+  table of the 16 strategies' costs over the other agents' totals), and
+  oracle_checks, which compares each regime's predicted outcome with it;
+  each regime's cutoff and round-two flows are written once, in _regimes.
 
 Everything here assumes a single experimenter in round one; sending two or
 more is dominated whenever experimentation is costly (gate condition 2),
@@ -183,20 +185,27 @@ def cost_social_optimum(beta: float, params: GameParams) -> float:
 def _cost(beta: float, regime: str, params: GameParams) -> float:
     """Expected two-round cost of a regime: "full", "private" or "planner"."""
     beta = _require_belief(beta)
-    return _two_rounds(beta, params, _outcome(beta, regime, _require_gate(beta, params)))
+    _require_gate(beta, params)
+    return _two_rounds(beta, params, _outcome(beta, regime, params))
 
 
-def _outcome(beta: float, regime: str, th: TwoStageThresholds) -> EquilibriumOutcome:
+@_per_game
+def _regimes(params: GameParams) -> dict[str, tuple[float, EquilibriumOutcome]]:
+    """Each regime's cutoff and its outcome with an experiment: one agent, then
+    the regime's round-two risky flows by state. Remembered per GameParams."""
+    th = thresholds(params)
+    return {
+        "full": (th.beta_f, EquilibriumOutcome(1, th.eq_flow_low, 0)),
+        "private": (th.beta_p, EquilibriumOutcome(1, 1, 0)),
+        "planner": (th.beta_so, EquilibriumOutcome(1, th.so_flow_low, th.so_flow_high)),
+    }
+
+
+def _outcome(beta: float, regime: str, params: GameParams) -> EquilibriumOutcome:
     """On-path outcome of a regime: nobody experiments below its cutoff; at
-    or above it one agent does, followed by the regime's round-two flows."""
-    cutoff, flow_low, flow_high = {
-        "full": (th.beta_f, th.eq_flow_low, 0),
-        "private": (th.beta_p, 1, 0),
-        "planner": (th.beta_so, th.so_flow_low, th.so_flow_high),
-    }[regime]
-    if beta < cutoff:
-        return EquilibriumOutcome(0, 0, 0)
-    return EquilibriumOutcome(1, flow_low, flow_high)
+    or above it the regime's experiment outcome."""
+    cutoff, experiment = _regimes(params)[regime]
+    return EquilibriumOutcome(0, 0, 0) if beta < cutoff else experiment
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +480,7 @@ def equilibrium_flows(beta: float, regime: str, params: GameParams) -> Equilibri
     beta = _require_belief(beta)
     if regime not in _REGIMES:
         raise ParameterError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    return _outcome(beta, regime, thresholds(params))
+    return _outcome(beta, regime, params)
 
 
 def _strategy_bits(s: int) -> tuple[int, int, int, int]:
@@ -662,3 +671,35 @@ def brute_force_equilibrium(
         k, rest = divmod(key, base * base)
         outcomes.append(EquilibriumOutcome(k, *divmod(rest, base), profiles=int(found[key])))
     return outcomes
+
+
+def oracle_checks(params: GameParams, betas: list[float]) -> list[dict]:
+    """Each regime's predicted outcome against its brute force, as {name,
+    passed, detail} dicts: one per belief outside the gate, else one per
+    belief and regime. At a regime's cutoff the experimenter is indifferent
+    within the brute force's relative 1e-9, so it may find both the
+    no-experiment outcome and the experiment; that passes when the
+    prediction is one of them and the experimenter term ties."""
+    checks = []
+    for beta in betas:
+        gate = check_assumption_two_stage(beta, params)
+        if not gate.passed:
+            checks.append({"name": f"beta={beta:.12g}", "passed": False, "detail":
+                           "outside two-stage assumptions: " + "; ".join(gate.failures)})
+            continue
+        for regime in _REGIMES:
+            _, experiment = _regimes(params)[regime]
+            predicted = equilibrium_flows(beta, regime, params)
+            found = brute_force_equilibrium(params, beta, regime=regime)
+            ok = found == [predicted]
+            tie = [EquilibriumOutcome(0, 0, 0), experiment]
+            if found == tie and predicted in tie:
+                # the experimenter term of the scheme _two_rounds prices
+                *_, (_, follow, deviate, _) = _ic_terms(
+                    beta, experiment.flow_low - 1, experiment.flow_high, params)
+                ok = abs(deviate - follow) <= 1e-9 * max(follow, deviate)
+            want = (predicted.experimenters, predicted.flow_low, predicted.flow_high)
+            got = [(o.experimenters, o.flow_low, o.flow_high) for o in found]
+            checks.append({"name": f"beta={beta:.12g} regime={regime}", "passed": ok,
+                           "detail": f"predicted {want}, brute force found {got}"})
+    return checks

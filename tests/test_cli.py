@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -551,6 +552,22 @@ def test_infinite_gate_runs_once_per_call(capsys, reference_file, monkeypatch, a
     assert len(calls) == 1
 
 
+def test_cli_reads_no_private_library_name():
+    # cli.py drives the library through its public functions. The one
+    # private read left is inf._search, whose candidates roadbench/run.py
+    # reads as a list.
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    private = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("inf", "ts", "sim") and node.attr.startswith("_")):
+            private.add(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "roadrec"):
+            private |= {alias.name for alias in node.names  # __version__ is public
+                        if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert private == {"inf._search"}
+
+
 def test_oracle_infinite(capsys, reference_file):
     code, data = run_json(capsys, ["oracle", "--params", reference_file,
                                    "--target", "infinite"])
@@ -577,6 +594,18 @@ def test_oracle_two_stage_flags_gated_beta(capsys, tmp_path):
                                    "--target", "two-stage", "--beta-grid", "0.9"])
     assert code == 1
     assert data["passed"] is False
+
+
+def test_oracle_two_stage_gates_a_game_that_fails_condition_1(capsys, tmp_path):
+    # l >= s0 + s1: the thresholds do not exist, and no belief reaches them
+    path = tmp_path / "n4.json"
+    path.write_text(json.dumps({"n": 4, "s0": 2.0, "s1": 1.0, "l": 3.5, "h": 9.0}))
+    code, data = run_json(capsys, ["oracle", "--params", str(path),
+                                   "--target", "two-stage", "--beta-grid", "0.1,0.3"])
+    assert code == 1 and data["passed"] is False
+    assert [check["name"] for check in data["checks"]] == ["beta=0.1", "beta=0.3"]
+    assert all(check["detail"].startswith("outside two-stage assumptions: l >= s0 + s1")
+               for check in data["checks"])
 
 
 # EXAMPLE1's coefficients at n = 4, where the brute force runs

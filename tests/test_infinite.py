@@ -522,6 +522,47 @@ def test_linear_solve_does_not_depend_on_block_size(monkeypatch):
                                   equal_nan=True), (params, f.name)
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_oracle_checks_do_not_depend_on_block_size(monkeypatch, reference, block):
+    # The oracle keeps only the running worst gaps of each block, so no
+    # check may move with the block size. SMALL has c = n in every scheme.
+    games = (reference, SMALL, dataclasses.replace(WIDE, n=40))
+    want = [infinite.oracle_checks(params) for params in games]
+    assert all(check["passed"] for checks in want for check in checks)
+    monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
+    assert [infinite.oracle_checks(params) for params in games] == want
+
+
+def _off_by_1e6(record, field):
+    """record with one field scaled by 1 + 1e-6."""
+    return dataclasses.replace(record, **{field: getattr(record, field) * (1 + 1e-6)})
+
+
+def test_oracle_checks_can_fail(monkeypatch, reference):
+    true_chain, true_fc_gd = infinite._chain_table, infinite._fc_gd
+    monkeypatch.setattr(infinite, "_chain_table",
+                        lambda *args: _off_by_1e6(true_chain(*args), "post_high_avg"))
+    state, steady = infinite.oracle_checks(reference)
+    assert (state["passed"], state["detail"]) == (False, "worst relative gap 1e-06")
+    assert steady["passed"]
+
+    # The chain marks absent (NaN) a state the closed form has.
+    def absent(c, d, params):
+        table = true_chain(c, d, params)
+        risky = table.risky_at_1_low.copy()
+        risky[0] = np.nan
+        return dataclasses.replace(table, risky_at_1_low=risky)
+
+    monkeypatch.setattr(infinite, "_chain_table", absent)
+    state, steady = infinite.oracle_checks(reference)
+    assert (state["passed"], state["detail"]) == (False, "worst relative gap inf")
+
+    monkeypatch.setattr(infinite, "_chain_table", true_chain)
+    monkeypatch.setattr(infinite, "_fc_gd", lambda *args: _off_by_1e6(true_fc_gd(*args), "g_d"))
+    state, steady = infinite.oracle_checks(reference)
+    assert state["passed"] and not steady["passed"]
+
+
 def test_linear_solve_broadcasts(reference):
     table = state_costs_linear(np.array([[2], [3]]), np.array([3, 10]), reference)
     assert table.post_high_avg.shape == (2, 2)
