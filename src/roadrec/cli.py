@@ -14,10 +14,11 @@ Subcommands:
               the dispatch chain)
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
-fail or an oracle disagrees, 2 on malformed input or an --output file that
-cannot be written, 3 when an identity the closed forms guarantee breaks (a bug
-in the program). Numbers are printed with twelve significant digits, JSON by
-default; two-stage and sweep can emit CSV.
+fail or an oracle disagrees, 2 on malformed input, on numbers that leave the
+floating-point range, or on an --output file that cannot be written, 3 when an
+identity the closed forms guarantee breaks (a bug in the program). Numbers are
+printed with twelve significant digits, JSON by default; two-stage and sweep
+can emit CSV.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import io
 import json
 import math
 import sys
+from gettext import gettext
 
 import numpy as np
 
@@ -317,7 +319,7 @@ def _parse_scheme(text: str, params: GameParams) -> tuple[int, int]:
     return c, d
 
 
-def _parse_trigger(text: str) -> AgentState:
+def _parse_trigger(text: str, params: GameParams) -> AgentState:
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"trigger must be FLOW:TAG:REC, got {text!r}")
@@ -329,7 +331,7 @@ def _parse_trigger(text: str) -> AgentState:
             flow = int(flow_s)
         except ValueError:
             raise ParameterError(f"trigger flow must be an integer or 'any', got {flow_s!r}") from None
-    return AgentState(prev_flow=flow, tag=tag, rec=rec)
+    return AgentState(prev_flow=flow, tag=tag, rec=rec).validate(params)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -342,7 +344,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         star = inf.pi_star(params)  # runs the gate first
         c, d = star.c, star.d
-    trig = _parse_trigger(args.trigger) if args.trigger else None
+    trig = _parse_trigger(args.trigger, params) if args.trigger else None
     config = SimConfig(c=c, d=d, trials=args.trials, horizon=args.horizon,
                        seed=args.seed, max_wait=args.max_wait)
     stats = sim.run_scheme(config, params)
@@ -383,6 +385,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and the parser of each subcommand by its name."""
     parser = argparse.ArgumentParser(
         prog="roadrec",
         description="optimal recommendation schemes for two-road routing with experimentation",
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("trials", "horizon", "seed", "max_wait"):
         p.add_argument("--" + name.replace("_", "-"), type=int, default=sim_defaults[name])
     p.add_argument("--trigger", help="deviation trigger as FLOW:TAG:REC, e.g. '3:pooled:safe' "
-                                     "(FLOW may be 'any'; TAG is low/high/pooled)")
+                                     "(FLOW is 1..n or 'any'; TAG is low/high/pooled)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="independent cross-checks of the closed forms")
@@ -427,23 +434,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-grid", help="beliefs for the two-stage oracle")
     p.set_defaults(func=cmd_oracle)
 
-    return parser
+    # add_subparsers' action lists each subcommand's parser as its choices
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built on its first call and kept for the process.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers main() uses, built on its first call and kept for the process.
 
-    Parsing leaves no state in the parser: every call gets a fresh namespace
+    Parsing leaves no state in them: every call gets a fresh namespace
     filled from the declared defaults.
     """
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, with one scan of argv
+    when argv[0] names a subcommand.
+
+    The full parser hands such an argv to its subparsers action whole: the
+    action's positional takes the name and every token after it, options
+    included, so none of them reaches the full parser's own options. The
+    action sets `command` to the name, fills the namespace from the
+    subcommand parser's parse_known_args of the rest, and the full parser
+    then exits through error() on whatever that leaves over. Calling the
+    same subcommand parser here, and the full parser's error() with
+    argparse's own message, is that path without the full parser's scan.
+    Every other argv (empty, an option first, an unknown name) goes
+    through the full parser, which alone answers --help, --version and its
+    usage errors.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        # A cost or a value derived from it left the float range: the
+        # numbers would be inf or NaN, so no verdict can be trusted.
+        print(f"roadrec: parameter error: the game's numbers leave the floating-point "
+              f"range ({exc})", file=sys.stderr)
+        return 2
     except ParameterError as exc:
         print(f"roadrec: parameter error: {exc}", file=sys.stderr)
         return 2

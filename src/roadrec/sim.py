@@ -139,6 +139,13 @@ class AgentState:
         if self.rec not in ("risky", "safe"):
             raise ParameterError(f"rec must be risky/safe, got {self.rec!r}")
 
+    def validate(self, params: GameParams) -> "AgentState":
+        """Refuse a flow no stage can show: every risky flow is in 1..n."""
+        if self.prev_flow is not None and not 1 <= self.prev_flow <= params.n:
+            raise ParameterError(f"trigger flow must be in 1..{params.n} or 'any', "
+                                 f"got {self.prev_flow}")
+        return self
+
 
 @dataclass(frozen=True)
 class RunStats:
@@ -373,6 +380,7 @@ def deviation_rollout(
     share the chain and all dispatch draws up to the deviation.
     """
     _require_sim_gate(config, params)
+    trigger.validate(params)
     n, delta = params.n, params.delta
     s0 = float(params.s0)  # so the cost arrays are float whatever the input types
     length = config.max_wait + config.horizon

@@ -334,6 +334,28 @@ def test_simulate_validates_trigger_before_simulating(capsys, reference_file, mo
         assert capsys.readouterr().err.startswith("roadrec: parameter error")
 
 
+@pytest.mark.parametrize("flow", ["-3", "0", "11"])
+def test_simulate_rejects_a_trigger_flow_no_stage_shows(capsys, reference_file, monkeypatch,
+                                                       flow):
+    # every risky flow is in 1..n (n = 10 here), so such a trigger is never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before validating the trigger")
+
+    monkeypatch.setattr(sim, "run_scheme", refuse)
+    monkeypatch.setattr(sim, "deviation_rollout", refuse)
+    # '=' keeps argparse from reading '-3:pooled:safe' as an option
+    assert main(["simulate", "--params", reference_file,
+                 f"--trigger={flow}:pooled:safe"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("roadrec: parameter error: trigger flow must be in 1..10 "
+                            f"or 'any', got {int(flow)}\n")
+    # the scheme is checked before the trigger
+    assert main(["simulate", "--params", reference_file, "--scheme", "1,3",
+                 f"--trigger={flow}:pooled:safe"]) == 2
+    assert "trigger" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--trials", sim._MAX_TRIALS + 1, f"at most {sim._MAX_TRIALS}"),
     ("--horizon", sim._MAX_HORIZON + 1, f"at most {sim._MAX_HORIZON}"),
@@ -372,6 +394,28 @@ def test_oversized_parameters_exit_2(capsys, tmp_path, command, raw, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("roadrec: parameter error")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("command, unit", [
+    (["infinite"], 1e306),
+    (["sweep", "--delta-grid", "0.1:0.9:0.1"], 1e306),
+    (["oracle", "--target", "infinite"], 1e306),
+    (["simulate", "--trials", "200", "--seed", "1"], 1e300),
+])
+def test_costs_past_float_range_exit_2(capsys, recwarn, tmp_path, command, unit):
+    # REFERENCE with every cost in these units passes the gate, but the
+    # closed forms (or the simulated costs' spread) overflow to inf and NaN:
+    # no verdict drawn from them can be trusted.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(REFERENCE_RAW, s0=10 * unit, l=unit, h=19 * unit)))
+    assert main([command[0], "--params", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("roadrec: parameter error: the game's numbers leave the "
+                               "floating-point range")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_oversized_integer_cost_prints_no_traceback(tmp_path):
@@ -779,3 +823,59 @@ def test_reused_parser_keeps_no_state(capsys, reference_file, example1_file):
     assert len(strict_loads(reused[4][1].out)["rows"]) == 2
     assert len(strict_loads(reused[5][1].out)["rows"]) == 1
     assert cli.build_parser() is not cli.build_parser()
+
+
+# Argvs whose parse main() must leave exactly as the full parser does: the
+# subcommand fast path (extras, '--', help and abbreviations after the name)
+# and every argv that falls back to the full parser.
+ODD_ARGVS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["--vers"],
+    ["--version", "infinite", "--params", "x"],
+    ["--help", "infinite"],
+    ["bogus"],
+    ["bogus", "--params", "x"],
+    ["Infinite", "--params", "x"],
+    ["--", "infinite", "--params", "x"],
+    ["infinite"],
+    ["infinite", "--params"],
+    ["infinite", "--params", "x"],
+    ["infinite", "--params", "x", "extra"],
+    ["infinite", "--params", "x", "extra", "--more", "-z"],
+    ["infinite", "-h"],
+    ["infinite", "--params", "x", "--help"],
+    ["infinite", "--params", "x", "--version"],
+    ["infinite", "--par", "x", "--out", "y"],
+    ["infinite", "--params=x"],
+    ["infinite", "--params=x", "--output=y", "--format=csv"],
+    ["infinite", "--", "--params", "x"],
+    ["infinite", "--params", "x", "--"],
+    ["infinite", "--params", "x", "--", "extra"],
+    ["infinite", "infinite", "--params", "x"],
+    ["two-stage", "--params", "x", "--beta", "0.3"],
+    ["two-stage", "--params", "x", "--format", "xml"],
+    ["sweep", "--params", "x", "--delta-grid", "0.1:0.9:0.1", "-x"],
+    ["simulate", "--params", "x", "--start", "low"],
+    ["simulate", "--params", "x", "--t", "5"],
+    ["simulate", "--params", "x", "--trials", "abc"],
+    ["simulate", "--params", "x", "--seed", "-3", "--trigger=-3:pooled:safe"],
+    ["oracle", "--params", "x"],
+    ["oracle", "--params", "x", "--target", "infinite", "--target", "two-stage"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace parse(argv) returns, or its exit code, with what it printed."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ODD_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    want = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == want

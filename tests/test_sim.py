@@ -448,6 +448,14 @@ def test_rollout_reports_unreachable_trigger(reference):
     assert "never reached" in stats.note
 
 
+@pytest.mark.parametrize("flow", [-3, 0, 11])
+def test_rollout_refuses_a_flow_no_stage_shows(reference, flow):
+    # every risky flow is in 1..n, so such a trigger could only read "never reached"
+    cfg = SimConfig(c=2, d=3, trials=10, horizon=6, seed=3, max_wait=40)
+    with pytest.raises(ParameterError, match=r"trigger flow must be in 1\.\.10 or 'any'"):
+        deviation_rollout(cfg, AgentState(prev_flow=flow, tag="pooled", rec="safe"), reference)
+
+
 def test_rollout_is_paired(reference):
     cfg = SimConfig(c=2, d=3, trials=300, horizon=10, seed=17, max_wait=80)
     trigger = AgentState(prev_flow=3, tag="pooled", rec="safe")
