@@ -11,31 +11,36 @@ for the road chain and 1 for agent 0's dispatch draws. A stream is read as
 a matrix of uniforms with one row per trial and one column per stage, so
 row k belongs to trial k and its width, hence its content, depends on the
 number of stages simulated (the horizon, or max_wait + horizon in a
-rollout). A block of trials reaches its first row by advancing the
-generator (one uniform is one 64-bit draw), so results do not depend on how
-trials are grouped, and a deviation rollout shares the chain and dispatch
-draws of its compliant twin until the moment of deviation (common random
-numbers).
+rollout). A call builds one generator per stream and reads it block after
+block in trial order (see _draws), so results do not depend on how trials
+are grouped, and a deviation rollout shares the chain and dispatch draws of
+its compliant twin until the moment of deviation (common random numbers).
 
 Work is vectorised over trials. Trials run in blocks of about _BLOCK_STAGES
-trial-stages, which bounds the working memory whatever the trial count;
-each block computes all its road chains at once, as a running maximum over
-int32 stage marks with no stage loop (see _chains; it needs gamma_h <=
-1 - gamma_l, which the gate's bound of 1/2 on both switch rates implies).
-Under a scheme the risky flow is a function of the chain alone (one
-experimenter at stage one and after a high stage, c after the first low
-stage, d after two or more), so the aggregate cost needs no dispatch
+trial-stages, which bounds the working memory whatever the trial count.
+Two running maxima over uint16 stage marks carry the state from stage to
+stage, with no stage loop (see _last_set_is_odd): the road chain (see
+_chains; it needs gamma_h <= 1 - gamma_l, which the gate's bound of 1/2 on
+both switch rates implies) and agent 0's role. Under a scheme the risky
+flow is a function of the chain alone (one experimenter at stage one and
+after a high stage, c after the first low stage, d after two or more), so
+each stage gets a small code, 2 * ramp + low (see _stage_codes), and the
+aggregate cost is a lookup in a table of six stage costs, with no dispatch
 lottery. Agent 0's role is a small Markov chain driven by one stream-1
 uniform per stage: in a fresh stage (stage one, or after a high stage) it
 is the experimenter when u < 1/n; during the ramp a risky agent stays risky
-and a safe one is recruited when u < need/(n - prev_flow). _roles finds it
-from running maxima of int32 stage numbers. The tests check these
-shortcuts against stage-by-stage loops: the chain stepped one stage at a
-time, and the dispatch lottery played agent by agent from the same
+and a safe one is recruited when u < need/(n - prev_flow), tested as u
+below an exact bound per stage code (see _join_bounds). The tests check
+these shortcuts against stage-by-stage loops: the chain stepped one stage
+at a time, and the dispatch lottery played agent by agent from the same
 uniforms. A rollout's deviate arm needs no draws after the deviation: the
 gate forces s1 = 0, so once the deviant hides on the safe road it pays
 exactly s0 per stage, whatever the punishment regime recommends to the
-others.
+others. Each trial's discounted sum is added stage by stage, in stage
+order, so its bits do not depend on the block's shape.
+
+truncated_value gives the exact expectation of run_scheme's estimate from
+the distribution of the last two road states, without drawing anything.
 
 Horizons are finite, so every estimate carries an explicit truncation bound:
 discounting delta^T of the worst possible stage cost, summed to infinity.
@@ -43,6 +48,7 @@ discounting delta^T of the worst possible stage cost, summed to infinity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +66,8 @@ from .infinite import InfiniteScheme, require_gate
 _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
 
-# Trial-stages simulated at once: bounds the arrays of one block, and sets
-# how many rows each step of a stage loop covers.
+# Trial-stages simulated at once: bounds the arrays of one block, whatever
+# the trial count.
 _BLOCK_STAGES = 16384
 
 # Largest simulation a SimConfig accepts: 100 times the CLI's default trial
@@ -71,12 +77,25 @@ _MAX_TRIALS = 1_000_000
 _MAX_HORIZON = 10_000
 _MAX_WAIT = 10_000
 
+# Stage marks (see _last_set_is_odd) are uint16: the largest, 2 * (_MAX_WAIT
+# + _MAX_HORIZON) + 1 = 40,001, fits.
+_MARK = np.uint16
+assert 2 * (_MAX_WAIT + _MAX_HORIZON) + 1 <= np.iinfo(_MARK).max
 
-def _uniforms(seed: int, stream: int, trials: range, width: int) -> np.ndarray:
-    """Rows trials of the stream's uniform matrix with width columns."""
+
+def _draws(seed: int, stream: int, blocks: list[range], width: int) -> Iterator[np.ndarray]:
+    """Each block's rows of the stream's uniform matrix, width columns wide.
+
+    One generator per call: it is advanced once to the first block's first
+    row (one uniform is one 64-bit draw) and then read block after block, so
+    the blocks must be consecutive trials in increasing order, as _blocks
+    makes them.
+    """
     rng = np.random.default_rng((seed, stream))
-    rng.bit_generator.advance(trials.start * width)
-    return rng.random((len(trials), width))
+    if blocks[0].start:
+        rng.bit_generator.advance(blocks[0].start * width)
+    for block in blocks:
+        yield rng.random((len(block), width))
 
 
 @dataclass(frozen=True)
@@ -171,21 +190,30 @@ def _blocks(trials: int, horizon: int) -> list[range]:
     return [range(first, min(first + rows, trials)) for first in range(0, trials, rows)]
 
 
-def _chains(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
-    """Road chains of the given trials, one row each; True = low.
+def _last_set_is_odd(sets: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Per stage of each row: was the last stage up to it where sets holds
+    also one where odd holds? False before the first such stage.
+
+    Stage t (counted from one) is marked 2t + odd where sets holds and 0
+    elsewhere; the running maximum of the marks is the last marked stage,
+    and it is odd exactly when that stage's odd held. One pass over uint16
+    marks, no stage loop.
+    """
+    marks = (np.arange(2, 2 * sets.shape[1] + 1, 2, dtype=_MARK) + odd) * sets
+    return (np.maximum.accumulate(marks, axis=1) & 1).astype(bool)
+
+
+def _chains(params: GameParams, u: np.ndarray) -> np.ndarray:
+    """Road chains driven by stream-0 uniforms u, one row each; True = low.
 
     Entry t of a row is the state at stage t + 1, so the first entry is
     already a transition draw from the latent high state before stage one.
-    Row k holds trial trials[k], drawn from row trials[k] of stream 0, so a
-    row does not depend on which other trials share the call.
 
     Needs gamma_h <= 1 - gamma_l, which the gate's switch-rate bound
     implies: then a uniform below gamma_h sends the road low from either
     state, one at or above 1 - gamma_l sends it high, and any other keeps
-    the state. Stage t is marked 2t + 1 if its draw sets the road low, 2t
-    if it sets it high and -2 (even, so high, as is the latent state before
-    stage one) otherwise; the running maximum of the marks is the last
-    setting draw, and the stage is low exactly when it is odd.
+    the state. So a stage is low exactly when the last draw up to it that
+    set the state set it low (high before any, as before stage one).
     """
     high_at = 1.0 - params.gamma_l
     if params.gamma_h > high_at:
@@ -193,66 +221,90 @@ def _chains(params: GameParams, horizon: int, seed: int, trials: range) -> np.nd
             f"chain needs gamma_h <= 1 - gamma_l, got gamma_h={params.gamma_h}, "
             f"gamma_l={params.gamma_l}"
         )
-    u = _uniforms(seed, _STREAM_CHAIN, trials, horizon)
-    low, high = u < params.gamma_h, u >= high_at
-    # (2t + 2 + low) - 2 where a draw sets the state, 0 - 2 where it keeps it
-    marks = (2 * np.arange(1, horizon + 1, dtype=np.int32) + low) * (low | high) - 2
-    return (np.maximum.accumulate(marks, axis=1) & 1).astype(bool)
+    low = u < params.gamma_h
+    return _last_set_is_odd(low | (u >= high_at), low)
 
 
-def _flows(lows: np.ndarray, c: int, d: int) -> np.ndarray:
-    """Risky flow of every stage of compliant play, from the chains alone.
+def _stage_codes(lows: np.ndarray, depth: int) -> np.ndarray:
+    """2 * ramp + low for every stage of the chains lows, as uint8.
 
-    One experimenter at stage one and after a high stage, c after the first
-    low stage, d after two or more; the states before stage one are high.
-    The flows are int32.
+    ramp counts the low stages in a row just before the stage, up to depth;
+    the states before stage one are high. At depth 2 it names the scheme's
+    risky flow: 1 at ramp 0 (stage one and after a high stage), c at ramp
+    1, d at ramp 2. Depth 3 also tells the flow held over into the stage:
+    c at ramp 2, d at ramp 3.
     """
-    padded = np.zeros((lows.shape[0], lows.shape[1] + 2), dtype=bool)
-    padded[:, 2:] = lows
-    prev, prev2 = padded[:, 1:-1], padded[:, :-2]
-    return 1 + np.int32(c - 1) * prev + np.int32(d - c) * (prev & prev2)
+    padded = np.zeros((lows.shape[0], lows.shape[1] + depth), dtype=np.uint8)
+    padded[:, depth:] = lows
+    run = padded[:, depth - 1:-1].copy()
+    ramp = run.copy()
+    for back in range(2, depth + 1):
+        run &= padded[:, depth - back:-back]
+        ramp += run
+    return ramp + ramp + lows
 
 
 def _cost_table(params: GameParams, c: int, d: int) -> np.ndarray:
-    """Aggregate stage cost by the scheme's risky flows (rows) and state.
+    """Aggregate stage cost by the depth-2 stage code of _stage_codes.
 
-    Column 0 is the high state and column 1 the low one, so indexing with a
-    flow array and an integer view of a chain prices every stage at once.
+    Entry 2k + low is the cost of the scheme's k-th flow (1, c, d) in the
+    high (low = 0) or low (low = 1) state.
     """
-    table = np.zeros((params.n + 1, 2))
-    for x in {1, c, d}:
-        table[x] = stage_cost(x, params.h, params), stage_cost(x, params.l, params)
+    table = np.empty(6)
+    for k, x in enumerate((1, c, d)):
+        table[2 * k:2 * k + 2] = stage_cost(x, params.h, params), stage_cost(x, params.l, params)
     return table
 
 
 def _discounted(costs: np.ndarray, weights) -> np.ndarray:
-    """Row sums of weights[k] * costs[:, k], accumulated stage by stage."""
-    total = np.zeros(costs.shape[0])
+    """Column sums of weights[k] * costs[k] over stage-major costs, added
+    stage by stage."""
+    total = np.zeros(costs.shape[1])
     for k, w in enumerate(weights):
-        total += w * costs[:, k]
+        total += w * costs[k]
     return total
 
 
-def _roles(u: np.ndarray, lows: np.ndarray, flows: np.ndarray, n: int) -> np.ndarray:
-    """Agent 0's role in each stage, True = risky, over (trials x stages)
-    arrays. Agent 0 is risky when it has joined since the last fresh stage;
-    a safe agent 0 joins when u * (n - held) < flow - held, that is
-    u < need / pool written so that a full road needs no division.
+def _join_below(pool: int, need: int) -> float:
+    """The float a uniform u must stay below for u * pool < need.
 
-    Each running maximum is over int32 stage numbers counted from one: a
-    join's (or a fresh stage's) number, and 0 at every other stage. Stage
-    one is always fresh, so the last join and the last fresh stage compare
-    directly.
+    Rounding a product is monotone in u, so the test holds on [0, b) for the
+    least float b with b * pool >= need, which this finds from need / pool
+    by stepping one float at a time; b = 0 when need <= 0.
     """
-    ramp = np.zeros(lows.shape, dtype=bool)
-    ramp[:, 1:] = lows[:, :-1]
-    held = np.zeros_like(flows)
-    held[:, 1:] = flows[:, :-1] * ramp[:, 1:]
-    joins = u * (n - held) < flows - held
-    stage = np.arange(1, lows.shape[1] + 1, dtype=np.int32)
-    last_join = np.maximum.accumulate(stage * joins, axis=1)
-    last_fresh = np.maximum.accumulate(stage * ~ramp, axis=1)
-    return last_join >= last_fresh
+    if need <= 0:
+        return 0.0
+    b = need / pool
+    while b > 0.0 and np.nextafter(b, 0.0) * pool >= need:
+        b = float(np.nextafter(b, 0.0))
+    while b * pool < need:
+        b = float(np.nextafter(b, np.inf))
+    return b
+
+
+def _join_bounds(n: int, c: int, d: int) -> np.ndarray:
+    """Per depth-3 stage code: below what uniform a safe agent 0 joins.
+
+    It joins when u * (n - held) < flow - held, the u < need / pool of the
+    dispatch lottery written so that a full road needs no division; held is
+    the risky flow kept from the stage before, 0 at ramp 0.
+    """
+    flows, held = (1, c, d, d), (0, 1, c, d)
+    return np.array([_join_below(n - held[code >> 1], flows[code >> 1] - held[code >> 1])
+                     for code in range(8)])
+
+
+def _roles(u: np.ndarray, codes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Agent 0's role in each stage, True = risky, over (trials x stages)
+    arrays: its stream-1 uniforms u and the depth-3 stage codes.
+
+    A safe agent 0 joins when u is below its stage code's bound (see
+    _join_bounds); ramp 0 starts the stage afresh. Agent 0 is risky when its
+    last join comes no earlier than the last fresh stage, and stage one is
+    always fresh.
+    """
+    joins = u < np.take(bounds, codes)
+    return _last_set_is_odd(joins | (codes < 2), joins)
 
 
 def _require_sim_gate(config: SimConfig, params: GameParams) -> None:
@@ -276,6 +328,11 @@ def _se(values: np.ndarray) -> float | None:
     return float(values.std(ddof=1) / np.sqrt(m)) if m > 1 else None
 
 
+def _discounts(delta: float, horizon: int) -> np.ndarray:
+    """delta^t for t = 0..horizon - 1, as a stage-by-stage product."""
+    return np.cumprod(np.r_[1.0, np.full(horizon - 1, delta)])
+
+
 def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """Estimate the discounted cost of compliant play under scheme (c, d).
 
@@ -285,15 +342,14 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     """
     _require_sim_gate(config, params)
     n, delta = params.n, params.delta
-    # delta^t as a stage-by-stage product
-    disc = np.cumprod(np.r_[1.0, np.full(config.horizon - 1, delta)])
+    disc = _discounts(delta, config.horizon)
     table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
-    for block in _blocks(config.trials, config.horizon):
-        lows = _chains(params, config.horizon, config.seed, block)
-        flows = _flows(lows, config.c, config.d)
-        costs = table[flows, lows.view(np.uint8)]
-        totals[block.start:block.stop] = _discounted(costs, disc)
+    blocks = _blocks(config.trials, config.horizon)
+    for block, u in zip(blocks, _draws(config.seed, _STREAM_CHAIN, blocks, config.horizon)):
+        codes = _stage_codes(_chains(params, u), 2)
+        # priced stage-major, so each stage of the discounted sum is a row
+        totals[block.start:block.stop] = _discounted(np.take(table, codes.T), disc)
     tail = delta**config.horizon * n * _worst_stage_cost(params) / (1.0 - delta)
     total_se = _se(totals)
     return RunStats(
@@ -303,6 +359,32 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
         per_agent_se=None if total_se is None else total_se / n,
         tail_bound=float(tail),
     )
+
+
+def truncated_value(config: SimConfig, params: GameParams) -> float:
+    """The exact expectation of run_scheme's total_mean under config.
+
+    Walks the distribution of (low at t - 2, low at t - 1) over the
+    config's horizon stages, from the high states before stage one, and
+    prices each stage with the simulator's own stage costs and discounts.
+    It reads no closed form, so at a long horizon it checks scheme_cost
+    through realised road states; the trial count and seed play no part.
+    """
+    _require_sim_gate(config, params)
+    table = _cost_table(params, config.c, config.d)
+    # the road's next state: to_low[prev] is the chance it is low
+    to_low = (params.gamma_h, 1.0 - params.gamma_l)
+    # expected cost of a stage after (prev2, prev), over its own state
+    expected = [[(1.0 - to_low[prev]) * table[2 * (prev + prev2 * prev)]
+                 + to_low[prev] * table[2 * (prev + prev2 * prev) + 1]
+                 for prev in (0, 1)] for prev2 in (0, 1)]
+    chance = [[1.0, 0.0], [0.0, 0.0]]  # of (prev2, prev); both high before stage one
+    total = 0.0
+    for weight in _discounts(params.delta, config.horizon):
+        total += weight * sum(chance[a][b] * expected[a][b] for a in (0, 1) for b in (0, 1))
+        last = (chance[0][0] + chance[1][0], chance[0][1] + chance[1][1])
+        chance = [[last[a] * (1.0 - to_low[a]), last[a] * to_low[a]] for a in (0, 1)]
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +419,18 @@ class RolloutStats:
 def _triggered(
     trigger: AgentState,
     lows: np.ndarray,
-    flows: np.ndarray,
+    codes: np.ndarray,
     roles: np.ndarray,
     max_wait: int,
+    flows: np.ndarray,
 ) -> np.ndarray:
     """Where agent 0 is in the trigger state; column j is stage j + 1.
 
     Covers stages 1 to max_wait - 1 (0-indexed): the previous stage sets
-    the observed flow and tag, the stage itself the recommendation.
+    the observed flow and tag, the stage itself the recommendation. flows
+    is the risky flow of each depth-3 stage code.
     """
-    was, low, flow = roles[:, :max_wait - 1], lows[:, :max_wait - 1], flows[:, :max_wait - 1]
+    was, low = roles[:, :max_wait - 1], lows[:, :max_wait - 1]
     if trigger.tag == "pooled":
         hit = ~was
     elif trigger.tag == "low":
@@ -354,7 +438,11 @@ def _triggered(
     else:
         hit = was & ~low
     if trigger.prev_flow is not None:
-        hit &= flow == trigger.prev_flow
+        # flows never fall along the codes, so one flow's codes form a range
+        first, stop = (int(np.searchsorted(flows, trigger.prev_flow, side=side))
+                       for side in ("left", "right"))
+        seen = codes[:, :max_wait - 1]
+        hit &= (seen >= first) & (seen < stop)
     hit &= roles[:, 1:max_wait] == (trigger.rec == "risky")
     return hit
 
@@ -381,35 +469,46 @@ def deviation_rollout(
     """
     _require_sim_gate(config, params)
     trigger.validate(params)
-    n, delta = params.n, params.delta
+    n, delta, c, d = params.n, params.delta, config.c, config.d
     s0 = float(params.s0)  # so the cost arrays are float whatever the input types
     length = config.max_wait + config.horizon
     weights = [delta**k for k in range(config.horizon)]
     s0_run = s0 * sum(weights[1:])
+    discount = np.array(weights)
 
     def cost(risky: np.ndarray, low: np.ndarray, flow: np.ndarray) -> np.ndarray:
         """Agent 0's cost in stages with these risky flows; the safe road costs s0."""
         return np.where(risky, np.where(low, params.l, params.h) * flow, s0)
 
+    # agent 0's cost by depth-3 stage code, plus 8 where it is risky
+    code = np.arange(8)
+    low, flows = code % 2 == 1, np.array([1, c, d, d], dtype=np.int32)[code >> 1]
+    follow_cost = np.concatenate([cost(False, low, flows), cost(True, low, flows)])
+    # the flipped action: a safe agent 0 joins the flow, a risky one leaves it
+    first_cost = np.concatenate([cost(True, low, flows + 1), cost(False, low, flows - 1)])
+    bounds = _join_bounds(n, c, d)
     follow_vals: list[np.ndarray] = []
     deviate_vals: list[np.ndarray] = []
     skipped = 0
 
-    for block in _blocks(config.trials, length):
-        lows = _chains(params, length, config.seed, block)
-        flows = _flows(lows, config.c, config.d)
-        roles = _roles(_uniforms(config.seed, _STREAM_DISPATCH, block, length),
-                       lows, flows, n)
-        hit = _triggered(trigger, lows, flows, roles, config.max_wait)
+    blocks = _blocks(config.trials, length)
+    draws = zip(_draws(config.seed, _STREAM_CHAIN, blocks, length),
+                _draws(config.seed, _STREAM_DISPATCH, blocks, length))
+    for block, (u_chain, u_dispatch) in zip(blocks, draws):
+        lows = _chains(params, u_chain)
+        codes = _stage_codes(lows, 3)
+        roles = _roles(u_dispatch, codes, bounds)
+        hit = _triggered(trigger, lows, codes, roles, config.max_wait, flows)
         found = hit.any(axis=1)
         skipped += len(block) - int(found.sum())
-        rows = np.flatnonzero(found)[:, None]
-        window = hit[found].argmax(axis=1)[:, None] + 1 + np.arange(config.horizon)
-        low, flow, role = lows[rows, window], flows[rows, window], roles[rows, window]
-        follow_vals.append(_discounted(cost(role, low, flow), weights))
-        flipped = ~role[:, 0]
-        first = cost(flipped, low[:, 0], flow[:, 0] + np.where(flipped, 1, -1))
-        deviate_vals.append(first + s0_run)
+        # flat indices of each triggered trial's horizon stages from its trigger
+        first = np.flatnonzero(found) * length + hit[found].argmax(axis=1) + 1
+        window = first[:, None] + np.arange(config.horizon)
+        agent = np.take(codes, window) + 8 * np.take(roles, window)
+        # summed stage by stage along each row
+        follow_vals.append(np.add.accumulate(discount * np.take(follow_cost, agent),
+                                             axis=1)[:, -1])
+        deviate_vals.append(np.take(first_cost, agent[:, 0]) + s0_run)
 
     tail = delta**config.horizon * _worst_stage_cost(params) / (1.0 - delta)
     fol, dev = np.concatenate(follow_vals), np.concatenate(deviate_vals)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -16,6 +17,12 @@ from conftest import REFERENCE
 FROZEN = GameParams(n=10, s0=10, s1=0.0, l=1.0, h=10.0,
                     gamma_l=0.0, gamma_h=0.0, delta=0.5)
 
+# The reference game with l = 1.1 and delta = 0.45, so its sums are not
+# exact: a change in the order in which a trial's stage costs are added
+# moves the last bits of a mean, which the reference game cannot show. CI
+# prints a simulation of it too.
+INEXACT = GameParams(n=10, s0=10, s1=0, l=1.1, h=19, gamma_l=0.1, gamma_h=0.5, delta=0.45)
+
 
 # ---------------------------------------------------------------------------
 # reference implementations: the stage-by-stage loops that the simulator's
@@ -26,9 +33,24 @@ FROZEN = GameParams(n=10, s0=10, s1=0.0, l=1.0, h=10.0,
 STREAM_RECRUITS = 2
 
 
+def uniforms(seed: int, stream: int, trials: range, width: int) -> np.ndarray:
+    """Rows trials of the stream's uniform matrix with width columns."""
+    return next(sim._draws(seed, stream, [trials], width))
+
+
+def chains(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
+    """The road chains of the given trials, as the simulator draws them."""
+    return sim._chains(params, uniforms(seed, sim._STREAM_CHAIN, trials, horizon))
+
+
+def scheme_flows(codes: np.ndarray, c: int, d: int) -> np.ndarray:
+    """The risky flow of each stage, from its stage code (depth 2 or 3)."""
+    return np.array([1, c, d, d])[codes >> 1]
+
+
 def chains_by_stage(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
     """sim._chains stepped one stage at a time from the latent high state."""
-    u = sim._uniforms(seed, sim._STREAM_CHAIN, trials, horizon)
+    u = uniforms(seed, sim._STREAM_CHAIN, trials, horizon)
     # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
     stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
     lows = np.empty(u.shape, dtype=bool)
@@ -94,10 +116,10 @@ def dispatch(
 
 def play_agent_by_agent(config: SimConfig, params: GameParams, lows: np.ndarray) -> Trajectory:
     """Trial 0, whose road chain is lows, played agent by agent through the
-    dispatch lottery: the reference for sim._flows, sim._roles and the cost
-    table."""
+    dispatch lottery: the reference for the stage codes, sim._roles and the
+    cost table."""
     n, delta = params.n, params.delta
-    u = sim._uniforms(config.seed, sim._STREAM_DISPATCH, range(1), config.horizon)[0]
+    u = uniforms(config.seed, sim._STREAM_DISPATCH, range(1), config.horizon)[0]
     rng = np.random.default_rng((config.seed, STREAM_RECRUITS))
     agent_totals = np.zeros(n)
     risky = None
@@ -120,7 +142,7 @@ def play_agent_by_agent(config: SimConfig, params: GameParams, lows: np.ndarray)
 
 def first_trial(cfg: SimConfig, params: GameParams) -> Trajectory:
     """Trial 0 of cfg played agent by agent through the dispatch lottery."""
-    lows = sim._chains(params, cfg.horizon, cfg.seed, range(1))[0]
+    lows = chains(params, cfg.horizon, cfg.seed, range(1))[0]
     return play_agent_by_agent(cfg, params, lows)
 
 
@@ -172,27 +194,31 @@ def test_trigger_validation():
 
 
 def test_chain_is_reproducible(reference):
-    a = sim._chains(reference, 50, 3, range(7, 8))
-    b = sim._chains(reference, 50, 3, range(7, 8))
+    a = chains(reference, 50, 3, range(7, 8))
+    b = chains(reference, 50, 3, range(7, 8))
     assert np.array_equal(a, b)
-    c = sim._chains(reference, 50, 3, range(8, 9))
+    c = chains(reference, 50, 3, range(8, 9))
     assert not np.array_equal(a, c)
 
 
 def test_stream_rows_are_consecutive_draws():
-    # row k of a stream's uniform matrix is trial k's slice of one generator
+    # row k of a stream's uniform matrix is trial k's slice of one generator,
+    # whether the blocks start at trial 0 or the generator is advanced first
     whole = np.random.default_rng((6, sim._STREAM_DISPATCH)).random((9, 13))
-    assert np.array_equal(sim._uniforms(6, sim._STREAM_DISPATCH, range(3, 7), 13), whole[3:7])
+    for blocks in ([range(0, 4), range(4, 8), range(8, 9)], [range(3, 7)], [range(2, 3), range(3, 9)]):
+        drawn = list(sim._draws(6, sim._STREAM_DISPATCH, blocks, 13))
+        assert [len(u) for u in drawn] == [len(b) for b in blocks]
+        assert np.array_equal(np.concatenate(drawn), whole[blocks[0].start:blocks[-1].stop])
 
 
 def test_chain_respects_switch_rates():
-    frozen_high = sim._chains(FROZEN, 30, 1, range(1))
+    frozen_high = chains(FROZEN, 30, 1, range(1))
     assert not frozen_high.any()
 
 
 def test_chain_long_run_frequency(reference):
     # stationary P(low) = gamma_h / (gamma_l + gamma_h) = 5/6
-    lows = sim._chains(reference, 400, 9, range(50))
+    lows = chains(reference, 400, 9, range(50))
     assert lows.mean() == pytest.approx(5.0 / 6.0, abs=0.02)
 
 
@@ -207,7 +233,7 @@ def test_chain_long_run_frequency(reference):
     (1, range(3, 40)), (2, range(5, 30)), (16, range(17, 90)), (216, range(150, 225)),
 ])
 def test_chain_matches_stage_by_stage_loop(params, width, trials):
-    lows = sim._chains(params, width, 12, trials)
+    lows = chains(params, width, 12, trials)
     assert lows.dtype == bool and lows.shape == (len(trials), width)
     assert np.array_equal(lows, chains_by_stage(params, width, 12, trials))
 
@@ -215,13 +241,13 @@ def test_chain_matches_stage_by_stage_loop(params, width, trials):
 def test_chain_matches_loop_on_random_games(infinite_draws):
     for k, params in enumerate(infinite_draws[:20]):
         trials = range(7 * k, 7 * k + 30)
-        assert np.array_equal(sim._chains(params, 216, k, trials),
+        assert np.array_equal(chains(params, 216, k, trials),
                               chains_by_stage(params, 216, k, trials)), k
 
 
 def test_chain_matches_loop_at_widest_rollout(reference):
     width = sim._MAX_WAIT + sim._MAX_HORIZON
-    lows = sim._chains(reference, width, 3, range(2, 3))
+    lows = chains(reference, width, 3, range(2, 3))
     assert np.array_equal(lows, chains_by_stage(reference, width, 3, range(2, 3)))
     assert lows.any() and not lows.all()
 
@@ -231,7 +257,7 @@ def test_chain_refuses_rates_where_a_draw_can_set_both_states():
     # low road high and a high road low, which no running maximum encodes
     params = replace(REFERENCE, gamma_l=0.6, gamma_h=0.5)
     with pytest.raises(AssumptionError, match="gamma_h <= 1 - gamma_l"):
-        sim._chains(params, 8, 0, range(2))
+        chains(params, 8, 0, range(2))
 
 
 def test_frozen_chain_run_is_exact():
@@ -255,17 +281,80 @@ def test_integer_safe_costs_keep_fractional_risky_costs():
     params = GameParams(n=10, s0=10, s1=0, l=1.5, h=10,
                         gamma_l=0.0, gamma_h=0.0, delta=0.5)
     table = sim._cost_table(params, 2, 3)
-    assert table[[1, 2, 3], 1].tolist() == [91.5, 86.0, 83.5]
+    assert table[[1, 3, 5]].tolist() == [91.5, 86.0, 83.5]
     cfg = SimConfig(c=2, d=3, trials=2, horizon=20)
     lows = np.ones((1, cfg.horizon), dtype=bool)
     expected = 91.5 + 0.5 * 86.0 + 83.5 * 0.5 * (1.0 - 0.5**18)
-    costs = table[sim._flows(lows, 2, 3), lows.view(np.uint8)]
+    costs = np.take(table, sim._stage_codes(lows, 2).T)
     assert sim._discounted(costs, 0.5 ** np.arange(cfg.horizon))[0] == pytest.approx(
         expected, abs=1e-12)
     sample = play_agent_by_agent(cfg, params, lows[0])
     assert sample.total == pytest.approx(expected, abs=1e-12)
     assert min(sample.agent_totals) == pytest.approx(
         1.5 + 0.5 * 3.0 + 4.5 * 0.5 * (1.0 - 0.5**18), abs=1e-12)
+
+
+def _every_chain(horizon: int, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^horizon road chains (True = low) and the chance of each from
+    the latent high state."""
+    lows = np.array(list(itertools.product([False, True], repeat=horizon)))
+    chance = np.ones(len(lows))
+    prev = np.zeros(len(lows), dtype=bool)
+    for t in range(horizon):
+        to_low = np.where(prev, 1.0 - params.gamma_l, params.gamma_h)
+        chance *= np.where(lows[:, t], to_low, 1.0 - to_low)
+        prev = lows[:, t]
+    return lows, chance
+
+
+@pytest.mark.parametrize("params", [REFERENCE, INEXACT], ids=["reference", "inexact"])
+def test_truncated_value_is_the_mean_over_every_chain(params):
+    # each of the 2^7 chains priced as run_scheme prices a trial, weighted by its chance
+    cfg = SimConfig(2, 3, horizon=7)
+    lows, chance = _every_chain(cfg.horizon, params)
+    assert chance.sum() == pytest.approx(1.0, rel=1e-15)
+    costs = np.take(sim._cost_table(params, cfg.c, cfg.d), sim._stage_codes(lows, 2).T)
+    totals = sim._discounted(costs, params.delta ** np.arange(cfg.horizon))
+    assert sim.truncated_value(cfg, params) == pytest.approx(chance @ totals, rel=1e-14)
+
+
+def _truncated_gaps(cases: list[tuple[GameParams, int, int]]) -> float:
+    """Largest relative gap between truncated_value and scheme_cost over
+    (params, c, d) cases, at a horizon where delta^H < 1e-14."""
+    worst = 0.0
+    for params, c, d in cases:
+        horizon = math.ceil(math.log(1e-14) / math.log(params.delta))
+        exact = sim.truncated_value(SimConfig(c, d, horizon=horizon), params)
+        closed = scheme_cost(c, d, params)
+        worst = max(worst, abs(exact - closed) / abs(closed))
+    return worst
+
+
+def _reference_pairs() -> list[tuple[GameParams, int, int]]:
+    n = REFERENCE.n
+    return [(REFERENCE, c, d) for c in range(2, n + 1) for d in range(c, n + 1)]
+
+
+def test_truncated_value_matches_scheme_cost(infinite_draws):
+    # an exact check of scheme_cost through realised road states
+    draws = [(params, star.c, star.d)
+             for params, star in ((p, pi_star(p)) for p in infinite_draws)]
+    assert len(draws) == 200
+    assert _truncated_gaps(draws + _reference_pairs()) <= 1e-12
+
+
+def test_truncated_value_check_can_fail(monkeypatch):
+    # a cost table off by a relative 1e-9 fails the comparison above
+    table = sim._cost_table
+    monkeypatch.setattr(sim, "_cost_table", lambda *args: table(*args) * (1.0 + 1e-9))
+    assert _truncated_gaps(_reference_pairs()) > 1e-12
+
+
+def test_truncated_value_checks_its_input(reference, example1):
+    with pytest.raises(AssumptionError):
+        sim.truncated_value(SimConfig(c=2, d=3, horizon=4), example1)
+    with pytest.raises(ParameterError):
+        sim.truncated_value(SimConfig(c=2, d=11, horizon=4), reference)
 
 
 def test_run_scheme_gate(example1):
@@ -381,8 +470,8 @@ def test_rollout_matches_agent_by_agent_play(reference):
     cfg = SimConfig(2, 3, trials=40, horizon=8, seed=4, max_wait=40)
     n, length = reference.n, cfg.max_wait + cfg.horizon
     weights = [reference.delta**k for k in range(cfg.horizon)]
-    lows = sim._chains(reference, length, cfg.seed, range(cfg.trials))
-    u = sim._uniforms(cfg.seed, sim._STREAM_DISPATCH, range(cfg.trials), length)
+    lows = chains(reference, length, cfg.seed, range(cfg.trials))
+    u = uniforms(cfg.seed, sim._STREAM_DISPATCH, range(cfg.trials), length)
     plays = []
     for k in range(cfg.trials):
         rng = np.random.default_rng((cfg.seed, k))
@@ -491,6 +580,32 @@ def test_rollout_golden_values(reference, trigger, triggered, follow, deviate):
     assert stats.deviate_mean == deviate
 
 
+# The same pins on INEXACT, whose sums are not exact.
+
+def test_run_scheme_golden_values_inexact():
+    stats = run_scheme(SimConfig(2, 3, trials=10000, horizon=16, seed=42), INEXACT)
+    assert stats.total_mean == 178.418491939676
+    assert stats.total_se == 0.15671396275561603
+
+
+@pytest.mark.parametrize("trigger, golden", [
+    (AgentState(3, "pooled", "safe"),
+     (300, 18.212408685214964, 0.03982378092749123, 21.691766773010563,
+      1.326763230156881, 3.4793580877956, 1.318639380357801)),
+    (AgentState(None, "high", "risky"),
+     (61, 17.87805519710754, 1.3716981679176425, 18.18176677301057,
+      4.586533637279209e-16, 0.30371157590302944, 1.3716981679176425)),
+    (AgentState(3, "low", "risky"),
+     (255, 16.542733604224733, 1.162668365202076, 18.181766773010565,
+      0.0, 1.6390331687858322, 1.162668365202076)),
+], ids=["3:pooled:safe", "any:high:risky", "3:low:risky"])
+def test_rollout_golden_values_inexact(trigger, golden):
+    cfg = SimConfig(2, 3, trials=300, horizon=16, seed=17, max_wait=80)
+    s = deviation_rollout(cfg, trigger, INEXACT)
+    assert (s.n_triggered, s.follow_mean, s.follow_se, s.deviate_mean, s.deviate_se,
+            s.diff_mean, s.diff_se) == golden
+
+
 # ---------------------------------------------------------------------------
 # the vectorised paths against the per-agent ones
 
@@ -499,13 +614,13 @@ def test_dispatch_flows_match_chain_flows(infinite_draws):
         c, d = 2, params.n - k % 2
         cfg = SimConfig(c, d, trials=2, horizon=40, seed=k)
         sample = first_trial(cfg, params)
-        lows = sim._chains(params, 40, k, range(1))
-        flows = sim._flows(lows, c, d)
-        assert flows.dtype == np.int32
-        assert sample.flows == tuple(flows[0].tolist())
+        lows = chains(params, 40, k, range(1))
+        codes = sim._stage_codes(lows, 2)
+        assert codes.dtype == np.uint8 and np.array_equal(codes & 1, lows)
+        assert sample.flows == tuple(scheme_flows(codes, c, d)[0].tolist())
         # aggregate stage costs price what the agents pay one by one
         disc = params.delta ** np.arange(40)
-        costs = sim._cost_table(params, c, d)[flows, lows.view(np.uint8)]
+        costs = np.take(sim._cost_table(params, c, d), codes.T)
         total = sim._discounted(costs, disc)[0]
         assert total == pytest.approx(sample.total, rel=1e-12)
 
@@ -516,22 +631,45 @@ def test_chain_rows_match_single_chains(reference, monkeypatch):
     blocks = sim._blocks(trials, horizon)
     assert [len(b) for b in blocks] == [2] * 5 + [1]
     assert [t for b in blocks for t in b] == list(range(trials))
-    rows = np.concatenate([sim._chains(reference, horizon, 5, b) for b in blocks])
-    spanning = sim._chains(reference, horizon, 5, range(1, 6))
+    rows = np.concatenate([sim._chains(reference, u)
+                           for u in sim._draws(5, sim._STREAM_CHAIN, blocks, horizon)])
+    spanning = chains(reference, horizon, 5, range(1, 6))
     for k in range(trials):
-        single = sim._chains(reference, horizon, 5, range(k, k + 1))[0]
+        single = chains(reference, horizon, 5, range(k, k + 1))[0]
         assert np.array_equal(rows[k], single)
         if 1 <= k < 6:
             assert np.array_equal(spanning[k - 1], single)
 
 
-def test_results_do_not_depend_on_block_size(reference, monkeypatch):
+def _same_results_in_small_blocks(params: GameParams, monkeypatch) -> None:
     cfg = SimConfig(2, 3, trials=37, horizon=9, seed=8, max_wait=30)
-    trigger = AgentState(None, "pooled", "safe")
-    run, roll = run_scheme(cfg, reference), deviation_rollout(cfg, trigger, reference)
+    triggers = [AgentState(None, "pooled", "safe"), AgentState(3, "low", "risky")]
+    run = run_scheme(cfg, params)
+    rolls = [deviation_rollout(cfg, trigger, params) for trigger in triggers]
     monkeypatch.setattr(sim, "_BLOCK_STAGES", 50)
-    assert run_scheme(cfg, reference) == run
-    assert deviation_rollout(cfg, trigger, reference) == roll
+    # five-row blocks for the runs, one-row blocks for the rollouts
+    assert len(sim._blocks(cfg.trials, cfg.horizon)[0]) == 5
+    assert len(sim._blocks(cfg.trials, cfg.max_wait + cfg.horizon)[0]) == 1
+    assert run_scheme(cfg, params) == run
+    assert [deviation_rollout(cfg, trigger, params) for trigger in triggers] == rolls
+
+
+def test_results_do_not_depend_on_block_size(reference, monkeypatch):
+    _same_results_in_small_blocks(reference, monkeypatch)
+
+
+def test_results_do_not_depend_on_block_size_inexact(monkeypatch):
+    _same_results_in_small_blocks(INEXACT, monkeypatch)
+
+
+def test_join_bounds_split_the_lottery_test_exactly():
+    # u < bound is u * pool < need, also for the floats next to the bound
+    for pool in [*range(1, 60), 999, 1000]:
+        for need in range(-1, min(pool, 60) + 1):
+            bound = sim._join_below(pool, need)
+            for u in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0), 0.0):
+                if 0.0 <= u < 1.0:
+                    assert (u < bound) == (u * pool < need), (pool, need, u)
 
 
 @pytest.mark.parametrize("n", [5, 10, 40, 100])
@@ -539,10 +677,11 @@ def test_agent0_replay_matches_full_dispatch(n):
     params = GameParams(n=n, s0=10, s1=0.0, l=1.0, h=19.0,
                         gamma_l=0.3, gamma_h=0.5, delta=0.5)
     c, d, stages, trials = 2, n - 1, 60, range(5)
-    lows = sim._chains(params, stages, 3, trials)
-    flows = sim._flows(lows, c, d)
-    u = sim._uniforms(3, sim._STREAM_DISPATCH, trials, stages)
-    roles = sim._roles(u, lows, flows, n)
+    lows = chains(params, stages, 3, trials)
+    codes = sim._stage_codes(lows, 3)
+    flows = scheme_flows(codes, c, d)
+    u = uniforms(3, sim._STREAM_DISPATCH, trials, stages)
+    roles = sim._roles(u, codes, sim._join_bounds(n, c, d))
     assert roles.any() and not roles.all()
     for trial in trials:
         rng = np.random.default_rng((3, trial))
