@@ -34,10 +34,11 @@ the calls on one game compute them once and no core takes them. The search
 and the x_ll scan evaluate the cores over arrays of candidate flows (a
 state that cannot occur reads NaN), and the delta sweep over all of its
 in-gate discounts at once. _ic_terms yields the binding steady term
-(safe_at_d_pooled) first, so the x_ll scan and the steady slack pay for
-that term alone. The search's candidates are the pairs of the flow box
-x_so <= c <= d <= x_eq, the only ones that can be obedient, which it tests
-and prices in blocks; it also returns x_ll, pi_star and
+(safe_at_d_pooled) sixth, after five terms that only read the table, and
+forms the other posteriors after it, so the x_ll scan and the steady slack
+pay for that term alone. The search's candidates are the pairs of the flow
+box x_so <= c <= d <= x_eq, the only ones that can be obedient, which it
+tests and prices in blocks; it also returns x_ll, pi_star and
 pi_tilde_star from the steady verdicts of the pairs (x_so, x_so..x_eq) in
 the same pass; compute_x_ll scans with _first_obedient for callers that
 want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
@@ -717,7 +718,11 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
 
 # Pairs per search block, and schemes per stacked solve of the chain oracle.
 # A block's thirty-odd intermediate arrays then take about 2 MB, so beyond
-# their result arrays neither grows in memory with n.
+# their result arrays neither grows in memory with n. Both fill many
+# blocks: at n = 1000 the widest flow box (x_so = 500, x_eq = 1000) holds
+# 125,751 pairs, 16 blocks, which the search takes 24 ms over on a 2-core
+# x86 host with a 5.3 MB tracemalloc peak; the chain oracle solves all
+# 499,500 schemes, 61 blocks.
 _SEARCH_BLOCK_PAIRS = 8192
 
 

@@ -39,10 +39,12 @@ class InternalError(RuntimeError):
 
 
 # Largest population a GameParams accepts, and the largest with measured run
-# times on a 2-core x86 host: at n = 1000 (499,500 (c, d) pairs) the search
+# times on a 2-core x86 host. At n = 1000 (499,500 (c, d) pairs) the search
 # takes about 0.2 ms in-process and the infinite command's process peaks at
-# 31 MB; the chain oracle, the slowest command, takes under 1 s and 46 MB.
-# Flows are indexed by 0..n.
+# 31 MB on the wide game's 45-pair flow box, and 24 ms and 36 MB on the
+# widest box, 125,751 pairs; the chain oracle, the slowest command, takes
+# under 1 s and 46 MB. The two-stage solve's widest strip seen is 1000 x 32
+# pairs, a 3 ms solve. Flows are indexed by 0..n.
 _MAX_N = 1000
 
 # Largest integer magnitude a parameter may have: every integer up to 2**53

@@ -67,7 +67,8 @@ _STREAM_CHAIN = 0
 _STREAM_DISPATCH = 1
 
 # Trial-stages simulated at once: bounds the arrays of one block, whatever
-# the trial count.
+# the trial count. A SimConfig takes up to _MAX_TRIALS = 10**6 trials: 977
+# blocks of 1,024 trials at the default horizon of 16.
 _BLOCK_STAGES = 16384
 
 # Largest simulation a SimConfig accepts: 100 times the CLI's default trial

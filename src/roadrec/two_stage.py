@@ -12,9 +12,9 @@ coordinator. The module computes
   experimenter (exhaustive over the second-round recommendation counts
   (pi2_low, pi2_high): a bound that separates by flow rules out most pairs
   on the binding recommended_risky term, first whole pi2_low rows and
-  pi2_high columns, then pairs of the kept rows and columns, a block of
-  rows at a time; the exact obedience terms and cost are evaluated only on
-  the pairs it keeps),
+  pi2_high columns, then the pairs of the kept rows and columns, a strip
+  of at most about n*(1 + sqrt(2n)) entries tested at once; the exact
+  obedience terms and cost are evaluated only on the pairs it keeps),
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals), and
@@ -308,26 +308,14 @@ def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarr
             v * h * pi - margin * v * (s0 + s1 * (n - pi + 1)))
 
 
-# Entries per block of the kept rows x kept columns sub-grid, in whole rows.
-# A block holds one float and one bool per entry, so blocks keep a solve's
-# memory flat in n however wide a strip a game keeps; the whole n = 1000
-# grid at once would take 9 MB. The strips measured so far fit in one
-# block: 111 x 4 entries on the tests' STATIC_200 and at most 748 x 11 over
-# 360 in-gate draws with n = 900-1000. A solve's tracemalloc peak is
-# 0.05 MB at n = 200 and 0.4-0.47 MB at n = 1000 (STATIC_1000), most of it
-# the kept pairs' obedience terms.
-_BLOCK_ENTRIES = 65536
-
-
-def _risky_pairs(low: np.ndarray, high: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _risky_pairs(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j) with not (low[i] + high[j] > 0), _risky_filter's
-    test, as index arrays in row-major order, a block of rows at a time.
+    test, as index arrays in row-major order.
 
     Row i is dropped when low[i] + min(high) > 0, column j when
     min(low) + high[j] > 0, before any pair is formed; the pair test then
-    runs on kept rows x kept columns, in blocks of about _BLOCK_ENTRIES
-    entries, and its flat indices are mapped back. No dropped row or column
-    holds a pair the test keeps:
+    runs on kept rows x kept columns, and its flat indices are mapped back.
+    No dropped row or column holds a pair the test keeps:
     - IEEE rounded addition is monotone in each operand, so for non-NaN
       operands min(high) <= high[j] gives low[i] + min(high) <=
       low[i] + high[j], and a row whose least sum is > 0 has every sum
@@ -341,16 +329,31 @@ def _risky_pairs(low: np.ndarray, high: np.ndarray) -> Iterator[tuple[np.ndarray
     So the kept pairs, their order and their number are those of the full
     test. In the solve low[0] = high[0] = 0 (pi2 = 0 carries no weight), so
     row 0 and column 0 always stay.
+
+    The kept strip is small, so the whole of it is tested at once. In the
+    solve, with K = s0 + s1*n and m = 1 + 1e-9, in exact arithmetic:
+    - low[i] = beta*i*(l*(i + 1) - m*(s0 + s1*(n - i))) and the bracket
+      grows with i, so the kept rows are 0..rows-1. If h >= m*K, every
+      high[j] >= 0 and a kept row has l*(i + 1) <= m*K: rows <= m*K/l.
+    - Let A = -min(low). A kept column j >= 2 has 0 < high[j] <= A, since
+      2*h > m*K. So A > 0: some kept row i >= 1 has l*(i + 1) < m*K, hence
+      l < m*K/2, and A < beta*(rows - 1)*m*K.
+    - high[j] >= (1 - beta)*((h - K)*j**2 + K*j*(j - m)), and gate
+      condition 2 (beta < (h - K)/(h - l)) gives beta/(1 - beta) <
+      (h - K)/(K - l) < 2*(h - K)/((2 - m)*K). Together:
+      (h - K)*j**2/K + j*(j - m) < 2*m*(rows - 1)*(h - K)/((2 - m)*K).
+    - The first term gives j**2 < 2*m*(rows - 1)/(2 - m); the second rules
+      out every j >= 2 when h < m*K, as rows <= n <= model._MAX_N.
+    So cols <= max(2, 1 + sqrt(2*m*(rows - 1)/(2 - m))), and the strip
+    holds at most about n*(1 + sqrt(2*n)) entries: 45,722 at n = 1000, a
+    float and a bool each, under 0.5 MB for the sum test. The widest strip
+    seen in scans of extreme in-gate games is 1000 x 32, at h = 86,740*K.
     """
     # np.flatnonzero, inlined: at small n its wrapper costs more than the work.
     rows = (~(low + high.min() > 0)).nonzero()[0]
     cols = (~(low.min() + high > 0)).nonzero()[0]
-    high = high[cols]
-    step = max(1, _BLOCK_ENTRIES // len(cols))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        i, j = np.divmod((~(low[block, None] + high > 0)).ravel().nonzero()[0], len(cols))
-        yield block[i], cols[j]
+    i, j = np.divmod((~(low[rows, None] + high[cols] > 0)).ravel().nonzero()[0], len(cols))
+    return rows[i], cols[j]
 
 
 @dataclass(frozen=True)
@@ -402,13 +405,12 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
     search runs over all (pi2_low, pi2_high) pairs. _risky_filter's bound
     rules out the pairs that cannot pass the recommended_risky constraint:
-    _risky_pairs drops whole rows and columns first, then tests the pairs
-    of the kept ones by one sum each, in blocks of kept rows of about
-    _BLOCK_ENTRIES pairs. The three obedience constraints and the cost are
-    evaluated on the pairs it keeps, and the cheapest obedient pair is
-    returned. Ties resolve to the lexicographically smallest pair. The pair
-    (0, 0) is always obedient at or above beta_p, so the feasible set cannot
-    be empty.
+    _risky_pairs drops whole rows and columns first, then tests every pair
+    of the kept strip by one sum, at once (its docstring bounds the strip).
+    The three obedience constraints and the cost are evaluated once on the
+    pairs it keeps, and the cheapest obedient pair is returned. Ties
+    resolve to the lexicographically smallest pair. The pair (0, 0) is
+    always obedient at or above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
     th = _require_gate(beta, params)
@@ -421,32 +423,27 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
             slacks=(),
             n_feasible=0,
         )
-    best, best_cost, n_feasible = None, np.inf, 0
-    # Each block's pairs that may pass recommended_risky, in row-major order.
-    for pi_l, pi_h in _risky_pairs(*_risky_filter(beta, params)):
-        obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
-        pi_l, pi_h = pi_l[obedient], pi_h[obedient]
-        n_feasible += len(pi_l)
-        if not len(pi_l):
-            continue
-        cost = _scheme_cost(beta, pi_l, pi_h, params)
-        # argmin takes the block's first minimum in row-major order; the
-        # strict < keeps an earlier block's equal minimum.
-        k = int(np.argmin(cost))
-        if cost[k] < best_cost:
-            best, best_cost = (int(pi_l[k]), int(pi_h[k])), float(cost[k])
-    if best is None:
+    # The pairs that may pass recommended_risky, in row-major order.
+    pi_l, pi_h = _risky_pairs(*_risky_filter(beta, params))
+    obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
+    pi_l, pi_h = pi_l[obedient], pi_h[obedient]
+    # argmin takes the first minimum in row-major order, or the first NaN;
+    # the trailing inf makes an empty, NaN or inf minimum fail the test.
+    cost = np.append(_scheme_cost(beta, pi_l, pi_h, params), np.inf)
+    k = int(np.argmin(cost))
+    if not cost[k] < np.inf:
         raise InternalError(
             f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
             "obedient for beta >= beta_p"
         )
+    pi2_low, pi2_high = int(pi_l[k]), int(pi_h[k])
     return TwoStageScheme(
         experiment=True,
-        pi2_low=best[0],
-        pi2_high=best[1],
-        expected_cost=best_cost,
-        slacks=tuple(ic_constraints_eval(beta, best[0], best[1], params)),
-        n_feasible=n_feasible,
+        pi2_low=pi2_low,
+        pi2_high=pi2_high,
+        expected_cost=float(cost[k]),
+        slacks=tuple(ic_constraints_eval(beta, pi2_low, pi2_high, params)),
+        n_feasible=len(pi_l),
     )
 
 

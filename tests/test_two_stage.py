@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roadrec import two_stage
+from roadrec import model, two_stage
 from roadrec.model import (AssumptionError, GameParams, InternalError, ParameterError,
                            all_obedient, stage_cost)
 from roadrec.two_stage import (
@@ -330,12 +330,6 @@ TIGHT_RISKY = [GameParams(n=4, s0=1, s1=1, l=1, h=20),
                GameParams(n=9, s0=2, s1=1, l=2, h=90)]
 
 
-def _pruned_pairs(low, high):
-    """_risky_pairs' blocks, joined."""
-    blocks = list(two_stage._risky_pairs(low, high))
-    return tuple(np.concatenate([block[k] for block in blocks]) for k in (0, 1))
-
-
 def test_risky_filter_keeps_every_pair_the_risky_term_passes():
     # The solve evaluates only the pairs _risky_filter keeps, so over the
     # full grid they must include every pair whose recommended_risky term
@@ -365,7 +359,7 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
                 low, high = two_stage._risky_filter(beta, scaled)
                 keep = ~(low[:, None] + high > 0)
                 assert not np.any(ok & ~keep), (params, beta, e)
-                for got, want in zip(_pruned_pairs(low, high), np.nonzero(keep)):
+                for got, want in zip(two_stage._risky_pairs(low, high), np.nonzero(keep)):
                     assert np.array_equal(got, want), (params, beta, e)
                 kept += int(np.count_nonzero(keep))
                 passed += int(np.count_nonzero(ok))
@@ -374,13 +368,12 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
     assert passed <= kept < pairs / 4, (passed, kept, pairs)
 
 
-@pytest.mark.parametrize("block", [1, 2, 5, 65536])
-def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(monkeypatch, block):
+@pytest.mark.parametrize("seed", [1, 2, 5, 65536])
+def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(seed):
     # R or U holding NaN or +-inf (as overflow could make them): no row or
     # column may be dropped that holds a pair the full test keeps, and the
-    # pairs come out in the full test's order whatever the block size.
-    monkeypatch.setattr(two_stage, "_BLOCK_ENTRIES", block)
-    rng = np.random.default_rng(2201)
+    # pairs come out in the full test's order.
+    rng = np.random.default_rng(seed)
     specials = np.array([np.nan, np.inf, -np.inf, 0.0])
     for _ in range(300):
         n = int(rng.integers(2, 12))
@@ -392,7 +385,7 @@ def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(monkeypatch,
         low[0] = high[0] = 0.0
         with np.errstate(invalid="ignore"):
             want = np.nonzero(~(low[:, None] + high > 0))
-            got = _pruned_pairs(low, high)
+            got = two_stage._risky_pairs(low, high)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (low, high)
 
@@ -432,18 +425,79 @@ def test_solve_at_beta_p_experiments():
         assert scheme.experiment and all(s.satisfied for s in scheme.slacks), params
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 200])
-def test_grid_solve_does_not_depend_on_block_size(monkeypatch, example1, block):
-    cases = [(example1, 0.55), (example1, 0.62), (STATIC_200, 0.6), (TIED, 0.5),
-             (GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0), 0.3)]
-    want = [solve_optimal_scheme(beta, params) for params, beta in cases]
-    # STATIC_200 at 0.6 keeps 4 pi2_high columns: blocks 1 and 2 are
-    # smaller than one kept row, and 200 splits its 111 kept rows.
-    low, high = two_stage._risky_filter(0.6, STATIC_200)
-    assert np.count_nonzero(~(low.min() + high > 0)) == 4
-    assert np.count_nonzero(~(low + high.min() > 0)) == 111
-    monkeypatch.setattr(two_stage, "_BLOCK_ENTRIES", block)
-    assert [solve_optimal_scheme(beta, params) for params, beta in cases] == want
+def test_solve_refuses_an_overflowed_cost():
+    # The reference game's ratios in units of 1e306: the one obedient pair
+    # costs inf, which is no scheme to return (the CLI stops at the overflow).
+    k = 1e306
+    params = GameParams(n=10, s0=10 * k, s1=0, l=k, h=19 * k)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalError):
+        solve_optimal_scheme(thresholds(params).beta_p, params)
+
+
+SMALL_4 = GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0)
+
+
+@pytest.mark.parametrize("game, beta", [("example1", 0.55), ("example1", 0.62),
+                                        ("static200", 0.6), ("tied", 0.5), ("small4", 0.3)])
+def test_strip_solve_on_fixed_games(example1, game, beta):
+    if game == "static200":
+        # 40,000 pairs, too many for the scalar scan: its golden values
+        scheme = solve_optimal_scheme(beta, STATIC_200)
+        got = (scheme.pi2_low, scheme.pi2_high, scheme.expected_cost, scheme.n_feasible)
+        assert got == (107, 0, 70572.5, 384)
+        return
+    _assert_solve_matches_scalar_scan(beta, {"example1": example1, "tied": TIED,
+                                             "small4": SMALL_4}[game])
+
+
+def test_risky_strip_stays_within_its_bound():
+    # _risky_pairs tests its whole kept strip at once; its docstring bounds
+    # the strip. Extreme in-gate games up to model._MAX_N agents, flat
+    # (s1 = 0) and sloped safe roads, l from 1e-7*K to just under s0 + s1,
+    # h from K*(1 + 1e-13) to 1e8*K, beliefs from beta_p to 1e-12 below the
+    # gate's limit. Every kept row and column holds a kept pair, so the
+    # pairs give the strip.
+    rng = np.random.default_rng(2027)
+    m = 1.0 + 1e-9
+    cap = model._MAX_N
+    points = near_k = widest = 0
+    for game in range(300):
+        n = cap if game % 4 == 0 else int(rng.integers(2, cap + 1))
+        s0 = float(10.0 ** rng.uniform(-3, 3))
+        s1 = 0.0 if game % 2 else s0 * float(10.0 ** rng.uniform(-4, 0))
+        k = s0 + s1 * n
+        top = float(np.nextafter(s0 + s1, 0.0))
+        l = top if game % 8 == 1 else float(np.exp(rng.uniform(np.log(1e-7 * k), np.log(top))))
+        h = k * (1.0 + float(10.0 ** rng.uniform(-13, 8)))
+        params = GameParams(n=n, s0=s0, s1=s1, l=l, h=h)
+        beta_p = thresholds(params).beta_p
+        limit = model.check_assumption_two_stage(0.0, params).beta_limit
+        for beta in [beta_p, *(beta_p + (limit - beta_p) * rng.random(2)).tolist(), limit - 1e-12]:
+            if not (beta_p <= beta < limit and model.check_assumption_two_stage(beta, params).passed):
+                continue
+            points += 1
+            pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(beta, params))
+            rows, cols = len(np.unique(pi_l)), len(np.unique(pi_h))
+            # kept rows are 0..rows-1
+            assert pi_l[-1] == rows - 1, (params, beta)
+            assert rows <= (n if h < m * k else min(n, m * k / l)), (params, beta, rows)
+            assert cols <= (2 if h < m * k else max(2, 1 + np.sqrt(2 * m * (rows - 1) / (2 - m)))), \
+                (params, beta, rows, cols)
+            assert rows * cols <= n * (1 + np.sqrt(2 * n))
+            near_k += h < m * k and rows > m * k / l
+            widest = max(widest, rows * cols)
+    # the family reaches the strips the bound has to cover: rows kept past
+    # m*K/l when h < m*K, and wide strips
+    assert points > 800 and near_k and widest > 20 * cap, (points, near_k, widest)
+
+    # the widest strip seen in scans: 1000 x 32
+    wide = GameParams(n=1000, s0=32.73232953613945, s1=0, l=0.0007590568697130372,
+                      h=2839192.5667863195)
+    pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(0.99998836, wide))
+    assert (len(np.unique(pi_l)), len(np.unique(pi_h))) == (1000, 32)
+    # STATIC_200 at 0.6 keeps 111 rows and 4 columns
+    pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(0.6, STATIC_200))
+    assert (len(np.unique(pi_l)), len(np.unique(pi_h))) == (111, 4)
 
 
 def test_ic_constraints_accept_numpy_integers(example1):
