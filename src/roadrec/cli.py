@@ -258,11 +258,13 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     params, _ = load_params(args.params)
     inf.require_gate(params)
     x_so, x_eq = inf.low_flows(params)
-    # One search pass checks the flows and gives x_ll and the candidate
-    # schemes. (roadbench/run.py reads a traced optimal_scheme_search's
-    # candidates as a list.)
+    # One search pass checks the flows and gives x_ll, the candidate schemes,
+    # pi_star's obedience report and the costs of the three schemes printed,
+    # all of which lie in its flow box. (roadbench/run.py reads a traced
+    # optimal_scheme_search's candidates as a list.)
     search = inf._search(params)
     x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star
+    box = search.candidates
     payload = {
         "params": params,
         "mu_low": mu_low(params),
@@ -275,17 +277,17 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         "x_ll": x_ll,
         "pi_star": star,
         "pi_tilde_star": tilde,
-        "v_pi_star": inf.scheme_cost(star.c, star.d, params),
-        "v_pi_tilde_star": None if tilde is None else inf.scheme_cost(tilde.c, tilde.d, params),
-        "v_myopic_planner": inf.scheme_cost(x_so, x_so, params),
+        "v_pi_star": box.cost_of(star.c, star.d),
+        "v_pi_tilde_star": None if tilde is None else box.cost_of(tilde.c, tilde.d),
+        "v_myopic_planner": box.cost_of(x_so, x_so),
         "v_no_experiment": params.n * params.s0 / (1.0 - params.delta),
-        "ic": inf.check_ic(star.c, star.d, params),
+        "ic": search.pi_star_ic,
         "search": {
             "winner": search.winner,
             "winner_cost": search.winner_cost,
             "matches_pi_star": search.matches_pi_star,
             "matches_pi_tilde_star": search.matches_pi_tilde_star,
-            "n_feasible": int(np.count_nonzero(search.candidates.feasible)),
+            "n_feasible": int(np.count_nonzero(box.feasible)),
             "warnings": search.warnings,
         },
     }

@@ -509,13 +509,40 @@ def check_ic(c: int, d: int, params: GameParams) -> ICReport:
     """
     c, d = _require_cd(c, d, params)
     require_gate(params)
-    s0, dl = params.s0, params.delta
-    ml = mu_low(params)
+    return _ic_report(c, d, params, *_obedience(c, d, params))
+
+
+def _obedience(c, d, params: GameParams) -> tuple:
+    """What check_ic's verdict on schemes (c, d) reads: the state table, the
+    _ic_terms over it (as a list) and the two preconditions."""
+    dl = params.delta
     # _ic_terms takes the raw table: at c = n a None would meet a 0 posterior
     table = _state_table(c, d, params, dl)
-    entries = ic_entries(_ic_terms(c, d, params, dl, table))
+    terms = list(_ic_terms(c, d, params, dl, table))
+    return (table, terms, *_preconditions(c, d, params))
+
+
+def _obedience_at(obedience: tuple, k: int) -> tuple:
+    """_obedience's values for the k-th of its schemes."""
+    table, terms, flow_range, ramp_cheaper = obedience
+
+    def at(value):
+        return value.item(k) if isinstance(value, np.ndarray) else value
+
+    return (StateCostTable(**{name: at(value) for name, value in vars(table).items()}),
+            [(state, at(follow), at(deviate), at(vacuous))
+             for state, follow, deviate, vacuous in terms],
+            at(flow_range), at(ramp_cheaper))
+
+
+def _ic_report(c: int, d: int, params: GameParams, table: StateCostTable, terms: list,
+               flow_range, ramp_cheaper) -> ICReport:
+    """check_ic's report on one scheme from its _obedience values."""
+    s0, dl = params.s0, params.delta
+    ml = mu_low(params)
+    entries = ic_entries(terms)
     table = _to_python(table)
-    pre_flow_range, pre_ramp_cheaper = (bool(x) for x in _preconditions(c, d, params))
+    pre_flow_range, pre_ramp_cheaper = bool(flow_range), bool(ramp_cheaper)
     steady = next(e for e in entries if e.state == "safe_at_d_pooled")
     pre_steady_obedient = steady.satisfied
 
@@ -737,6 +764,13 @@ class SearchCandidates:
     feasible: np.ndarray
     cost: np.ndarray
 
+    def cost_of(self, c: int, d: int) -> float:
+        """scheme_cost of the box pair (c, d), read from its place in (c, d)
+        order: each row c' < c holds the x_eq - c' + 1 pairs (c', c'..x_eq)."""
+        x_so, size = int(self.c[0]), int(self.d[-1] - self.c[0]) + 1
+        r = c - x_so
+        return float(self.cost[r * size - r * (r - 1) // 2 + d - c])
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -750,6 +784,7 @@ class SearchResult:
     x_ll: int
     pi_star: InfiniteScheme
     pi_tilde_star: InfiniteScheme | None
+    pi_star_ic: ICReport
     candidates: SearchCandidates
     warnings: tuple[str, ...] = ()
 
@@ -765,7 +800,8 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     For delta above one half the result is best within this recommendation
     family; global optimality across all schemes is only established up to
     one half, hence the warning. The same pass gives compute_x_ll's steady
-    flow and the candidates pi_star and pi_tilde_star.
+    flow, the candidates pi_star and pi_tilde_star, and pi_star's check_ic
+    report.
     """
     require_gate(params)
     return _search(params)
@@ -777,9 +813,10 @@ def _search(params: GameParams) -> SearchResult:
     The flows x_so..x_eq are checked first, as compute_x_ll checks them.
     The candidates are the box pairs x_so <= c <= d <= x_eq in (c, d)
     order; every other pair fails flow_range. The box opens with the pairs
-    (x_so, x_so..x_eq), whose steady verdicts give x_ll. Then no obedient
-    steady flow raises AssumptionError, and only after it can an empty
-    feasible set raise InternalError.
+    (x_so, x_so..x_eq), whose steady verdicts give x_ll; pi_star, (x_so,
+    x_ll), is one of them, and its report is read from their block. Then no
+    obedient steady flow raises AssumptionError, and only after it can an
+    empty feasible set raise InternalError.
     """
     x_so, steady = _steady_flows(params)
     c, d = np.triu_indices(len(steady))
@@ -787,15 +824,23 @@ def _search(params: GameParams) -> SearchResult:
     feasible = np.empty(len(c), dtype=bool)
     steady_ok = np.empty(len(c), dtype=bool)
     cost = np.empty(len(c))
+    row_blocks = []  # the _obedience values of the blocks that hold the x_so row
     for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        feasible[block], steady_ok[block] = _obedient_block(c[block], d[block], params)
+        feasible[block], steady_ok[block], obedience = _obedient_block(c[block], d[block],
+                                                                       params)
         cost[block] = _scheme_cost(c[block], d[block], params, params.delta)
+        if start < len(steady):
+            row_blocks.append(obedience)
+        del obedience  # so the next block is evaluated without this one's arrays
     row_ok = steady_ok[:len(steady)]
     if not row_ok.any():
         raise _no_steady_flow(params)
     x_ll = x_so + int(np.argmax(row_ok))
     star, tilde = _candidates(x_ll, params)
+    # pi_star, (x_so, x_ll), is pair x_ll - x_so of the x_so row
+    at, k = divmod(x_ll - x_so, _SEARCH_BLOCK_PAIRS)
+    star_ic = _ic_report(star.c, star.d, params, *_obedience_at(row_blocks[at], k))
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -817,19 +862,19 @@ def _search(params: GameParams) -> SearchResult:
         x_ll=x_ll,
         pi_star=star,
         pi_tilde_star=tilde,
+        pi_star_ic=star_ic,
         candidates=SearchCandidates(c, d, feasible, cost),
         warnings=tuple(warnings),
     )
 
 
 def _obedient_block(c: np.ndarray, d: np.ndarray, params: GameParams):
-    """One block of the search's box pairs: each pair's check_ic verdict and
-    the verdict of its steady term alone."""
-    dl = params.delta
-    flow_range, ramp_cheaper = _preconditions(c, d, params)
-    terms = list(_ic_terms(c, d, params, dl, _state_table(c, d, params, dl)))
+    """One block of the search's box pairs: each pair's check_ic verdict, the
+    verdict of its steady term alone, and the _obedience values they read."""
+    obedience = _obedience(c, d, params)
+    _, terms, flow_range, ramp_cheaper = obedience
     steady = all_obedient(term for term in terms if term[0] == "safe_at_d_pooled")
-    return flow_range & ramp_cheaper & all_obedient(terms), steady
+    return flow_range & ramp_cheaper & all_obedient(terms), steady, obedience
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,15 @@ its compliant twin until the moment of deviation (common random numbers).
 
 Work is vectorised over trials. Trials run in blocks of about _BLOCK_STAGES
 trial-stages, which bounds the working memory whatever the trial count.
-Two running maxima over uint16 stage marks carry the state from stage to
-stage, with no stage loop (see _last_set_is_odd): the road chain (see
-_chains; it needs gamma_h <= 1 - gamma_l, which the gate's bound of 1/2 on
-both switch rates implies) and agent 0's role. Under a scheme the risky
-flow is a function of the chain alone (one experimenter at stage one and
-after a high stage, c after the first low stage, d after two or more), so
-each stage gets a small code, 2 * ramp + low (see _stage_codes), and the
-aggregate cost is a lookup in a table of six stage costs, with no dispatch
-lottery. Agent 0's role is a small Markov chain driven by one stream-1
+Two running maxima over uint8 stage marks, counted afresh in each span of
+_SPAN stages, carry the state from stage to stage, with no stage loop (see
+_last_set_is_odd): the road chain (see _chains; it needs gamma_h <= 1 -
+gamma_l, which the gate's bound of 1/2 on both switch rates implies) and
+agent 0's role. Under a scheme the risky flow is a function of the chain
+alone (one experimenter at stage one and after a high stage, c after the
+first low stage, d after two or more), so each stage gets a small code,
+2 * ramp + low (see _stage_codes), and the aggregate cost is a lookup in a
+table of six stage costs, with no dispatch lottery. Agent 0's role is a small Markov chain driven by one stream-1
 uniform per stage: in a fresh stage (stage one, or after a high stage) it
 is the experimenter when u < 1/n; during the ramp a risky agent stays risky
 and a safe one is recruited when u < need/(n - prev_flow), tested as u
@@ -78,10 +78,12 @@ _MAX_TRIALS = 1_000_000
 _MAX_HORIZON = 10_000
 _MAX_WAIT = 10_000
 
-# Stage marks (see _last_set_is_odd) are uint16: the largest, 2 * (_MAX_WAIT
-# + _MAX_HORIZON) + 1 = 40,001, fits.
-_MARK = np.uint16
-assert 2 * (_MAX_WAIT + _MAX_HORIZON) + 1 <= np.iinfo(_MARK).max
+# Stage marks (see _last_set_is_odd) are uint8, counted afresh in each span
+# of _SPAN stages: the largest, 2 * _SPAN + 1 = 255, fits. _STAGE_MARKS holds
+# 2t for the t-th stage (from one) of its span, over the widest simulation.
+_SPAN = 127
+assert 2 * _SPAN + 1 <= np.iinfo(np.uint8).max
+_STAGE_MARKS = (2 + 2 * (np.arange(_MAX_WAIT + _MAX_HORIZON) % _SPAN)).astype(np.uint8)
 
 
 def _draws(seed: int, stream: int, blocks: list[range], width: int) -> Iterator[np.ndarray]:
@@ -90,7 +92,11 @@ def _draws(seed: int, stream: int, blocks: list[range], width: int) -> Iterator[
     One generator per call: it is advanced once to the first block's first
     row (one uniform is one 64-bit draw) and then read block after block, so
     the blocks must be consecutive trials in increasing order, as _blocks
-    makes them.
+    makes them. Callers hand each block's uniforms straight to the one
+    function that reads them, so they are freed before the block's next
+    large array is made. That keeps a block's peak heap small: a larger one
+    can let glibc give the freed top of the heap back to the system after
+    each block and take page faults to grow it again in the next.
     """
     rng = np.random.default_rng((seed, stream))
     if blocks[0].start:
@@ -195,13 +201,24 @@ def _last_set_is_odd(sets: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Per stage of each row: was the last stage up to it where sets holds
     also one where odd holds? False before the first such stage.
 
-    Stage t (counted from one) is marked 2t + odd where sets holds and 0
-    elsewhere; the running maximum of the marks is the last marked stage,
-    and it is odd exactly when that stage's odd held. One pass over uint16
-    marks, no stage loop.
+    The stages fall into spans of _SPAN. Stage t (counted from one) of a span
+    is marked 2t + odd where sets holds and 0 elsewhere; the running maximum
+    of the marks is the last marked stage, and it is odd exactly when that
+    stage's odd held. The spans are scanned in place, one after the other.
+    Each span's last maximum is then cut to its parity, 0 or 1, below every
+    mark (2..255), and the next span's scan starts from that column, so the
+    answer carries over into a span until its first marked stage. One pass
+    over uint8 marks per span, no stage loop.
     """
-    marks = (np.arange(2, 2 * sets.shape[1] + 1, 2, dtype=_MARK) + odd) * sets
-    return (np.maximum.accumulate(marks, axis=1) & 1).astype(bool)
+    width = sets.shape[1]
+    marks = np.add(_STAGE_MARKS[:width], odd, dtype=np.uint8)
+    marks *= sets
+    for start in range(0, width, _SPAN):
+        span = marks[:, max(start - 1, 0):start + _SPAN]
+        np.maximum.accumulate(span, axis=1, out=span)
+        span[:, -1] &= 1
+    marks &= 1
+    return marks.view(bool)
 
 
 def _chains(params: GameParams, u: np.ndarray) -> np.ndarray:
@@ -347,8 +364,9 @@ def run_scheme(config: SimConfig, params: GameParams) -> RunStats:
     table = _cost_table(params, config.c, config.d)
     totals = np.empty(config.trials)
     blocks = _blocks(config.trials, config.horizon)
-    for block, u in zip(blocks, _draws(config.seed, _STREAM_CHAIN, blocks, config.horizon)):
-        codes = _stage_codes(_chains(params, u), 2)
+    draws = _draws(config.seed, _STREAM_CHAIN, blocks, config.horizon)
+    for block in blocks:
+        codes = _stage_codes(_chains(params, next(draws)), 2)
         # priced stage-major, so each stage of the discounted sum is a row
         totals[block.start:block.stop] = _discounted(np.take(table, codes.T), disc)
     tail = delta**config.horizon * n * _worst_stage_cost(params) / (1.0 - delta)
@@ -493,12 +511,12 @@ def deviation_rollout(
     skipped = 0
 
     blocks = _blocks(config.trials, length)
-    draws = zip(_draws(config.seed, _STREAM_CHAIN, blocks, length),
-                _draws(config.seed, _STREAM_DISPATCH, blocks, length))
-    for block, (u_chain, u_dispatch) in zip(blocks, draws):
-        lows = _chains(params, u_chain)
+    chain_draws = _draws(config.seed, _STREAM_CHAIN, blocks, length)
+    dispatch_draws = _draws(config.seed, _STREAM_DISPATCH, blocks, length)
+    for block in blocks:
+        lows = _chains(params, next(chain_draws))
         codes = _stage_codes(lows, 3)
-        roles = _roles(u_dispatch, codes, bounds)
+        roles = _roles(next(dispatch_draws), codes, bounds)
         hit = _triggered(trigger, lows, codes, roles, config.max_wait, flows)
         found = hit.any(axis=1)
         skipped += len(block) - int(found.sum())

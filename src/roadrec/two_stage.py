@@ -101,7 +101,8 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
     g_eq = _stage_cost(x_eq, l, params)
     beta_f = (h - k) / (h - l + k - g_eq / n)
 
-    beta_p = (h - k) / (h + k - 2.0 * l)
+    # below 1 in exact arithmetic (l < k), so min() only undoes the rounding
+    beta_p = min((h - k) / (h + k - 2.0 * l), 1.0)
 
     x_so_l = myopic_so_flow(l, params)
     x_so_h = myopic_so_flow(h, params)
@@ -428,15 +429,20 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
     obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
     pi_l, pi_h = pi_l[obedient], pi_h[obedient]
     # argmin takes the first minimum in row-major order, or the first NaN;
-    # the trailing inf makes an empty, NaN or inf minimum fail the test.
+    # it takes the trailing inf only when no pair is obedient.
     cost = np.append(_scheme_cost(beta, pi_l, pi_h, params), np.inf)
     k = int(np.argmin(cost))
-    if not cost[k] < np.inf:
+    if k == len(pi_l) or np.isnan(cost[k]):
         raise InternalError(
             f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
             "obedient for beta >= beta_p"
         )
     pi2_low, pi2_high = int(pi_l[k]), int(pi_h[k])
+    if not np.isfinite(cost[k]):
+        raise InternalError(
+            f"the cheapest obedient scheme at beta={beta}, ({pi2_low}, {pi2_high}), "
+            f"costs {cost[k]}: the game's costs leave the floating-point range"
+        )
     return TwoStageScheme(
         experiment=True,
         pi2_low=pi2_low,

@@ -602,6 +602,18 @@ def test_infinite_payload_matches_library(monkeypatch, tmp_path, reference, infi
         assert payload["ic"] == check_ic(star.c, star.d, params)
 
 
+def test_search_reads_pi_star_report_and_box_costs_from_its_pass(reference, infinite_draws):
+    # cmd_infinite prints pi_star's report and three box costs from the
+    # search's arrays; each must equal the 0-d call exactly.
+    for params in [reference, WIDE] + infinite_draws:
+        search = optimal_scheme_search(params)
+        star, box = search.pi_star, search.candidates
+        assert search.pi_star_ic == check_ic(star.c, star.d, params), params
+        for ck, dk in zip(box.c.tolist(), box.d.tolist()):
+            cost = box.cost_of(ck, dk)
+            assert type(cost) is float and cost == scheme_cost(ck, dk, params), (params, ck, dk)
+
+
 def test_search_errors_keep_their_order(monkeypatch, reference):
     # A bad steady range is a ParameterError before anything is evaluated;
     # no obedient steady flow is an AssumptionError even when no scheme is
@@ -617,8 +629,9 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
 
     def refusing(steady_too):
         def block(*args):
-            feasible, steady = true_block(*args)
-            return np.zeros_like(feasible), np.zeros_like(steady) if steady_too else steady
+            feasible, steady, obedience = true_block(*args)
+            return (np.zeros_like(feasible),
+                    np.zeros_like(steady) if steady_too else steady, obedience)
         return block
 
     monkeypatch.setattr(infinite, "_obedient_block", refusing(steady_too=True))

@@ -50,11 +50,16 @@ def scheme_flows(codes: np.ndarray, c: int, d: int) -> np.ndarray:
 
 def chains_by_stage(params: GameParams, horizon: int, seed: int, trials: range) -> np.ndarray:
     """sim._chains stepped one stage at a time from the latent high state."""
-    u = uniforms(seed, sim._STREAM_CHAIN, trials, horizon)
+    return step_chains(params, uniforms(seed, sim._STREAM_CHAIN, trials, horizon))
+
+
+def step_chains(params: GameParams, u: np.ndarray) -> np.ndarray:
+    """The chains that stream-0 uniforms u drive, one stage at a time."""
+    horizon = u.shape[1]
     # the next state is low if u < 1 - gamma_l from low, u < gamma_h from high
     stay, enter = u < 1.0 - params.gamma_l, u < params.gamma_h
     lows = np.empty(u.shape, dtype=bool)
-    low = np.zeros(len(trials), dtype=bool)
+    low = np.zeros(len(u), dtype=bool)
     for t in range(horizon):
         low = np.where(low, stay[:, t], enter[:, t])
         lows[:, t] = low
@@ -683,13 +688,87 @@ def test_agent0_replay_matches_full_dispatch(n):
     u = uniforms(3, sim._STREAM_DISPATCH, trials, stages)
     roles = sim._roles(u, codes, sim._join_bounds(n, c, d))
     assert roles.any() and not roles.all()
-    for trial in trials:
+    played_flows, played_roles = play_roles(lows, u, c, d, n)
+    assert np.array_equal(played_flows, flows)
+    assert np.array_equal(played_roles, roles)
+
+
+def play_roles(lows: np.ndarray, u: np.ndarray, c: int, d: int,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The risky flow and agent 0's role (True = risky) in every stage of
+    the chains lows, the dispatch lottery played agent by agent, stage by
+    stage, with agent 0's uniforms u."""
+    flows = np.empty(lows.shape, dtype=int)
+    roles = np.empty(lows.shape, dtype=bool)
+    for trial in range(len(lows)):
         rng = np.random.default_rng((3, trial))
         risky = None
-        for t in range(stages):
+        for t in range(lows.shape[1]):
             prev_low = bool(lows[trial, t - 1]) if t >= 1 else False
             prev2_low = bool(lows[trial, t - 2]) if t >= 2 else False
             risky = dispatch(risky, prev_low, prev2_low, c, d, u[trial, t], rng, n)
-            assert int(risky.sum()) == flows[trial, t]
-            assert bool(risky[0]) == roles[trial, t], (trial, t)
+            flows[trial, t], roles[trial, t] = risky.sum(), risky[0]
+    return flows, roles
+
+
+# Widths around the running maxima's spans of sim._SPAN = 127 stages.
+SPAN_WIDTHS = [126, 127, 128, 254, 255, 256, 381]
+
+
+@pytest.mark.parametrize("width", SPAN_WIDTHS)
+def test_chain_matches_loop_across_spans(width):
+    # switch rates of 1% leave whole spans without a draw that sets the state
+    params = replace(REFERENCE, gamma_l=0.01, gamma_h=0.01)
+    keep, to_low, to_high = 0.5, 0.0, 0.999
+    u = np.random.default_rng(width).random((12, width))
+    u[:8, :254] = keep  # rows 0-7 set no stage in the first two spans
+    u[1, 0] = to_low  # but row 1 goes low at stage one and stays low
+    u[2, 1] = to_low  # row 2 low at stage two, then high from the
+    u[2, 127::127] = to_high  # first stage of each later span
+    u[3, 127::127] = to_low  # row 3 low from the second span's first stage
+    u[6:8, 127:128] = to_low  # a low set at the second span's first stage
+    u[7, 128:129] = to_high  # and a high one just after it
+    lows = sim._chains(params, u)
+    assert np.array_equal(lows, step_chains(params, u))
+    assert lows[1, :254].all() and not lows[0, :254].any()
+    if width > 127:
+        assert lows[2, 1:127].all() and not lows[2, 127:254].any()
+        assert lows[3, 127:254].all() and not lows[3, :127].any()
+
+
+@pytest.mark.parametrize("width", SPAN_WIDTHS)
+def test_roles_match_dispatch_across_spans(width):
+    n, c, d = 10, 2, 3
+    bounds = sim._join_bounds(n, c, d)
+    rng = np.random.default_rng(width)
+    # a low road from stage one ramps to d by stage three and then fills no
+    # seat: no later stage sets agent 0's role, which carries over spans
+    lows = np.ones((12, width), dtype=bool)
+    u = np.full(lows.shape, 0.99)
+    u[0, 0] = 0.0  # row 0: the experimenter at stage one, risky throughout
+    u[1, 1] = 0.0  # row 1: recruited at stage two
+    u[3, 126:127] = 0.0  # row 3: no seat to fill at ramp d, safe throughout
+    lows[4:8, 126:127] = False  # rows 4-7: the first stage of the second
+    lows[4:8, 253:254] = False  # and third spans starts afresh
+    u[4:6, 127:128] = 0.0  # rows 4-5: the experimenter there
+    u[4, 254:255] = 0.0  # and row 4 again in the third span
+    u[6, 0] = 0.0  # row 6: risky until the second span starts afresh
+    lows[8:10, 125:126] = False  # rows 8-9: fresh at stage 127 and
+    u[8:10, 127:128] = 0.0  # recruited at the second span's first stage
+    u[9, 0] = 0.0  # row 9: risky until stage 127 starts afresh
+    lows[10:] = rng.random((2, width)) < 0.9
+    u[10:] = rng.random((2, width))
+    codes = sim._stage_codes(lows, 3)
+    roles = sim._roles(u, codes, bounds)
+    played_flows, played_roles = play_roles(lows, u, c, d, n)
+    assert np.array_equal(scheme_flows(codes, c, d), played_flows)
+    assert np.array_equal(roles, played_roles)
+    assert roles[0].all() and roles[1, 1:].all() and not roles[1, 0]
+    assert not roles[2:4].any() and not roles[7].any() and not roles[8, :127].any()
+    assert roles[6, :127].all() and roles[9, :126].all() and not roles[9, 126:127].any()
+    if width > 254:
+        assert not roles[4:6, :127].any() and roles[4:6, 127:254].all()
+        assert roles[4, 254:].all() and not roles[5, 254:].any()
+    if width > 127:
+        assert not roles[6, 127:].any() and roles[8:10, 127:].all()
 

@@ -430,8 +430,39 @@ def test_solve_refuses_an_overflowed_cost():
     # costs inf, which is no scheme to return (the CLI stops at the overflow).
     k = 1e306
     params = GameParams(n=10, s0=10 * k, s1=0, l=k, h=19 * k)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InternalError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InternalError, match=r"the cheapest obedient scheme .* costs inf: the game's "
+                                 "costs leave the floating-point range"):
         solve_optimal_scheme(thresholds(params).beta_p, params)
+
+
+def test_solve_refuses_an_empty_or_nan_obedient_set(example1, monkeypatch):
+    beta = 0.62
+    assert solve_optimal_scheme(beta, example1).experiment
+    no_scheme = r"no obedient scheme found at beta=0\.62; expected \(0, 0\)"
+    monkeypatch.setattr(two_stage, "all_obedient",
+                        lambda terms: np.zeros_like(all_obedient(terms)))
+    with pytest.raises(InternalError, match=no_scheme):
+        solve_optimal_scheme(beta, example1)
+    monkeypatch.undo()
+    monkeypatch.setattr(two_stage, "_scheme_cost",
+                        lambda beta, pi_l, pi_h, params: np.full(len(pi_l), np.nan))
+    with pytest.raises(InternalError, match=no_scheme):
+        solve_optimal_scheme(beta, example1)
+
+
+def test_beta_p_stays_a_belief_when_l_rounds_next_to_s0():
+    # l is the float just below s0 + s1 = k, so beta_p is just below 1 in
+    # exact arithmetic; unclamped it rounded to 1.0000000000000002, and the
+    # solve at beta_p refused it as no belief (ParameterError). At belief 1
+    # the gate fails, as it does at any belief of 1.
+    params = GameParams(n=799, s0=0.24876175090880825, s1=0, l=0.24876175090880823,
+                        h=3858.4634548115996)
+    beta_p = thresholds(params).beta_p
+    assert beta_p <= 1.0
+    assert not model.check_assumption_two_stage(beta_p, params).passed
+    with pytest.raises(AssumptionError, match="two-stage gate fails at beta=1"):
+        solve_optimal_scheme(beta_p, params)
 
 
 SMALL_4 = GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0)
