@@ -195,7 +195,7 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _betas(args: argparse.Namespace, file_beta: float | None) -> list[float]:
-    if getattr(args, "beta_grid", None):
+    if args.beta_grid is not None:
         return parse_grid(args.beta_grid)
     if file_beta is not None:
         return [file_beta]
@@ -256,13 +256,11 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
 def cmd_infinite(args: argparse.Namespace) -> int:
     _require_json_format(args, "infinite")
     params, _ = load_params(args.params)
-    inf.require_gate(params)
+    # One search pass runs the gate, checks the flows and gives x_ll, the
+    # candidate schemes, pi_star's obedience report and the costs of the
+    # three schemes printed, all of which lie in its flow box.
+    search = inf.optimal_scheme_search(params)
     x_so, x_eq = inf.low_flows(params)
-    # One search pass checks the flows and gives x_ll, the candidate schemes,
-    # pi_star's obedience report and the costs of the three schemes printed,
-    # all of which lie in its flow box. (roadbench/run.py reads a traced
-    # optimal_scheme_search's candidates as a list.)
-    search = inf._search(params)
     x_ll, star, tilde = search.x_ll, search.pi_star, search.pi_tilde_star
     box = search.candidates
     payload = {

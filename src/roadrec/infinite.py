@@ -19,7 +19,7 @@ obedient scheme, and the delta sweep showing when the relaxed social optimum
 itself becomes obedient.
 
 Each closed form is written once, as a private core (_posteriors,
-_scheme_cost, _state_table, _ic_terms, _fc_gd, _first_obedient, _search)
+_scheme_cost, _state_table, _ic_terms, _fc_gd, _first_obedient)
 that does the arithmetic and checks no argument. The model primitives it
 calls check nothing either (model._stage_cost, mu_low and mu_high); only
 the myopic flows, which low_flows computes once per game, still check
@@ -754,21 +754,43 @@ _SEARCH_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
+class SearchPair:
+    """One box pair as Python values: flows, check_ic's verdict, scheme_cost."""
+
+    c: int
+    d: int
+    feasible: bool
+    cost: float
+
+
+@dataclass(frozen=True)
 class SearchCandidates:
     """The pairs of the flow box x_so <= c <= d <= x_eq, the only ones that
     can be obedient, as four arrays in (c, d) order: the flows, check_ic's
-    verdict and scheme_cost."""
+    verdict and scheme_cost. Its length is the number of pairs, and it
+    iterates them as SearchPair records in the same order."""
 
     c: np.ndarray
     d: np.ndarray
     feasible: np.ndarray
     cost: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def __iter__(self) -> Iterator[SearchPair]:
+        columns = (self.c, self.d, self.feasible, self.cost)
+        return (SearchPair(*pair) for pair in zip(*(a.tolist() for a in columns)))
+
     def cost_of(self, c: int, d: int) -> float:
         """scheme_cost of the box pair (c, d), read from its place in (c, d)
-        order: each row c' < c holds the x_eq - c' + 1 pairs (c', c'..x_eq)."""
-        x_so, size = int(self.c[0]), int(self.d[-1] - self.c[0]) + 1
-        r = c - x_so
+        order: each row c' < c holds the x_eq - c' + 1 pairs (c', c'..x_eq).
+        A pair outside the box raises ParameterError."""
+        x_so, x_eq = int(self.c[0]), int(self.d[-1])
+        if not x_so <= c <= d <= x_eq:
+            raise ParameterError(f"({c}, {d}) is not a pair of the flow box "
+                                 f"{x_so} <= c <= d <= {x_eq}")
+        r, size = c - x_so, x_eq - x_so + 1
         return float(self.cost[r * size - r * (r - 1) // 2 + d - c])
 
 
@@ -802,22 +824,16 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
     one half, hence the warning. The same pass gives compute_x_ll's steady
     flow, the candidates pi_star and pi_tilde_star, and pi_star's check_ic
     report.
+
+    The gate runs first; then the flows x_so..x_eq are checked, as
+    compute_x_ll checks them. Every pair outside the box fails flow_range.
+    The box opens with the pairs (x_so, x_so..x_eq), whose steady verdicts
+    give x_ll; pi_star, (x_so, x_ll), is one of them, and its report is
+    read from their block. Then no obedient steady flow raises
+    AssumptionError, and only after it can an empty feasible set raise
+    InternalError.
     """
     require_gate(params)
-    return _search(params)
-
-
-def _search(params: GameParams) -> SearchResult:
-    """optimal_scheme_search for a game whose gate the caller has run.
-
-    The flows x_so..x_eq are checked first, as compute_x_ll checks them.
-    The candidates are the box pairs x_so <= c <= d <= x_eq in (c, d)
-    order; every other pair fails flow_range. The box opens with the pairs
-    (x_so, x_so..x_eq), whose steady verdicts give x_ll; pi_star, (x_so,
-    x_ll), is one of them, and its report is read from their block. Then no
-    obedient steady flow raises AssumptionError, and only after it can an
-    empty feasible set raise InternalError.
-    """
     x_so, steady = _steady_flows(params)
     c, d = np.triu_indices(len(steady))
     c, d = c + x_so, d + x_so

@@ -182,7 +182,7 @@ def test_infinite_computes_x_ll_once(capsys, reference_file, monkeypatch):
     # x_ll, pi_star and pi_tilde_star come from the search's one pass over
     # the pairs: neither compute_x_ll nor its scan runs
     searches, scans = [], []
-    true_search = inf._search
+    true_search = inf.optimal_scheme_search
 
     def counted_search(*args):
         searches.append(true_search(*args))
@@ -192,7 +192,7 @@ def test_infinite_computes_x_ll_once(capsys, reference_file, monkeypatch):
         scans.append(args)
         raise AssertionError("x_ll must come from the search")
 
-    monkeypatch.setattr(inf, "_search", counted_search)
+    monkeypatch.setattr(inf, "optimal_scheme_search", counted_search)
     monkeypatch.setattr(inf, "compute_x_ll", refused)
     monkeypatch.setattr(inf, "_first_obedient", refused)
     code, data = run_json(capsys, ["infinite", "--params", reference_file])
@@ -597,9 +597,7 @@ def test_infinite_gate_runs_once_per_call(capsys, reference_file, monkeypatch, a
 
 
 def test_cli_reads_no_private_library_name():
-    # cli.py drives the library through its public functions. The one
-    # private read left is inf._search, whose candidates roadbench/run.py
-    # reads as a list.
+    # cli.py drives the library through its public functions.
     tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
     private = set()
     for node in ast.walk(tree):
@@ -609,7 +607,7 @@ def test_cli_reads_no_private_library_name():
         if isinstance(node, ast.ImportFrom) and (node.level or node.module == "roadrec"):
             private |= {alias.name for alias in node.names  # __version__ is public
                         if alias.name.startswith("_") and not alias.name.endswith("__")}
-    assert private == {"inf._search"}
+    assert private == set()
 
 
 def test_oracle_infinite(capsys, reference_file):
@@ -718,6 +716,16 @@ def test_output_file(tmp_path, reference_file):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["pi_star"] == {"c": 2, "d": 3}
+
+
+@pytest.mark.parametrize("command", [["two-stage"], ["oracle", "--target", "two-stage"]])
+def test_empty_beta_grid_exits_2(capsys, example1_file, command):
+    # An empty grid is bad input, as for --delta-grid, not a missing one:
+    # the file's beta must not stand in for it.
+    assert main([command[0], "--params", example1_file, *command[1:], "--beta-grid", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "roadrec: parameter error: grid '' is empty\n"
 
 
 def test_float_formatting_is_significant_digits(capsys, example1_file):

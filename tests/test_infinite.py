@@ -602,9 +602,14 @@ def test_infinite_payload_matches_library(monkeypatch, tmp_path, reference, infi
         assert payload["ic"] == check_ic(star.c, star.d, params)
 
 
-def test_search_reads_pi_star_report_and_box_costs_from_its_pass(reference, infinite_draws):
-    # cmd_infinite prints pi_star's report and three box costs from the
-    # search's arrays; each must equal the 0-d call exactly.
+def test_search_reads_pi_star_report_and_box_costs_from_its_pass(monkeypatch, tmp_path,
+                                                                 reference, infinite_draws):
+    # cmd_infinite prints pi_star's report, three box costs and the number of
+    # feasible pairs from the search's arrays; each must equal the 0-d call
+    # exactly. Iterating the box yields the same pairs as Python values.
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload))
+    path = tmp_path / "game.json"
     for params in [reference, WIDE] + infinite_draws:
         search = optimal_scheme_search(params)
         star, box = search.pi_star, search.candidates
@@ -612,6 +617,35 @@ def test_search_reads_pi_star_report_and_box_costs_from_its_pass(reference, infi
         for ck, dk in zip(box.c.tolist(), box.d.tolist()):
             cost = box.cost_of(ck, dk)
             assert type(cost) is float and cost == scheme_cost(ck, dk, params), (params, ck, dk)
+        x_so, x_eq = infinite.low_flows(params)
+        assert len(box) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
+        pairs = list(box)
+        assert len(pairs) == len(box)
+        for k, pair in enumerate(pairs):
+            assert (type(pair.c), type(pair.d), type(pair.feasible), type(pair.cost)) == (
+                int, int, bool, float)
+            assert (pair.c, pair.d, pair.feasible, pair.cost) == (
+                box.c[k], box.d[k], box.feasible[k], box.cost[k])
+            assert pair.feasible == check_ic(pair.c, pair.d, params).verdict, (params, pair)
+            assert pair.cost == scheme_cost(pair.c, pair.d, params), (params, pair)
+        path.write_text(json.dumps(dataclasses.asdict(params)))
+        assert main(["infinite", "--params", str(path)]) == 0
+        assert sum(pair.feasible for pair in box) == payloads.pop()["search"]["n_feasible"]
+
+
+def test_search_cost_of_refuses_a_pair_outside_the_box(reference):
+    # The index arithmetic would read another pair's cost (or run off the
+    # array) for any pair outside x_so <= c <= d <= x_eq.
+    for params, (x_so, x_eq), outside in (
+            (reference, (2, 3), [(2, 4), (3, 2), (1, 2), (4, 4)]),
+            (WIDE, (9, 17), [(9, 18), (10, 9), (2, 3), (18, 18)])):
+        box = optimal_scheme_search(params).candidates
+        assert infinite.low_flows(params) == (x_so, x_eq)
+        assert box.cost_of(x_so, x_eq) == scheme_cost(x_so, x_eq, params)
+        for c, d in outside:
+            with pytest.raises(ParameterError,
+                               match=f"not a pair of the flow box {x_so} <= c <= d <= {x_eq}"):
+                box.cost_of(c, d)
 
 
 def test_search_errors_keep_their_order(monkeypatch, reference):

@@ -608,7 +608,7 @@ def test_cores_make_no_public_stage_cost_call(monkeypatch, reference, example1):
     for module in (model, sim, inf, ts):
         if hasattr(module, "stage_cost"):
             monkeypatch.setattr(module, "stage_cost", counted)
-    inf._search(dataclasses.replace(reference))
+    inf.optimal_scheme_search(dataclasses.replace(reference))
     inf.delta_sweep(dataclasses.replace(reference), [0.1, 0.5, 0.9])
     ts.solve_optimal_scheme(0.55, dataclasses.replace(example1))
     assert calls == []
