@@ -38,9 +38,10 @@ in-gate discounts at once. _ic_terms yields the binding steady term
 forms the other posteriors after it, so the x_ll scan and the steady slack
 pay for that term alone. The search's candidates are the pairs of the flow
 box x_so <= c <= d <= x_eq, the only ones that can be obedient, which it
-tests and prices in blocks; it also returns x_ll, pi_star and
-pi_tilde_star from the steady verdicts of the pairs (x_so, x_so..x_eq) in
-the same pass; compute_x_ll scans with _first_obedient for callers that
+tests and prices in blocks. Its first block is widened to hold the x_so
+row (x_so, x_so..x_eq), which holds pi_star's report and whose steady
+terms give x_ll, pi_star and pi_tilde_star by _first_obedient_flow, the
+rule compute_x_ll also applies, through _first_obedient, for callers that
 want x_ll alone. Two ints, numpy integers included, are the 0-d case of the
 same code and give Python numbers (None for a state that cannot occur). The
 chain oracle, state_costs_linear, takes the same arguments; its core
@@ -598,14 +599,14 @@ def steady_slack(c: int, d: int, params: GameParams) -> float:
     c, d = _require_cd(c, d, params)
     require_gate(params)
     dl = params.delta
-    _, follow, deviate, _ = _steady_term(c, d, params, dl, _state_table(c, d, params, dl))
+    terms = _ic_terms(c, d, params, dl, _state_table(c, d, params, dl))
+    _, follow, deviate, _ = _steady_term(terms)
     return _python(deviate - follow)
 
 
-def _steady_term(c, d, params: GameParams, dl, table: StateCostTable) -> tuple:
-    """The safe_at_d_pooled term of _ic_terms(c, d, params, dl, table)."""
-    return next(term for term in _ic_terms(c, d, params, dl, table)
-                if term[0] == "safe_at_d_pooled")
+def _steady_term(terms: Iterable[tuple]) -> tuple:
+    """The safe_at_d_pooled term of the terms _ic_terms yields, read no further."""
+    return next(term for term in terms if term[0] == "safe_at_d_pooled")
 
 
 def compute_x_ll(params: GameParams) -> int:
@@ -636,20 +637,21 @@ def _first_obedient(params: GameParams, dl):
     """The first steady flow x_so..x_eq that is obedient with ramp flow x_so,
     at discount dl: a float gives one flow, a (k, 1) array k flows."""
     x_so, d = _steady_flows(params)
-    table = _state_table(x_so, d, params, dl)
-    obedient = all_obedient([_steady_term(x_so, d, params, dl, table)])
+    terms = _ic_terms(x_so, d, params, dl, _state_table(x_so, d, params, dl))
+    return _first_obedient_flow(d, _steady_term(terms), params)
+
+
+def _first_obedient_flow(d: np.ndarray, term: tuple, params: GameParams):
+    """The first steady flow of d = x_so..x_eq whose steady term (over schemes
+    that open with (x_so, d)) is obedient, one per row, else AssumptionError."""
+    obedient = all_obedient([term])[..., :len(d)]
     if not obedient.any(axis=-1).all():
-        raise _no_steady_flow(params)
+        x_so, x_eq = low_flows(params)
+        raise AssumptionError(
+            f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
+            "the regime the construction is proved for"
+        )
     return d[np.argmax(obedient, axis=-1)]
-
-
-def _no_steady_flow(params: GameParams) -> AssumptionError:
-    """The error for a game in which no steady flow x_so..x_eq is obedient."""
-    x_so, x_eq = low_flows(params)
-    return AssumptionError(
-        f"no obedient steady flow in {x_so}..{x_eq}; parameters are outside "
-        "the regime the construction is proved for"
-    )
 
 
 def pi_star(params: GameParams) -> InfiniteScheme:
@@ -749,7 +751,8 @@ def _fc_gd(c, d, params: GameParams) -> FGDecomposition:
 # blocks: at n = 1000 the widest flow box (x_so = 500, x_eq = 1000) holds
 # 125,751 pairs, 16 blocks, which the search takes 24 ms over on a 2-core
 # x86 host with a 5.3 MB tracemalloc peak; the chain oracle solves all
-# 499,500 schemes, 61 blocks.
+# 499,500 schemes, 61 blocks. The search's first block is widened to hold
+# the x_so row, which has at most n - 1 < 8,192 pairs.
 _SEARCH_BLOCK_PAIRS = 8192
 
 
@@ -827,36 +830,32 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
 
     The gate runs first; then the flows x_so..x_eq are checked, as
     compute_x_ll checks them. Every pair outside the box fails flow_range.
-    The box opens with the pairs (x_so, x_so..x_eq), whose steady verdicts
-    give x_ll; pi_star, (x_so, x_ll), is one of them, and its report is
-    read from their block. Then no obedient steady flow raises
-    AssumptionError, and only after it can an empty feasible set raise
-    InternalError.
+    The box opens with the x_so row (x_so, x_so..x_eq), and the first
+    block is widened to hold it whole; its steady terms give x_ll, and
+    pi_star, (x_so, x_ll), is one of its pairs, whose report is read from
+    that block. Then no obedient steady flow raises AssumptionError, and
+    only after it can an empty feasible set raise InternalError.
     """
     require_gate(params)
     x_so, steady = _steady_flows(params)
     c, d = np.triu_indices(len(steady))
     c, d = c + x_so, d + x_so
     feasible = np.empty(len(c), dtype=bool)
-    steady_ok = np.empty(len(c), dtype=bool)
     cost = np.empty(len(c))
-    row_blocks = []  # the _obedience values of the blocks that hold the x_so row
-    for start in range(0, len(c), _SEARCH_BLOCK_PAIRS):
-        block = slice(start, start + _SEARCH_BLOCK_PAIRS)
-        feasible[block], steady_ok[block], obedience = _obedient_block(c[block], d[block],
-                                                                       params)
+    size = max(_SEARCH_BLOCK_PAIRS, len(steady))  # the first block holds the x_so row
+    for start in range(0, len(c), size):
+        block = slice(start, start + size)
+        obedience = _obedience(c[block], d[block], params)
+        _, terms, flow_range, ramp_cheaper = obedience
+        feasible[block] = flow_range & ramp_cheaper & all_obedient(terms)
         cost[block] = _scheme_cost(c[block], d[block], params, params.delta)
-        if start < len(steady):
-            row_blocks.append(obedience)
-        del obedience  # so the next block is evaluated without this one's arrays
-    row_ok = steady_ok[:len(steady)]
-    if not row_ok.any():
-        raise _no_steady_flow(params)
-    x_ll = x_so + int(np.argmax(row_ok))
+        if not start:
+            row = obedience
+        del obedience, terms  # so the next block is evaluated without this one's arrays
+    x_ll = int(_first_obedient_flow(steady, _steady_term(row[1]), params))
     star, tilde = _candidates(x_ll, params)
     # pi_star, (x_so, x_ll), is pair x_ll - x_so of the x_so row
-    at, k = divmod(x_ll - x_so, _SEARCH_BLOCK_PAIRS)
-    star_ic = _ic_report(star.c, star.d, params, *_obedience_at(row_blocks[at], k))
+    star_ic = _ic_report(star.c, star.d, params, *_obedience_at(row, x_ll - x_so))
     if not feasible.any():
         raise InternalError("no obedient scheme found; gate passed, so this "
                             "indicates a formula regression")
@@ -882,15 +881,6 @@ def optimal_scheme_search(params: GameParams) -> SearchResult:
         candidates=SearchCandidates(c, d, feasible, cost),
         warnings=tuple(warnings),
     )
-
-
-def _obedient_block(c: np.ndarray, d: np.ndarray, params: GameParams):
-    """One block of the search's box pairs: each pair's check_ic verdict, the
-    verdict of its steady term alone, and the _obedience values they read."""
-    obedience = _obedience(c, d, params)
-    _, terms, flow_range, ramp_cheaper = obedience
-    steady = all_obedient(term for term in terms if term[0] == "safe_at_d_pooled")
-    return flow_range & ramp_cheaper & all_obedient(terms), steady, obedience
 
 
 @dataclass(frozen=True)
@@ -964,7 +954,7 @@ def oracle_checks(params: GameParams) -> list[dict]:
         block = slice(start, start + _SEARCH_BLOCK_PAIRS)
         cb, db = c[block], d[block]
         table = _state_table(cb, db, params, dl)
-        _, follow, deviate, _ = _steady_term(cb, db, params, dl, table)
+        _, follow, deviate, _ = _steady_term(_ic_terms(cb, db, params, dl, table))
         decomp = _fc_gd(cb, db, params)
         gap = np.abs((decomp.f_c - decomp.g_d) + (deviate - follow)) / deviate
         worst_fg = float(np.max(gap, initial=worst_fg))  # a NaN gap stays NaN

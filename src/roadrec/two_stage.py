@@ -41,12 +41,12 @@ from .model import (
     ICEntry,
     InternalError,
     ParameterError,
+    _all,
     _div,
     _expected_theta,
     _integral,
     _per_game,
     _require_belief,
-    _require_flow,
     _stage_cost,
     all_obedient,
     check_assumption_two_stage,
@@ -226,16 +226,20 @@ def ic_constraints_eval(
     recommendation) is vacuous.
     """
     beta = _require_belief(beta)
-    n = params.n
-    for name, value in (("pi2_low", pi2_low), ("pi2_high", pi2_high)):
-        if isinstance(value, np.ndarray) or not _integral(value):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= value <= n - 1:
-            raise ParameterError(
-                f"{name} must be in 0..{n - 1} (only {n - 1} uninformed agents), got {value}"
-            )
+    _require_counts(pi2_low, pi2_high, params, arrays=False)
     pi2_low, pi2_high = int(pi2_low), int(pi2_high)
     return ic_entries(_ic_terms(beta, pi2_low, pi2_high, params))
+
+
+def _require_counts(pi2_low, pi2_high, params: GameParams, arrays: bool) -> None:
+    """Both risky counts are integers in 0..n-1, elementwise if arrays are allowed."""
+    n = params.n
+    for name, value in (("pi2_low", pi2_low), ("pi2_high", pi2_high)):
+        if (isinstance(value, np.ndarray) and not arrays) or not _integral(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if not _all((0 <= value) & (value <= n - 1)):
+            raise ParameterError(f"{name} must be in 0..{n - 1} (only {n - 1} uninformed "
+                                 f"agents), got {value}")
 
 
 def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tuple]:
@@ -384,14 +388,13 @@ def scheme_cost_two_stage(
     cost then has their broadcast shape.
     """
     beta = _require_belief(beta)
-    _require_flow(pi2_low + 1, params)
-    _require_flow(pi2_high, params)
+    _require_counts(pi2_low, pi2_high, params, arrays=True)
     return _scheme_cost(beta, pi2_low, pi2_high, params)
 
 
 def _scheme_cost(beta: float, pi2_low, pi2_high, params: GameParams):
-    """scheme_cost_two_stage for a checked belief and flows pi2_low + 1 and
-    pi2_high in 0..n."""
+    """scheme_cost_two_stage for a checked belief and counts pi2_low and
+    pi2_high in 0..n-1."""
     return (
         _stage_cost(1, _expected_theta(beta, params), params)
         + beta * _stage_cost(pi2_low + 1, params.l, params)

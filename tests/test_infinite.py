@@ -394,6 +394,8 @@ def test_search_wide_golden_n1000():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_search_does_not_depend_on_block_size(monkeypatch, reference, infinite_draws, block):
+    # Blocks of 1 and 7 pairs split the box; the first block is widened to
+    # hold the x_so row.
     games = [reference, FULL_ROAD] + infinite_draws[:10]
     want = [optimal_scheme_search(params) for params in games]
     monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
@@ -578,8 +580,8 @@ def test_infinite_payload_matches_library(monkeypatch, tmp_path, reference, infi
                                           block):
     # infinite reads x_ll and the candidates from the search's one pass;
     # each, and each cost it prints, must equal what the public functions
-    # compute on their own. Blocks of 1 and 7 pairs split the x_so row
-    # across blocks.
+    # compute on their own. Blocks of 1 and 7 pairs split the box across
+    # blocks; the first block is widened to hold the x_so row.
     payloads = []
     monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload))
     monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", block)
@@ -653,8 +655,8 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
     # no obedient steady flow is an AssumptionError even when no scheme is
     # obedient either, which alone is an InternalError.
     x_so, x_eq = infinite.low_flows(reference)
-    true_block = infinite._obedient_block
-    monkeypatch.setattr(infinite, "_obedient_block", None)  # never reached
+    true_obedience = infinite._obedience
+    monkeypatch.setattr(infinite, "_obedience", None)  # never reached
     for bad in ((1, x_eq), (x_so, reference.n + 1)):
         monkeypatch.setattr(infinite, "low_flows", lambda params, bad=bad: bad)
         with pytest.raises(ParameterError, match="1 < c <= d"):
@@ -662,16 +664,21 @@ def test_search_errors_keep_their_order(monkeypatch, reference):
     monkeypatch.setattr(infinite, "low_flows", lambda params: (x_so, x_eq))
 
     def refusing(steady_too):
-        def block(*args):
-            feasible, steady, obedience = true_block(*args)
-            return (np.zeros_like(feasible),
-                    np.zeros_like(steady) if steady_too else steady, obedience)
-        return block
+        # Every pair fails flow_range; with steady_too, leaving the steady
+        # flow costs nothing as well.
+        def obedience(*args):
+            table, terms, flow_range, ramp_cheaper = true_obedience(*args)
+            if steady_too:
+                terms = [(state, follow, 0.0 * follow, False) if state == "safe_at_d_pooled"
+                         else (state, follow, deviate, vacuous)
+                         for state, follow, deviate, vacuous in terms]
+            return table, terms, np.zeros_like(flow_range), ramp_cheaper
+        return obedience
 
-    monkeypatch.setattr(infinite, "_obedient_block", refusing(steady_too=True))
+    monkeypatch.setattr(infinite, "_obedience", refusing(steady_too=True))
     with pytest.raises(AssumptionError, match=f"no obedient steady flow in {x_so}..{x_eq}"):
         optimal_scheme_search(reference)
-    monkeypatch.setattr(infinite, "_obedient_block", refusing(steady_too=False))
+    monkeypatch.setattr(infinite, "_obedience", refusing(steady_too=False))
     with pytest.raises(InternalError, match="no obedient scheme found"):
         optimal_scheme_search(reference)
 
@@ -682,20 +689,20 @@ def test_search_tests_obedience_only_in_the_flow_box(monkeypatch, infinite_draws
     # other, however many pairs the game has, and the search returns those
     # pairs alone as its candidates.
     seen = []
-    true_block = infinite._obedient_block
+    true_obedience = infinite._obedience
 
     def counted(c, d, params):
-        seen.append(len(c))
-        return true_block(c, d, params)
+        seen.append((c, d))
+        return true_obedience(c, d, params)
 
-    monkeypatch.setattr(infinite, "_obedient_block", counted)
+    monkeypatch.setattr(infinite, "_obedience", counted)
 
     def pairs_seen(params):
         seen.clear()
         candidates = optimal_scheme_search(params).candidates
         x_so, x_eq = infinite.low_flows(params)
         assert len(candidates.c) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
-        return sum(seen)
+        return sum(len(c) for c, _ in seen)
 
     for n in (100, 1000):
         assert pairs_seen(dataclasses.replace(WIDE, n=n)) == 45
@@ -709,6 +716,15 @@ def test_search_tests_obedience_only_in_the_flow_box(monkeypatch, infinite_draws
     for params in infinite_draws:
         x_so, x_eq = infinite.low_flows(params)
         assert pairs_seen(params) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
+    # However small the blocks, the first one is exactly the x_so row
+    # (x_so, x_so..x_eq), which x_ll and pi_star's report are read from.
+    monkeypatch.setattr(infinite, "_SEARCH_BLOCK_PAIRS", 1)
+    for params in [WIDE] + infinite_draws:
+        x_so, x_eq = infinite.low_flows(params)
+        assert pairs_seen(params) == (x_eq - x_so + 1) * (x_eq - x_so + 2) // 2
+        c, d = seen[0]
+        assert c.tolist() == [x_so] * (x_eq - x_so + 1), params
+        assert d.tolist() == list(range(x_so, x_eq + 1)), params
 
 
 @pytest.mark.parametrize("e", [-40, 0, 40])

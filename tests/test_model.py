@@ -586,10 +586,14 @@ def test_public_primitives_keep_their_checks(reference, example1):
     for coef in (0.0, -1.0):
         with pytest.raises(ParameterError, match="coefficient must be positive"):
             myopic_so_flow(coef, reference)
-    with pytest.raises(ParameterError, match=f"flow must be in 0..{example1.n}"):
-        ts.scheme_cost_two_stage(0.55, example1.n, 0, example1)
-    with pytest.raises(ParameterError, match=f"flow must be in 0..{example1.n}"):
-        ts.scheme_cost_two_stage(0.55, 0, example1.n + 1, example1)
+    # Each count is in 0..n-1, as in ic_constraints_eval: pi2_low = -1 (a
+    # low-state flow of 0) and pi2_high = n are flows in 0..n, but no
+    # scheme's counts.
+    n = example1.n
+    for pi2_low, pi2_high, name in ((n, 0, "pi2_low"), (0, n + 1, "pi2_high"),
+                                    (-1, 0, "pi2_low"), (0, n, "pi2_high")):
+        with pytest.raises(ParameterError, match=f"{name} must be in 0..{n - 1}"):
+            ts.scheme_cost_two_stage(0.55, pi2_low, pi2_high, example1)
     with pytest.raises(ParameterError, match="belief"):
         ts.scheme_cost_two_stage(1.5, 0, 0, example1)
 
