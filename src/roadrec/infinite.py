@@ -72,11 +72,10 @@ from .model import (
     ParameterError,
     _all,
     _div,
-    _integral,
     _infinite_gate,
     _per_game,
-    _plain,
     _require_discount,
+    _require_integer,
     _stage_cost,
     all_obedient,
     check_assumption_infinite,
@@ -99,14 +98,12 @@ def require_gate(params: GameParams) -> None:
 
 def _require_cd(c, d, params: GameParams):
     """c and d once checked, numpy integers as Python ints."""
-    for name, value in (("c", c), ("d", d)):
-        if not _integral(value):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    c, d = _require_integer("c", c, arrays=True), _require_integer("d", d, arrays=True)
     if not _all((1 < c) & (c <= d) & (d <= params.n)):
         raise ParameterError(
             f"scheme flows must satisfy 1 < c <= d <= n={params.n}, got c={c}, d={d}"
         )
-    return _plain(c), _plain(d)
+    return c, d
 
 
 def scheme_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:

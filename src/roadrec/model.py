@@ -76,16 +76,13 @@ class GameParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ParameterError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _require_integer("n", self.n))
         if self.n < 2:
             raise ParameterError(f"need at least two agents, got n={self.n}")
         if self.n > _MAX_N:
             raise ParameterError(f"n must be at most {_MAX_N}, got n={self.n}")
         for name in ("s0", "s1", "l", "h", "gamma_l", "gamma_h", "delta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
+            value = _require_number(name, getattr(self, name))
             if isinstance(value, int) and abs(value) > _MAX_INT:
                 raise ParameterError(f"integer {name} must be at most 2**53 in magnitude, "
                                      f"got {value}")
@@ -139,25 +136,29 @@ def _require_discount(delta: float) -> None:
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
 
 
+def _require_number(name: str, value):
+    """value, refused unless it is an int or a float (not a bool)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _require_integer(name: str, value, arrays: bool = False):
+    """value, refused unless it is an int or a numpy integer (not a bool), or
+    with arrays an integer array; a numpy integer comes back as a Python int,
+    so 0-d calls stay in plain arithmetic and no size arithmetic wraps."""
+    if isinstance(value, np.ndarray):
+        if arrays and value.dtype.kind in "iu":
+            return value
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_belief(beta: float) -> float:
-    if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-        raise ParameterError(f"belief must be a number, got {beta!r}")
-    if not 0.0 <= beta <= 1.0:
+    if not 0.0 <= _require_number("belief", beta) <= 1.0:
         raise ParameterError(f"belief must be in [0, 1], got {beta}")
     return float(beta)
-
-
-def _integral(value) -> bool:
-    """True for an int or a numpy integer (not a bool), or an array of integers."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iu"
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _plain(value):
-    """A numpy integer as a Python int, so 0-d calls stay in plain arithmetic;
-    anything else as it is."""
-    return int(value) if isinstance(value, np.integer) else value
 
 
 def _all(mask) -> bool:
@@ -166,11 +167,10 @@ def _all(mask) -> bool:
 
 
 def _require_flow(x, params: GameParams):
-    if not _integral(x):
-        raise ParameterError(f"flow must be an integer, got {x!r}")
+    x = _require_integer("flow", x, arrays=True)
     if not _all((0 <= x) & (x <= params.n)):
         raise ParameterError(f"flow must be in 0..{params.n}, got {x}")
-    return _plain(x)
+    return x
 
 
 def _div(num, den, fill: float = np.nan):
@@ -199,8 +199,9 @@ def stage_cost(x, coef: float, params: GameParams):
 
 
 def _stage_cost(x, coef: float, params: GameParams):
-    """stage_cost for a flow in 0..n and a positive coefficient, unchecked."""
-    x = x.astype(float) if isinstance(x, np.ndarray) else _plain(x)
+    """stage_cost for a flow in 0..n and a positive coefficient, unchecked;
+    a numpy integer flow is priced as a Python int, in plain arithmetic."""
+    x = x.astype(float) if isinstance(x, np.ndarray) else int(x)
     safe_users = params.n - x
     return coef * x * x + (params.s0 + params.s1 * safe_users) * safe_users
 
@@ -251,9 +252,10 @@ def myopic_eq_flow(coef: float, params: GameParams) -> int:
     _require_coef(coef)
     n, s0, s1 = params.n, params.s0, params.s1
     x = np.arange(n + 1)
+    # stay holds on a prefix of 0..n; at its largest x < n stay(x + 1) fails,
+    # which (s1 >= 0) implies a safe user does not strictly prefer joining.
     stay = coef * x <= s0 + s1 * (n - x + 1)
-    join = (x == n) | (coef * (x + 1) >= s0 + s1 * (n - x - 1))
-    return int(np.flatnonzero(stay & join).max(initial=0))
+    return int(np.flatnonzero(stay).max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -424,10 +426,8 @@ def params_from_dict(raw: dict[str, Any]) -> tuple[GameParams, float | None]:
     if missing:
         raise ParameterError(f"missing parameter keys: {', '.join(missing)}")
     n = raw["n"]
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise ParameterError(f"n must be an integer, got {n!r}")
-        n = int(n)
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)  # GameParams refuses any other float
     kwargs = {key: raw[key] for key in _PARAM_KEYS if key != "n" and key in raw}
     params = GameParams(n=n, **kwargs)
     beta = raw.get("beta")

@@ -57,8 +57,8 @@ from .model import (
     AssumptionError,
     GameParams,
     ParameterError,
-    _integral,
-    _plain,
+    _div,
+    _require_integer,
     stage_cost,
 )
 from .infinite import InfiniteScheme, require_gate
@@ -123,11 +123,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("c", "d", "trials", "horizon", "max_wait", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray) or not _integral(value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
             # a numpy integer as a Python int, so no size arithmetic wraps
-            object.__setattr__(self, name, _plain(value))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ParameterError(f"trials must be positive, got {self.trials}")
         if self.horizon < 1:
@@ -160,6 +157,8 @@ class AgentState:
     rec: str
 
     def __post_init__(self) -> None:
+        if self.prev_flow is not None:
+            object.__setattr__(self, "prev_flow", _require_integer("prev_flow", self.prev_flow))
         if self.tag not in ("low", "high", "pooled"):
             raise ParameterError(f"tag must be low/high/pooled, got {self.tag!r}")
         if self.rec not in ("risky", "safe"):
@@ -288,11 +287,9 @@ def _join_below(pool: int, need: int) -> float:
 
     Rounding a product is monotone in u, so the test holds on [0, b) for the
     least float b with b * pool >= need, which this finds from need / pool
-    by stepping one float at a time; b = 0 when need <= 0.
+    by stepping one float at a time; b = 0 when need = 0, as at a full road.
     """
-    if need <= 0:
-        return 0.0
-    b = need / pool
+    b = _div(need, pool, 0.0)
     while b > 0.0 and np.nextafter(b, 0.0) * pool >= need:
         b = float(np.nextafter(b, 0.0))
     while b * pool < need:

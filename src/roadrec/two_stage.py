@@ -44,9 +44,9 @@ from .model import (
     _all,
     _div,
     _expected_theta,
-    _integral,
     _per_game,
     _require_belief,
+    _require_integer,
     _stage_cost,
     all_obedient,
     check_assumption_two_stage,
@@ -235,8 +235,7 @@ def _require_counts(pi2_low, pi2_high, params: GameParams, arrays: bool) -> None
     """Both risky counts are integers in 0..n-1, elementwise if arrays are allowed."""
     n = params.n
     for name, value in (("pi2_low", pi2_low), ("pi2_high", pi2_high)):
-        if (isinstance(value, np.ndarray) and not arrays) or not _integral(value):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        _require_integer(name, value, arrays)
         if not _all((0 <= value) & (value <= n - 1)):
             raise ParameterError(f"{name} must be in 0..{n - 1} (only {n - 1} uninformed "
                                  f"agents), got {value}")

@@ -71,6 +71,11 @@ def test_parse_grid_rejects(bad):
         parse_grid(bad)
 
 
+def test_parse_grid_names_the_range_form():
+    with pytest.raises(ParameterError, match="grid must be start:stop:step, got '0:1'"):
+        parse_grid("0:1")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -321,6 +326,9 @@ def test_simulate_rejects_bad_trigger(capsys, reference_file):
                  "--trigger", "x:pooled:safe"]) == 2
     assert main(["simulate", "--params", reference_file,
                  "--scheme", "1,3"]) == 2
+    assert main(["simulate", "--params", reference_file,
+                 "--scheme", "2,x"]) == 2
+    assert capsys.readouterr().err.endswith("scheme must be 'c,d' integers, got '2,x'\n")
 
 
 def test_simulate_validates_trigger_before_simulating(capsys, reference_file, monkeypatch):
@@ -572,6 +580,12 @@ def test_emit_refuses_what_json_dumps_refuses(capsys, payload):
         reference_text(payload)
     with pytest.raises(TypeError):
         emitted(capsys, payload)
+
+
+def test_emit_refuses_a_key_that_is_not_a_string():
+    # json.dumps would print the key 1 as "1"; a payload's keys are field names
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        cli._json_text({1: 2})
 
 
 @pytest.mark.parametrize("argv", [

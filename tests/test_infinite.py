@@ -392,6 +392,39 @@ def test_search_wide_golden_n1000():
     assert result.winner_cost == 119897.42736842106
 
 
+def test_search_picks_the_cheapest_obedient_pair(monkeypatch):
+    # On WIDE the feasible pairs are (9..15, 17), and the first of them,
+    # pi_star, is also the cheapest. Pricing (12, 17) lower in the search's
+    # own cost array alone (the state table it reads stays as it is) must move
+    # the winner there, unless the cut is within the 1e-12 tie tolerance.
+    plain = optimal_scheme_search(WIDE)
+    feasible = [(p.c, p.d) for p in plain.candidates if p.feasible]
+    assert feasible == [(c, 17) for c in range(9, 16)]
+    true_obedience, true_scheme_cost = infinite._obedience, infinite._scheme_cost
+    for cut, winner in ((1e-3, (12, 17)), (1e-13, (9, 17))):
+        armed = []
+
+        def obedience(*args):
+            out = true_obedience(*args)  # its state table prices through _scheme_cost
+            armed.append(True)
+            return out
+
+        def scheme_cost(c, d, params, dl, cut=cut):
+            cost = true_scheme_cost(c, d, params, dl)
+            if armed:  # the call that follows _obedience in the search loop
+                armed.clear()
+                cost[(c == 12) & (d == 17)] = plain.winner_cost * (1.0 - cut)
+            return cost
+
+        monkeypatch.setattr(infinite, "_obedience", obedience)
+        monkeypatch.setattr(infinite, "_scheme_cost", scheme_cost)
+        result = optimal_scheme_search(WIDE)
+        assert (result.winner.c, result.winner.d) == winner
+        assert result.matches_pi_star == (winner == (9, 17))
+        assert result.winner_cost == result.candidates.cost_of(*winner)
+        assert result.candidates.cost_of(12, 17) == plain.winner_cost * (1.0 - cut)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_search_does_not_depend_on_block_size(monkeypatch, reference, infinite_draws, block):
     # Blocks of 1 and 7 pairs split the box; the first block is widened to

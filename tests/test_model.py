@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from roadrec.model import (
     GameParams,
     ICEntry,
     ParameterError,
+    _div,
     _per_game,
+    _require_integer,
+    _require_number,
     all_obedient,
     check_assumption_infinite,
     check_assumption_two_stage,
@@ -112,6 +116,60 @@ def test_belief_validation():
         expected_theta(-0.01, p)
     with pytest.raises(ParameterError):
         expected_theta(1.01, p)
+    for beta in ("0.5", True):
+        for check in (expected_theta, check_assumption_two_stage):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"belief must be a number, got {beta!r}")):
+                check(beta, p)
+
+
+def test_integer_rule():
+    # an int or a numpy integer, which comes back as a Python int; never a bool
+    for value in (3, np.int64(3), np.uint8(3)):
+        got = _require_integer("k", value)
+        assert type(got) is int and got == 3
+    flows = np.array([1, 2])
+    assert _require_integer("k", flows, arrays=True) is flows
+    for value, arrays in ((True, False), (np.True_, True), (2.0, True), ("3", False),
+                          (None, False), (flows, False), (np.array([1.0]), True)):
+        with pytest.raises(ParameterError, match=re.escape(f"k must be an integer, got {value!r}")):
+            _require_integer("k", value, arrays)
+
+
+def test_number_rule():
+    # an int or a float, never a bool
+    for value in (2, 2.5, np.float64(2.5)):
+        assert _require_number("x", value) is value
+    for value in (True, "2", None):
+        with pytest.raises(ParameterError, match=re.escape(f"x must be a number, got {value!r}")):
+            _require_number("x", value)
+
+
+def test_params_take_a_numpy_integer_n(reference):
+    # n is an integer argument like c, d or a flow: a numpy integer is n = 10
+    params = dataclasses.replace(reference, n=np.int64(10))
+    assert type(params.n) is int and params == reference
+    assert inf.pi_star(params) == inf.pi_star(reference)
+    with pytest.raises(ParameterError, match="n must be an integer, got True"):
+        dataclasses.replace(reference, n=True)
+
+
+@pytest.mark.parametrize("name", ["s0", "s1", "l", "h", "gamma_l", "gamma_h", "delta"])
+@pytest.mark.parametrize("value", ["1", True])
+def test_params_refuse_a_field_that_is_not_a_number(name, value):
+    base = dict(n=5, s0=2.0, s1=0.5, l=0.25, h=8.0, gamma_l=0.1, gamma_h=0.1, delta=0.5)
+    base[name] = value
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{name} must be a number, got {value!r}")):
+        GameParams(**base)
+
+
+def test_div_fills_only_where_the_denominator_is_zero():
+    got = _div(1.0, np.array([0.0, 2.0]))
+    assert np.isnan(got[0]) and got[1] == 0.5
+    got = _div(np.array([1.0]), 0.0)
+    assert isinstance(got, np.ndarray) and np.isnan(got).all()
+    assert _div(1.0, 0.0, fill=0.0) == 0.0 and _div(1.0, 4.0) == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,21 @@ def test_trigger_validation():
         AgentState(prev_flow=2, tag="pooled", rec="stay")
 
 
+@pytest.mark.parametrize("flow", [2.5, True, "3"])
+def test_trigger_refuses_a_flow_that_is_not_an_integer(flow):
+    # 2.5 could only read "never reached", and True would run as flow 1
+    with pytest.raises(ParameterError, match=f"prev_flow must be an integer, got {flow!r}"):
+        AgentState(prev_flow=flow, tag="pooled", rec="safe")
+
+
+def test_trigger_takes_a_numpy_integer_flow(reference):
+    cfg = SimConfig(2, 3, trials=200, seed=1, max_wait=200)
+    trigger = AgentState(np.int64(3), "pooled", "safe")
+    assert type(trigger.prev_flow) is int
+    assert (deviation_rollout(cfg, trigger, reference)
+            == deviation_rollout(cfg, AgentState(3, "pooled", "safe"), reference))
+
+
 def test_chain_is_reproducible(reference):
     a = chains(reference, 50, 3, range(7, 8))
     b = chains(reference, 50, 3, range(7, 8))

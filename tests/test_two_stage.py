@@ -113,6 +113,10 @@ def test_scheme_cost_matches_components(example1):
         + (1 - beta) * stage_cost(0, example1.h, example1)
     )
     assert cost == pytest.approx(want)
+    # integer count arrays broadcast together, priced entry by entry
+    costs = scheme_cost_two_stage(beta, np.array([0, 18]), np.array([[0], [3]]), example1)
+    assert costs.shape == (2, 2) and costs[0, 1] == cost
+    assert costs[1, 0] == scheme_cost_two_stage(beta, 0, 3, example1)
 
 
 def test_ic_constraints_shapes(example1):
@@ -142,6 +146,11 @@ def test_ic_constraints_validate_inputs(example1):
         ic_constraints_eval(0.55, 40, 0, example1)  # pi2_low > n-1
     with pytest.raises(ParameterError):
         ic_constraints_eval(0.55, -1, 0, example1)
+    # a count is an integer, in either entry point
+    for pi2_low, pi2_high, name in ((1.5, 0, "pi2_low"), (0, 1.5, "pi2_high")):
+        for entry in (ic_constraints_eval, scheme_cost_two_stage):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer, got 1.5"):
+                entry(0.55, pi2_low, pi2_high, example1)
 
 
 @given(beta=st.floats(min_value=0.0, max_value=0.67))
@@ -169,6 +178,9 @@ def test_brute_force_rejects_large_populations():
     p = GameParams(n=7, s0=2.0, s1=1.0, l=1.0, h=25.0)
     with pytest.raises(ParameterError):
         brute_force_equilibrium(p, 0.2)
+    # the planner's outcome is no equilibrium of any revelation regime
+    with pytest.raises(ParameterError, match="regime must be one of"):
+        brute_force_equilibrium(GameParams(n=3, s0=2, s1=1, l=1, h=6), 0.2, regime="planner")
 
 
 def test_brute_force_matches_prediction_all_regions():
