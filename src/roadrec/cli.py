@@ -176,13 +176,17 @@ def parse_grid(text: str) -> list[float]:
                 raise ParameterError(f"grid step must be positive, got {step}")
             if stop < start:
                 raise ParameterError(f"grid stop {stop} is below start {start}")
+            too_many = f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
             if (stop + 1e-12 - start) / step >= _MAX_GRID_POINTS:
-                raise ParameterError(
-                    f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
-                )
+                raise ParameterError(too_many)
+            # The count above is a float quotient; where start + k*step
+            # rounds back down (at 1e16, step 1) the loop finds more points,
+            # so the loop stops at the cap too.
             values = []
             k = 0
             while (v := start + k * step) <= stop + 1e-12:
+                if k == _MAX_GRID_POINTS:
+                    raise ParameterError(too_many)
                 values.append(round(v, 12))
                 k += 1
             return values
@@ -217,34 +221,16 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
     params, file_beta = load_params(args.params)
     betas = _betas(args, file_beta)
     th = ts.thresholds(params)
-    rows = []
-    n_gated = 0
-    for beta in betas:
-        gate = check_assumption_two_stage(beta, params)
-        if not gate.passed:
-            n_gated += 1
-            rows.append({"beta": beta, "gated": True, "note": "; ".join(gate.failures)})
-            continue
-        scheme = ts.solve_optimal_scheme(beta, params)
-        rows.append({
-            "beta": beta,
-            "gated": False,
-            "region": ts.region(beta, th),
-            "v_full": ts.cost_full(beta, params),
-            "v_private": ts.cost_private(beta, params),
-            "v_partial": scheme.expected_cost,
-            "v_so": ts.cost_social_optimum(beta, params),
-            "experiment": scheme.experiment,
-            "pi2_low": scheme.pi2_low,
-            "pi2_high": scheme.pi2_high,
-        })
-    if n_gated == len(rows):
-        # beta_limit does not depend on the belief, so the last gate's serves
-        raise _all_gated("belief", "two-stage",
-                         f"beliefs must be below {gate.beta_limit:.12g}")
+    points = ts.belief_sweep(params, betas)
+    if all(point.gated for point in points):
+        # beta_limit does not depend on the belief, so the last one's serves
+        limit = check_assumption_two_stage(points[-1].beta, params).beta_limit
+        raise _all_gated("belief", "two-stage", f"beliefs must be below {limit:.12g}")
+    # A gated row prints its note, any other row every field but the note.
+    rows = [{"beta": point.beta, "gated": True, "note": point.note} if point.gated
+            else {k: v for k, v in vars(point).items() if k != "note"} for point in points]
     if args.format == "csv":
-        cols = ["beta", "gated", "region", "v_full", "v_private", "v_partial",
-                "v_so", "experiment", "pi2_low", "pi2_high", "note"]
+        cols = [field.name for field in dataclasses.fields(ts.BeliefPoint)]
         _emit_csv(cols, rows, args)
         return 0
     # beta_so_alt only feeds the thresholds' warning.

@@ -83,6 +83,7 @@ class GameParams:
             raise ParameterError(f"n must be at most {_MAX_N}, got n={self.n}")
         for name in ("s0", "s1", "l", "h", "gamma_l", "gamma_h", "delta"):
             value = _require_number(name, getattr(self, name))
+            object.__setattr__(self, name, value)
             if isinstance(value, int) and abs(value) > _MAX_INT:
                 raise ParameterError(f"integer {name} must be at most 2**53 in magnitude, "
                                      f"got {value}")
@@ -137,10 +138,14 @@ def _require_discount(delta: float) -> None:
 
 
 def _require_number(name: str, value):
-    """value, refused unless it is an int or a float (not a bool)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    return value
+    """value, refused unless it is an int, a float, or a numpy integer or
+    floating scalar (never a bool); a numpy scalar comes back as a Python int
+    or float, so an int field keeps its exact integer arithmetic."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
 def _require_integer(name: str, value, arrays: bool = False):
@@ -156,9 +161,10 @@ def _require_integer(name: str, value, arrays: bool = False):
 
 
 def _require_belief(beta: float) -> float:
-    if not 0.0 <= _require_number("belief", beta) <= 1.0:
+    value = float(_require_number("belief", beta))
+    if not 0.0 <= value <= 1.0:
         raise ParameterError(f"belief must be in [0, 1], got {beta}")
-    return float(beta)
+    return value
 
 
 def _all(mask) -> bool:

@@ -15,6 +15,14 @@ coordinator. The module computes
   pi2_high columns, then the pairs of the kept rows and columns, a strip
   of at most about n*(1 + sqrt(2n)) entries tested at once; the exact
   obedience terms and cost are evaluated only on the pairs it keeps),
+* belief_sweep, every one of these at each belief of a grid, as the
+  `two-stage` command prints them: one gate run per belief, the benchmark
+  regimes priced as arrays over the in-gate beliefs, and the beliefs at or
+  above beta_p solved as stacked blocks, one (belief, pi2_low, pi2_high)
+  box per block; a block is halved until its filter and its box each hold
+  at most n*(1 + sqrt(2n)) entries, one belief's strip bound, so a grid
+  of wide strips runs one belief per block. solve_optimal_scheme and the
+  cost functions are the one-belief case of the same cores,
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals), and
@@ -30,8 +38,9 @@ cost of staying safe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -158,14 +167,10 @@ def _require_gate(beta: float, params: GameParams) -> TwoStageThresholds:
     return thresholds(params)
 
 
-def _two_rounds(beta: float, params: GameParams, outcome: EquilibriumOutcome) -> float:
-    """Expected two-round aggregate cost of an outcome: everyone safe in both
-    rounds, or one experimenter and then the outcome's risky flows by
-    revealed state; the experiment is priced as the scheme with those flows,
-    to the bit."""
-    if not outcome.experimenters:
-        return 2.0 * _stage_cost(0, params.l, params)
-    return _scheme_cost(beta, outcome.flow_low - 1, outcome.flow_high, params)
+def _staying_safe(params: GameParams) -> float:
+    """Expected two-round aggregate cost when nobody experiments: everyone
+    takes the safe road in both rounds."""
+    return 2.0 * _stage_cost(0, params.l, params)
 
 
 def cost_full(beta: float, params: GameParams) -> float:
@@ -187,7 +192,26 @@ def _cost(beta: float, regime: str, params: GameParams) -> float:
     """Expected two-round cost of a regime: "full", "private" or "planner"."""
     beta = _require_belief(beta)
     _require_gate(beta, params)
-    return _two_rounds(beta, params, _outcome(beta, regime, params))
+    return float(_regime_costs(np.array([beta]), regime, params)[0])
+
+
+def _regime_costs(beta: np.ndarray, regime: str, params: GameParams) -> np.ndarray:
+    """_cost at each belief of an array of checked in-gate beliefs.
+
+    Below the regime's cutoff nobody experiments (_staying_safe). At or above
+    it one agent experiments and round two has the regime's risky flows by
+    revealed state; only those beliefs price the experiment, as the scheme
+    with those flows, to the bit. An overflow is left to inf or NaN, as
+    Python arithmetic on one belief leaves it.
+    """
+    cutoff, experiment = _regimes(params)[regime]
+    cost = np.full(len(beta), _staying_safe(params))
+    on = beta >= cutoff
+    if on.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost[on] = _scheme_cost(beta[on], experiment.flow_low - 1, experiment.flow_high,
+                                    params)
+    return cost
 
 
 @_per_game
@@ -279,10 +303,11 @@ def _ic_terms(beta: float, pi2_low, pi2_high, params: GameParams) -> Iterator[tu
            False)
 
 
-def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
+def _risky_filter(beta, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """R over pi2_low = 0..n-1 and U over pi2_high = 0..n-1: every pair whose
     recommended_risky term _ic_terms finds vacuous or obedient has
-    not (R_i + U_j > 0).
+    not (R_i + U_j > 0). beta is a belief, or a (k, 1) column of beliefs,
+    which gives one row of R and of U per belief.
 
     In exact arithmetic the term separates by flow. Its follow cost is
     (a + b)/(w + v) and its deviation cost (s + t)/(w + v), where the
@@ -300,8 +325,8 @@ def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarr
     - A vacuous pair (w + v = 0) has a = b = s = t = 0, so it is kept.
     - A NaN from overflow fails the test R_i + U_j > 0, so its pair is kept.
     The filter only chooses pairs: each kept pair's verdicts and cost come
-    from _ic_terms and _scheme_cost, as for any other pair. _risky_pairs
-    forms the kept pairs.
+    from _ic_terms and _scheme_cost, as for any other pair. _risky_lines and
+    _risky_pairs form the kept pairs.
     """
     n, s0, s1, l, h = params.n, params.s0, params.s1, params.l, params.h
     pi = np.arange(n)
@@ -312,30 +337,30 @@ def _risky_filter(beta: float, params: GameParams) -> tuple[np.ndarray, np.ndarr
             v * h * pi - margin * v * (s0 + s1 * (n - pi + 1)))
 
 
-def _risky_pairs(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j) with not (low[i] + high[j] > 0), _risky_filter's
-    test, as index arrays in row-major order.
+def _risky_lines(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows i and columns j that some belief b may keep under
+    _risky_filter's test, not (low[b, i] + high[b, j] > 0), for (k, n)
+    arrays with one row per belief.
 
-    Row i is dropped when low[i] + min(high) > 0, column j when
-    min(low) + high[j] > 0, before any pair is formed; the pair test then
-    runs on kept rows x kept columns, and its flat indices are mapped back.
-    No dropped row or column holds a pair the test keeps:
+    Belief b drops row i when low[b, i] + min(high[b]) > 0, and column j
+    when min(low[b]) + high[b, j] > 0, before any pair is formed; a row or
+    column stays when any belief keeps it. No dropped row or column holds a
+    pair the test keeps:
     - IEEE rounded addition is monotone in each operand, so for non-NaN
-      operands min(high) <= high[j] gives low[i] + min(high) <=
-      low[i] + high[j], and a row whose least sum is > 0 has every sum
-      > 0. The same holds for columns.
-    - A NaN entry makes its array's minimum NaN, and a NaN minimum fails
-      > 0 for every row (or column), so it drops nothing.
+      operands min(high[b]) <= high[b, j] gives low[b, i] + min(high[b]) <=
+      low[b, i] + high[b, j], and a row whose least sum is > 0 has every
+      sum > 0. The same holds for columns.
+    - A NaN entry makes its row's minimum NaN, and a NaN minimum fails > 0
+      for every row (or column) of that belief, so it drops nothing.
     - A pair whose sum is NaN from inf + (-inf) keeps its row and its
       column: the array holding the -inf has a minimum of -inf (or NaN),
       which sums with the +inf to NaN, and the -inf plus the other array's
       minimum is -inf or NaN; neither is > 0.
-    So the kept pairs, their order and their number are those of the full
-    test. In the solve low[0] = high[0] = 0 (pi2 = 0 carries no weight), so
+    In the solve low[b, 0] = high[b, 0] = 0 (pi2 = 0 carries no weight), so
     row 0 and column 0 always stay.
 
-    The kept strip is small, so the whole of it is tested at once. In the
-    solve, with K = s0 + s1*n and m = 1 + 1e-9, in exact arithmetic:
+    One belief's kept rows and columns make a small strip. In the solve,
+    with K = s0 + s1*n and m = 1 + 1e-9, in exact arithmetic:
     - low[i] = beta*i*(l*(i + 1) - m*(s0 + s1*(n - i))) and the bracket
       grows with i, so the kept rows are 0..rows-1. If h >= m*K, every
       high[j] >= 0 and a kept row has l*(i + 1) <= m*K: rows <= m*K/l.
@@ -349,15 +374,117 @@ def _risky_pairs(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndar
     - The first term gives j**2 < 2*m*(rows - 1)/(2 - m); the second rules
       out every j >= 2 when h < m*K, as rows <= n <= model._MAX_N.
     So cols <= max(2, 1 + sqrt(2*m*(rows - 1)/(2 - m))), and the strip
-    holds at most about n*(1 + sqrt(2*n)) entries: 45,722 at n = 1000, a
-    float and a bool each, under 0.5 MB for the sum test. The widest strip
-    seen in scans of extreme in-gate games is 1000 x 32, at h = 86,740*K.
+    holds at most about n*(1 + sqrt(2*n)) entries (_block_bound): 45,722 at
+    n = 1000, a float and a bool each, under 0.5 MB for the sum test. The
+    widest strip seen in scans of extreme in-gate games is 1000 x 32, at
+    h = 86,740*K.
     """
     # np.flatnonzero, inlined: at small n its wrapper costs more than the work.
-    rows = (~(low + high.min() > 0)).nonzero()[0]
-    cols = (~(low.min() + high > 0)).nonzero()[0]
-    i, j = np.divmod((~(low[rows, None] + high[cols] > 0)).ravel().nonzero()[0], len(cols))
-    return rows[i], cols[j]
+    rows = (~(low + high.min(axis=1, keepdims=True) > 0)).any(axis=0).nonzero()[0]
+    cols = (~(low.min(axis=1, keepdims=True) + high > 0)).any(axis=0).nonzero()[0]
+    return rows, cols
+
+
+def _risky_pairs(low: np.ndarray, high: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triples (b, i, j) with not (low[b, i] + high[b, j] > 0) among the
+    box of beliefs x rows x cols from _risky_lines, in belief order and
+    row-major order within a belief: the number of triples of each belief,
+    then the i and the j of every triple. Each belief's pairs are exactly
+    those of its full test, in the full test's order."""
+    b, i, j = (~(low[:, rows, None] + high[:, None, cols] > 0)).nonzero()
+    return np.bincount(b, minlength=len(low)), rows[i], cols[j]
+
+
+def _block_bound(n: int) -> float:
+    """Most entries one array of a solve block may hold: _risky_lines' bound
+    on one belief's strip, n*(1 + sqrt(2n))."""
+    return n * (1.0 + math.sqrt(2.0 * n))
+
+
+def _strip_solve(betas: list[float], params: GameParams) -> list[tuple[int, int, float, int]]:
+    """(pi2_low, pi2_high, cost, n_feasible) of the cheapest obedient scheme
+    at each belief of betas, checked in-gate beliefs at or above beta_p.
+
+    The beliefs run as one block: _risky_filter takes them as a (k, 1)
+    column, a row or column stays when any belief keeps it, each (belief,
+    pi2_low, pi2_high) triple of that box is tested against its own
+    belief's sums, and _ic_terms and _scheme_cost run once over the kept
+    triples. A block whose (k, n) filter or (k, rows, cols) box would hold
+    more than _block_bound(n) entries is split in halves, so no array
+    outgrows one belief's strip bound; a single belief runs as it is.
+
+    Each belief's winner comes from its own triples by argmin: the first
+    minimum in row-major order, or the first NaN, which raises InternalError
+    as the trailing inf does (no obedient pair) and as a cheapest cost of
+    inf does; the first belief with such an error raises it. A belief alone
+    enters _ic_terms and _scheme_cost as a float, so its own terms are
+    Python arithmetic, as they always were. Under np.errstate(over="raise")
+    a block raises FloatingPointError where any of its arrays overflows,
+    also in box pairs no belief tests alone; it is then solved one belief
+    at a time, so the first belief that overflows raises its own error;
+    halves run outside that fallback, as each has its own.
+    """
+    k = len(betas)
+    try:
+        triples = _block_pairs(betas, params)
+        winners = None if triples is None else _block_winners(betas, *triples, params)
+    except FloatingPointError:
+        if k == 1:
+            raise
+        return [scheme for beta in betas for scheme in _strip_solve([beta], params)]
+    if winners is None:
+        return _strip_solve(betas[:k // 2], params) + _strip_solve(betas[k // 2:], params)
+    return winners
+
+
+def _block_pairs(betas: list[float],
+                 params: GameParams) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The kept (belief, pi2_low, pi2_high) triples of betas as one block, or
+    None when its (k, n) filter or its (k, rows, cols) box would hold more
+    than _block_bound(n) entries; a single belief always fits. The filter
+    goes when this returns, so a block that splits holds none of it."""
+    k, bound = len(betas), _block_bound(params.n)
+    if k > 1 and k * params.n > bound:
+        return None
+    low, high = _risky_filter(np.array(betas)[:, None], params)
+    rows, cols = _risky_lines(low, high)
+    if k > 1 and k * len(rows) * len(cols) > bound:
+        return None
+    return _risky_pairs(low, high, rows, cols)
+
+
+def _block_winners(betas: list[float], counts: np.ndarray, pi_l: np.ndarray, pi_h: np.ndarray,
+                   params: GameParams) -> list[tuple[int, int, float, int]]:
+    """_strip_solve's verdicts, costs and winners on a block's kept triples,
+    counts of them per belief."""
+    one = len(betas) == 1
+    beta = betas[0] if one else np.repeat(np.array(betas), counts)  # each triple's belief
+    obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
+    # where each belief's triples end among the obedient ones
+    ends = np.searchsorted(np.flatnonzero(obedient), np.cumsum(counts)).tolist()
+    pi_l, pi_h = pi_l[obedient], pi_h[obedient]
+    cost = _scheme_cost(beta if one else beta[obedient], pi_l, pi_h, params)
+    winners, start = [], 0
+    for beta, end in zip(betas, ends):
+        # argmin takes the first minimum in row-major order, or the first
+        # NaN; it takes the trailing inf only when no pair is obedient.
+        own = np.append(cost[start:end], np.inf)
+        i = int(np.argmin(own))
+        if start + i == end or np.isnan(own[i]):
+            raise InternalError(
+                f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
+                "obedient for beta >= beta_p"
+            )
+        pi2_low, pi2_high = int(pi_l[start + i]), int(pi_h[start + i])
+        if not np.isfinite(own[i]):
+            raise InternalError(
+                f"the cheapest obedient scheme at beta={beta}, ({pi2_low}, {pi2_high}), "
+                f"costs {own[i]}: the game's costs leave the floating-point range"
+            )
+        winners.append((pi2_low, pi2_high, float(own[i]), end - start))
+        start = end
+    return winners
 
 
 @dataclass(frozen=True)
@@ -406,14 +533,15 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
 
     Below beta_p no experimenter can be motivated and the no-experimentation
     scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search runs over all (pi2_low, pi2_high) pairs. _risky_filter's bound
-    rules out the pairs that cannot pass the recommended_risky constraint:
-    _risky_pairs drops whole rows and columns first, then tests every pair
-    of the kept strip by one sum, at once (its docstring bounds the strip).
-    The three obedience constraints and the cost are evaluated once on the
-    pairs it keeps, and the cheapest obedient pair is returned. Ties
-    resolve to the lexicographically smallest pair. The pair (0, 0) is
-    always obedient at or above beta_p, so the feasible set cannot be empty.
+    search runs over all (pi2_low, pi2_high) pairs, as _strip_solve's block
+    of one belief. _risky_filter's bound rules out the pairs that cannot
+    pass the recommended_risky constraint: _risky_lines drops whole rows and
+    columns first, then _risky_pairs tests every pair of the kept strip by
+    one sum, at once (_risky_lines' docstring bounds the strip). The three
+    obedience constraints and the cost are evaluated once on the pairs it
+    keeps, and the cheapest obedient pair is returned. Ties resolve to the
+    lexicographically smallest pair. The pair (0, 0) is always obedient at
+    or above beta_p, so the feasible set cannot be empty.
     """
     beta = _require_belief(beta)
     th = _require_gate(beta, params)
@@ -422,37 +550,92 @@ def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
             experiment=False,
             pi2_low=None,
             pi2_high=None,
-            expected_cost=_two_rounds(beta, params, EquilibriumOutcome(0, 0, 0)),
+            expected_cost=_staying_safe(params),
             slacks=(),
             n_feasible=0,
         )
-    # The pairs that may pass recommended_risky, in row-major order.
-    pi_l, pi_h = _risky_pairs(*_risky_filter(beta, params))
-    obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
-    pi_l, pi_h = pi_l[obedient], pi_h[obedient]
-    # argmin takes the first minimum in row-major order, or the first NaN;
-    # it takes the trailing inf only when no pair is obedient.
-    cost = np.append(_scheme_cost(beta, pi_l, pi_h, params), np.inf)
-    k = int(np.argmin(cost))
-    if k == len(pi_l) or np.isnan(cost[k]):
-        raise InternalError(
-            f"no obedient scheme found at beta={beta}; expected (0, 0) to be "
-            "obedient for beta >= beta_p"
-        )
-    pi2_low, pi2_high = int(pi_l[k]), int(pi_h[k])
-    if not np.isfinite(cost[k]):
-        raise InternalError(
-            f"the cheapest obedient scheme at beta={beta}, ({pi2_low}, {pi2_high}), "
-            f"costs {cost[k]}: the game's costs leave the floating-point range"
-        )
+    (pi2_low, pi2_high, cost, n_feasible), = _strip_solve([beta], params)
     return TwoStageScheme(
         experiment=True,
         pi2_low=pi2_low,
         pi2_high=pi2_high,
-        expected_cost=float(cost[k]),
+        expected_cost=cost,
         slacks=tuple(ic_constraints_eval(beta, pi2_low, pi2_high, params)),
-        n_feasible=len(pi_l),
+        n_feasible=n_feasible,
     )
+
+
+@dataclass(frozen=True)
+class BeliefPoint:
+    """belief_sweep record: the values one row of `roadrec two-stage` prints.
+
+    A belief outside the gate has gated True, its gate's failures joined
+    by "; " in note, and None in every other field but beta. A belief
+    inside it has its region, the three benchmark costs, the optimal
+    scheme's cost v_partial, whether that scheme experiments and its
+    counts (None without an experiment), and note None.
+    """
+
+    beta: float
+    gated: bool
+    region: str | None = None
+    v_full: float | None = None
+    v_private: float | None = None
+    v_partial: float | None = None
+    v_so: float | None = None
+    experiment: bool | None = None
+    pi2_low: int | None = None
+    pi2_high: int | None = None
+    note: str | None = None
+
+
+def belief_sweep(params: GameParams, betas: Iterable[float]) -> list[BeliefPoint]:
+    """Gate and solve the two-stage model at each belief, in order.
+
+    Each record equals what region, cost_full, cost_private,
+    cost_social_optimum and solve_optimal_scheme give at its belief, with
+    the gate run once per belief. The three benchmark regimes are priced as
+    arrays over the in-gate beliefs (_regime_costs), and every in-gate
+    belief at or above beta_p is solved by _strip_solve, in blocks of
+    stacked beliefs that no array of which outgrows one belief's strip
+    bound.
+
+    Errors come as a loop over the beliefs raises them. A belief that is
+    not a number in [0, 1] stops the sweep, once the beliefs before it are
+    solved; a solve's error names the first belief that has one; no
+    benchmark cost is priced unless every solve succeeds.
+    """
+    gates, refused = [], None
+    for beta in betas:
+        try:
+            gate = check_assumption_two_stage(beta, params)
+        except ParameterError as exc:
+            refused = exc
+            break
+        gates.append((float(beta), gate))
+    inside = [beta for beta, gate in gates if gate.passed]
+    if inside:
+        th = thresholds(params)  # the gate passed, so l < s0 + s1
+        experimenting = [beta for beta in inside if beta >= th.beta_p]
+        schemes = iter(_strip_solve(experimenting, params) if experimenting else ())
+    if refused is not None:
+        raise refused
+    if inside:
+        priced = np.array(inside)
+        costs = zip(*(_regime_costs(priced, regime, params).tolist()
+                      for regime in ("full", "private", "planner")))
+    points = []
+    for beta, gate in gates:
+        if not gate.passed:
+            points.append(BeliefPoint(beta, True, note="; ".join(gate.failures)))
+            continue
+        v_full, v_private, v_so = next(costs)
+        experiment = beta >= th.beta_p
+        pi2_low, pi2_high, v_partial, _ = (next(schemes) if experiment
+                                           else (None, None, _staying_safe(params), 0))
+        points.append(BeliefPoint(beta, False, region(beta, th), v_full, v_private,
+                                  v_partial, v_so, experiment, pi2_low, pi2_high))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +882,7 @@ def oracle_checks(params: GameParams, betas: list[float]) -> list[dict]:
             ok = found == [predicted]
             tie = [EquilibriumOutcome(0, 0, 0), experiment]
             if found == tie and predicted in tie:
-                # the experimenter term of the scheme _two_rounds prices
+                # the experimenter term of the scheme _regime_costs prices
                 *_, (_, follow, deviate, _) = _ic_terms(
                     beta, experiment.flow_low - 1, experiment.flow_high, params)
                 ok = abs(deviate - follow) <= 1e-9 * max(follow, deviate)

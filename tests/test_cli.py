@@ -71,6 +71,17 @@ def test_parse_grid_rejects(bad):
         parse_grid(bad)
 
 
+def test_parse_grid_stops_its_loop_at_the_cap(monkeypatch):
+    # With a cap of 5 points: 5 points pass; 6 are refused, by the up-front
+    # count or, at 1e16 where start + k*step rounds back down and the count
+    # says 4 steps, by the loop itself.
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+    assert parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    for text in ("0:5:1", "1e16:10000000000000004:1", "-1e308:1e308:1"):
+        with pytest.raises(ParameterError, match=f"grid '{text}' has more than 5 points"):
+            parse_grid(text)
+
+
 def test_parse_grid_names_the_range_form():
     with pytest.raises(ParameterError, match="grid must be start:stop:step, got '0:1'"):
         parse_grid("0:1")
@@ -608,6 +619,50 @@ def test_infinite_gate_runs_once_per_call(capsys, reference_file, monkeypatch, a
     assert code == 0
     assert ("rollout" in data) == ("--trigger" in argv)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("grid, fmt", [("0.55", "json"), ("0.0:0.9:0.05", "json"),
+                                       ("0.0:0.9:0.05", "csv"), ("0.3,0.9,0.56,0.6", "csv")])
+def test_two_stage_gate_runs_once_per_belief(capsys, example1_file, monkeypatch, grid, fmt):
+    calls = []
+    true_gate = cli.check_assumption_two_stage
+
+    def counted(beta, params):
+        calls.append(beta)
+        return true_gate(beta, params)
+
+    monkeypatch.setattr(cli.ts, "check_assumption_two_stage", counted)
+    monkeypatch.setattr(cli, "check_assumption_two_stage", counted)
+    assert main(["two-stage", "--params", example1_file, "--beta-grid", grid,
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == parse_grid(grid)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_two_stage_rows_match_one_belief_calls(capsys, example1_file, fmt):
+    # EXAMPLE1 from below beta_so (0.05) to past the gate's limit (0.67),
+    # across beta_p (0.50) and beta_f (0.57): every row prints as the row of
+    # a call at its belief alone. A gated belief alone exits 1, so its row
+    # is the second of a call that puts 0.3 first.
+    grid = parse_grid("0.0:0.7:0.01")
+    assert main(["two-stage", "--params", example1_file, "--beta-grid", "0.0:0.7:0.01",
+                 "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:] if fmt == "csv" else json.loads(out)["rows"]
+    assert len(rows) == len(grid) == 71
+    for beta, row in zip(grid, rows):
+        alone = main(["two-stage", "--params", example1_file, "--beta-grid", repr(beta),
+                      "--format", fmt])
+        if alone == 1:
+            capsys.readouterr()
+            assert main(["two-stage", "--params", example1_file, "--beta-grid",
+                         f"0.3,{beta!r}", "--format", fmt]) == 0
+        one = capsys.readouterr().out
+        one = one.splitlines()[1:] if fmt == "csv" else json.loads(one)["rows"]
+        assert row == one[-1]
+    if fmt == "json":
+        assert {row.get("region") for row in rows} == {None, "A", "B", "C", "D"}
 
 
 def test_cli_reads_no_private_library_name():

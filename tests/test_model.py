@@ -137,12 +137,33 @@ def test_integer_rule():
 
 
 def test_number_rule():
-    # an int or a float, never a bool
-    for value in (2, 2.5, np.float64(2.5)):
+    # an int or a float, or a numpy integer or floating scalar, never a bool;
+    # a numpy scalar comes back as the Python int or float of its value
+    for value in (2, 2.5):
         assert _require_number("x", value) is value
-    for value in (True, "2", None):
+    for value, want in ((np.float64(2.5), 2.5), (np.float32(0.5), 0.5), (np.int64(7), 7),
+                        (np.uint8(3), 3)):
+        got = _require_number("x", value)
+        assert type(got) is type(want) and got == want
+    for value in (True, np.True_, "2", None, np.array(2.5)):
         with pytest.raises(ParameterError, match=re.escape(f"x must be a number, got {value!r}")):
             _require_number("x", value)
+
+
+def test_numpy_number_fields_keep_their_bits():
+    # A numpy scalar field is the Python number of its value: the game with
+    # np.int64(10) for s0 is the all-int game, to the bit.
+    ints = GameParams(n=10, s0=10, s1=0, l=1, h=19)
+    numpy_s0 = GameParams(n=10, s0=np.int64(10), s1=0, l=1, h=19)
+    assert numpy_s0 == ints and type(numpy_s0.s0) is int
+    assert repr(ts.thresholds(numpy_s0)) == repr(ts.thresholds(ints))
+    assert type(dataclasses.replace(ints, h=np.float32(19.5)).h) is float
+    assert expected_theta(np.float32(0.5), ints) == expected_theta(0.5, ints) == 10.0
+    for name, call in (("belief", lambda: expected_theta(np.True_, ints)),
+                       ("s0", lambda: dataclasses.replace(ints, s0=np.True_))):
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be a number, got "
+                                                           f"{np.True_!r}")):
+            call()
 
 
 def test_params_take_a_numpy_integer_n(reference):

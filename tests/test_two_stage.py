@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from roadrec import model, two_stage
 from roadrec.model import (AssumptionError, GameParams, InternalError, ParameterError,
                            all_obedient, stage_cost)
 from roadrec.two_stage import (
+    BeliefPoint,
     EquilibriumOutcome,
+    belief_sweep,
     brute_force_equilibrium,
     cost_full,
     cost_private,
@@ -321,6 +324,13 @@ def test_grid_solve_matches_zero_d_calls_on_larger_draws():
             _assert_solve_matches_scalar_scan(beta, params)
 
 
+def _strip(beta, params):
+    """One belief's kept (pi2_low, pi2_high) pairs, as the solve forms them."""
+    low, high = two_stage._risky_filter(np.array([[beta]]), params)
+    _, pi_l, pi_h = two_stage._risky_pairs(low, high, *two_stage._risky_lines(low, high))
+    return pi_l, pi_h
+
+
 def _tight_beliefs(params, lo, hi, rng, count=2):
     """Up to count beliefs in [lo, hi) at each of which the recommended_risky
     term of some pair (i, j), i, j >= 1, is tight in exact arithmetic: there
@@ -347,9 +357,9 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
     # full grid they must include every pair whose recommended_risky term
     # is vacuous or obedient: at beta_p, just above it, up to the gate's
     # limit and where some pair's term is tight, in units of 2**e, where
-    # float arithmetic scales every cost exactly. _risky_pairs, which drops
-    # whole rows and columns first, must give exactly the full test's pairs
-    # in row-major order.
+    # float arithmetic scales every cost exactly. _risky_lines, which drops
+    # whole rows and columns first, and _risky_pairs must give exactly the
+    # full test's pairs in row-major order.
     rng = np.random.default_rng(1901)
     games = TIGHT_RISKY + [draw_two_stage_case(rng, n_range=(2, 60))[0] for _ in range(200)]
     kept = passed = pairs = 0
@@ -371,7 +381,7 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
                 low, high = two_stage._risky_filter(beta, scaled)
                 keep = ~(low[:, None] + high > 0)
                 assert not np.any(ok & ~keep), (params, beta, e)
-                for got, want in zip(two_stage._risky_pairs(low, high), np.nonzero(keep)):
+                for got, want in zip(_strip(beta, scaled), np.nonzero(keep)):
                     assert np.array_equal(got, want), (params, beta, e)
                 kept += int(np.count_nonzero(keep))
                 passed += int(np.count_nonzero(ok))
@@ -382,22 +392,25 @@ def test_risky_filter_keeps_every_pair_the_risky_term_passes():
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 65536])
 def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(seed):
-    # R or U holding NaN or +-inf (as overflow could make them): no row or
-    # column may be dropped that holds a pair the full test keeps, and the
-    # pairs come out in the full test's order.
+    # R or U holding NaN or +-inf (as overflow could make them), for 1 to 4
+    # beliefs at once: no row or column may be dropped that holds a pair
+    # some belief's full test keeps, and the (belief, pi2_low, pi2_high)
+    # triples come out in the full test's order.
     rng = np.random.default_rng(seed)
     specials = np.array([np.nan, np.inf, -np.inf, 0.0])
     for _ in range(300):
-        n = int(rng.integers(2, 12))
-        low, high = rng.normal(size=n), rng.normal(size=n)
+        k, n = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+        low, high = rng.normal(size=(k, n)), rng.normal(size=(k, n))
         for values in (low, high):
-            special = rng.random(n) < 0.3
+            special = rng.random((k, n)) < 0.3
             values[special] = rng.choice(specials, size=int(special.sum()))
         # as in the solve, pi2 = 0 carries no weight: R_0 = U_0 = 0
-        low[0] = high[0] = 0.0
+        low[:, 0] = high[:, 0] = 0.0
         with np.errstate(invalid="ignore"):
-            want = np.nonzero(~(low[:, None] + high > 0))
-            got = two_stage._risky_pairs(low, high)
+            want = np.nonzero(~(low[:, :, None] + high[:, None, :] > 0))
+            counts, pi_l, pi_h = two_stage._risky_pairs(low, high,
+                                                        *two_stage._risky_lines(low, high))
+        got = (np.repeat(np.arange(k), counts), pi_l, pi_h)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (low, high)
 
@@ -494,8 +507,8 @@ def test_strip_solve_on_fixed_games(example1, game, beta):
 
 
 def test_risky_strip_stays_within_its_bound():
-    # _risky_pairs tests its whole kept strip at once; its docstring bounds
-    # the strip. Extreme in-gate games up to model._MAX_N agents, flat
+    # _risky_pairs tests one belief's whole kept strip at once; the
+    # docstring of _risky_lines bounds the strip. Extreme in-gate games up to model._MAX_N agents, flat
     # (s1 = 0) and sloped safe roads, l from 1e-7*K to just under s0 + s1,
     # h from K*(1 + 1e-13) to 1e8*K, beliefs from beta_p to 1e-12 below the
     # gate's limit. Every kept row and column holds a kept pair, so the
@@ -519,7 +532,7 @@ def test_risky_strip_stays_within_its_bound():
             if not (beta_p <= beta < limit and model.check_assumption_two_stage(beta, params).passed):
                 continue
             points += 1
-            pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(beta, params))
+            pi_l, pi_h = _strip(beta, params)
             rows, cols = len(np.unique(pi_l)), len(np.unique(pi_h))
             # kept rows are 0..rows-1
             assert pi_l[-1] == rows - 1, (params, beta)
@@ -536,10 +549,10 @@ def test_risky_strip_stays_within_its_bound():
     # the widest strip seen in scans: 1000 x 32
     wide = GameParams(n=1000, s0=32.73232953613945, s1=0, l=0.0007590568697130372,
                       h=2839192.5667863195)
-    pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(0.99998836, wide))
+    pi_l, pi_h = _strip(0.99998836, wide)
     assert (len(np.unique(pi_l)), len(np.unique(pi_h))) == (1000, 32)
     # STATIC_200 at 0.6 keeps 111 rows and 4 columns
-    pi_l, pi_h = two_stage._risky_pairs(*two_stage._risky_filter(0.6, STATIC_200))
+    pi_l, pi_h = _strip(0.6, STATIC_200)
     assert (len(np.unique(pi_l)), len(np.unique(pi_h))) == (111, 4)
 
 
@@ -760,3 +773,239 @@ def test_profile_index_is_read_only():
             with pytest.raises(ValueError):
                 array[0] = 0
         assert two_stage._profile_index(n) is index
+
+
+# ---------------------------------------------------------------------------
+# the belief sweep
+
+# The widest kept strip seen at n = 1000 (1000 x 32 pairs near 0.99998836).
+STRIP_1000 = GameParams(n=1000, s0=32.73232953613945, s1=0, l=0.0007590568697130372,
+                        h=2839192.5667863195)
+
+
+def _one_by_one(params, betas):
+    """The records a loop of one-belief calls gives, with each benchmark cost
+    also checked against the scheme cost of its regime's flows, priced in
+    Python arithmetic."""
+    points = []
+    for beta in betas:
+        gate = model.check_assumption_two_stage(beta, params)
+        if not gate.passed:
+            points.append(BeliefPoint(float(beta), True, note="; ".join(gate.failures)))
+            continue
+        th = thresholds(params)
+        scheme = solve_optimal_scheme(beta, params)
+        v_full, v_private, v_so = (cost_full(beta, params), cost_private(beta, params),
+                                   cost_social_optimum(beta, params))
+        safe = 2.0 * stage_cost(0, params.l, params)
+        for cost, cutoff, flows in ((v_full, th.beta_f, (th.eq_flow_low - 1, 0)),
+                                    (v_private, th.beta_p, (0, 0)),
+                                    (v_so, th.beta_so, (th.so_flow_low - 1, th.so_flow_high))):
+            assert cost == (scheme_cost_two_stage(beta, *flows, params) if beta >= cutoff
+                            else safe), (params, beta)
+        points.append(BeliefPoint(float(beta), False, region(beta, th), v_full, v_private,
+                                  scheme.expected_cost, v_so, scheme.experiment,
+                                  scheme.pi2_low, scheme.pi2_high))
+    return points
+
+
+def _result(call):
+    """call()'s value, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (InternalError, FloatingPointError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sweep_matches(params, betas):
+    want = _result(lambda: _one_by_one(params, betas))
+    got = _result(lambda: belief_sweep(params, betas))
+    assert got == want, (params, betas)
+    if isinstance(want, list):
+        types = [[type(value) for value in vars(point).values()] for point in want]
+        assert [[type(value) for value in vars(point).values()] for point in got] == types
+    return got
+
+
+def _crossing_grid(params):
+    """Beliefs at, just around and between beta_so, beta_p, beta_f and the
+    gate's limit, from 0 to 1."""
+    th = thresholds(params)
+    limit = model.check_assumption_two_stage(0.0, params).beta_limit
+    edges = [th.beta_so, th.beta_p, th.beta_f, limit]
+    grid = [0.0, 1.0]
+    for edge in edges:
+        grid += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 1.0))]
+    grid += np.linspace(th.beta_so, limit, 9).tolist()
+    return [beta for beta in grid if 0.0 <= beta <= 1.0]
+
+
+@pytest.fixture(params=["default", "one", "whole"])
+def blocks(request, monkeypatch):
+    # Blocks of the default rule, of one belief each, or of the whole grid.
+    bound = {"one": 0.0, "whole": np.inf}.get(request.param)
+    if bound is not None:
+        monkeypatch.setattr(two_stage, "_block_bound", lambda n: bound)
+    return request.param
+
+
+@pytest.mark.parametrize("game", ["example1", "tied", "static200", "strip1000"])
+def test_belief_sweep_matches_one_belief_calls(example1, game, blocks):
+    params = {"example1": example1, "tied": TIED, "static200": STATIC_200,
+              "strip1000": STRIP_1000}[game]
+    grid = _crossing_grid(params)
+    if game == "strip1000":
+        # One belief solves in about 3 ms here: at beta_p (where the solve
+        # finds no obedient scheme, as one by one) and a few above it.
+        th = thresholds(params)
+        assert _assert_sweep_matches(params, grid) == (
+            InternalError, f"no obedient scheme found at beta={th.beta_p}; expected (0, 0) "
+                           "to be obedient for beta >= beta_p")
+        grid = [0.5, th.beta_so] + np.linspace(th.beta_p, th.beta_f, 5)[1:].tolist()
+        grid += [0.99998836, float(np.nextafter(grid[-1], 1.0)), 0.99999]
+    points = _assert_sweep_matches(params, grid)
+    assert {point.region for point in points} >= {"A", "B", "C", "D"}
+    assert any(point.gated for point in points) and any(point.experiment for point in points)
+
+
+def test_belief_sweep_matches_one_belief_calls_on_draws(blocks):
+    # 300 drawn games with n = 2..30, on grids crossing every threshold and
+    # the gate's limit, with the drawn belief too.
+    rng = np.random.default_rng(2034)
+    experiments = 0
+    for _ in range(300):
+        params, drawn = draw_two_stage_case(rng, n_range=(2, 30))
+        points = _assert_sweep_matches(params, _crossing_grid(params) + [drawn])
+        experiments += sum(bool(point.experiment) for point in points)
+    assert experiments > 1500
+
+
+def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeypatch):
+    # REFERENCE's ratios in units of 1e306: every experiment at or above
+    # beta_p costs inf. The sweep raises what one-belief calls in order
+    # raise, with numpy's overflow ignored or raised, and a belief that is
+    # no belief raises only when no solve before it has.
+    unit = 1e306
+    huge = GameParams(n=10, s0=10 * unit, s1=0, l=unit, h=19 * unit)
+    beta_p = thresholds(huge).beta_p
+    priced = []
+    true_costs = two_stage._regime_costs
+    monkeypatch.setattr(two_stage, "_regime_costs", lambda beta, regime, params: (
+        priced.append(beta.tolist()) or true_costs(beta, regime, params)))
+    cases = [([0.1, 0.2, beta_p, 0.4, 0.45], "inf"), ([0.1, 0.4, beta_p], "inf"),
+             ([0.2, 1.5, 0.4], "belief"), ([0.2, 0.4, 1.5], "inf"),
+             ([0.1, 0.2, 0.3], None)]
+    for settings in ({"over": "ignore", "invalid": "ignore"}, {"over": "raise", "invalid": "raise"}):
+        with np.errstate(**settings):
+            # a benchmark priced as an array overflows to inf, as one
+            # belief's Python arithmetic does
+            assert cost_private(0.4, huge) == scheme_cost_two_stage(0.4, 0, 0, huge) == np.inf
+            for grid, error in cases:
+                got = _assert_sweep_matches(huge, grid)
+                priced.clear()
+                _result(lambda: belief_sweep(huge, grid))
+                # a sweep that raises prices no benchmark at any belief
+                assert bool(priced) == (error is None)
+                if error is None:
+                    assert isinstance(got, list)
+                elif error == "belief":
+                    assert got == (ParameterError, "belief must be in [0, 1], got 1.5")
+                elif settings["over"] == "ignore":
+                    # the first belief at or above beta_p names the error
+                    first = next(beta for beta in grid if beta >= beta_p)
+                    assert got[0] is InternalError and f"at beta={first}, (0, 0)" in got[1]
+                else:
+                    assert got[0] is FloatingPointError
+    # No obedient pair, or a NaN cost, at EXAMPLE1's beliefs 0.55 and 0.62:
+    # the first of them names the error.
+    grid = [0.3, 0.55, 0.62, 0.9]
+    no_scheme = (InternalError, "no obedient scheme found at beta=0.55; expected (0, 0) to be "
+                                "obedient for beta >= beta_p")
+    true_obedient, true_cost = two_stage.all_obedient, two_stage._scheme_cost
+    monkeypatch.setattr(two_stage, "all_obedient",
+                        lambda terms: np.zeros_like(true_obedient(terms)))
+    assert _assert_sweep_matches(example1, grid) == no_scheme
+    monkeypatch.setattr(two_stage, "all_obedient", true_obedient)
+    # NaN for the solve's count arrays; a benchmark's int counts price as ever
+    monkeypatch.setattr(two_stage, "_scheme_cost", lambda beta, pi_l, pi_h, params: (
+        np.full(len(pi_l), np.nan) if np.ndim(pi_l) else true_cost(beta, pi_l, pi_h, params)))
+    assert _assert_sweep_matches(example1, grid) == no_scheme
+    monkeypatch.setattr(two_stage, "_scheme_cost", true_cost)
+    # A block of several beliefs that overflows, here in every stacked
+    # _ic_terms call, is solved again one belief at a time, whose float
+    # beliefs do not overflow: the sweep still gives the loop's records.
+    true_terms = two_stage._ic_terms
+
+    def stacked_overflow(beta, pi_l, pi_h, params):
+        if isinstance(beta, np.ndarray):
+            raise FloatingPointError("overflow encountered in multiply")
+        return true_terms(beta, pi_l, pi_h, params)
+
+    monkeypatch.setattr(two_stage, "_ic_terms", stacked_overflow)
+    grid = _crossing_grid(example1)
+    assert isinstance(_assert_sweep_matches(example1, grid), list)
+
+
+def test_belief_sweep_blocks_stay_within_the_strip_bound(monkeypatch):
+    # Every (k, n) filter and every (k, rows, cols) box of a block of k > 1
+    # beliefs holds at most n*(1 + sqrt(2n)) entries, the bound on one
+    # belief's strip; STATIC_200's grid runs blocks of several beliefs.
+    boxes = []
+    true_pairs = two_stage._risky_pairs
+
+    def recorded(low, high, rows, cols):
+        boxes.append((len(low), low.size, len(low) * len(rows) * len(cols)))
+        return true_pairs(low, high, rows, cols)
+
+    monkeypatch.setattr(two_stage, "_risky_pairs", recorded)
+    grids = {STATIC_200: np.arange(0.40, 0.66, 0.002).tolist(),
+             STATIC_1000: np.arange(0.5, 0.68, 0.001).tolist(),
+             STRIP_1000: np.linspace(thresholds(STRIP_1000).beta_p, 0.99998847, 61)[1:].tolist()}
+    for params, grid in grids.items():
+        boxes.clear()
+        points = belief_sweep(params, grid)
+        solved = sum(bool(point.experiment) for point in points)
+        bound = params.n * (1 + np.sqrt(2 * params.n))
+        assert two_stage._block_bound(params.n) == bound
+        assert sum(k for k, _, _ in boxes) == solved > 20
+        for k, filter_size, box in boxes:
+            assert k == 1 or (filter_size <= bound and box <= bound), (params, k, box)
+        if params is STATIC_200:
+            assert max(k for k, _, _ in boxes) > 2
+        if params is STRIP_1000:
+            # one belief's strip is more than half the bound here
+            assert max(k for k, _, _ in boxes) == 1
+
+
+def test_belief_sweep_peak_memory_is_no_higher_than_a_loop():
+    # The strip1000 game, 200 beliefs above beta_p: the sweep (one belief
+    # per block here) peaks no higher than a loop of one-belief calls that
+    # builds the rows `roadrec two-stage` printed from them.
+    th = thresholds(STRIP_1000)
+    limit = model.check_assumption_two_stage(0.0, STRIP_1000).beta_limit
+    grid = np.linspace(th.beta_p, limit, 201, endpoint=False)[1:].tolist()
+
+    def loop():
+        rows = []
+        for beta in grid:
+            model.check_assumption_two_stage(beta, STRIP_1000)
+            scheme = solve_optimal_scheme(beta, STRIP_1000)
+            rows.append({"beta": beta, "gated": False, "region": region(beta, th),
+                         "v_full": cost_full(beta, STRIP_1000),
+                         "v_private": cost_private(beta, STRIP_1000),
+                         "v_partial": scheme.expected_cost,
+                         "v_so": cost_social_optimum(beta, STRIP_1000),
+                         "experiment": scheme.experiment, "pi2_low": scheme.pi2_low,
+                         "pi2_high": scheme.pi2_high})
+        return rows
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    loop(), belief_sweep(STRIP_1000, grid[:3])  # warm numpy's own caches
+    assert peak(lambda: belief_sweep(STRIP_1000, grid)) <= peak(loop)
