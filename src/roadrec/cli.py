@@ -15,7 +15,8 @@ Subcommands:
 
 Exit status: 0 on success and all checks passing, 1 when model assumptions
 fail or an oracle disagrees, 2 on malformed input, on numbers that leave the
-floating-point range, or on an --output file that cannot be written, 3 when an
+floating-point range (in any subcommand, and in JSON or CSV: no inf or NaN is
+ever printed), or on an --output file that cannot be written, 3 when an
 identity the closed forms guarantee breaks (a bug in the program). Numbers are
 printed with twelve significant digits, JSON by default; two-stage and sweep
 can emit CSV.
@@ -61,12 +62,20 @@ def _json_text(obj) -> str:
 
     A record (a dataclass instance) prints as its fields, in field order;
     vars() reads them without the deep copy of dataclasses.asdict. Dict keys
-    must be strings. A non-finite float raises InternalError, and a value
-    JSON has no form for raises TypeError, as json.dumps does.
+    must be strings. A non-finite float raises FloatingPointError (_finite),
+    and a value JSON has no form for raises TypeError, as json.dumps does.
     """
     parts: list[str] = []
     _write_json(obj, "\n", parts.append)
     return "".join(parts)
+
+
+def _finite(value: float) -> float:
+    """value, which either writer prints; inf or NaN raises FloatingPointError,
+    since a number past the float range has no value a verdict can rest on."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"refusing to print the non-finite number {value!r}")
+    return value
 
 
 def _write_json(obj, newline: str, out) -> None:
@@ -74,11 +83,7 @@ def _write_json(obj, newline: str, out) -> None:
     if isinstance(obj, str):
         out(_encode_str(obj))
     elif isinstance(obj, float):
-        value = float(f"{obj:.12g}")
-        if not math.isfinite(value):
-            raise InternalError("refusing to print a non-finite number as JSON: "
-                                f"Out of range float values are not JSON compliant: {value!r}")
-        out(float.__repr__(value))
+        out(float.__repr__(_finite(float(f"{obj:.12g}"))))
     elif obj is None:
         out("null")
     elif obj is True:
@@ -144,7 +149,7 @@ def _emit_csv(columns: list[str], rows: list[dict], args: argparse.Namespace) ->
             if v is None:
                 out.append("")
             elif isinstance(v, float):
-                out.append(f"{v:.12g}")
+                out.append(f"{_finite(v):.12g}")
             elif isinstance(v, bool):
                 out.append(str(v).lower())
             else:
@@ -358,6 +363,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _require_json_format(args, "oracle")
+    if args.target == "infinite" and args.beta_grid is not None:
+        raise ParameterError("--beta-grid applies to --target two-stage only")
     params, file_beta = load_params(args.params)
     if args.target == "two-stage":
         checks = ts.oracle_checks(params, _betas(args, file_beta))

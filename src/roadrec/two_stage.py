@@ -16,13 +16,14 @@ coordinator. The module computes
   of at most about n*(1 + sqrt(2n)) entries tested at once; the exact
   obedience terms and cost are evaluated only on the pairs it keeps),
 * belief_sweep, every one of these at each belief of a grid, as the
-  `two-stage` command prints them: one gate run per belief, the benchmark
-  regimes priced as arrays over the in-gate beliefs, and the beliefs at or
-  above beta_p solved as stacked blocks, one (belief, pi2_low, pi2_high)
-  box per block; a block is halved until its filter and its box each hold
-  at most n*(1 + sqrt(2n)) entries, one belief's strip bound, so a grid
-  of wide strips runs one belief per block. solve_optimal_scheme and the
-  cost functions are the one-belief case of the same cores,
+  `two-stage` command prints them: every belief checked before any solve,
+  one gate run per belief, the benchmark regimes priced as arrays over the
+  in-gate beliefs, and the beliefs at or above beta_p solved as stacked
+  blocks, one (belief, pi2_low, pi2_high) box per block; a block is halved
+  until its filter and its box each hold at most n*(1 + sqrt(2n)) entries,
+  one belief's strip bound, so a grid of wide strips runs one belief per
+  block. solve_optimal_scheme and the cost functions are the one-belief
+  case of the same cores,
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals), and
@@ -96,6 +97,9 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
     Requires gate condition 1 (l < s0 + s1); condition 2 depends on beta and
     is checked by the cost functions instead. Remembered per GameParams
     object (model._per_game), so a loop over beliefs computes them once.
+    A threshold that is not finite raises FloatingPointError, under any
+    numpy error state: every comparison against NaN is false, so each belief
+    would read as region B.
     """
     if not params.l < params.s0 + params.s1:
         raise AssumptionError(
@@ -125,6 +129,11 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
     beta_so_alt = (h + g_so_h - (s0 * (n + 1) - s1 * ((2 + n) * n - 1))) / (
         h - l + g_so_h - g_so_l
     )
+
+    for name, value in (("beta_so", beta_so), ("beta_p", beta_p), ("beta_f", beta_f)):
+        if not math.isfinite(value):
+            # the inputs are finite, so the arithmetic above overflowed
+            raise FloatingPointError(f"the two-stage threshold {name} is {value}")
 
     warnings = []
     if abs(beta_so - beta_so_alt) > 1e-9:
@@ -201,16 +210,13 @@ def _regime_costs(beta: np.ndarray, regime: str, params: GameParams) -> np.ndarr
     Below the regime's cutoff nobody experiments (_staying_safe). At or above
     it one agent experiments and round two has the regime's risky flows by
     revealed state; only those beliefs price the experiment, as the scheme
-    with those flows, to the bit. An overflow is left to inf or NaN, as
-    Python arithmetic on one belief leaves it.
+    with those flows, to the bit.
     """
     cutoff, experiment = _regimes(params)[regime]
     cost = np.full(len(beta), _staying_safe(params))
     on = beta >= cutoff
     if on.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost[on] = _scheme_cost(beta[on], experiment.flow_low - 1, experiment.flow_high,
-                                    params)
+        cost[on] = _scheme_cost(beta[on], experiment.flow_low - 1, experiment.flow_high, params)
     return cost
 
 
@@ -391,8 +397,14 @@ def _risky_pairs(low: np.ndarray, high: np.ndarray, rows: np.ndarray,
     box of beliefs x rows x cols from _risky_lines, in belief order and
     row-major order within a belief: the number of triples of each belief,
     then the i and the j of every triple. Each belief's pairs are exactly
-    those of its full test, in the full test's order."""
-    b, i, j = (~(low[:, rows, None] + high[:, None, cols] > 0)).nonzero()
+    those of its full test, in the full test's order.
+
+    The box sum ignores overflow: a belief of a stacked block meets rows and
+    columns only other beliefs keep, and there +inf drops a pair that cannot
+    pass while NaN keeps it (_risky_filter), so a block raises nowhere its
+    beliefs alone would not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, i, j = (~(low[:, rows, None] + high[:, None, cols] > 0)).nonzero()
     return np.bincount(b, minlength=len(low)), rows[i], cols[j]
 
 
@@ -417,25 +429,13 @@ def _strip_solve(betas: list[float], params: GameParams) -> list[tuple[int, int,
     Each belief's winner comes from its own triples by argmin: the first
     minimum in row-major order, or the first NaN, which raises InternalError
     as the trailing inf does (no obedient pair) and as a cheapest cost of
-    inf does; the first belief with such an error raises it. A belief alone
-    enters _ic_terms and _scheme_cost as a float, so its own terms are
-    Python arithmetic, as they always were. Under np.errstate(over="raise")
-    a block raises FloatingPointError where any of its arrays overflows,
-    also in box pairs no belief tests alone; it is then solved one belief
-    at a time, so the first belief that overflows raises its own error;
-    halves run outside that fallback, as each has its own.
+    inf does.
     """
-    k = len(betas)
-    try:
-        triples = _block_pairs(betas, params)
-        winners = None if triples is None else _block_winners(betas, *triples, params)
-    except FloatingPointError:
-        if k == 1:
-            raise
-        return [scheme for beta in betas for scheme in _strip_solve([beta], params)]
-    if winners is None:
+    triples = _block_pairs(betas, params)
+    if triples is None:
+        k = len(betas)
         return _strip_solve(betas[:k // 2], params) + _strip_solve(betas[k // 2:], params)
-    return winners
+    return _block_winners(betas, *triples, params)
 
 
 def _block_pairs(betas: list[float],
@@ -458,13 +458,12 @@ def _block_winners(betas: list[float], counts: np.ndarray, pi_l: np.ndarray, pi_
                    params: GameParams) -> list[tuple[int, int, float, int]]:
     """_strip_solve's verdicts, costs and winners on a block's kept triples,
     counts of them per belief."""
-    one = len(betas) == 1
-    beta = betas[0] if one else np.repeat(np.array(betas), counts)  # each triple's belief
+    beta = np.repeat(np.array(betas), counts)  # each triple's belief
     obedient = all_obedient(_ic_terms(beta, pi_l, pi_h, params))
     # where each belief's triples end among the obedient ones
     ends = np.searchsorted(np.flatnonzero(obedient), np.cumsum(counts)).tolist()
     pi_l, pi_h = pi_l[obedient], pi_h[obedient]
-    cost = _scheme_cost(beta if one else beta[obedient], pi_l, pi_h, params)
+    cost = _scheme_cost(beta[obedient], pi_l, pi_h, params)
     winners, start = [], 0
     for beta, end in zip(betas, ends):
         # argmin takes the first minimum in row-major order, or the first
@@ -600,27 +599,18 @@ def belief_sweep(params: GameParams, betas: Iterable[float]) -> list[BeliefPoint
     stacked beliefs that no array of which outgrows one belief's strip
     bound.
 
-    Errors come as a loop over the beliefs raises them. A belief that is
-    not a number in [0, 1] stops the sweep, once the beliefs before it are
-    solved; a solve's error names the first belief that has one; no
-    benchmark cost is priced unless every solve succeeds.
+    Every belief is checked before any solve, so a belief that is not a
+    number in [0, 1] stops the sweep before any work.
     """
-    gates, refused = [], None
+    gates = []
     for beta in betas:
-        try:
-            gate = check_assumption_two_stage(beta, params)
-        except ParameterError as exc:
-            refused = exc
-            break
+        gate = check_assumption_two_stage(beta, params)
         gates.append((float(beta), gate))
     inside = [beta for beta, gate in gates if gate.passed]
     if inside:
         th = thresholds(params)  # the gate passed, so l < s0 + s1
         experimenting = [beta for beta in inside if beta >= th.beta_p]
         schemes = iter(_strip_solve(experimenting, params) if experimenting else ())
-    if refused is not None:
-        raise refused
-    if inside:
         priced = np.array(inside)
         costs = zip(*(_regime_costs(priced, regime, params).tolist()
                       for regime in ("full", "private", "planner")))
@@ -867,10 +857,11 @@ def oracle_checks(params: GameParams, betas: list[float]) -> list[dict]:
     belief and regime. At a regime's cutoff the experimenter is indifferent
     within the brute force's relative 1e-9, so it may find both the
     no-experiment outcome and the experiment; that passes when the
-    prediction is one of them and the experimenter term ties."""
+    prediction is one of them and the experimenter term ties. Every belief
+    is checked before the first brute force."""
+    gates = [check_assumption_two_stage(beta, params) for beta in betas]
     checks = []
-    for beta in betas:
-        gate = check_assumption_two_stage(beta, params)
+    for beta, gate in zip(betas, gates):
         if not gate.passed:
             checks.append({"name": f"beta={beta:.12g}", "passed": False, "detail":
                            "outside two-stage assumptions: " + "; ".join(gate.failures)})

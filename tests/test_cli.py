@@ -420,6 +420,10 @@ def test_oversized_parameters_exit_2(capsys, tmp_path, command, raw, message):
     (["sweep", "--delta-grid", "0.1:0.9:0.1"], 1e306),
     (["oracle", "--target", "infinite"], 1e306),
     (["simulate", "--trials", "200", "--seed", "1"], 1e300),
+    (["two-stage", "--beta-grid", "0.1"], 1e306),
+    (["two-stage", "--beta-grid", "0.45"], 1e306),
+    (["two-stage", "--format", "csv", "--beta-grid", "0.1"], 1e306),
+    (["two-stage", "--format", "csv", "--beta-grid", "0.45"], 1e306),
 ])
 def test_costs_past_float_range_exit_2(capsys, recwarn, tmp_path, command, unit):
     # REFERENCE with every cost in these units passes the gate, but the
@@ -470,12 +474,40 @@ def test_simulate_single_trial_is_strict_json(capsys, reference_file):
 
 
 def test_emit_refuses_non_finite_numbers(capsys):
+    # Both writers raise the float-range error, which main maps to exit 2.
     args = cli.build_parser().parse_args(["infinite", "--params", "unused.json"])
-    with pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(FloatingPointError, match="non-finite"):
         cli._emit({"value": float("nan")}, args)
-    with pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(FloatingPointError, match="non-finite"):
         cli._emit({"rows": [{"ratio": float("inf")}]}, args)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cli._emit_csv(["beta", "v"], [{"beta": 0.5, "v": 1.0}, {"beta": 0.6, "v": value}],
+                          args)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_stage_threshold_past_float_range_exits_2(capsys, tmp_path, fmt):
+    # beta_so overflows to NaN here; CSV prints no thresholds, and every
+    # region and v_so compared against NaN would read as below beta_so.
+    path = tmp_path / "nan_beta_so.json"
+    path.write_text(json.dumps({"n": 10, "s0": 1e306, "s1": 0, "l": 1e305, "h": 1.7e308}))
+    assert main(["two-stage", "--params", str(path), "--format", fmt,
+                 "--beta-grid", "0.1,0.5,0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("roadrec: parameter error: the game's numbers leave the "
+                            "floating-point range (the two-stage threshold beta_so is nan)\n")
+
+
+def test_infinite_oracle_refuses_a_beta_grid(capsys, reference_file):
+    assert main(["oracle", "--params", reference_file, "--target", "infinite",
+                 "--beta-grid", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("roadrec: parameter error: --beta-grid applies to --target "
+                            "two-stage only\n")
 
 
 # ---------------------------------------------------------------------------

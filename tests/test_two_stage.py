@@ -415,6 +415,26 @@ def test_risky_pairs_keep_what_the_full_test_keeps_with_nan_and_inf(seed):
             assert np.array_equal(g, w), (low, high)
 
 
+def test_risky_pairs_ignore_an_overflowing_box_sum():
+    # Entries near 1e308 whose sums overflow to +-inf, as a stacked block's
+    # box can meet where its beliefs alone would not: the triples are the
+    # same under numpy's overflow raised as under it ignored.
+    rng = np.random.default_rng(35)
+    k, n = 3, 9
+    low, high = (rng.uniform(-1.0, 1.0, size=(k, n)) * 1.7e308 for _ in range(2))
+    low[:, 0] = high[:, 0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(low[:, :, None] + high[:, None, :]).any()
+    every = np.arange(n)
+    got = {}
+    for settings in ("ignore", "raise"):
+        with np.errstate(over=settings, invalid=settings):
+            got[settings] = two_stage._risky_pairs(low, high, every, every)
+    for raised, ignored in zip(got["raise"], got["ignore"]):
+        assert np.array_equal(raised, ignored)
+    assert got["raise"][0].sum() > 0
+
+
 def test_benchmark_flows_cost_what_the_scheme_costs():
     # A solved scheme that uses the flows of private revelation (0, 0) or of
     # full revelation (x_eq - 1, 0) costs exactly that benchmark, to the bit:
@@ -450,15 +470,33 @@ def test_solve_at_beta_p_experiments():
         assert scheme.experiment and all(s.satisfied for s in scheme.slacks), params
 
 
-def test_solve_refuses_an_overflowed_cost():
-    # The reference game's ratios in units of 1e306: the one obedient pair
-    # costs inf, which is no scheme to return (the CLI stops at the overflow).
+def test_solve_refuses_an_overflowed_cost(example1, monkeypatch):
+    # A cheapest obedient pair that costs inf is no scheme to return, for a
+    # library caller that ignores numpy's overflow. A game whose (0, 0)
+    # scheme overflows also overflows beta_so, which thresholds refuse
+    # first, so the solve's costs are made inf here.
+    monkeypatch.setattr(two_stage, "_scheme_cost",
+                        lambda beta, pi_l, pi_h, params: np.full(len(pi_l), np.inf))
+    with pytest.raises(InternalError, match=r"the cheapest obedient scheme at beta=0\.62, "
+                                            r"\(0, 0\), costs inf: the game's costs leave "
+                                            "the floating-point range"):
+        solve_optimal_scheme(0.62, example1)
+
+
+def test_thresholds_refuse_a_game_past_the_float_range():
+    # 2*g0 overflows to inf in these games, so beta_so would be NaN and every
+    # comparison against it false; the thresholds raise the float-range error
+    # under any numpy errstate, as Python arithmetic ignores it.
     k = 1e306
-    params = GameParams(n=10, s0=10 * k, s1=0, l=k, h=19 * k)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            InternalError, match=r"the cheapest obedient scheme .* costs inf: the game's "
-                                 "costs leave the floating-point range"):
-        solve_optimal_scheme(thresholds(params).beta_p, params)
+    for params in (GameParams(n=10, s0=10 * k, s1=0, l=k, h=19 * k),
+                   GameParams(n=10, s0=1e306, s1=0, l=1e305, h=1.7e308)):
+        for settings in ("ignore", "raise"):
+            with np.errstate(over=settings, invalid=settings), pytest.raises(
+                    FloatingPointError, match="the two-stage threshold beta_so is nan"):
+                thresholds(params)
+    # h = 1e308: every threshold rounds to 1.0, and nothing is refused
+    th = thresholds(GameParams(n=1000, s0=10, s1=1, l=0.9, h=1e308))
+    assert (th.beta_so, th.beta_p, th.beta_f) == (1.0, 1.0, 1.0)
 
 
 def test_solve_refuses_an_empty_or_nan_obedient_set(example1, monkeypatch):
@@ -881,43 +919,46 @@ def test_belief_sweep_matches_one_belief_calls_on_draws(blocks):
 
 
 def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeypatch):
-    # REFERENCE's ratios in units of 1e306: every experiment at or above
-    # beta_p costs inf. The sweep raises what one-belief calls in order
-    # raise, with numpy's overflow ignored or raised, and a belief that is
-    # no belief raises only when no solve before it has.
+    # REFERENCE's ratios in units of 1e306: beta_so overflows to NaN, so the
+    # thresholds refuse the game, under numpy's overflow ignored or raised,
+    # as one-belief calls in order do. A belief that is no belief, anywhere
+    # in the grid, is refused before that, and nothing is priced.
     unit = 1e306
     huge = GameParams(n=10, s0=10 * unit, s1=0, l=unit, h=19 * unit)
-    beta_p = thresholds(huge).beta_p
+    beta_p = (huge.h - huge.s0) / (huge.h + huge.s0 - 2.0 * huge.l)  # as thresholds has it
     priced = []
     true_costs = two_stage._regime_costs
     monkeypatch.setattr(two_stage, "_regime_costs", lambda beta, regime, params: (
         priced.append(beta.tolist()) or true_costs(beta, regime, params)))
-    cases = [([0.1, 0.2, beta_p, 0.4, 0.45], "inf"), ([0.1, 0.4, beta_p], "inf"),
-             ([0.2, 1.5, 0.4], "belief"), ([0.2, 0.4, 1.5], "inf"),
-             ([0.1, 0.2, 0.3], None)]
+    out_of_range = (FloatingPointError, "the two-stage threshold beta_so is nan")
+    cases = [([0.1, 0.2, beta_p, 0.4, 0.45], "range"), ([0.1, 0.4, beta_p], "range"),
+             ([0.2, 1.5, 0.4], "belief"), ([0.2, 0.4, 1.5], "belief"),
+             ([0.1, 0.2, 0.3], "range")]
     for settings in ({"over": "ignore", "invalid": "ignore"}, {"over": "raise", "invalid": "raise"}):
         with np.errstate(**settings):
-            # a benchmark priced as an array overflows to inf, as one
-            # belief's Python arithmetic does
-            assert cost_private(0.4, huge) == scheme_cost_two_stage(0.4, 0, 0, huge) == np.inf
+            # the scheme cost itself overflows to inf in Python arithmetic
+            assert scheme_cost_two_stage(0.4, 0, 0, huge) == np.inf
+            assert _result(lambda: cost_private(0.4, huge)) == out_of_range
+            # past the thresholds, the benchmarks priced as an array follow
+            # the caller's error state: inf when ignored, an error when raised
+            with monkeypatch.context() as patch:
+                patch.setattr(two_stage, "_regimes", lambda params: {
+                    "private": (beta_p, EquilibriumOutcome(1, 1, 0))})
+                private = _result(lambda: true_costs(np.array([0.4]), "private", huge))
+            if settings["over"] == "ignore":
+                assert private.tolist() == [np.inf]
+            else:
+                assert private[0] is FloatingPointError
             for grid, error in cases:
-                got = _assert_sweep_matches(huge, grid)
-                priced.clear()
-                _result(lambda: belief_sweep(huge, grid))
-                # a sweep that raises prices no benchmark at any belief
-                assert bool(priced) == (error is None)
-                if error is None:
-                    assert isinstance(got, list)
-                elif error == "belief":
+                if error == "belief":
+                    got = _result(lambda: belief_sweep(huge, grid))
                     assert got == (ParameterError, "belief must be in [0, 1], got 1.5")
-                elif settings["over"] == "ignore":
-                    # the first belief at or above beta_p names the error
-                    first = next(beta for beta in grid if beta >= beta_p)
-                    assert got[0] is InternalError and f"at beta={first}, (0, 0)" in got[1]
                 else:
-                    assert got[0] is FloatingPointError
-    # No obedient pair, or a NaN cost, at EXAMPLE1's beliefs 0.55 and 0.62:
-    # the first of them names the error.
+                    assert _assert_sweep_matches(huge, grid) == out_of_range
+                assert not priced
+    # No obedient pair, a NaN cost, or an inf cost at EXAMPLE1's beliefs
+    # 0.55 and 0.62, for a caller that ignores overflow: the first of them
+    # names the error.
     grid = [0.3, 0.55, 0.62, 0.9]
     no_scheme = (InternalError, "no obedient scheme found at beta=0.55; expected (0, 0) to be "
                                 "obedient for beta >= beta_p")
@@ -926,24 +967,41 @@ def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeyp
                         lambda terms: np.zeros_like(true_obedient(terms)))
     assert _assert_sweep_matches(example1, grid) == no_scheme
     monkeypatch.setattr(two_stage, "all_obedient", true_obedient)
-    # NaN for the solve's count arrays; a benchmark's int counts price as ever
-    monkeypatch.setattr(two_stage, "_scheme_cost", lambda beta, pi_l, pi_h, params: (
-        np.full(len(pi_l), np.nan) if np.ndim(pi_l) else true_cost(beta, pi_l, pi_h, params)))
-    assert _assert_sweep_matches(example1, grid) == no_scheme
-    monkeypatch.setattr(two_stage, "_scheme_cost", true_cost)
-    # A block of several beliefs that overflows, here in every stacked
-    # _ic_terms call, is solved again one belief at a time, whose float
-    # beliefs do not overflow: the sweep still gives the loop's records.
-    true_terms = two_stage._ic_terms
+    # NaN or inf for the solve's count arrays; a benchmark's int counts
+    # price as ever
+    for value in (np.nan, np.inf):
+        monkeypatch.setattr(two_stage, "_scheme_cost", lambda beta, pi_l, pi_h, params: (
+            np.full(len(pi_l), value) if np.ndim(pi_l) else true_cost(beta, pi_l, pi_h, params)))
+        got = _assert_sweep_matches(example1, grid)
+        if np.isnan(value):
+            assert got == no_scheme
+        else:
+            assert got[0] is InternalError and "at beta=0.55, (0, 0), costs inf" in got[1]
 
-    def stacked_overflow(beta, pi_l, pi_h, params):
-        if isinstance(beta, np.ndarray):
-            raise FloatingPointError("overflow encountered in multiply")
-        return true_terms(beta, pi_l, pi_h, params)
 
-    monkeypatch.setattr(two_stage, "_ic_terms", stacked_overflow)
-    grid = _crossing_grid(example1)
-    assert isinstance(_assert_sweep_matches(example1, grid), list)
+def test_belief_sweep_refuses_a_bad_belief_before_any_solve(example1, monkeypatch):
+    # A belief that is no belief, anywhere in the grid, is refused before
+    # the first solve or benchmark price.
+    def never(*args):
+        raise AssertionError("solved before every belief was checked")
+
+    monkeypatch.setattr(two_stage, "_strip_solve", never)
+    monkeypatch.setattr(two_stage, "_regime_costs", never)
+    for grid in ([0.55, 0.62, 1.5], [0.55, -0.1, 0.9], [0.62, float("nan")]):
+        with pytest.raises(ParameterError, match="belief must be in"):
+            belief_sweep(example1, grid)
+
+
+def test_oracle_checks_refuse_a_bad_belief_before_any_brute_force(monkeypatch):
+    # CI's n = 6 game: the brute force at 0.2 and 0.45 would run first.
+    params = GameParams(n=6, s0=2, s1=1, l=1, h=25)
+
+    def never(*args, **kwargs):
+        raise AssertionError("brute force ran before every belief was checked")
+
+    monkeypatch.setattr(two_stage, "brute_force_equilibrium", never)
+    with pytest.raises(ParameterError, match=r"belief must be in \[0, 1\], got 1\.5"):
+        two_stage.oracle_checks(params, [0.2, 0.45, 1.5])
 
 
 def test_belief_sweep_blocks_stay_within_the_strip_bound(monkeypatch):
