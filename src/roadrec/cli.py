@@ -222,6 +222,11 @@ def _all_gated(what: str, model: str, detail: str) -> AssumptionError:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# The BeliefPoint fields a two-stage row prints, in order, in either format.
+_TWO_STAGE_COLUMNS = ("beta", "gated", "region", "v_full", "v_private", "v_partial", "v_so",
+                      "experiment", "pi2_low", "pi2_high", "note")
+
+
 def cmd_two_stage(args: argparse.Namespace) -> int:
     params, file_beta = load_params(args.params)
     betas = _betas(args, file_beta)
@@ -231,12 +236,12 @@ def cmd_two_stage(args: argparse.Namespace) -> int:
         # beta_limit does not depend on the belief, so the last one's serves
         limit = check_assumption_two_stage(points[-1].beta, params).beta_limit
         raise _all_gated("belief", "two-stage", f"beliefs must be below {limit:.12g}")
-    # A gated row prints its note, any other row every field but the note.
+    # A gated row prints its note, any other row every column but the note.
     rows = [{"beta": point.beta, "gated": True, "note": point.note} if point.gated
-            else {k: v for k, v in vars(point).items() if k != "note"} for point in points]
+            else {col: getattr(point, col) for col in _TWO_STAGE_COLUMNS if col != "note"}
+            for point in points]
     if args.format == "csv":
-        cols = [field.name for field in dataclasses.fields(ts.BeliefPoint)]
-        _emit_csv(cols, rows, args)
+        _emit_csv(list(_TWO_STAGE_COLUMNS), rows, args)
         return 0
     # beta_so_alt only feeds the thresholds' warning.
     thresholds = {k: v for k, v in vars(th).items() if k != "beta_so_alt"}

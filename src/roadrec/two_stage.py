@@ -22,8 +22,8 @@ coordinator. The module computes
   blocks, one (belief, pi2_low, pi2_high) box per block; a block is halved
   until its filter and its box each hold at most n*(1 + sqrt(2n)) entries,
   one belief's strip bound, so a grid of wide strips runs one belief per
-  block. solve_optimal_scheme and the cost functions are the one-belief
-  case of the same cores,
+  block. It is the one entry point that solves and prices the model; a
+  single belief is the grid [beta],
 * a brute-force equilibrium enumerator used as an independent oracle for the
   benchmark regimes (every strategy multiset at once, checked against one
   table of the 16 strategies' costs over the other agents' totals), and
@@ -66,6 +66,9 @@ from .model import (
 )
 
 _REGIMES = ("full", "private")
+# Most floats thresholds steps beta_p up by; scans of extreme in-gate games
+# needed at most 3.
+_BETA_P_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,11 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
     """Compute the three experimentation thresholds.
 
     Requires gate condition 1 (l < s0 + s1); condition 2 depends on beta and
-    is checked by the cost functions instead. Remembered per GameParams
-    object (model._per_game), so a loop over beliefs computes them once.
+    belief_sweep checks it per belief. Remembered per GameParams object
+    (model._per_game), so a loop over beliefs computes them once. beta_p is
+    the first float at or above the rounded closed form at which the
+    experimenter follows the scheme (0, 0), found in at most _BETA_P_STEPS
+    steps and never past 1.
     A threshold that is not finite raises FloatingPointError, under any
     numpy error state: every comparison against NaN is false, so each belief
     would read as region B.
@@ -134,6 +140,14 @@ def thresholds(params: GameParams) -> TwoStageThresholds:
         if not math.isfinite(value):
             # the inputs are finite, so the arithmetic above overflowed
             raise FloatingPointError(f"the two-stage threshold {name} is {value}")
+    # The rounded closed form can fall a float or two short of the belief at
+    # which the experimenter follows (0, 0), as at h/K near 1e5; step up to
+    # it, so that beta >= beta_p alone decides the region, the private
+    # regime's cutoff and whether the solve experiments.
+    for _ in range(_BETA_P_STEPS):
+        if beta_p >= 1.0 or all_obedient(_ic_terms(beta_p, 0, 0, params)):
+            break
+        beta_p = float(np.nextafter(beta_p, 1.0))
 
     warnings = []
     if abs(beta_so - beta_so_alt) > 1e-9:
@@ -166,46 +180,15 @@ def region(beta: float, th: TwoStageThresholds) -> str:
     return "D"
 
 
-def _require_gate(beta: float, params: GameParams) -> TwoStageThresholds:
-    """The thresholds, once beta is inside the two-stage gate."""
-    gate = check_assumption_two_stage(beta, params)
-    if not gate.passed:
-        raise AssumptionError(
-            "two-stage gate fails at beta=%g: %s" % (beta, "; ".join(gate.failures))
-        )
-    return thresholds(params)
-
-
 def _staying_safe(params: GameParams) -> float:
     """Expected two-round aggregate cost when nobody experiments: everyone
     takes the safe road in both rounds."""
     return 2.0 * _stage_cost(0, params.l, params)
 
 
-def cost_full(beta: float, params: GameParams) -> float:
-    """Expected two-round aggregate cost of equilibrium under public revelation."""
-    return _cost(beta, "full", params)
-
-
-def cost_private(beta: float, params: GameParams) -> float:
-    """Expected cost under private revelation (only the experimenter learns)."""
-    return _cost(beta, "private", params)
-
-
-def cost_social_optimum(beta: float, params: GameParams) -> float:
-    """Expected cost when a planner dictates both rounds (no incentives)."""
-    return _cost(beta, "planner", params)
-
-
-def _cost(beta: float, regime: str, params: GameParams) -> float:
-    """Expected two-round cost of a regime: "full", "private" or "planner"."""
-    beta = _require_belief(beta)
-    _require_gate(beta, params)
-    return float(_regime_costs(np.array([beta]), regime, params)[0])
-
-
 def _regime_costs(beta: np.ndarray, regime: str, params: GameParams) -> np.ndarray:
-    """_cost at each belief of an array of checked in-gate beliefs.
+    """The expected two-round cost of a regime, "full", "private" or
+    "planner", at each belief of an array of checked in-gate beliefs.
 
     Below the regime's cutoff nobody experiments (_staying_safe). At or above
     it one agent experiments and round two has the regime's risky flows by
@@ -230,13 +213,6 @@ def _regimes(params: GameParams) -> dict[str, tuple[float, EquilibriumOutcome]]:
         "private": (th.beta_p, EquilibriumOutcome(1, 1, 0)),
         "planner": (th.beta_so, EquilibriumOutcome(1, th.so_flow_low, th.so_flow_high)),
     }
-
-
-def _outcome(beta: float, regime: str, params: GameParams) -> EquilibriumOutcome:
-    """On-path outcome of a regime: nobody experiments below its cutoff; at
-    or above it the regime's experiment outcome."""
-    cutoff, experiment = _regimes(params)[regime]
-    return EquilibriumOutcome(0, 0, 0) if beta < cutoff else experiment
 
 
 # ---------------------------------------------------------------------------
@@ -486,24 +462,6 @@ def _block_winners(betas: list[float], counts: np.ndarray, pi_l: np.ndarray, pi_
     return winners
 
 
-@dataclass(frozen=True)
-class TwoStageScheme:
-    """Optimal incentive-compatible two-stage recommendation scheme."""
-
-    experiment: bool
-    pi2_low: int | None
-    pi2_high: int | None
-    expected_cost: float
-    slacks: tuple[ICEntry, ...]
-    n_feasible: int
-
-    @property
-    def flows(self) -> tuple[int, int] | None:
-        if not self.experiment:
-            return None
-        return (self.pi2_low + 1, self.pi2_high)
-
-
 def scheme_cost_two_stage(
     beta: float, pi2_low: int, pi2_high: int, params: GameParams
 ) -> float:
@@ -527,52 +485,17 @@ def _scheme_cost(beta: float, pi2_low, pi2_high, params: GameParams):
     )
 
 
-def solve_optimal_scheme(beta: float, params: GameParams) -> TwoStageScheme:
-    """Minimise expected cost over obedient one-experimenter schemes.
-
-    Below beta_p no experimenter can be motivated and the no-experimentation
-    scheme (everyone safe, cost 2*g(0)) is returned. At or above beta_p the
-    search runs over all (pi2_low, pi2_high) pairs, as _strip_solve's block
-    of one belief. _risky_filter's bound rules out the pairs that cannot
-    pass the recommended_risky constraint: _risky_lines drops whole rows and
-    columns first, then _risky_pairs tests every pair of the kept strip by
-    one sum, at once (_risky_lines' docstring bounds the strip). The three
-    obedience constraints and the cost are evaluated once on the pairs it
-    keeps, and the cheapest obedient pair is returned. Ties resolve to the
-    lexicographically smallest pair. The pair (0, 0) is always obedient at
-    or above beta_p, so the feasible set cannot be empty.
-    """
-    beta = _require_belief(beta)
-    th = _require_gate(beta, params)
-    if beta < th.beta_p:
-        return TwoStageScheme(
-            experiment=False,
-            pi2_low=None,
-            pi2_high=None,
-            expected_cost=_staying_safe(params),
-            slacks=(),
-            n_feasible=0,
-        )
-    (pi2_low, pi2_high, cost, n_feasible), = _strip_solve([beta], params)
-    return TwoStageScheme(
-        experiment=True,
-        pi2_low=pi2_low,
-        pi2_high=pi2_high,
-        expected_cost=cost,
-        slacks=tuple(ic_constraints_eval(beta, pi2_low, pi2_high, params)),
-        n_feasible=n_feasible,
-    )
-
-
 @dataclass(frozen=True)
 class BeliefPoint:
-    """belief_sweep record: the values one row of `roadrec two-stage` prints.
+    """belief_sweep record: the values one row of `roadrec two-stage` prints,
+    and the solve's count of obedient schemes.
 
     A belief outside the gate has gated True, its gate's failures joined
     by "; " in note, and None in every other field but beta. A belief
     inside it has its region, the three benchmark costs, the optimal
     scheme's cost v_partial, whether that scheme experiments and its
-    counts (None without an experiment), and note None.
+    counts (None without an experiment), note None, and n_feasible, the
+    number of obedient (pi2_low, pi2_high) pairs (0 without an experiment).
     """
 
     beta: float
@@ -586,18 +509,22 @@ class BeliefPoint:
     pi2_low: int | None = None
     pi2_high: int | None = None
     note: str | None = None
+    n_feasible: int | None = None
 
 
 def belief_sweep(params: GameParams, betas: Iterable[float]) -> list[BeliefPoint]:
-    """Gate and solve the two-stage model at each belief, in order.
+    """Gate, price and solve the two-stage model at each belief, in order:
+    the one two-stage entry point, of which one belief is the grid [beta].
 
-    Each record equals what region, cost_full, cost_private,
-    cost_social_optimum and solve_optimal_scheme give at its belief, with
-    the gate run once per belief. The three benchmark regimes are priced as
-    arrays over the in-gate beliefs (_regime_costs), and every in-gate
-    belief at or above beta_p is solved by _strip_solve, in blocks of
-    stacked beliefs that no array of which outgrows one belief's strip
-    bound.
+    The gate runs once per belief, and the three benchmark regimes are
+    priced as arrays over the in-gate beliefs (_regime_costs). Below beta_p
+    no experimenter can be motivated: the optimal scheme is nobody
+    experimenting, at cost 2*g(0). Every in-gate belief at or above beta_p
+    is solved by _strip_solve, in blocks of stacked beliefs that no array of
+    which outgrows one belief's strip bound; its scheme is the cheapest
+    obedient (pi2_low, pi2_high) pair, ties going to the lexicographically
+    smallest. The pair (0, 0) is obedient at or above beta_p (thresholds
+    steps beta_p up to the first float where it is), so there is always one.
 
     Every belief is checked before any solve, so a belief that is not a
     number in [0, 1] stops the sweep before any work.
@@ -621,10 +548,10 @@ def belief_sweep(params: GameParams, betas: Iterable[float]) -> list[BeliefPoint
             continue
         v_full, v_private, v_so = next(costs)
         experiment = beta >= th.beta_p
-        pi2_low, pi2_high, v_partial, _ = (next(schemes) if experiment
-                                           else (None, None, _staying_safe(params), 0))
-        points.append(BeliefPoint(beta, False, region(beta, th), v_full, v_private,
-                                  v_partial, v_so, experiment, pi2_low, pi2_high))
+        pi2_low, pi2_high, v_partial, n_feasible = (
+            next(schemes) if experiment else (None, None, _staying_safe(params), 0))
+        points.append(BeliefPoint(beta, False, region(beta, th), v_full, v_private, v_partial,
+                                  v_so, experiment, pi2_low, pi2_high, n_feasible=n_feasible))
     return points
 
 
@@ -658,7 +585,8 @@ def equilibrium_flows(beta: float, regime: str, params: GameParams) -> Equilibri
     beta = _require_belief(beta)
     if regime not in _REGIMES:
         raise ParameterError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    return _outcome(beta, regime, params)
+    cutoff, experiment = _regimes(params)[regime]
+    return EquilibriumOutcome(0, 0, 0) if beta < cutoff else experiment
 
 
 def _strategy_bits(s: int) -> tuple[int, int, int, int]:

@@ -64,11 +64,11 @@ def test_criterion_02_scheme_strictly_beats_benchmarks_in_region():
     betas = [round(i / 100, 10) for i in range(int(limit * 100) + 1)]
     assert betas, "grid is empty"
     strict_somewhere = False
-    for beta in betas:
-        if not check_assumption_two_stage(beta, EXAMPLE1).passed:
+    for point in ts.belief_sweep(EXAMPLE1, betas):
+        if point.gated:
             continue
-        v_partial = ts.solve_optimal_scheme(beta, EXAMPLE1).expected_cost
-        benchmark = min(ts.cost_full(beta, EXAMPLE1), ts.cost_private(beta, EXAMPLE1))
+        beta, v_partial = point.beta, point.v_partial
+        benchmark = min(point.v_full, point.v_private)
         if beta >= th.beta_p:
             assert v_partial <= benchmark + 1e-9, beta
         if th.beta_p < beta < th.beta_f and v_partial < benchmark - 1e-9:

@@ -625,13 +625,13 @@ def test_two_stage_scheme_does_not_depend_on_the_unit():
     rng = np.random.default_rng(12)
     for _ in range(50):
         params, beta = draw_two_stage_case(rng, n_range=(2, 12))
-        base = ts.solve_optimal_scheme(beta, params)
+        base, = ts.belief_sweep(params, [beta])
         for e in _UNIT_EXPONENTS:
             k = 2.0**e
-            got = ts.solve_optimal_scheme(beta, _in_units(params, k))
+            got, = ts.belief_sweep(_in_units(params, k), [beta])
             assert (got.experiment, got.pi2_low, got.pi2_high, got.n_feasible) == (
                 base.experiment, base.pi2_low, base.pi2_high, base.n_feasible), (params, beta, e)
-            assert got.expected_cost == base.expected_cost * k, (params, beta, e)
+            assert got.v_partial == base.v_partial * k, (params, beta, e)
 
 
 def test_stage_cost_over_flow_arrays(reference):
@@ -693,7 +693,7 @@ def test_cores_make_no_public_stage_cost_call(monkeypatch, reference, example1):
             monkeypatch.setattr(module, "stage_cost", counted)
     inf.optimal_scheme_search(dataclasses.replace(reference))
     inf.delta_sweep(dataclasses.replace(reference), [0.1, 0.5, 0.9])
-    ts.solve_optimal_scheme(0.55, dataclasses.replace(example1))
+    ts.belief_sweep(dataclasses.replace(example1), [0.55])
     assert calls == []
     model.stage_cost(2, reference.l, reference)  # the counter is live
     assert len(calls) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roadrec import model, two_stage
+from roadrec.cli import main
 from roadrec.model import (AssumptionError, GameParams, InternalError, ParameterError,
                            all_obedient, stage_cost)
 from roadrec.two_stage import (
@@ -14,14 +16,10 @@ from roadrec.two_stage import (
     EquilibriumOutcome,
     belief_sweep,
     brute_force_equilibrium,
-    cost_full,
-    cost_private,
-    cost_social_optimum,
     equilibrium_flows,
     ic_constraints_eval,
     region,
     scheme_cost_two_stage,
-    solve_optimal_scheme,
     thresholds,
 )
 
@@ -75,33 +73,37 @@ def test_regions_example1(example1):
 def test_benchmark_costs_example1(example1):
     # below the relevant threshold every regime stays safe both stages
     g0_twice = 2.0 * stage_cost(0, example1.l, example1)
-    assert cost_full(0.3, example1) == pytest.approx(g0_twice)
-    assert cost_private(0.3, example1) == pytest.approx(g0_twice)
-    assert cost_full(0.55, example1) == pytest.approx(g0_twice)  # 0.55 < beta_f
-    assert cost_private(0.55, example1) == pytest.approx(3930.54, abs=0.01)
-    assert cost_social_optimum(0.55, example1) == pytest.approx(3392.915, abs=0.01)
+    low, mid = belief_sweep(example1, [0.3, 0.55])
+    assert low.v_full == pytest.approx(g0_twice)
+    assert low.v_private == pytest.approx(g0_twice)
+    assert mid.v_full == pytest.approx(g0_twice)  # 0.55 < beta_f
+    assert mid.v_private == pytest.approx(3930.54, abs=0.01)
+    assert mid.v_so == pytest.approx(3392.915, abs=0.01)
 
 
 def test_benchmark_costs_reject_gated_beliefs(example1):
-    with pytest.raises(AssumptionError):
-        cost_full(0.69, example1)  # above the assumption-2 belief limit
+    # above the assumption-2 belief limit: a gated record, its gate's
+    # failures in the note and no cost
+    point, = belief_sweep(example1, [0.69])
+    gate = model.check_assumption_two_stage(0.69, example1)
+    assert not gate.passed
+    assert point == BeliefPoint(0.69, True, note="; ".join(gate.failures))
 
 
 def test_optimal_scheme_example1_frozen(example1):
-    scheme = solve_optimal_scheme(0.55, example1)
-    assert scheme.experiment
-    assert (scheme.pi2_low, scheme.pi2_high) == (18, 0)
-    assert scheme.flows == (19, 0)
-    assert scheme.expected_cost == pytest.approx(3415.74, abs=0.01)
-    assert scheme.n_feasible == 37
-    assert all(s.satisfied for s in scheme.slacks)
+    point, = belief_sweep(example1, [0.55])
+    assert point.experiment
+    assert (point.pi2_low, point.pi2_high) == (18, 0)
+    assert point.v_partial == pytest.approx(3415.74, abs=0.01)
+    assert point.n_feasible == 37
+    assert all(s.satisfied for s in ic_constraints_eval(0.55, 18, 0, example1))
 
 
 def test_no_experiment_below_beta_p(example1):
-    scheme = solve_optimal_scheme(0.3, example1)
-    assert not scheme.experiment
-    assert scheme.flows is None
-    assert scheme.expected_cost == pytest.approx(
+    point, = belief_sweep(example1, [0.3])
+    assert not point.experiment
+    assert (point.pi2_low, point.pi2_high, point.n_feasible) == (None, None, 0)
+    assert point.v_partial == pytest.approx(
         2.0 * stage_cost(0, example1.l, example1)
     )
 
@@ -160,10 +162,11 @@ def test_ic_constraints_validate_inputs(example1):
 @settings(max_examples=40, deadline=None)
 def test_scheme_never_beats_planner_example1(beta):
     p = GameParams(n=40, s0=10, s1=1, l=0.9, h=150)
-    so = cost_social_optimum(beta, p)
-    assert solve_optimal_scheme(beta, p).expected_cost >= so - 1e-9
-    assert cost_full(beta, p) >= so - 1e-9
-    assert cost_private(beta, p) >= so - 1e-9
+    point, = belief_sweep(p, [beta])
+    so = point.v_so
+    assert point.v_partial >= so - 1e-9
+    assert point.v_full >= so - 1e-9
+    assert point.v_private >= so - 1e-9
 
 
 def test_equilibrium_flows_regimes(example1):
@@ -229,10 +232,10 @@ STATIC_200 = GameParams(n=200, s0=10.0, s1=1.0, l=0.9, h=630.0)
 ])
 def test_optimal_scheme_static_200_golden(beta, pi2_low, pi2_high, cost, n_feasible):
     # frozen from the per-pair search this one replaced
-    scheme = solve_optimal_scheme(beta, STATIC_200)
-    assert (scheme.pi2_low, scheme.pi2_high) == (pi2_low, pi2_high)
-    assert scheme.expected_cost == cost
-    assert scheme.n_feasible == n_feasible
+    point, = belief_sweep(STATIC_200, [beta])
+    assert (point.pi2_low, point.pi2_high) == (pi2_low, pi2_high)
+    assert point.v_partial == cost
+    assert point.n_feasible == n_feasible
 
 
 # STATIC_200's safe road and low coefficient at n = 1000, with five times
@@ -247,10 +250,10 @@ STATIC_1000 = GameParams(n=1000, s0=10.0, s1=1.0, l=0.9, h=3150.0)
 ])
 def test_optimal_scheme_static_1000_golden(beta, pi2_low, pi2_high, cost, n_feasible):
     # frozen from the solve that tested every pair of a block of whole rows
-    scheme = solve_optimal_scheme(beta, STATIC_1000)
-    assert (scheme.pi2_low, scheme.pi2_high) == (pi2_low, pi2_high)
-    assert scheme.expected_cost == cost
-    assert scheme.n_feasible == n_feasible
+    point, = belief_sweep(STATIC_1000, [beta])
+    assert (point.pi2_low, point.pi2_high) == (pi2_low, pi2_high)
+    assert point.v_partial == cost
+    assert point.n_feasible == n_feasible
 
 
 def _assert_solve_matches_scalar_scan(beta, params):
@@ -269,15 +272,14 @@ def _assert_solve_matches_scalar_scan(beta, params):
                     best, best_cost = (pi_l, pi_h), cost
     if best is None:
         with pytest.raises(InternalError):
-            solve_optimal_scheme(beta, params)
+            belief_sweep(params, [beta])
         return
-    scheme = solve_optimal_scheme(beta, params)
-    assert (scheme.pi2_low, scheme.pi2_high) == best, (params, beta)
-    assert scheme.expected_cost == best_cost, (params, beta)
-    assert scheme.n_feasible == n_feasible, (params, beta)
-    assert list(scheme.slacks) == ic_constraints_eval(beta, *best, params)
-    assert type(scheme.pi2_low) is int and type(scheme.pi2_high) is int
-    assert type(scheme.expected_cost) is float
+    point, = belief_sweep(params, [beta])
+    assert (point.pi2_low, point.pi2_high) == best, (params, beta)
+    assert point.v_partial == best_cost, (params, beta)
+    assert point.n_feasible == n_feasible, (params, beta)
+    assert type(point.pi2_low) is int and type(point.pi2_high) is int
+    assert type(point.v_partial) is float and type(point.n_feasible) is int
 
 
 @pytest.mark.parametrize("beta", [0.51, 0.55, 0.6, 0.62])
@@ -291,9 +293,9 @@ TIED = GameParams(n=3, s0=3, s1=2, l=1, h=18)
 
 
 def test_solve_keeps_the_first_of_tied_schemes():
-    scheme = solve_optimal_scheme(0.5, TIED)
-    assert (scheme.pi2_low, scheme.pi2_high) == (1, 0)
-    assert scheme_cost_two_stage(0.5, 2, 0, TIED) == scheme.expected_cost == 41.5
+    point, = belief_sweep(TIED, [0.5])
+    assert (point.pi2_low, point.pi2_high) == (1, 0)
+    assert scheme_cost_two_stage(0.5, 2, 0, TIED) == point.v_partial == 41.5
     _assert_solve_matches_scalar_scan(0.5, TIED)
 
 
@@ -446,16 +448,16 @@ def test_benchmark_flows_cost_what_the_scheme_costs():
         th = thresholds(params)
         k = params.s0 + params.s1 * params.n
         limit = (params.h - k) / (params.h - params.l)
-        for beta in [drawn] + np.linspace(th.beta_p, limit, 8, endpoint=False).tolist():
-            scheme = solve_optimal_scheme(beta, params)
-            if not scheme.experiment:
+        grid = [drawn] + np.linspace(th.beta_p, limit, 8, endpoint=False).tolist()
+        for beta, point in zip(grid, belief_sweep(params, grid)):
+            if not point.experiment:
                 continue
-            if (scheme.pi2_low, scheme.pi2_high) == (0, 0):
+            if (point.pi2_low, point.pi2_high) == (0, 0):
                 private_flows += 1
-                assert scheme.expected_cost == cost_private(beta, params), (params, beta)
-            if (scheme.pi2_low, scheme.pi2_high) == (th.eq_flow_low - 1, 0) and beta >= th.beta_f:
+                assert point.v_partial == point.v_private, (params, beta)
+            if (point.pi2_low, point.pi2_high) == (th.eq_flow_low - 1, 0) and beta >= th.beta_f:
                 full_flows += 1
-                assert scheme.expected_cost == cost_full(beta, params), (params, beta)
+                assert point.v_partial == point.v_full, (params, beta)
     assert private_flows > 200 and full_flows > 200
 
 
@@ -466,8 +468,11 @@ def test_solve_at_beta_p_experiments():
     rng = np.random.default_rng(77)
     for _ in range(400):
         params, _ = draw_two_stage_case(rng, n_range=(2, 60))
-        scheme = solve_optimal_scheme(thresholds(params).beta_p, params)
-        assert scheme.experiment and all(s.satisfied for s in scheme.slacks), params
+        beta_p = thresholds(params).beta_p
+        point, = belief_sweep(params, [beta_p])
+        assert point.experiment, params
+        assert all(s.satisfied for s in ic_constraints_eval(beta_p, point.pi2_low,
+                                                             point.pi2_high, params)), params
 
 
 def test_solve_refuses_an_overflowed_cost(example1, monkeypatch):
@@ -480,7 +485,7 @@ def test_solve_refuses_an_overflowed_cost(example1, monkeypatch):
     with pytest.raises(InternalError, match=r"the cheapest obedient scheme at beta=0\.62, "
                                             r"\(0, 0\), costs inf: the game's costs leave "
                                             "the floating-point range"):
-        solve_optimal_scheme(0.62, example1)
+        belief_sweep(example1, [0.62])
 
 
 def test_thresholds_refuse_a_game_past_the_float_range():
@@ -501,31 +506,32 @@ def test_thresholds_refuse_a_game_past_the_float_range():
 
 def test_solve_refuses_an_empty_or_nan_obedient_set(example1, monkeypatch):
     beta = 0.62
-    assert solve_optimal_scheme(beta, example1).experiment
+    assert belief_sweep(example1, [beta])[0].experiment
     no_scheme = r"no obedient scheme found at beta=0\.62; expected \(0, 0\)"
     monkeypatch.setattr(two_stage, "all_obedient",
                         lambda terms: np.zeros_like(all_obedient(terms)))
     with pytest.raises(InternalError, match=no_scheme):
-        solve_optimal_scheme(beta, example1)
+        belief_sweep(example1, [beta])
     monkeypatch.undo()
     monkeypatch.setattr(two_stage, "_scheme_cost",
                         lambda beta, pi_l, pi_h, params: np.full(len(pi_l), np.nan))
     with pytest.raises(InternalError, match=no_scheme):
-        solve_optimal_scheme(beta, example1)
+        belief_sweep(example1, [beta])
 
 
 def test_beta_p_stays_a_belief_when_l_rounds_next_to_s0():
     # l is the float just below s0 + s1 = k, so beta_p is just below 1 in
     # exact arithmetic; unclamped it rounded to 1.0000000000000002, and the
     # solve at beta_p refused it as no belief (ParameterError). At belief 1
-    # the gate fails, as it does at any belief of 1.
+    # the gate fails, as it does at any belief of 1: a gated record.
     params = GameParams(n=799, s0=0.24876175090880825, s1=0, l=0.24876175090880823,
                         h=3858.4634548115996)
     beta_p = thresholds(params).beta_p
     assert beta_p <= 1.0
-    assert not model.check_assumption_two_stage(beta_p, params).passed
-    with pytest.raises(AssumptionError, match="two-stage gate fails at beta=1"):
-        solve_optimal_scheme(beta_p, params)
+    gate = model.check_assumption_two_stage(beta_p, params)
+    assert not gate.passed
+    assert belief_sweep(params, [beta_p]) == [BeliefPoint(beta_p, True,
+                                                          note="; ".join(gate.failures))]
 
 
 SMALL_4 = GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0)
@@ -536,8 +542,8 @@ SMALL_4 = GameParams(n=4, s0=2.0, s1=1.0, l=1.0, h=9.0)
 def test_strip_solve_on_fixed_games(example1, game, beta):
     if game == "static200":
         # 40,000 pairs, too many for the scalar scan: its golden values
-        scheme = solve_optimal_scheme(beta, STATIC_200)
-        got = (scheme.pi2_low, scheme.pi2_high, scheme.expected_cost, scheme.n_feasible)
+        point, = belief_sweep(STATIC_200, [beta])
+        got = (point.pi2_low, point.pi2_high, point.v_partial, point.n_feasible)
         assert got == (107, 0, 70572.5, 384)
         return
     _assert_solve_matches_scalar_scan(beta, {"example1": example1, "tied": TIED,
@@ -821,10 +827,15 @@ STRIP_1000 = GameParams(n=1000, s0=32.73232953613945, s1=0, l=0.0007590568697130
                         h=2839192.5667863195)
 
 
-def _one_by_one(params, betas):
-    """The records a loop of one-belief calls gives, with each benchmark cost
-    also checked against the scheme cost of its regime's flows, priced in
-    Python arithmetic."""
+def _reference_points(params, betas):
+    """The records belief_sweep should give, one belief at a time and with
+    none of its filter or blocks: every (pi2_low, pi2_high) pair of the full
+    grid is tested by _ic_terms and all_obedient and priced by
+    scheme_cost_two_stage, and the first minimum in row-major order wins.
+    Each benchmark cost is the scheme cost of its regime's flows, priced in
+    Python arithmetic, at or above the regime's cutoff, and the cost of
+    staying safe below it."""
+    pi = np.arange(params.n)
     points = []
     for beta in betas:
         gate = model.check_assumption_two_stage(beta, params)
@@ -832,18 +843,24 @@ def _one_by_one(params, betas):
             points.append(BeliefPoint(float(beta), True, note="; ".join(gate.failures)))
             continue
         th = thresholds(params)
-        scheme = solve_optimal_scheme(beta, params)
-        v_full, v_private, v_so = (cost_full(beta, params), cost_private(beta, params),
-                                   cost_social_optimum(beta, params))
         safe = 2.0 * stage_cost(0, params.l, params)
-        for cost, cutoff, flows in ((v_full, th.beta_f, (th.eq_flow_low - 1, 0)),
-                                    (v_private, th.beta_p, (0, 0)),
-                                    (v_so, th.beta_so, (th.so_flow_low - 1, th.so_flow_high))):
-            assert cost == (scheme_cost_two_stage(beta, *flows, params) if beta >= cutoff
-                            else safe), (params, beta)
+        v_full, v_private, v_so = (
+            scheme_cost_two_stage(beta, *flows, params) if beta >= cutoff else safe
+            for cutoff, flows in ((th.beta_f, (th.eq_flow_low - 1, 0)), (th.beta_p, (0, 0)),
+                                  (th.beta_so, (th.so_flow_low - 1, th.so_flow_high))))
+        experiment = beta >= th.beta_p
+        pi2_low, pi2_high, v_partial, n_feasible = None, None, safe, 0
+        if experiment:
+            # the obedient pairs in row-major order
+            pi_l, pi_h = np.nonzero(all_obedient(two_stage._ic_terms(beta, pi[:, None], pi,
+                                                                     params)))
+            cost = scheme_cost_two_stage(beta, pi_l, pi_h, params)
+            i = int(np.argmin(cost))
+            pi2_low, pi2_high = int(pi_l[i]), int(pi_h[i])
+            v_partial, n_feasible = float(cost[i]), len(pi_l)
         points.append(BeliefPoint(float(beta), False, region(beta, th), v_full, v_private,
-                                  scheme.expected_cost, v_so, scheme.experiment,
-                                  scheme.pi2_low, scheme.pi2_high))
+                                  v_partial, v_so, experiment, pi2_low, pi2_high,
+                                  n_feasible=n_feasible))
     return points
 
 
@@ -856,7 +873,7 @@ def _result(call):
 
 
 def _assert_sweep_matches(params, betas):
-    want = _result(lambda: _one_by_one(params, betas))
+    want = _result(lambda: _reference_points(params, betas))
     got = _result(lambda: belief_sweep(params, betas))
     assert got == want, (params, betas)
     if isinstance(want, list):
@@ -893,17 +910,42 @@ def test_belief_sweep_matches_one_belief_calls(example1, game, blocks):
               "strip1000": STRIP_1000}[game]
     grid = _crossing_grid(params)
     if game == "strip1000":
-        # One belief solves in about 3 ms here: at beta_p (where the solve
-        # finds no obedient scheme, as one by one) and a few above it.
+        # One belief solves in about 3 ms here: around beta_p, where the
+        # rounded closed form used to leave no obedient scheme, and a few
+        # beliefs above it.
         th = thresholds(params)
-        assert _assert_sweep_matches(params, grid) == (
-            InternalError, f"no obedient scheme found at beta={th.beta_p}; expected (0, 0) "
-                           "to be obedient for beta >= beta_p")
+        points = _assert_sweep_matches(params, grid)
+        assert [point.experiment for point in points if point.beta == th.beta_p] == [True]
         grid = [0.5, th.beta_so] + np.linspace(th.beta_p, th.beta_f, 5)[1:].tolist()
         grid += [0.99998836, float(np.nextafter(grid[-1], 1.0)), 0.99999]
     points = _assert_sweep_matches(params, grid)
     assert {point.region for point in points} >= {"A", "B", "C", "D"}
     assert any(point.gated for point in points) and any(point.experiment for point in points)
+
+
+def test_strip1000_beta_p_is_the_first_float_where_the_experimenter_follows(tmp_path, capsys):
+    # The closed form rounds beta_p to 0.9999769433087912. There and at the
+    # next float up the experimenter's (0, 0) slack is -4.8e-10, past
+    # model.obedient's relative 1e-12, and the solve raised InternalError
+    # (exit 3). thresholds steps beta_p up to 0.9999769433087914, the first
+    # float at which (0, 0) is obedient; the two floats below it read region
+    # B, no experiment, at the cost of staying safe.
+    th = thresholds(STRIP_1000)
+    assert th.beta_p == 0.9999769433087914
+    grid = [0.9999769433087912, 0.9999769433087913, th.beta_p]
+    safe = 2.0 * stage_cost(0, STRIP_1000.l, STRIP_1000)
+    points = belief_sweep(STRIP_1000, grid)
+    assert [point.experiment for point in points] == [False, False, True]
+    for point in points[:2]:
+        assert (point.region, point.v_partial, point.pi2_low) == ("B", safe, None)
+    assert points[2].region == "C" and points[2].v_partial < safe
+    path = tmp_path / "strip1000.json"
+    path.write_text(json.dumps({"n": 1000, "s0": STRIP_1000.s0, "s1": 0, "l": STRIP_1000.l,
+                                "h": STRIP_1000.h}))
+    for beta, want in zip(grid, (False, False, True)):
+        assert main(["two-stage", "--params", str(path), "--beta-grid", repr(beta)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["experiment"] is want, beta
 
 
 def test_belief_sweep_matches_one_belief_calls_on_draws(blocks):
@@ -921,8 +963,8 @@ def test_belief_sweep_matches_one_belief_calls_on_draws(blocks):
 def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeypatch):
     # REFERENCE's ratios in units of 1e306: beta_so overflows to NaN, so the
     # thresholds refuse the game, under numpy's overflow ignored or raised,
-    # as one-belief calls in order do. A belief that is no belief, anywhere
-    # in the grid, is refused before that, and nothing is priced.
+    # as the reference does belief by belief. A belief that is no belief,
+    # anywhere in the grid, is refused before that, and nothing is priced.
     unit = 1e306
     huge = GameParams(n=10, s0=10 * unit, s1=0, l=unit, h=19 * unit)
     beta_p = (huge.h - huge.s0) / (huge.h + huge.s0 - 2.0 * huge.l)  # as thresholds has it
@@ -938,7 +980,7 @@ def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeyp
         with np.errstate(**settings):
             # the scheme cost itself overflows to inf in Python arithmetic
             assert scheme_cost_two_stage(0.4, 0, 0, huge) == np.inf
-            assert _result(lambda: cost_private(0.4, huge)) == out_of_range
+            assert _result(lambda: belief_sweep(huge, [0.4])) == out_of_range
             # past the thresholds, the benchmarks priced as an array follow
             # the caller's error state: inf when ignored, an error when raised
             with monkeypatch.context() as patch:
@@ -958,21 +1000,23 @@ def test_belief_sweep_raises_the_first_error_of_a_loop(example1, blocks, monkeyp
                 assert not priced
     # No obedient pair, a NaN cost, or an inf cost at EXAMPLE1's beliefs
     # 0.55 and 0.62, for a caller that ignores overflow: the first of them
-    # names the error.
+    # names the error. The reference shares none of the patched functions
+    # but scheme_cost_two_stage's core, so the sweep's error is compared
+    # with the error each patch must raise.
     grid = [0.3, 0.55, 0.62, 0.9]
     no_scheme = (InternalError, "no obedient scheme found at beta=0.55; expected (0, 0) to be "
                                 "obedient for beta >= beta_p")
     true_obedient, true_cost = two_stage.all_obedient, two_stage._scheme_cost
     monkeypatch.setattr(two_stage, "all_obedient",
                         lambda terms: np.zeros_like(true_obedient(terms)))
-    assert _assert_sweep_matches(example1, grid) == no_scheme
+    assert _result(lambda: belief_sweep(example1, grid)) == no_scheme
     monkeypatch.setattr(two_stage, "all_obedient", true_obedient)
     # NaN or inf for the solve's count arrays; a benchmark's int counts
     # price as ever
     for value in (np.nan, np.inf):
         monkeypatch.setattr(two_stage, "_scheme_cost", lambda beta, pi_l, pi_h, params: (
             np.full(len(pi_l), value) if np.ndim(pi_l) else true_cost(beta, pi_l, pi_h, params)))
-        got = _assert_sweep_matches(example1, grid)
+        got = _result(lambda: belief_sweep(example1, grid))
         if np.isnan(value):
             assert got == no_scheme
         else:
@@ -1037,8 +1081,8 @@ def test_belief_sweep_blocks_stay_within_the_strip_bound(monkeypatch):
 
 def test_belief_sweep_peak_memory_is_no_higher_than_a_loop():
     # The strip1000 game, 200 beliefs above beta_p: the sweep (one belief
-    # per block here) peaks no higher than a loop of one-belief calls that
-    # builds the rows `roadrec two-stage` printed from them.
+    # per block here) peaks no higher than a loop of one-belief sweeps that
+    # builds a row of each record.
     th = thresholds(STRIP_1000)
     limit = model.check_assumption_two_stage(0.0, STRIP_1000).beta_limit
     grid = np.linspace(th.beta_p, limit, 201, endpoint=False)[1:].tolist()
@@ -1046,15 +1090,8 @@ def test_belief_sweep_peak_memory_is_no_higher_than_a_loop():
     def loop():
         rows = []
         for beta in grid:
-            model.check_assumption_two_stage(beta, STRIP_1000)
-            scheme = solve_optimal_scheme(beta, STRIP_1000)
-            rows.append({"beta": beta, "gated": False, "region": region(beta, th),
-                         "v_full": cost_full(beta, STRIP_1000),
-                         "v_private": cost_private(beta, STRIP_1000),
-                         "v_partial": scheme.expected_cost,
-                         "v_so": cost_social_optimum(beta, STRIP_1000),
-                         "experiment": scheme.experiment, "pi2_low": scheme.pi2_low,
-                         "pi2_high": scheme.pi2_high})
+            point, = belief_sweep(STRIP_1000, [beta])
+            rows.append(dict(vars(point)))
         return rows
 
     def peak(call):
